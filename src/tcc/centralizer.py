@@ -2,9 +2,12 @@
 
 The membership condition is linear in B, so column-stacking turns it into
 an ordinary kernel problem: with T = (I (x) A) - a * (A^T (x) I) we have
-T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  A
+T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  That
+costs about n^6, so comb matrices x*J + y*I take a structured route
+through their eigenbasis instead, landing on the same canonical basis.  A
 hard-guarded exhaustive enumeration of all n x n matrices doubles as an
-independent oracle for the kernel solver.
+independent oracle for the kernel solver, which in turn checks the
+structured one.
 """
 
 from dataclasses import dataclass
@@ -17,19 +20,21 @@ from .linalg import (
     GuardExceededError,
     Matrix,
     Prime,
-    Vector,
+    count_text,
     inverse,
     kernel_basis,
     kronecker,
     matmul_mod,
     rref,
-    unvec,
-    vec,
 )
-from .comb import MAX_ORDER
+from .comb import MAX_ORDER, CombParams, DefectiveMatrixError, Diagonalization, comb_matrix, diagonalize
 
 BRUTE_FORCE_LIMIT = 1 << 20
+# Largest operator the Kronecker kernel builds: n = 32, a 1024 x 1024 T.
+KRONECKER_MAX_CELLS = 1 << 10
 _CHUNK = 1 << 15
+# Membership checks run over stacks of at most this many matrix entries.
+_CHECK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,11 @@ class CentralizerBasis:
 
     def __post_init__(self):
         for b in self.basis:
-            if not is_member(b, self.spec):
+            _check_compatible(b, self.spec)
+        step = max(1, _CHECK_CELLS // (self.spec.n * self.spec.n))
+        for start in range(0, len(self.basis), step):
+            stack = np.stack([b.array for b in self.basis[start : start + step]])
+            if not _all_members(stack, self.spec):
                 raise ValueError("basis matrix fails the twisted commutation condition")
 
     @property
@@ -86,14 +95,10 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
     return kronecker(ident, a) - kronecker(a.T, ident) * spec.twist
 
 
-def _normalized(spec: TwistSpec, raw_vecs: list[Vector]) -> CentralizerBasis:
-    if not raw_vecs:
-        return CentralizerBasis(spec, ())
-    stacked = Matrix(np.vstack([v.array for v in raw_vecs]), spec.prime)
-    reduced = rref(stacked).matrix
+def _from_rows(spec: TwistSpec, rows: np.ndarray) -> CentralizerBasis:
+    """The basis whose vec images are the rows of an RREF array."""
     n = spec.n
-    mats = tuple(unvec(reduced.row(i), n, n) for i in range(reduced.rows))
-    return CentralizerBasis(spec, mats)
+    return CentralizerBasis(spec, tuple(Matrix(r.reshape((n, n), order="F"), spec.prime) for r in rows))
 
 
 def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
@@ -101,17 +106,80 @@ def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
 
     Dimension equals n^2 - rank(T); ordering is inherited from the
     deterministic kernel basis, then canonicalized by row reduction.
+    T has n^2 x n^2 entries and its elimination costs about n^6, so
+    orders beyond 32 are refused before T is built.
     """
-    return _normalized(spec, kernel_basis(twisted_operator(spec)))
+    cells = spec.n * spec.n
+    if cells > KRONECKER_MAX_CELLS:
+        raise GuardExceededError(
+            f"the Kronecker kernel for order {spec.n} needs T of {cells}x{cells}, "
+            f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
+        )
+    kernel = kernel_basis(twisted_operator(spec))
+    if not kernel:
+        return CentralizerBasis(spec, ())
+    stacked = Matrix(np.vstack([v.array for v in kernel]), spec.prime)
+    return _from_rows(spec, rref(stacked).matrix.array)
 
 
-def is_member(b: Matrix, spec: TwistSpec) -> bool:
-    """Exact entrywise test of A @ B == a * (B @ A)."""
+def comb_centralizer(params: CombParams, twist: Felt) -> CentralizerBasis:
+    """C(x*J + y*I, a) through the eigenbasis, with no n^2 x n^2 operator.
+
+    With P A P^-1 = D diagonal, B -> P^-1 B P carries C(D, a) onto C(A, a),
+    and C(D, a) is spanned by the unit matrices E_ij with d_i = a d_j.  For
+    eigenvalue groups I, J with lambda_I = a lambda_J the images of those
+    E_ij column-stack to rowspace(P[J, :]) (x) rowspace(P^-1[:, I]^T), so
+    the Kronecker products of the two small RREFs span C(A, a).  Those rows
+    are sparse, and one RREF of their stack gives exactly the basis
+    centralizer_code returns.  The merged case, where A has no
+    eigenbasis, falls back to centralizer_code.
+    """
+    spec = TwistSpec(comb_matrix(params), twist)
+    try:
+        diag = diagonalize(params)
+    except DefectiveMatrixError:
+        return centralizer_code(spec)
+    return _from_rows(spec, _eigen_span(diag, twist))
+
+
+def _eigen_span(diag: Diagonalization, twist: Felt) -> np.ndarray:
+    """RREF rows spanning vec(P^-1 C(D, a) P) for P A P^-1 = D."""
+    prime = twist.prime
+    p = prime.p
+    transform = diag.transform.array
+    p_inv = inverse(diag.transform).array
+    d = np.diag(diag.diagonal.array)
+    groups = [np.flatnonzero(d == lam) for lam in np.unique(d)]
+    blocks = []
+    for i_idx in groups:
+        for j_idx in groups:
+            if d[i_idx[0]] == (twist.value * int(d[j_idx[0]])) % p:
+                left = rref(Matrix(transform[j_idx], prime)).matrix
+                right = rref(Matrix(p_inv[:, i_idx].T, prime)).matrix
+                blocks.append(kronecker(left, right).array)
+    if not blocks:
+        return np.zeros((0, d.size * d.size), dtype=np.int64)
+    return rref(Matrix(np.vstack(blocks), prime)).matrix.array
+
+
+def _check_compatible(b: Matrix, spec: TwistSpec) -> None:
     if b.shape != spec.matrix.shape:
         raise ValueError(f"expected a {spec.n}x{spec.n} matrix, got {b.rows}x{b.cols}")
     if b.prime != spec.prime:
         raise FieldMismatchError(f"matrix over GF({b.prime.p}) against a GF({spec.prime.p}) centralizer")
-    return spec.matrix @ b == (b @ spec.matrix) * spec.twist
+
+
+def _all_members(stack: np.ndarray, spec: TwistSpec) -> bool:
+    """Exact entrywise test of A @ B == a * (B @ A) for every B in a (k, n, n) stack."""
+    a = spec.matrix.array
+    p = spec.prime.p
+    return np.array_equal(matmul_mod(a, stack, p), (matmul_mod(stack, a, p) * spec.twist.value) % p)
+
+
+def is_member(b: Matrix, spec: TwistSpec) -> bool:
+    """Exact entrywise test of A @ B == a * (B @ A)."""
+    _check_compatible(b, spec)
+    return _all_members(b.array[None], spec)
 
 
 def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
@@ -127,7 +195,7 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
     total = p**cells
     if total > BRUTE_FORCE_LIMIT:
         raise GuardExceededError(
-            f"brute force over GF({p})^({n}x{n}) means {total} candidates, "
+            f"brute force over GF({p})^({n}x{n}) means {count_text(total)} candidates, "
             f"beyond the {BRUTE_FORCE_LIMIT} guard"
         )
     a_arr = spec.matrix.array
@@ -144,34 +212,3 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
             members.append(Matrix(b, spec.prime))
     return members
 
-
-def conjugation_transfer(
-    basis_d: CentralizerBasis,
-    transform: Matrix,
-    target: TwistSpec | None = None,
-) -> CentralizerBasis:
-    """Carry a basis of C(D, a) over to C(A, a) along D = P A P^-1.
-
-    Each member B maps to P^-1 B P.  When ``target`` names the intended
-    (A, a), every image is verified against it, which catches a transform
-    that does not actually conjugate A to D; with no target, A is derived
-    as P^-1 D P.  The result is RREF-normalized and dimension-preserving.
-    """
-    d = basis_d.spec.matrix
-    if transform.shape != d.shape:
-        raise ValueError(f"transform shape {transform.shape} does not match order {d.rows}")
-    p_inv = inverse(transform)
-    if target is None:
-        target = TwistSpec((p_inv @ d) @ transform, basis_d.spec.twist)
-    elif target.twist != basis_d.spec.twist or target.matrix.shape != d.shape:
-        raise ValueError("target spec does not match the basis being transferred")
-    carried = []
-    for b in basis_d.basis:
-        image = (p_inv @ b) @ transform
-        if not is_member(image, target):
-            raise ValueError("conjugation transfer broke membership; is D = P A P^-1?")
-        carried.append(vec(image))
-    result = _normalized(target, carried)
-    if result.dim != basis_d.dim:
-        raise ValueError("conjugation transfer changed the dimension")
-    return result

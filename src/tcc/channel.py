@@ -13,7 +13,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .code import UNIQUE, LinearCode, decode_nearest, encode, is_codeword, _codeword_blocks, _guard_messages
-from .linalg import GuardExceededError, Vector
+from .linalg import GuardExceededError, Vector, count_text
 
 EXHAUSTIVE_LIMIT = 1 << 24
 
@@ -81,7 +81,7 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     work = _pattern_count(code.length, t, p) * p**code.dim
     if work > EXHAUSTIVE_LIMIT:
         raise GuardExceededError(
-            f"exhaustive sweep means {work} decodes, beyond the {EXHAUSTIVE_LIMIT} guard; "
+            f"exhaustive sweep means {count_text(work)} decodes, beyond the {EXHAUSTIVE_LIMIT} guard; "
             "use monte_carlo instead"
         )
     counts = {"success": 0, "ambiguous": 0, "miscorrected": 0}
@@ -113,7 +113,7 @@ def exhaustive_detection_check(code: LinearCode, t: int) -> bool:
     work = sum(_pattern_count(code.length, w, p) for w in range(1, t + 1)) * p**code.dim
     if work > EXHAUSTIVE_LIMIT:
         raise GuardExceededError(
-            f"exhaustive detection sweep means {work} membership checks, "
+            f"exhaustive detection sweep means {count_text(work)} membership checks, "
             f"beyond the {EXHAUSTIVE_LIMIT} guard"
         )
     msg_count = _guard_messages(code, "detection sweep")
@@ -132,10 +132,15 @@ def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> Channel
     """Seeded random (message, weight-t error) trials, classified per decode.
 
     Reproducible for a fixed seed within one build of this package; no
-    cross-implementation stream equality is promised.
+    cross-implementation stream equality is promised.  The trial count
+    shares the exhaustive sweep's decode budget.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if trials > EXHAUSTIVE_LIMIT:
+        raise GuardExceededError(
+            f"Monte Carlo run of {count_text(trials)} trials, beyond the {EXHAUSTIVE_LIMIT}-decode guard"
+        )
     if t > code.length:
         raise ValueError(f"weight {t} exceeds code length {code.length}")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .centralizer import TwistSpec, centralizer_code
+from .centralizer import CentralizerBasis, TwistSpec, centralizer_code, comb_centralizer
 from .channel import exhaustive_stats, monte_carlo
 from .code import analyze, code_from_basis
 from .comb import (
@@ -19,6 +19,7 @@ from .comb import (
     CombParams,
     comb_matrix,
     comb_spectrum,
+    diagonalize,
     eigen_scan,
 )
 from .linalg import (
@@ -133,8 +134,12 @@ def _comb_params(args) -> CombParams:
     return CombParams(args.n, Felt(args.x, prime), Felt(args.y, prime))
 
 
-def _twist_inputs(args) -> tuple[TwistSpec, dict]:
-    """Resolve A from flags or file; returns the spec and the JSON header fields."""
+def _solve(args) -> tuple[CentralizerBasis, dict]:
+    """Resolve A from flags or file and solve C(A, a); returns the basis and the JSON header fields.
+
+    A comb matrix from flags takes the structured eigenbasis solve; a matrix
+    file takes the Kronecker kernel.
+    """
     if args.matrix_file is not None:
         try:
             text = Path(args.matrix_file).read_text()
@@ -145,19 +150,19 @@ def _twist_inputs(args) -> tuple[TwistSpec, dict]:
             raise ValueError(f"matrix file holds a {matrix.rows}x{matrix.cols} matrix, need square")
         spec = TwistSpec(matrix, Felt(args.a, matrix.prime))
         header = {"p": matrix.prime.p, "n": matrix.rows, "a": spec.twist.value}
-        return spec, header
+        return centralizer_code(spec), header
     if None in (args.n, args.p, args.x, args.y):
         raise ValueError("either --matrix-file or all of --n --p --x --y must be given")
     params = _comb_params(args)
-    spec = TwistSpec(comb_matrix(params), Felt(args.a, params.prime))
+    twist = Felt(args.a, params.prime)
     header = {
         "p": params.prime.p,
         "n": params.n,
         "x": params.x.value,
         "y": params.y.value,
-        "a": spec.twist.value,
+        "a": twist.value,
     }
-    return spec, header
+    return comb_centralizer(params, twist), header
 
 
 def _hypotheses_met(p: int, n: int, x: int, y: int, a: int) -> bool:
@@ -179,11 +184,7 @@ def cmd_spectrum(args) -> int:
     diagonalizable = spectrum.total_multiplicity == params.n
     diagonal = None
     if diagonalizable:
-        if params.x.value != 0:
-            lam_ones = (params.x.value * params.n + params.y.value) % params.prime.p
-            diagonal = [lam_ones] + [params.y.value] * (params.n - 1)
-        else:
-            diagonal = [params.y.value] * params.n
+        diagonal = diagonalize(params).diagonal.array.diagonal().tolist()
 
     if args.json:
         out = {
@@ -221,8 +222,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_build(args) -> int:
-    spec, header = _twist_inputs(args)
-    basis = centralizer_code(spec)
+    basis, header = _solve(args)
+    spec = basis.spec
     code = code_from_basis(basis)
     if args.json:
         out = dict(header)
@@ -241,8 +242,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    spec, header = _twist_inputs(args)
-    code = code_from_basis(centralizer_code(spec))
+    basis, header = _solve(args)
+    code = code_from_basis(basis)
     if code.dim == 0:
         print("tcc: zero code: C(A, a) contains only the zero matrix, nothing to analyze", file=sys.stderr)
         return EXIT_USAGE
@@ -258,7 +259,7 @@ def cmd_analyze(args) -> int:
         out["rate"] = _rate_str(report.rate)
         print(json.dumps(out))
         return EXIT_OK
-    print(f"code parameters [{report.length}, {report.dim}, {report.min_distance}] over GF({spec.prime.p})")
+    print(f"code parameters [{report.length}, {report.dim}, {report.min_distance}] over GF({basis.spec.prime.p})")
     print(f"MDS: {'yes' if report.mds else 'no'}")
     print(f"detects up to {report.detect} errors; corrects up to {report.correct}")
     print(f"rate: {_rate_str(report.rate)}")
@@ -352,7 +353,7 @@ def cmd_simulate(args) -> int:
             "(need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies",
             file=sys.stderr,
         )
-    code = code_from_basis(centralizer_code(TwistSpec(comb_matrix(params), twist)))
+    code = code_from_basis(comb_centralizer(params, twist))
     if code.dim == 0:
         print("tcc: zero code: C(A, a) contains only the zero matrix, nothing to simulate", file=sys.stderr)
         return EXIT_USAGE

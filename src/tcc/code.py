@@ -6,10 +6,11 @@ follow the standard rules: a code of minimum distance d detects up to
 d - 1 symbol errors and corrects up to floor((d - 1) / 2); it is MDS when
 d meets the Singleton bound N - k + 1 exactly.
 
-Minimum distance and nearest-codeword decoding enumerate the full message
-space behind a hard guard.  That is deliberate: the codes this toolkit
-produces have tiny dimension, where exhaustive search is exact and cheap,
-so no pruning machinery is warranted.
+Nearest-codeword decoding enumerates the full message space behind a
+hard guard; minimum distance needs only one codeword per projective point,
+since scaling by a nonzero constant keeps the weight.  That is deliberate:
+the codes this toolkit produces have tiny dimension, where exhaustive
+search is exact and cheap, so no pruning machinery is warranted.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .linalg import (
     Matrix,
     Prime,
     Vector,
+    count_text,
     matmul_mod,
     rref,
     vec,
@@ -108,7 +110,7 @@ def _guard_messages(code: LinearCode, context: str) -> int:
     count = code.prime.p**code.dim
     if count > ENUMERATION_LIMIT:
         raise GuardExceededError(
-            f"{context} would enumerate p^k = {count} codewords, beyond the {ENUMERATION_LIMIT} guard"
+            f"{context} would enumerate p^k = {count_text(count)} codewords, beyond the {ENUMERATION_LIMIT} guard"
         )
     return count
 
@@ -117,7 +119,7 @@ def _message_block(p: int, k: int, start: int, stop: int) -> np.ndarray:
     """Messages start..stop-1 as base-p digit rows (most significant first)."""
     idx = np.arange(start, stop, dtype=np.int64)
     if k == 0:
-        return idx.reshape(-1, 0)
+        return np.zeros((len(idx), 0), dtype=np.int64)
     powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
     return (idx[:, None] // powers[None, :]) % p
 
@@ -136,17 +138,33 @@ def _codeword_blocks(code: LinearCode, count: int) -> Iterator[tuple[int, np.nda
 
 
 def min_distance(code: LinearCode) -> int:
-    """Minimum Hamming weight over all nonzero codewords, by enumeration."""
+    """Minimum Hamming weight over all nonzero codewords, by enumeration.
+
+    Every nonzero codeword is a nonzero multiple of exactly one codeword
+    whose message has 1 as its first nonzero digit, so only those
+    (p^k - 1) / (p - 1) codewords are scored; for k = 1 that is the
+    generator row alone.
+    """
     if code.dim == 0:
         raise ValueError("zero code has no minimum distance")
-    count = _guard_messages(code, "minimum distance")
+    p = code.prime.p
+    k = code.dim
+    count = (p**k - 1) // (p - 1)
+    if count > ENUMERATION_LIMIT:
+        raise GuardExceededError(
+            f"minimum distance would enumerate (p^k - 1)/(p - 1) = {count_text(count)} codewords, "
+            f"beyond the {ENUMERATION_LIMIT} guard"
+        )
+    gen = code.generator.array
     best = code.length + 1
-    for start, _, words in _codeword_blocks(code, count):
-        weights = np.count_nonzero(words, axis=1)
-        if start == 0:
-            weights = weights[1:]  # skip the zero codeword
-        if len(weights):
-            best = min(best, int(weights.min()))
+    for lead in range(k):
+        # Messages (0, ..., 0, 1, free digits): the lead row plus any
+        # combination of the rows after it.
+        free = k - 1 - lead
+        for start in range(0, p**free, _BLOCK):
+            msgs = _message_block(p, free, start, min(start + _BLOCK, p**free))
+            words = (gen[lead] + matmul_mod(msgs, gen[lead + 1 :], p)) % p
+            best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 
 

@@ -7,6 +7,7 @@ These are the primitives everything else (spectra, centralizer solving,
 code analysis) is built on.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +28,15 @@ class SingularMatrixError(ValueError):
 
 class GuardExceededError(RuntimeError):
     """An exhaustive computation would exceed its hard work limit."""
+
+
+def count_text(count: int) -> str:
+    """A guard's computed size for its message.
+
+    Counts such as p^k can run to thousands of digits, past what Python
+    converts to a string, so beyond 30 digits only the magnitude is given.
+    """
+    return str(count) if count < 10**30 else f"about 10^{int(math.log10(count))}"
 
 
 class MatrixFormatError(ValueError):

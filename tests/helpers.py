@@ -2,11 +2,14 @@
 
 The check_* functions run the randomized property suites; they live here
 so both the per-module tests and the acceptance gate can invoke them.
+conjugation_transfer is the literal per-matrix transfer of a centralizer
+basis, kept as an oracle for the diagonalization claims.
 """
 
 import numpy as np
 
 from tcc import (
+    CentralizerBasis,
     Felt,
     Matrix,
     Prime,
@@ -14,6 +17,7 @@ from tcc import (
     TwistSpec,
     Vector,
     inverse,
+    is_member,
     kernel_basis,
     kronecker,
     rref,
@@ -147,3 +151,39 @@ def check_vec_sandwich(count=1000, seed=108):
         x = rand_matrix(rng, s, t, prime)
         b = rand_matrix(rng, t, u, prime)
         assert vec((a @ x) @ b) == kronecker(b.T, a) @ vec(x)
+
+
+def conjugation_transfer(
+    basis_d: CentralizerBasis,
+    transform: Matrix,
+    target: TwistSpec | None = None,
+) -> CentralizerBasis:
+    """Carry a basis of C(D, a) over to C(A, a) along D = P A P^-1.
+
+    Each member B maps to P^-1 B P.  When ``target`` names the intended
+    (A, a), every image is verified against it, which catches a transform
+    that does not actually conjugate A to D; with no target, A is derived
+    as P^-1 D P.  The result is RREF-normalized and dimension-preserving.
+    """
+    d = basis_d.spec.matrix
+    if transform.shape != d.shape:
+        raise ValueError(f"transform shape {transform.shape} does not match order {d.rows}")
+    p_inv = inverse(transform)
+    if target is None:
+        target = TwistSpec((p_inv @ d) @ transform, basis_d.spec.twist)
+    elif target.twist != basis_d.spec.twist or target.matrix.shape != d.shape:
+        raise ValueError("target spec does not match the basis being transferred")
+    carried = []
+    for b in basis_d.basis:
+        image = (p_inv @ b) @ transform
+        if not is_member(image, target):
+            raise ValueError("conjugation transfer broke membership; is D = P A P^-1?")
+        carried.append(vec(image).array)
+    if not carried:
+        return CentralizerBasis(target, ())
+    reduced = rref(Matrix(np.vstack(carried), target.prime))
+    n = target.n
+    mats = tuple(unvec(reduced.matrix.row(i), n, n) for i in range(reduced.rank))
+    if len(mats) != basis_d.dim:
+        raise ValueError("conjugation transfer changed the dimension")
+    return CentralizerBasis(target, mats)

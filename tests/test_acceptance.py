@@ -27,7 +27,6 @@ from tcc import (
     code_from_basis,
     comb_matrix,
     comb_spectrum,
-    conjugation_transfer,
     decode_nearest,
     diagonalize,
     eigen_scan,
@@ -146,7 +145,7 @@ def test_criterion_4_diagonalization_and_transfer():
         twist = Felt(a, prime)
         basis_d = centralizer_code(TwistSpec(diag.diagonal, twist))
         target = TwistSpec(matrix, twist)
-        moved = conjugation_transfer(basis_d, diag.transform, target=target)
+        moved = helpers.conjugation_transfer(basis_d, diag.transform, target=target)
         direct = centralizer_code(target)
         assert moved.basis == direct.basis, label
     print("criterion 4 (diagonalization and conjugation transfer): PASS")

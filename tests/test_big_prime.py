@@ -1,0 +1,155 @@
+"""Edge cases at the largest accepted prime, p = 2^31 - 1.
+
+Here (p - 1)^2 is just under 2^62, so a dot product of two terms still
+fits int64 and one of three or more takes matmul_mod's Python-int path.
+Each primitive is checked against plain Python-int arithmetic, and the
+structured comb solve against the Kronecker kernel.
+"""
+
+import numpy as np
+import pytest
+
+from tcc import (
+    CombParams,
+    Felt,
+    GuardExceededError,
+    LinearCode,
+    Matrix,
+    Prime,
+    TwistSpec,
+    analyze,
+    centralizer_code,
+    code_from_basis,
+    comb_centralizer,
+    comb_matrix,
+    exhaustive_stats,
+    inverse,
+    kronecker,
+    min_distance,
+    rref,
+)
+from tcc.linalg import matmul_mod
+
+P = 2**31 - 1
+BIG = Prime(P)
+
+
+def rand_rows(rng, rows, cols):
+    # Half the entries sit at the top of the field, where overflow would bite.
+    data = rng.integers(0, P, size=(rows, cols))
+    top = rng.random(size=(rows, cols)) < 0.5
+    data[top] = P - 1 - rng.integers(0, 4, size=int(top.sum()))
+    return data
+
+
+def ref_matmul(a, b):
+    a, b = a.tolist(), b.tolist()
+    return [[sum(x * y for x, y in zip(row, col)) % P for col in zip(*b)] for row in a]
+
+
+def ref_rref(rows):
+    """Gauss-Jordan over Python ints."""
+    m = [[v % P for v in row] for row in rows]
+    r = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, P)
+        m[r] = [v * inv % P for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(v - f * w) % P for v, w in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return m
+
+
+class TestMatmulObjectPath:
+    @pytest.mark.parametrize("inner", [2, 3, 17])
+    def test_matches_python_ints(self, inner):
+        # inner = 2 is the int64 path at its limit; 3 and up overflow it.
+        assert (inner * (P - 1) ** 2 >= 2**63) == (inner > 2)
+        rng = np.random.default_rng(inner)
+        a = rand_rows(rng, 4, inner)
+        b = rand_rows(rng, inner, 5)
+        out = matmul_mod(a, b, P)
+        assert out.dtype == np.int64
+        assert out.tolist() == ref_matmul(a, b)
+
+    def test_batched_product(self):
+        rng = np.random.default_rng(7)
+        stack = rand_rows(rng, 3 * 4, 4).reshape(3, 4, 4)
+        a = rand_rows(rng, 4, 4)
+        out = matmul_mod(a, stack, P)
+        for b, got in zip(stack, out):
+            assert got.tolist() == ref_matmul(a, b)
+
+    def test_extreme_entries(self):
+        a = np.full((2, 8), P - 1, dtype=np.int64)
+        # Eight products of (p - 1)^2 = 1 mod p.
+        assert matmul_mod(a, a.T, P).tolist() == [[8, 8], [8, 8]]
+
+    def test_matrix_product_and_inverse(self):
+        rng = np.random.default_rng(11)
+        m = Matrix(rand_rows(rng, 5, 5), BIG)
+        assert (m @ inverse(m)) == Matrix.identity(5, BIG)
+
+
+class TestRrefAndKronecker:
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 5), (6, 4)])
+    def test_rref_matches_python_ints(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        rows = rand_rows(rng, *shape)
+        # A repeated row combination forces a rank drop.
+        rows[-1] = (2 * rows[0] + (P - 1) * rows[1]) % P
+        assert rref(Matrix(rows, BIG)).matrix.array.tolist() == ref_rref(rows.tolist())
+
+    def test_kronecker_matches_python_ints(self):
+        rng = np.random.default_rng(5)
+        a = rand_rows(rng, 2, 3)
+        b = rand_rows(rng, 3, 2)
+        expected = [
+            [int(a[i // 3, j // 2]) * int(b[i % 3, j % 2]) % P for j in range(6)] for i in range(6)
+        ]
+        assert kronecker(Matrix(a, BIG), Matrix(b, BIG)).array.tolist() == expected
+
+
+class TestCombSolve:
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("x, a", [(1, 2), (5, P - 1), (P - 3, 12345)])
+    def test_theorem_tuples_match_kernel(self, n, x, a):
+        y = (-x * n) % P
+        params = CombParams(n, Felt(x, BIG), Felt(y, BIG))
+        twist = Felt(a, BIG)
+        basis = comb_centralizer(params, twist)
+        assert basis == centralizer_code(TwistSpec(comb_matrix(params), twist))
+        report = analyze(code_from_basis(basis))
+        assert (report.length, report.dim, report.min_distance, report.mds) == (n * n, 1, n * n, True)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("x, y, a", [(1, 1, 1), (7, 0, 0), (0, 9, 1), (2, 3, 0)])
+    def test_other_tuples_match_kernel(self, n, x, y, a):
+        # Two eigenvalue pairs whose blocks are merged by elimination (a = 1;
+        # y = a = 0), the scalar full space (x = 0) and the zero space.
+        params = CombParams(n, Felt(x, BIG), Felt(y, BIG))
+        twist = Felt(a, BIG)
+        basis = comb_centralizer(params, twist)
+        assert basis == centralizer_code(TwistSpec(comb_matrix(params), twist))
+
+
+class TestGuardMessages:
+    # Past 4300 digits Python refuses to turn an int into a string, so
+    # these guards must still fire with a readable size.
+    def test_distance_count_beyond_string_limit(self):
+        code = LinearCode.from_generator(Matrix.identity(600, BIG))
+        with pytest.raises(GuardExceededError, match=r"about 10\^5589 codewords"):
+            min_distance(code)
+
+    def test_sweep_count_beyond_string_limit(self):
+        code = LinearCode.from_generator(Matrix(np.ones((1, 1000), dtype=np.int64), BIG))
+        with pytest.raises(GuardExceededError, match=r"about 10\^\d{4} decodes"):
+            exhaustive_stats(code, 500)

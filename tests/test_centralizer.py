@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import tcc.centralizer
 from tcc import (
+    CentralizerBasis,
     CombParams,
     Felt,
     FieldMismatchError,
@@ -11,15 +13,15 @@ from tcc import (
     TwistSpec,
     brute_force_centralizer,
     centralizer_code,
+    comb_centralizer,
     comb_matrix,
-    conjugation_transfer,
     diagonalize,
     is_member,
     special_matrix,
     twisted_operator,
     vec,
 )
-from helpers import GF2, GF3, GF5, rand_matrix
+from helpers import GF2, GF3, GF5, conjugation_transfer, rand_matrix
 
 
 def comb_spec(n, x, y, p, a):
@@ -118,6 +120,42 @@ class TestCentralizerCode:
                 basis = centralizer_code(spec)
                 for b in basis.basis:
                     assert is_member(b, spec)
+
+    def test_order_beyond_32_refused_before_elimination(self, monkeypatch):
+        def no_operator(spec):
+            raise AssertionError("T must not be built past the guard")
+
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
+        spec = TwistSpec(Matrix.identity(33, GF3), Felt(1, GF3))
+        with pytest.raises(GuardExceededError, match="1089x1089"):
+            centralizer_code(spec)
+
+    def test_basis_rejects_non_member(self):
+        # E11 is not in C(J + I, 2) over GF(3), nor in C of a non-comb matrix.
+        e11 = special_matrix("E11", 2, GF3)
+        with pytest.raises(ValueError, match="twisted commutation"):
+            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), (e11,))
+        general = TwistSpec(Matrix([[1, 2], [0, 1]], GF3), Felt(2, GF3))
+        with pytest.raises(ValueError, match="twisted commutation"):
+            CentralizerBasis(general, (e11,))
+
+    def test_basis_rejects_one_non_member_among_members(self, monkeypatch):
+        # Two members per checked stack: the stray E11 sits in the second one.
+        monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", 2 * 2 * 2)
+        spec = comb_spec(2, 1, 1, 3, 1)
+        members = centralizer_code(spec).basis
+        assert len(members) >= 2
+        CentralizerBasis(spec, members + members)
+        with pytest.raises(ValueError, match="twisted commutation"):
+            CentralizerBasis(spec, members + (special_matrix("E11", 2, GF3),))
+
+    def test_basis_rejects_wrong_order(self):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), (Matrix.identity(3, GF3),))
+
+    def test_basis_rejects_wrong_field(self):
+        with pytest.raises(FieldMismatchError):
+            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), (Matrix.identity(2, GF5),))
 
     def test_basis_vecs_form_rref(self):
         from tcc import rref
@@ -222,3 +260,62 @@ class TestConjugationTransfer:
             transform = rand_invertible(rng, 3, GF3)
             moved = conjugation_transfer(basis_d, transform)
             assert moved.dim == basis_d.dim
+
+
+class TestCombCentralizer:
+    def test_matches_kronecker_kernel_on_small_grid(self):
+        # Every (p, n, x, y, a) with p <= 7 and n <= 5: x = 0, the generic
+        # split and the merged tuples that fall back to the kernel.
+        merged = scalar = 0
+        for p in (2, 3, 5, 7):
+            prime = Prime(p)
+            for n in range(2, 6):
+                for x in range(p):
+                    for y in range(p):
+                        params = CombParams(n, Felt(x, prime), Felt(y, prime))
+                        scalar += x == 0
+                        merged += x != 0 and (x * n) % p == 0
+                        for a in range(p):
+                            twist = Felt(a, prime)
+                            direct = centralizer_code(TwistSpec(comb_matrix(params), twist))
+                            assert comb_centralizer(params, twist) == direct, (p, n, x, y, a)
+        assert scalar == 4 * (2 + 3 + 5 + 7)
+        # (x, y) pairs with p | n and x != 0: p = 2 at n = 2, 4; p = 3 at n = 3; p = 5 at n = 5.
+        assert merged == 2 * (1 * 2) + 2 * 3 + 4 * 5
+
+    def test_structured_path_builds_no_operator(self, monkeypatch):
+        def no_operator(spec):
+            raise AssertionError("the structured solve must not build T")
+
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
+        params = CombParams(32, Felt(1, Prime(7)), Felt(1, Prime(7)))
+        basis = comb_centralizer(params, Felt(3, Prime(7)))
+        # 1 = 3 * (32 + 1) mod 7: C(D, 3) is spanned by E_i1 for the n - 1 indices i > 1.
+        assert basis.dim == 31
+
+    def test_merged_case_falls_back_to_kernel(self, monkeypatch):
+        calls = []
+        original = tcc.centralizer.twisted_operator
+
+        def counted(spec):
+            calls.append(spec.n)
+            return original(spec)
+
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", counted)
+        # 3 | x*n, so x*J + y*I has the single eigenvalue y and no eigenbasis.
+        basis = comb_centralizer(CombParams(3, Felt(1, GF3), Felt(1, GF3)), Felt(1, GF3))
+        assert calls == [3]
+        assert basis == centralizer_code(comb_spec(3, 1, 1, 3, 1))
+
+    def test_dimension_closed_form(self):
+        # [l1 = a l1] + (n-1)([l1 = a y] + [y = a l1]) + (n-1)^2 [y = a y], l1 = x n + y.
+        for n, p, x, y, a in [(6, 11, 1, 1, 1), (6, 11, 2, 0, 0), (5, 7, 1, 2, 6), (9, 13, 3, 0, 4)]:
+            prime = Prime(p)
+            lam = (x * n + y) % p
+            expected = (
+                (lam == a * lam % p)
+                + (n - 1) * ((lam == a * y % p) + (y == a * lam % p))
+                + (n - 1) ** 2 * (y == a * y % p)
+            )
+            basis = comb_centralizer(CombParams(n, Felt(x, prime), Felt(y, prime)), Felt(a, prime))
+            assert basis.dim == expected, (n, p, x, y, a)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tcc.channel
 from tcc import (
     ChannelStats,
     CombParams,
@@ -147,6 +148,14 @@ class TestMonteCarlo:
         # distance 8, while the sent word sits at distance 9.
         stats = monte_carlo(nine_one_nine, 9, 100, seed=7)
         assert stats.successes == 0
+
+    def test_trial_count_guarded_before_any_trial(self, four_one_four, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("no trial may run past the guard")
+
+        monkeypatch.setattr(tcc.channel, "encode", no_trial)
+        with pytest.raises(GuardExceededError, match="16777217 trials"):
+            monte_carlo(four_one_four, 1, tcc.channel.EXHAUSTIVE_LIMIT + 1, seed=0)
 
     def test_at_least_one_trial_required(self, four_one_four):
         with pytest.raises(ValueError):

@@ -2,6 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import tcc.centralizer
+import tcc.channel
+import tcc.linalg
 from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
 
 
@@ -120,6 +125,38 @@ class TestBuildCommand:
         assert code == EXIT_USAGE
         assert "--matrix-file" in err
 
+    def test_comb_flags_take_the_structured_solve(self, capsys, monkeypatch):
+        def no_operator(spec):
+            raise AssertionError("comb flags must not build T")
+
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
+        code, out, _ = run_cli(capsys, "build", "--n", "32", "--p", "7", "--x", "1", "--y", "1", "--a", "3", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"p": 7, "n": 32, "x": 1, "y": 1, "a": 3, "length": 1024, "dimension": 31}
+
+
+class TestKroneckerGuard:
+    @pytest.fixture
+    def no_elimination(self, monkeypatch):
+        def refuse(a, p):
+            raise AssertionError("no elimination may start past the guard")
+
+        monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
+
+    def test_order_33_matrix_file_refused(self, capsys, tmp_path, no_elimination):
+        path = tmp_path / "big.mat"
+        path.write_text("3 33 33\n" + "".join(" ".join("1" if i == j else "0" for j in range(33)) + "\n" for i in range(33)))
+        code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "1", "--json")
+        assert code == EXIT_GUARD
+        assert out == ""
+        assert "guard exceeded" in err and "1089x1089" in err
+
+    def test_merged_comb_beyond_32_refused(self, capsys, no_elimination):
+        # 3 | 33, so x*J + y*I has no eigenbasis and needs the Kronecker kernel.
+        code, _, err = run_cli(capsys, "analyze", "--n", "33", "--p", "3", "--x", "1", "--y", "1", "--a", "2")
+        assert code == EXIT_GUARD
+        assert "1089x1089" in err
+
 
 class TestAnalyzeCommand:
     def test_nine_one_nine_over_gf7(self, capsys):
@@ -149,6 +186,15 @@ class TestAnalyzeCommand:
         assert "[4, 1, 4]" in out
         assert "MDS: yes" in out
         assert "rate: 1/4" in out
+
+    def test_theorem_code_at_largest_prime(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--n", "3", "--p", "2147483647", "--x", "1", "--y", "2147483644", "--a", "2", "--json"
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["length"], doc["dimension"], doc["min_distance"]) == (9, 1, 9)
+        assert doc["mds"] is True
 
     def test_zero_code_reported(self, capsys, tmp_path):
         path = tmp_path / "ident.mat"
@@ -259,6 +305,19 @@ class TestSimulateCommand:
         )
         assert code == EXIT_GUARD
         assert "guard exceeded" in err
+
+    def test_trials_guard_fires_before_any_trial(self, capsys, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("no trial may run past the guard")
+
+        monkeypatch.setattr(tcc.channel, "encode", no_trial)
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--n", "2", "--p", "3", "--x", "1", "--y", "1", "--a", "2",
+            "--t", "1", "--trials", str(2**24 + 1),
+        )
+        assert code == EXIT_GUARD
+        assert "16777217 trials" in err
 
     def test_seed_repeatability(self, capsys):
         argv = [

@@ -86,6 +86,33 @@ class TestMinDistance:
         with pytest.raises(GuardExceededError):
             min_distance(code)
 
+    def test_guard_counts_projective_points(self):
+        # (3^13 - 1) / 2 = 797161 representatives fit the 2^20 guard that
+        # 3^13 = 1594323 messages would not; one more dimension does not.
+        assert min_distance(LinearCode.from_generator(Matrix.identity(13, GF3))) == 1
+        with pytest.raises(GuardExceededError, match="2391484"):
+            min_distance(LinearCode.from_generator(Matrix.identity(14, GF3)))
+
+    def test_one_codeword_at_the_largest_prime(self):
+        big = Prime(2147483647)
+        code = LinearCode.from_generator(Matrix([[3, 0, 5, 1, 0, 2]], big))
+        assert min_distance(code) == 4
+
+    def test_matches_every_message_enumeration(self):
+        # Oracle: the literal minimum over all p^k - 1 nonzero messages.
+        rng = np.random.default_rng(53)
+        for p, k, length in [(2, 4, 7), (3, 3, 6), (5, 2, 5), (7, 3, 5)]:
+            prime = Prime(p)
+            for _ in range(5):
+                code = LinearCode.from_generator(rand_matrix(rng, k, length, prime))
+                if code.dim == 0:
+                    continue
+                weights = [
+                    encode(code, Vector(np.array(np.unravel_index(m, (p,) * code.dim)), prime)).weight()
+                    for m in range(1, p**code.dim)
+                ]
+                assert min_distance(code) == min(weights), (p, k, length)
+
 
 class TestAnalyze:
     def test_four_one_four(self):
