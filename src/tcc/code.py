@@ -6,11 +6,14 @@ follow the standard rules: a code of minimum distance d detects up to
 d - 1 symbol errors and corrects up to floor((d - 1) / 2); it is MDS when
 d meets the Singleton bound N - k + 1 exactly.
 
-Nearest-codeword decoding enumerates the full message space behind a
-hard guard; minimum distance needs only one codeword per projective point,
-since scaling by a nonzero constant keeps the weight.  That is deliberate:
-the codes this toolkit produces have tiny dimension, where exhaustive
-search is exact and cheap, so no pruning machinery is warranted.
+Nearest-codeword decoding classifies whole (B, N) blocks of received
+words at once.  A k = 1 code, the theorem's whole family, decodes by a
+plurality vote over the support of its generator at any prime; larger
+dimensions score every codeword behind a hard guard on p^k.  Minimum
+distance needs only one codeword per projective point, since scaling by a
+nonzero constant keeps the weight.  That is deliberate: the codes this
+toolkit produces have tiny dimension, where exhaustive search is exact and
+cheap, so no pruning machinery is warranted.
 """
 
 from dataclasses import dataclass
@@ -33,8 +36,8 @@ from .linalg import (
 
 ENUMERATION_LIMIT = 1 << 20
 _BLOCK = 1 << 14
-# Cache the codeword table only while it stays comfortably in memory.
-_TABLE_CELL_LIMIT = 1 << 22
+# Cells of one (received words x codewords) distance block of the table decoder.
+_SCORE_CELLS = 1 << 15
 
 UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
@@ -56,7 +59,6 @@ class LinearCode:
         self.length = length
         self.generator = generator
         self.pivots = pivots
-        self._table: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -106,35 +108,24 @@ def code_from_basis(basis: CentralizerBasis) -> LinearCode:
     return LinearCode.from_generator(rows)
 
 
-def _guard_messages(code: LinearCode, context: str) -> int:
-    count = code.prime.p**code.dim
-    if count > ENUMERATION_LIMIT:
-        raise GuardExceededError(
-            f"{context} would enumerate p^k = {count_text(count)} codewords, beyond the {ENUMERATION_LIMIT} guard"
-        )
-    return count
-
-
 def _message_block(p: int, k: int, start: int, stop: int) -> np.ndarray:
     """Messages start..stop-1 as base-p digit rows (most significant first)."""
     idx = np.arange(start, stop, dtype=np.int64)
-    if k == 0:
-        return np.zeros((len(idx), 0), dtype=np.int64)
     powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
     return (idx[:, None] // powers[None, :]) % p
 
 
+def _encode_rows(code: LinearCode, msgs: np.ndarray) -> np.ndarray:
+    """Codewords of a (B, k) block of message digit rows."""
+    if code.generator is None:
+        return np.zeros((len(msgs), code.length), dtype=np.int64)
+    return matmul_mod(msgs, code.generator.array, code.prime.p)
+
+
 def _codeword_blocks(code: LinearCode, count: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    p = code.prime.p
-    k = code.dim
-    gen = code.generator.array if code.generator is not None else None
     for start in range(0, count, _BLOCK):
-        msgs = _message_block(p, k, start, min(start + _BLOCK, count))
-        if gen is None:
-            words = np.zeros((len(msgs), code.length), dtype=np.int64)
-        else:
-            words = matmul_mod(msgs, gen, p)
-        yield start, msgs, words
+        msgs = _message_block(code.prime.p, code.dim, start, min(start + _BLOCK, count))
+        yield start, msgs, _encode_rows(code, msgs)
 
 
 def min_distance(code: LinearCode) -> int:
@@ -194,9 +185,7 @@ def encode(code: LinearCode, msg: Vector) -> Vector:
         raise FieldMismatchError(f"message over GF({msg.prime.p}) for a GF({code.prime.p}) code")
     if len(msg) != code.dim:
         raise ValueError(f"message length {len(msg)} does not match code dimension {code.dim}")
-    if code.generator is None:
-        return Vector(np.zeros(code.length, dtype=np.int64), code.prime)
-    return Vector(matmul_mod(msg.array, code.generator.array, code.prime.p), code.prime)
+    return Vector(_encode_rows(code, msg.array[None, :])[0], code.prime)
 
 
 def is_codeword(code: LinearCode, word: Vector) -> bool:
@@ -212,62 +201,91 @@ def is_codeword(code: LinearCode, word: Vector) -> bool:
     return bool(np.array_equal(recon, word.array))
 
 
-def hamming_distance(u: Vector, v: Vector) -> int:
-    if u.prime != v.prime:
-        raise FieldMismatchError("Hamming distance needs operands over the same field")
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return int(np.count_nonzero(u.array != v.array))
+def _vote(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest codewords of a k = 1 code by plurality vote.
+
+    For the generator g, the distance from r to c*g is
+    #{i outside supp g : r_i != 0} + |supp g| - #{i in supp g : r_i / g_i = c},
+    so the nearest codewords are the most-voted c (c = 0 collects the zeros
+    on supp g) and the first minimiser is the smallest of them.
+    """
+    p = code.prime.p
+    g = code.generator.array[0]
+    support = np.flatnonzero(g)
+    outside = np.flatnonzero(g == 0)
+    inverses = np.array([pow(int(v), -1, p) for v in g[support]], dtype=np.int64)
+    # Both factors are below 2^31, so each product stays below 2^62.
+    votes = np.sort(words[:, support] * inverses % p, axis=1)
+    place = np.arange(len(support))
+    new_run = np.ones(votes.shape, dtype=bool)
+    new_run[:, 1:] = votes[:, 1:] != votes[:, :-1]
+    # Length of the run of equal votes up to each place; the longest runs
+    # reach their length exactly once, at their last place.
+    run = place - np.maximum.accumulate(np.where(new_run, place, 0), axis=1) + 1
+    most = run.max(axis=1)
+    top = run == most[:, None]
+    first = votes[np.arange(len(votes)), top.argmax(axis=1)]
+    best = len(support) - most + np.count_nonzero(words[:, outside], axis=1)
+    return best, first, np.count_nonzero(top, axis=1)
 
 
-def _codeword_table(code: LinearCode, count: int) -> np.ndarray | None:
-    if count * code.length > _TABLE_CELL_LIMIT:
-        return None
-    if code._table is None:
-        blocks = [words for _, _, words in _codeword_blocks(code, count)]
-        code._table = np.vstack(blocks)
-    return code._table
+def _scan(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest codewords by scoring every codeword, streamed in message order."""
+    count = code.prime.p**code.dim
+    if count > ENUMERATION_LIMIT:
+        raise GuardExceededError(
+            f"nearest-codeword decoding would enumerate p^k = {count_text(count)} codewords, "
+            f"beyond the {ENUMERATION_LIMIT} guard"
+        )
+    rows = len(words)
+    best = np.full(rows, code.length + 1, dtype=np.int64)
+    first = np.zeros(rows, dtype=np.int64)
+    ties = np.zeros(rows, dtype=np.int64)
+    for start, _, table in _codeword_blocks(code, count):
+        columns = np.ascontiguousarray(table.T)
+        step = max(1, _SCORE_CELLS // len(table))
+        for lo in range(0, rows, step):
+            block = words[lo : lo + step]
+            # One position at a time: no (rows, codewords, N) temporary; N < 2^15.
+            dists = np.zeros((len(block), len(table)), dtype=np.int16)
+            for i in range(code.length):
+                dists += block[:, i, None] != columns[i]
+            there = slice(lo, lo + len(block))
+            low = dists.min(axis=1)
+            hits = np.count_nonzero(dists == low[:, None], axis=1)
+            better = low < best[there]
+            ties[there] = np.where(better, hits, ties[there] + (low == best[there]) * hits)
+            first[there] = np.where(better, start + dists.argmin(axis=1), first[there])
+            best[there] = np.minimum(low, best[there])
+    return best, first, ties
+
+
+def _nearest(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a (B, N) block of received words: the best distance, the
+    first minimiser's index in message order and the number of minimisers."""
+    if code.dim == 1:
+        return _vote(code, words)
+    return _scan(code, words)
 
 
 def decode_nearest(code: LinearCode, word: Vector) -> DecodeResult:
-    """Exhaustive nearest-codeword decoding with explicit tie reporting.
+    """Nearest-codeword decoding with explicit tie reporting.
 
-    Scores every codeword by Hamming distance.  A strict minimizer comes
-    back as UNIQUE; ties come back as AMBIGUOUS carrying the first
-    minimizer in message enumeration order, never silently broken, since
-    uniqueness inside the packing radius is exactly what correction
-    guarantees rest on.
+    A strict minimizer comes back as UNIQUE; ties come back as AMBIGUOUS
+    carrying the first minimizer in message enumeration order, never
+    silently broken, since uniqueness inside the packing radius is exactly
+    what correction guarantees rest on.
     """
     if word.prime != code.prime:
         raise FieldMismatchError(f"word over GF({word.prime.p}) for a GF({code.prime.p}) code")
     if len(word) != code.length:
         raise ValueError(f"word length {len(word)} does not match code length {code.length}")
-    count = _guard_messages(code, "nearest-codeword decoding")
-
-    table = _codeword_table(code, count)
-    if table is not None:
-        dists = np.count_nonzero(table != word.array[None, :], axis=1)
-        best = int(dists.min())
-        hits = np.nonzero(dists == best)[0]
-        best_idx, n_hits = int(hits[0]), len(hits)
-    else:
-        best = code.length + 1
-        best_idx = 0
-        n_hits = 0
-        for start, _, words in _codeword_blocks(code, count):
-            dists = np.count_nonzero(words != word.array[None, :], axis=1)
-            block_best = int(dists.min())
-            if block_best < best:
-                best = block_best
-                best_idx = start + int(np.nonzero(dists == block_best)[0][0])
-                n_hits = int(np.count_nonzero(dists == block_best))
-            elif block_best == best:
-                n_hits += int(np.count_nonzero(dists == block_best))
-
-    message = Vector(_message_block(code.prime.p, code.dim, best_idx, best_idx + 1)[0], code.prime)
+    best, first, ties = _nearest(code, word.array[None, :])
+    index = int(first[0])
+    message = Vector(_message_block(code.prime.p, code.dim, index, index + 1)[0], code.prime)
     return DecodeResult(
-        status=UNIQUE if n_hits == 1 else AMBIGUOUS,
+        status=UNIQUE if ties[0] == 1 else AMBIGUOUS,
         codeword=encode(code, message),
         message=message,
-        distance=best,
+        distance=int(best[0]),
     )

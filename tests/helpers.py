@@ -3,20 +3,36 @@
 The check_* functions run the randomized property suites; they live here
 so both the per-module tests and the acceptance gate can invoke them.
 conjugation_transfer is the literal per-matrix transfer of a centralizer
-basis, kept as an oracle for the diagonalization claims.
+basis, kept as an oracle for the diagonalization claims.  The literal_*
+channel runs decode one Vector per (message, pattern) or per trial, kept
+as oracles for the batched sweeps in tcc.channel; the exhaustive_*_check
+functions are the acceptance gate's correction and detection sweeps.
 """
+
+import math
+from itertools import combinations, product
 
 import numpy as np
 
 from tcc import (
+    UNIQUE,
     CentralizerBasis,
+    ChannelStats,
     Felt,
+    FieldMismatchError,
+    GuardExceededError,
+    LinearCode,
     Matrix,
     Prime,
     SingularMatrixError,
     TwistSpec,
     Vector,
+    decode_nearest,
+    encode,
+    exhaustive_stats,
+    inject_errors,
     inverse,
+    is_codeword,
     is_member,
     kernel_basis,
     kronecker,
@@ -25,6 +41,9 @@ from tcc import (
     unvec,
     vec,
 )
+from tcc.channel import EXHAUSTIVE_LIMIT
+from tcc.code import ENUMERATION_LIMIT
+from tcc.linalg import count_text
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -187,3 +206,96 @@ def conjugation_transfer(
     if len(mats) != basis_d.dim:
         raise ValueError("conjugation transfer changed the dimension")
     return CentralizerBasis(target, mats)
+
+
+def hamming_distance(u: Vector, v: Vector) -> int:
+    if u.prime != v.prime:
+        raise FieldMismatchError("Hamming distance needs operands over the same field")
+    if len(u) != len(v):
+        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
+    return int(np.count_nonzero(u.array != v.array))
+
+
+def _pattern_count(length: int, t: int, p: int) -> int:
+    return math.comb(length, t) * (p - 1) ** t
+
+
+def _weight_patterns(length: int, t: int, p: int):
+    for positions in combinations(range(length), t):
+        for offsets in product(range(1, p), repeat=t):
+            yield list(positions), offsets
+
+
+def _messages(code: LinearCode):
+    """Every message in enumeration order, with its codeword."""
+    for digits in product(range(code.prime.p), repeat=code.dim):
+        message = Vector(list(digits), code.prime)
+        yield message, encode(code, message)
+
+
+def _classify(code: LinearCode, received: Vector, message: Vector) -> str:
+    result = decode_nearest(code, received)
+    if result.status != UNIQUE:
+        return "ambiguous"
+    return "success" if result.message == message else "miscorrected"
+
+
+def _stats(counts: dict) -> ChannelStats:
+    return ChannelStats(sum(counts.values()), counts["success"], counts["ambiguous"], counts["miscorrected"])
+
+
+def literal_exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
+    """exhaustive_stats, one decode_nearest call per (message, pattern) pair."""
+    p = code.prime.p
+    counts = {"success": 0, "ambiguous": 0, "miscorrected": 0}
+    for message, word in _messages(code):
+        for positions, offsets in _weight_patterns(code.length, t, p):
+            corrupted = word.array.copy()
+            corrupted[positions] = (corrupted[positions] + offsets) % p
+            counts[_classify(code, Vector(corrupted, code.prime), message)] += 1
+    return _stats(counts)
+
+
+def literal_monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
+    """monte_carlo, one inject_errors and decode_nearest call per trial."""
+    rng = np.random.default_rng(seed)
+    counts = {"success": 0, "ambiguous": 0, "miscorrected": 0}
+    for _ in range(trials):
+        message = Vector(rng.integers(0, code.prime.p, size=code.dim), code.prime)
+        received = inject_errors(encode(code, message), t, rng)
+        counts[_classify(code, received, message)] += 1
+    return _stats(counts)
+
+
+def exhaustive_correction_check(code: LinearCode, t: int) -> bool:
+    """True iff every message survives every weight-t error pattern."""
+    stats = exhaustive_stats(code, t)
+    return stats.successes == stats.trials
+
+
+def exhaustive_detection_check(code: LinearCode, t: int) -> bool:
+    """True iff no error of weight 1..t maps a codeword onto another codeword."""
+    p = code.prime.p
+    if t > code.length:
+        raise ValueError(f"weight {t} exceeds code length {code.length}")
+    if t == 0:
+        return True
+    work = sum(_pattern_count(code.length, w, p) for w in range(1, t + 1)) * p**code.dim
+    if work > EXHAUSTIVE_LIMIT:
+        raise GuardExceededError(
+            f"exhaustive detection sweep means {count_text(work)} membership checks, "
+            f"beyond the {EXHAUSTIVE_LIMIT} guard"
+        )
+    if p**code.dim > ENUMERATION_LIMIT:
+        raise GuardExceededError(
+            f"detection sweep would enumerate p^k = {count_text(p**code.dim)} codewords, "
+            f"beyond the {ENUMERATION_LIMIT} guard"
+        )
+    for _, word in _messages(code):
+        for w in range(1, t + 1):
+            for positions, offsets in _weight_patterns(code.length, w, p):
+                corrupted = word.array.copy()
+                corrupted[positions] = (corrupted[positions] + offsets) % p
+                if is_codeword(code, Vector(corrupted, code.prime)):
+                    return False
+    return True

@@ -31,8 +31,6 @@ from tcc import (
     diagonalize,
     eigen_scan,
     encode,
-    exhaustive_correction_check,
-    exhaustive_detection_check,
     exhaustive_stats,
     inverse,
     is_codeword,
@@ -166,7 +164,7 @@ def test_criterion_5_exhaustive_correction():
                 result = decode_nearest(small, Vector(corrupted, small.prime))
                 assert result.status == UNIQUE, (m, pos, offset)
                 assert result.message == message, (m, pos, offset)
-    assert exhaustive_correction_check(small, 1)
+    assert helpers.exhaustive_correction_check(small, 1)
 
     large = _mds_code(5, 3, 3, 1, 2)
     assert (large.length, large.dim) == (9, 1)
@@ -182,8 +180,8 @@ def test_criterion_5_exhaustive_correction():
 def test_criterion_6_exhaustive_detection():
     code = _mds_code(3, 2, 1, 1, 2)
     for t in (1, 2, 3):
-        assert exhaustive_detection_check(code, t), t
-    assert not exhaustive_detection_check(code, 4)
+        assert helpers.exhaustive_detection_check(code, t), t
+    assert not helpers.exhaustive_detection_check(code, 4)
     # Exhibit one weight-4 pattern landing on a codeword: add 1111 to 0000.
     assert is_codeword(code, Vector([1, 1, 1, 1], code.prime))
     print("criterion 6 (exhaustive detection): PASS")

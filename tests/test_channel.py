@@ -1,26 +1,44 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import tcc.channel
+import tcc.code
 from tcc import (
+    AMBIGUOUS,
+    UNIQUE,
     ChannelStats,
     CombParams,
     Felt,
     GuardExceededError,
+    LinearCode,
+    Matrix,
     Prime,
     TwistSpec,
     Vector,
     centralizer_code,
     code_from_basis,
     comb_matrix,
-    exhaustive_correction_check,
-    exhaustive_detection_check,
+    decode_nearest,
+    encode,
     exhaustive_stats,
-    hamming_distance,
     inject_errors,
     monte_carlo,
 )
-from helpers import GF2, GF3, GF5
+from tcc.cli import main
+from helpers import (
+    GF2,
+    GF3,
+    GF5,
+    exhaustive_correction_check,
+    exhaustive_detection_check,
+    hamming_distance,
+    literal_exhaustive_stats,
+    literal_monte_carlo,
+)
+
+BIG_PRIME = 2**31 - 1
 
 
 def comb_code(n, x, y, p, a):
@@ -38,6 +56,12 @@ def four_one_four():
 def nine_one_nine():
     # x*n + y = 10 = 0 over GF(5).
     return comb_code(3, 3, 1, 5, 2)
+
+
+@pytest.fixture(scope="module")
+def four_two():
+    # [4, 2] over GF(3), off the theorem's hypotheses (a = 1).
+    return comb_code(2, 1, 1, 3, 1)
 
 
 class TestChannelStats:
@@ -153,10 +177,218 @@ class TestMonteCarlo:
         def no_trial(*args):
             raise AssertionError("no trial may run past the guard")
 
-        monkeypatch.setattr(tcc.channel, "encode", no_trial)
+        monkeypatch.setattr(np.random, "default_rng", no_trial)
         with pytest.raises(GuardExceededError, match="16777217 trials"):
             monte_carlo(four_one_four, 1, tcc.channel.EXHAUSTIVE_LIMIT + 1, seed=0)
 
     def test_at_least_one_trial_required(self, four_one_four):
         with pytest.raises(ValueError):
             monte_carlo(four_one_four, 1, 0, seed=0)
+
+
+class TestBatchedAgainstLiteral:
+    """The batched sweeps count exactly what one decode per word counts."""
+
+    @pytest.mark.parametrize("t", range(5))
+    def test_exhaustive_four_one_four(self, four_one_four, t):
+        assert exhaustive_stats(four_one_four, t) == literal_exhaustive_stats(four_one_four, t)
+
+    @pytest.mark.parametrize("t", range(3))
+    def test_exhaustive_nine_one_nine(self, nine_one_nine, t):
+        assert exhaustive_stats(nine_one_nine, t) == literal_exhaustive_stats(nine_one_nine, t)
+
+    @pytest.mark.parametrize("t", range(5))
+    def test_exhaustive_multi_dimensional(self, four_two, t):
+        assert four_two.dim == 2
+        assert exhaustive_stats(four_two, t) == literal_exhaustive_stats(four_two, t)
+
+    def test_exhaustive_multi_dimensional_failures(self, four_two):
+        stats = exhaustive_stats(four_two, 2)
+        assert stats.ambiguous > 0 and stats.miscorrected > 0
+
+    def test_exhaustive_across_offset_blocks(self, four_one_four, monkeypatch):
+        # One offset row per decoder call: the chunking must not change the counts.
+        monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", 1)
+        for t in range(5):
+            assert exhaustive_stats(four_one_four, t) == literal_exhaustive_stats(four_one_four, t)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monte_carlo_sixteen_one_sixteen(self, seed):
+        code = comb_code(4, 1, 1, 5, 2)
+        assert code.dim == 1
+        assert monte_carlo(code, 9, 300, seed) == literal_monte_carlo(code, 9, 300, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monte_carlo_multi_dimensional(self, seed):
+        code = comb_code(3, 1, 1, 5, 1)  # [9, 5, 3] over GF(5)
+        assert code.dim == 5
+        stats = monte_carlo(code, 2, 300, seed)
+        assert stats == literal_monte_carlo(code, 2, 300, seed)
+        assert stats.ambiguous > 0 and stats.miscorrected > 0
+
+    def test_monte_carlo_across_trial_blocks(self, four_two, monkeypatch):
+        monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", 3 * four_two.length)
+        assert monte_carlo(four_two, 2, 50, 9) == literal_monte_carlo(four_two, 2, 50, 9)
+
+    @pytest.mark.parametrize("t", [0, 4])
+    def test_monte_carlo_edge_weights(self, four_one_four, four_two, t):
+        for code in (four_one_four, four_two):
+            assert monte_carlo(code, t, 100, 5) == literal_monte_carlo(code, t, 100, 5)
+
+
+class TestVoteDecoder:
+    """k = 1 codes decode by plurality vote; the table decoder checks it."""
+
+    @staticmethod
+    def assert_same(code, words):
+        vote = tcc.code._vote(code, words)
+        table = tcc.code._scan(code, words)
+        for got, want in zip(vote, table):
+            assert np.array_equal(got, want)
+
+    def test_every_word_of_four_one_four(self, four_one_four):
+        words = np.array(list(itertools.product(range(3), repeat=4)), dtype=np.int64)
+        self.assert_same(four_one_four, words)
+
+    @pytest.mark.parametrize("row", [[1, 1, 1, 1, 1, 1, 1, 1, 1], [1, 0, 66, 5, 0, 2, 17, 0, 40]])
+    def test_random_words_at_prime_67(self, row):
+        prime = Prime(67)
+        code = LinearCode.from_generator(Matrix([row], prime))
+        rng = np.random.default_rng(67)
+        sent = rng.integers(0, 67, size=(400, 1)) * code.generator.array[0] % 67
+        errors = np.where(rng.random((400, 9)) < rng.random((400, 1)), rng.integers(1, 67, size=(400, 9)), 0)
+        words = np.vstack([(sent + errors) % 67, rng.integers(0, 67, size=(100, 9))])
+        self.assert_same(code, words)
+
+    def test_dispatch_on_dimension(self, four_one_four, four_two, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("wrong decoder")
+
+        monkeypatch.setattr(tcc.code, "_scan", refuse)
+        decode_nearest(four_one_four, Vector([1, 0, 2, 1], GF3))
+        monkeypatch.undo()
+        monkeypatch.setattr(tcc.code, "_vote", refuse)
+        decode_nearest(four_two, Vector([1, 0, 2, 1], GF3))
+
+    def test_largest_prime(self):
+        # Generator entries near p make each vote's product approach 2^62.
+        prime = Prime(BIG_PRIME)
+        gen = [1, BIG_PRIME - 1, 2, 0, BIG_PRIME - 2, 3, 0, 5, 7]
+        code = LinearCode.from_generator(Matrix([gen], prime))
+        message = Vector([BIG_PRIME - 5], prime)
+        sent = encode(code, message)
+        rng = np.random.default_rng(5)
+        received = inject_errors(sent, 3, rng)
+        result = decode_nearest(code, received)
+        assert result.status == UNIQUE
+        assert result.message == message
+        assert result.distance == 3
+        # Zeroing the support leaves the zero codeword nearest.
+        assert decode_nearest(code, Vector([0] * 9, prime)).message == Vector([0], prime)
+
+    def test_tie_takes_smallest_vote(self):
+        prime = Prime(7)
+        code = LinearCode.from_generator(Matrix([[1, 1, 1, 1]], prime))
+        result = decode_nearest(code, Vector([5, 5, 3, 3], prime))
+        assert result.status == AMBIGUOUS
+        assert result.message == Vector([3], prime)
+        assert result.distance == 2
+
+    def test_theorem_code_at_largest_prime(self):
+        code = comb_code(3, 1, BIG_PRIME - 3, BIG_PRIME, 2)
+        assert code.dim == 1
+        stats = monte_carlo(code, 4, 200, seed=0)
+        assert stats == ChannelStats(200, 200, 0, 0)
+        with pytest.raises(GuardExceededError, match="exhaustive sweep"):
+            exhaustive_stats(code, 4)
+
+
+# Seeded `simulate --json` stdout of the per-trial decoder; the block decoder reproduces it byte for byte.
+PINNED = [
+    (
+        '--n 3 --p 5 --x 3 --y 1 --a 2 --t 4 --exhaustive --seed 0 --json',
+        0,
+        '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 4, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "exhaustive", "trials": 161280, "successes": 161280, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+    (
+        '--n 3 --p 5 --x 3 --y 1 --a 2 --t 4 --exhaustive --seed 12345 --json',
+        0,
+        '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 4, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "exhaustive", "trials": 161280, "successes": 161280, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+    (
+        '--n 3 --p 5 --x 3 --y 1 --a 2 --t 4 --exhaustive --seed 2147483647 --json',
+        0,
+        '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 4, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "exhaustive", "trials": 161280, "successes": 161280, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+    (
+        '--n 4 --p 5 --x 1 --y 1 --a 2 --t 7 --trials 10000 --seed 0 --json',
+        0,
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 7, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 10000, "successes": 10000, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+    (
+        '--n 4 --p 5 --x 1 --y 1 --a 2 --t 7 --trials 10000 --seed 12345 --json',
+        0,
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 7, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 12345, "trials": 10000, "successes": 10000, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+    (
+        '--n 4 --p 5 --x 1 --y 1 --a 2 --t 7 --trials 10000 --seed 2147483647 --json',
+        0,
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 7, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 2147483647, "trials": 10000, "successes": 10000, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+    (
+        '--n 4 --p 5 --x 1 --y 1 --a 2 --t 9 --trials 10000 --seed 0 --json',
+        2,
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 10000, "successes": 9945, "ambiguous": 54, "miscorrected": 1, "within_capacity": false, "verdict": "FAIL"}\n',
+    ),
+    (
+        '--n 4 --p 5 --x 1 --y 1 --a 2 --t 9 --trials 10000 --seed 12345 --json',
+        2,
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 12345, "trials": 10000, "successes": 9949, "ambiguous": 46, "miscorrected": 5, "within_capacity": false, "verdict": "FAIL"}\n',
+    ),
+    (
+        '--n 4 --p 5 --x 1 --y 1 --a 2 --t 9 --trials 10000 --seed 2147483647 --json',
+        2,
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 2147483647, "trials": 10000, "successes": 9952, "ambiguous": 47, "miscorrected": 1, "within_capacity": false, "verdict": "FAIL"}\n',
+    ),
+    (
+        '--n 3 --p 5 --x 1 --y 1 --a 1 --t 1 --trials 5000 --seed 0 --json',
+        0,
+        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 1, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 0, "trials": 5000, "successes": 5000, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+    (
+        '--n 3 --p 5 --x 1 --y 1 --a 1 --t 1 --trials 5000 --seed 12345 --json',
+        0,
+        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 1, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 12345, "trials": 5000, "successes": 5000, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+    (
+        '--n 3 --p 5 --x 1 --y 1 --a 1 --t 1 --trials 5000 --seed 2147483647 --json',
+        0,
+        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 1, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 2147483647, "trials": 5000, "successes": 5000, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+    (
+        '--n 3 --p 5 --x 1 --y 1 --a 1 --t 2 --trials 5000 --seed 0 --json',
+        2,
+        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 0, "trials": 5000, "successes": 1889, "ambiguous": 2500, "miscorrected": 611, "within_capacity": false, "verdict": "FAIL"}\n',
+    ),
+    (
+        '--n 3 --p 5 --x 1 --y 1 --a 1 --t 2 --trials 5000 --seed 12345 --json',
+        2,
+        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 12345, "trials": 5000, "successes": 1905, "ambiguous": 2501, "miscorrected": 594, "within_capacity": false, "verdict": "FAIL"}\n',
+    ),
+    (
+        '--n 3 --p 5 --x 1 --y 1 --a 1 --t 2 --trials 5000 --seed 2147483647 --json',
+        2,
+        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 2147483647, "trials": 5000, "successes": 1849, "ambiguous": 2513, "miscorrected": 638, "within_capacity": false, "verdict": "FAIL"}\n',
+    ),
+    (
+        '--n 3 --p 5 --x 3 --y 1 --a 2 --t 4 --trials 500 --seed 314159 --json',
+        0,
+        '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 4, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "monte-carlo", "seed": 314159, "trials": 500, "successes": 500, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, exit_code, stdout", PINNED, ids=[flags for flags, _, _ in PINNED])
+def test_pinned_simulate_output(capsys, flags, exit_code, stdout):
+    assert main(["simulate", *flags.split()]) == exit_code
+    assert capsys.readouterr().out == stdout

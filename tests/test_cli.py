@@ -2,10 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tcc.centralizer
-import tcc.channel
 import tcc.linalg
 from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
 
@@ -310,7 +310,7 @@ class TestSimulateCommand:
         def no_trial(*args):
             raise AssertionError("no trial may run past the guard")
 
-        monkeypatch.setattr(tcc.channel, "encode", no_trial)
+        monkeypatch.setattr(np.random, "default_rng", no_trial)
         code, _, err = run_cli(
             capsys,
             "simulate", "--n", "2", "--p", "3", "--x", "1", "--y", "1", "--a", "2",
@@ -318,6 +318,18 @@ class TestSimulateCommand:
         )
         assert code == EXIT_GUARD
         assert "16777217 trials" in err
+
+    def test_theorem_code_at_largest_prime(self, capsys):
+        flags = ["--n", "3", "--p", "2147483647", "--x", "1", "--y", "2147483644", "--a", "2", "--t", "4"]
+        code, out, _ = run_cli(capsys, "simulate", *flags, "--trials", "1000", "--seed", "0", "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["verdict"] == "PASS"
+        assert doc["trials"] == doc["successes"] == 1000
+        # The exhaustive sweep stays refused by its work guard.
+        code, _, err = run_cli(capsys, "simulate", *flags, "--exhaustive")
+        assert code == EXIT_GUARD
+        assert "exhaustive sweep means about 10^48 decodes" in err
 
     def test_seed_repeatability(self, capsys):
         argv = [

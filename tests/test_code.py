@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import tcc.code
 from tcc import (
     AMBIGUOUS,
     UNIQUE,
@@ -18,11 +21,10 @@ from tcc import (
     comb_matrix,
     decode_nearest,
     encode,
-    hamming_distance,
     is_codeword,
     min_distance,
 )
-from helpers import GF2, GF3, GF5, rand_matrix
+from helpers import GF2, GF3, GF5, hamming_distance, rand_matrix
 
 
 def repetition_code(p=3):
@@ -231,6 +233,23 @@ class TestDecodeNearest:
         assert result.status == AMBIGUOUS
         assert result.distance == 1
         assert result.message == Vector([0] * 19, GF2)  # first minimizer in order
+
+    def test_blocks_do_not_change_the_table_decoder(self, monkeypatch):
+        # [4, 2] over GF(3): every received word, scored against the whole
+        # table at once and then two codewords and one word at a time, so
+        # that minimisers and ties are split across enumeration blocks.
+        code = comb_code(2, 1, 1, 3, 1)
+        assert code.dim == 2
+        words = np.array(list(itertools.product(range(3), repeat=4)), dtype=np.int64)
+        whole = tcc.code._scan(code, words)
+        assert np.count_nonzero(whole[2] > 1) > 0
+        monkeypatch.setattr(tcc.code, "_BLOCK", 2)
+        monkeypatch.setattr(tcc.code, "_SCORE_CELLS", 1)
+        for got, want in zip(tcc.code._scan(code, words), whole):
+            assert np.array_equal(got, want)
+        for word, dist in zip(words, whole[0]):
+            assert dist == min(hamming_distance(Vector(word, GF3), encode(code, Vector(m, GF3)))
+                               for m in itertools.product(range(3), repeat=2))
 
 
 class TestHammingDistance:
