@@ -8,7 +8,6 @@ simulates their behaviour on a symbol-error channel.
 """
 
 from .linalg import (
-    Felt,
     FieldMismatchError,
     GuardExceededError,
     Matrix,
@@ -17,7 +16,6 @@ from .linalg import (
     RrefResult,
     SingularMatrixError,
     Vector,
-    format_matrix_text,
     inverse,
     is_prime,
     kernel_basis,
@@ -33,12 +31,10 @@ from .comb import (
     DefectiveMatrixError,
     Diagonalization,
     Spectrum,
-    all_ones_eigencheck,
     comb_matrix,
     comb_spectrum,
     diagonalize,
     eigen_scan,
-    special_matrix,
 )
 from .centralizer import (
     CentralizerBasis,
@@ -59,7 +55,6 @@ from .code import (
     code_from_basis,
     decode_nearest,
     encode,
-    is_codeword,
     min_distance,
 )
 from .channel import (
@@ -80,7 +75,6 @@ __all__ = [
     "DecodeResult",
     "DefectiveMatrixError",
     "Diagonalization",
-    "Felt",
     "FieldMismatchError",
     "GuardExceededError",
     "LinearCode",
@@ -93,7 +87,6 @@ __all__ = [
     "TwistSpec",
     "UNIQUE",
     "Vector",
-    "all_ones_eigencheck",
     "analyze",
     "brute_force_centralizer",
     "centralizer_code",
@@ -106,10 +99,8 @@ __all__ = [
     "eigen_scan",
     "encode",
     "exhaustive_stats",
-    "format_matrix_text",
     "inject_errors",
     "inverse",
-    "is_codeword",
     "is_member",
     "is_prime",
     "kernel_basis",
@@ -119,7 +110,6 @@ __all__ = [
     "parse_matrix_text",
     "rank",
     "rref",
-    "special_matrix",
     "twisted_operator",
     "unvec",
     "vec",

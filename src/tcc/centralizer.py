@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    Felt,
     FieldMismatchError,
     GuardExceededError,
     Matrix,
@@ -39,20 +38,20 @@ _CHECK_CELLS = 1 << 20
 
 @dataclass(frozen=True)
 class TwistSpec:
-    """A fixed square matrix and the twist constant defining AB = aBA."""
+    """A fixed square matrix and the twist constant defining AB = aBA.
+
+    The twist is stored as a residue in [0, p) of the matrix's field.
+    """
 
     matrix: Matrix
-    twist: Felt
+    twist: int
 
     def __post_init__(self):
         if not self.matrix.is_square:
             raise ValueError(f"the fixed matrix must be square, got {self.matrix.rows}x{self.matrix.cols}")
         if self.matrix.rows > MAX_ORDER:
             raise ValueError(f"order {self.matrix.rows} exceeds the cap {MAX_ORDER}")
-        if self.matrix.prime != self.twist.prime:
-            raise FieldMismatchError(
-                f"matrix over GF({self.matrix.prime.p}) but twist over GF({self.twist.prime.p})"
-            )
+        object.__setattr__(self, "twist", self.matrix.prime.residue(self.twist, "twist"))
 
     @property
     def n(self) -> int:
@@ -122,7 +121,7 @@ def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
     return _from_rows(spec, rref(stacked).matrix.array)
 
 
-def comb_centralizer(params: CombParams, twist: Felt) -> CentralizerBasis:
+def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
     """C(x*J + y*I, a) through the eigenbasis, with no n^2 x n^2 operator.
 
     With P A P^-1 = D diagonal, B -> P^-1 B P carries C(D, a) onto C(A, a),
@@ -139,12 +138,12 @@ def comb_centralizer(params: CombParams, twist: Felt) -> CentralizerBasis:
         diag = diagonalize(params)
     except DefectiveMatrixError:
         return centralizer_code(spec)
-    return _from_rows(spec, _eigen_span(diag, twist))
+    return _from_rows(spec, _eigen_span(diag, spec.twist))
 
 
-def _eigen_span(diag: Diagonalization, twist: Felt) -> np.ndarray:
-    """RREF rows spanning vec(P^-1 C(D, a) P) for P A P^-1 = D."""
-    prime = twist.prime
+def _eigen_span(diag: Diagonalization, twist: int) -> np.ndarray:
+    """RREF rows spanning vec(P^-1 C(D, a) P) for P A P^-1 = D, a = twist."""
+    prime = diag.transform.prime
     p = prime.p
     transform = diag.transform.array
     p_inv = inverse(diag.transform).array
@@ -153,7 +152,7 @@ def _eigen_span(diag: Diagonalization, twist: Felt) -> np.ndarray:
     blocks = []
     for i_idx in groups:
         for j_idx in groups:
-            if d[i_idx[0]] == (twist.value * int(d[j_idx[0]])) % p:
+            if d[i_idx[0]] == (twist * int(d[j_idx[0]])) % p:
                 left = rref(Matrix(transform[j_idx], prime)).matrix
                 right = rref(Matrix(p_inv[:, i_idx].T, prime)).matrix
                 blocks.append(kronecker(left, right).array)
@@ -173,7 +172,7 @@ def _all_members(stack: np.ndarray, spec: TwistSpec) -> bool:
     """Exact entrywise test of A @ B == a * (B @ A) for every B in a (k, n, n) stack."""
     a = spec.matrix.array
     p = spec.prime.p
-    return np.array_equal(matmul_mod(a, stack, p), (matmul_mod(stack, a, p) * spec.twist.value) % p)
+    return np.array_equal(matmul_mod(a, stack, p), (matmul_mod(stack, a, p) * spec.twist) % p)
 
 
 def is_member(b: Matrix, spec: TwistSpec) -> bool:
@@ -199,7 +198,7 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
             f"beyond the {BRUTE_FORCE_LIMIT} guard"
         )
     a_arr = spec.matrix.array
-    twist = spec.twist.value
+    twist = spec.twist
     powers = p ** np.arange(cells - 1, -1, -1, dtype=np.int64)
     members = []
     for start in range(0, total, _CHUNK):

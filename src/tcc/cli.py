@@ -22,14 +22,7 @@ from .comb import (
     diagonalize,
     eigen_scan,
 )
-from .linalg import (
-    Felt,
-    GuardExceededError,
-    MatrixFormatError,
-    Prime,
-    is_prime,
-    parse_matrix_text,
-)
+from .linalg import GuardExceededError, MatrixFormatError, Prime, is_prime, parse_matrix_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,8 +123,7 @@ def _add_matrix_source_flags(sp):
 
 
 def _comb_params(args) -> CombParams:
-    prime = Prime(args.p)
-    return CombParams(args.n, Felt(args.x, prime), Felt(args.y, prime))
+    return CombParams(args.n, args.x, args.y, Prime(args.p))
 
 
 def _solve(args) -> tuple[CentralizerBasis, dict]:
@@ -140,7 +132,10 @@ def _solve(args) -> tuple[CentralizerBasis, dict]:
     A comb matrix from flags takes the structured eigenbasis solve; a matrix
     file takes the Kronecker kernel.
     """
+    comb_flags = [f"--{name}" for name in ("n", "p", "x", "y") if getattr(args, name) is not None]
     if args.matrix_file is not None:
+        if comb_flags:
+            raise ValueError(f"--matrix-file cannot be combined with {' '.join(comb_flags)}")
         try:
             text = Path(args.matrix_file).read_text()
         except OSError as exc:
@@ -148,21 +143,15 @@ def _solve(args) -> tuple[CentralizerBasis, dict]:
         matrix = parse_matrix_text(text)
         if not matrix.is_square:
             raise ValueError(f"matrix file holds a {matrix.rows}x{matrix.cols} matrix, need square")
-        spec = TwistSpec(matrix, Felt(args.a, matrix.prime))
-        header = {"p": matrix.prime.p, "n": matrix.rows, "a": spec.twist.value}
+        spec = TwistSpec(matrix, args.a)
+        header = {"p": matrix.prime.p, "n": matrix.rows, "a": spec.twist}
         return centralizer_code(spec), header
-    if None in (args.n, args.p, args.x, args.y):
+    if len(comb_flags) < 4:
         raise ValueError("either --matrix-file or all of --n --p --x --y must be given")
     params = _comb_params(args)
-    twist = Felt(args.a, params.prime)
-    header = {
-        "p": params.prime.p,
-        "n": params.n,
-        "x": params.x.value,
-        "y": params.y.value,
-        "a": twist.value,
-    }
-    return comb_centralizer(params, twist), header
+    basis = comb_centralizer(params, args.a)
+    header = {"p": params.prime.p, "n": params.n, "x": params.x, "y": params.y, "a": basis.spec.twist}
+    return basis, header
 
 
 def _hypotheses_met(p: int, n: int, x: int, y: int, a: int) -> bool:
@@ -190,8 +179,8 @@ def cmd_spectrum(args) -> int:
         out = {
             "p": params.prime.p,
             "n": params.n,
-            "x": params.x.value,
-            "y": params.y.value,
+            "x": params.x,
+            "y": params.y,
             "eigenvalues": [[lam, mult] for lam, mult in spectrum.pairs],
             "diagonalizable": diagonalizable,
         }
@@ -201,7 +190,7 @@ def cmd_spectrum(args) -> int:
             out["scan_agrees"] = scan_agrees
         print(json.dumps(out))
     else:
-        print(f"A = {params.x.value}*J + {params.y.value}*I over GF({params.prime.p}), n = {params.n}")
+        print(f"A = {params.x}*J + {params.y}*I over GF({params.prime.p}), n = {params.n}")
         print(matrix)
         print("spectrum: " + "; ".join(f"eigenvalue {lam} with multiplicity {m}" for lam, m in spectrum.pairs))
         if scan_agrees is None:
@@ -231,7 +220,7 @@ def cmd_build(args) -> int:
         out["dimension"] = code.dim
         print(json.dumps(out))
         return EXIT_OK
-    print(f"C(A, {spec.twist.value}) over GF({spec.prime.p}), n = {spec.n}")
+    print(f"C(A, {spec.twist}) over GF({spec.prime.p}), n = {spec.n}")
     print(f"dim = {basis.dim}")
     if code.generator is not None:
         print("generator (RREF):")
@@ -278,10 +267,9 @@ def cmd_verify(args) -> int:
         for n in range(2, args.n_max + 1):
             for x in range(p):
                 for y in range(p):
-                    matrix = comb_matrix(CombParams(n, Felt(x, prime), Felt(y, prime)))
+                    matrix = comb_matrix(CombParams(n, x, y, prime))
                     for a in range(p):
-                        spec = TwistSpec(matrix, Felt(a, prime))
-                        basis = centralizer_code(spec)
+                        basis = centralizer_code(TwistSpec(matrix, a))
                         if not _hypotheses_met(p, n, x, y, a):
                             rows.append(VerifyRow(p, n, x, y, a, False, basis.dim))
                             continue
@@ -343,17 +331,19 @@ def _check_theorem_row(p, n, x, y, a, basis) -> VerifyRow:
 
 
 def cmd_simulate(args) -> int:
+    if not args.exhaustive and args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     params = _comb_params(args)
     prime = params.prime
-    twist = Felt(args.a, prime)
-    hyp = _hypotheses_met(prime.p, params.n, params.x.value, params.y.value, twist.value)
+    hyp = _hypotheses_met(prime.p, params.n, params.x, params.y, args.a)
     if not hyp:
         print(
             "tcc: note: these parameters miss the MDS construction hypotheses "
             "(need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies",
             file=sys.stderr,
         )
-    code = code_from_basis(comb_centralizer(params, twist))
+    basis = comb_centralizer(params, args.a)
+    code = code_from_basis(basis)
     if code.dim == 0:
         print("tcc: zero code: C(A, a) contains only the zero matrix, nothing to simulate", file=sys.stderr)
         return EXIT_USAGE
@@ -377,9 +367,9 @@ def cmd_simulate(args) -> int:
         out = {
             "p": prime.p,
             "n": params.n,
-            "x": params.x.value,
-            "y": params.y.value,
-            "a": twist.value,
+            "x": params.x,
+            "y": params.y,
+            "a": basis.spec.twist,
             "t": args.t,
             "length": report.length,
             "dimension": report.dim,

@@ -188,19 +188,6 @@ def encode(code: LinearCode, msg: Vector) -> Vector:
     return Vector(_encode_rows(code, msg.array[None, :])[0], code.prime)
 
 
-def is_codeword(code: LinearCode, word: Vector) -> bool:
-    """Membership via the RREF generator: re-encode the pivot coordinates."""
-    if word.prime != code.prime:
-        raise FieldMismatchError(f"word over GF({word.prime.p}) for a GF({code.prime.p}) code")
-    if len(word) != code.length:
-        raise ValueError(f"word length {len(word)} does not match code length {code.length}")
-    if code.generator is None:
-        return word.weight() == 0
-    coeffs = word.array[list(code.pivots)]
-    recon = matmul_mod(coeffs, code.generator.array, code.prime.p)
-    return bool(np.array_equal(recon, word.array))
-
-
 def _vote(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest codewords of a k = 1 code by plurality vote.
 

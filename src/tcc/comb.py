@@ -18,17 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    Felt,
-    FieldMismatchError,
-    GuardExceededError,
-    Matrix,
-    Prime,
-    Vector,
-    inverse,
-    kernel_basis,
-    rank,
-)
+from .linalg import GuardExceededError, Matrix, Prime, inverse, kernel_basis, rank
 
 # The scan solves p rank problems; past this it is the wrong tool.
 EIGEN_SCAN_MAX_P = 997
@@ -42,25 +32,23 @@ class DefectiveMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class CombParams:
-    """Order and coefficients of x*J + y*I; n = 1 is rejected as degenerate."""
+    """Order and coefficients of x*J + y*I over GF(p); n = 1 is rejected as degenerate.
+
+    x and y are stored as residues in [0, p).
+    """
 
     n: int
-    x: Felt
-    y: Felt
+    x: int
+    y: int
+    prime: Prime
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise TypeError("order n must be an int")
         if not 2 <= self.n <= MAX_ORDER:
             raise ValueError(f"order n must lie in [2, {MAX_ORDER}], got {self.n}")
-        if self.x.prime != self.y.prime:
-            raise FieldMismatchError(
-                f"x is over GF({self.x.prime.p}) but y is over GF({self.y.prime.p})"
-            )
-
-    @property
-    def prime(self) -> Prime:
-        return self.x.prime
+        object.__setattr__(self, "x", self.prime.residue(self.x, "x"))
+        object.__setattr__(self, "y", self.prime.residue(self.y, "y"))
 
 
 @dataclass(frozen=True)
@@ -102,27 +90,11 @@ class Diagonalization:
     diagonal: Matrix
 
 
-def special_matrix(kind: str, n: int, prime: Prime) -> Matrix:
-    """One of the named matrices: "J" (all ones), "I" (identity), "E11"."""
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order n must lie in [1, {MAX_ORDER}], got {n}")
-    kind_up = kind.upper()
-    if kind_up == "J":
-        return Matrix(np.ones((n, n), dtype=np.int64), prime)
-    if kind_up == "I":
-        return Matrix.identity(n, prime)
-    if kind_up == "E11":
-        data = np.zeros((n, n), dtype=np.int64)
-        data[0, 0] = 1
-        return Matrix(data, prime)
-    raise ValueError(f"unknown special matrix kind {kind!r}, expected 'J', 'I' or 'E11'")
-
-
 def comb_matrix(params: CombParams) -> Matrix:
     """The symmetric matrix with x + y on the diagonal and x elsewhere."""
     n = params.n
-    data = np.full((n, n), params.x.value, dtype=np.int64)
-    np.fill_diagonal(data, params.x.value + params.y.value)
+    data = np.full((n, n), params.x, dtype=np.int64)
+    np.fill_diagonal(data, params.x + params.y)
     return Matrix(data, params.prime)
 
 
@@ -161,25 +133,15 @@ def comb_spectrum(params: CombParams) -> Spectrum:
     """
     p = params.prime.p
     n = params.n
-    lam_ones = (params.x.value * n + params.y.value) % p
-    lam_rest = params.y.value
-    if params.x.value == 0:
+    lam_ones = (params.x * n + params.y) % p
+    lam_rest = params.y
+    if params.x == 0:
         return Spectrum(((lam_rest, n),))
     if lam_ones != lam_rest:
         pairs = sorted(((lam_ones, 1), (lam_rest, n - 1)))
         return Spectrum(tuple(pairs))
     shifted = comb_matrix(params) - Matrix.identity(n, params.prime) * lam_rest
     return Spectrum(((lam_rest, n - rank(shifted)),))
-
-
-def all_ones_eigencheck(params: CombParams) -> bool:
-    """Whether A u = (x n + y) u for the all-ones vector u (it always should)."""
-    a = comb_matrix(params)
-    p = params.prime.p
-    lam = (params.x.value * params.n + params.y.value) % p
-    ones = np.ones(params.n, dtype=np.int64)
-    u = Vector(ones, params.prime)
-    return a @ u == Vector(lam * ones, params.prime)
 
 
 def diagonalize(params: CombParams) -> Diagonalization:
@@ -194,17 +156,17 @@ def diagonalize(params: CombParams) -> Diagonalization:
     p = prime.p
     n = params.n
     a = comb_matrix(params)
-    if params.x.value == 0:
+    if params.x == 0:
         return Diagonalization(Matrix.identity(n, prime), a)
-    lam_ones = (params.x.value * n + params.y.value) % p
-    lam_rest = params.y.value
+    lam_ones = (params.x * n + params.y) % p
+    lam_rest = params.y
     if lam_ones == lam_rest:
         raise DefectiveMatrixError(
-            f"x*J + y*I with x={params.x.value}, y={params.y.value}, n={n} "
+            f"x*J + y*I with x={params.x}, y={params.y}, n={n} "
             f"is defective over GF({p}): its single eigenvalue has multiplicity {n - 1}"
         )
     rows = [np.ones(n, dtype=np.int64)]
-    rows.extend(v.array for v in kernel_basis(special_matrix("J", n, prime)))
+    rows.extend(v.array for v in kernel_basis(Matrix(np.ones((n, n), dtype=np.int64), prime)))
     transform = Matrix(np.vstack(rows), prime)
     diag_entries = np.full(n, lam_rest, dtype=np.int64)
     diag_entries[0] = lam_ones

@@ -78,72 +78,14 @@ class Prime:
         if not is_prime(self.p):
             raise ValueError(f"field characteristic must be prime, got {self.p}")
 
+    def residue(self, value, name: str) -> int:
+        """``value`` reduced mod p; ints and numpy integers only, never bool."""
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        return int(value) % self.p
+
     def __repr__(self):
         return f"Prime({self.p})"
-
-
-@dataclass(frozen=True)
-class Felt:
-    """A field element of GF(p), kept fully reduced."""
-
-    value: int
-    prime: Prime
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value) % self.prime.p)
-
-    def _coerce(self, other):
-        if isinstance(other, Felt):
-            if other.prime != self.prime:
-                raise FieldMismatchError(
-                    f"cannot mix GF({self.prime.p}) and GF({other.prime.p}) elements"
-                )
-            return other
-        if isinstance(other, (int, np.integer)) and not isinstance(other, bool):
-            return Felt(int(other), self.prime)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Felt(self.value + other.value, self.prime)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Felt(self.value - other.value, self.prime)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Felt(other.value - self.value, self.prime)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Felt(self.value * other.value, self.prime)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Felt(-self.value, self.prime)
-
-    def inverse(self) -> "Felt":
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return Felt(pow(self.value, -1, self.prime.p), self.prime)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"Felt({self.value} mod {self.prime.p})"
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -230,7 +172,7 @@ class Matrix:
     """Immutable dense matrix over GF(p).
 
     Entries are reduced residues held in a read-only int64 array; ``@``
-    multiplies, ``+``/``-`` add, ``*`` scales by a field element.
+    multiplies, ``+``/``-`` add, ``*`` scales by an integer taken mod p.
     """
 
     __slots__ = ("prime", "_data")
@@ -300,20 +242,10 @@ class Matrix:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         return Matrix(self._data - other._data, self.prime)
 
-    def _scalar(self, scalar) -> int:
-        if isinstance(scalar, Felt):
-            if scalar.prime != self.prime:
-                raise FieldMismatchError(
-                    f"cannot scale a GF({self.prime.p}) matrix by a GF({scalar.prime.p}) element"
-                )
-            return scalar.value
-        if isinstance(scalar, (int, np.integer)) and not isinstance(scalar, bool):
-            return int(scalar) % self.prime.p
-        return -1
-
     def __mul__(self, scalar):
-        s = self._scalar(scalar)
-        if s < 0:
+        try:
+            s = self.prime.residue(scalar, "scalar")
+        except TypeError:
             return NotImplemented
         return Matrix(self._data * s, self.prime)
 
@@ -517,9 +449,3 @@ def parse_matrix_text(text: str) -> Matrix:
             data[i - 2, j - 1] = val
     return Matrix(data, prime)
 
-
-def format_matrix_text(m: Matrix) -> str:
-    """Serialize to the text format accepted by :func:`parse_matrix_text`."""
-    lines = [f"{m.prime.p} {m.rows} {m.cols}"]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in m.array)
-    return "\n".join(lines) + "\n"

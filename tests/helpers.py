@@ -2,6 +2,8 @@
 
 The check_* functions run the randomized property suites; they live here
 so both the per-module tests and the acceptance gate can invoke them.
+all_ones and unit_e11 build the named matrices J and E11, and is_codeword
+tests membership through the RREF generator.
 conjugation_transfer is the literal per-matrix transfer of a centralizer
 basis, kept as an oracle for the diagonalization claims.  The literal_*
 channel runs decode one Vector per (message, pattern) or per trial, kept
@@ -18,7 +20,6 @@ from tcc import (
     UNIQUE,
     CentralizerBasis,
     ChannelStats,
-    Felt,
     FieldMismatchError,
     GuardExceededError,
     LinearCode,
@@ -32,7 +33,6 @@ from tcc import (
     exhaustive_stats,
     inject_errors,
     inverse,
-    is_codeword,
     is_member,
     kernel_basis,
     kronecker,
@@ -43,7 +43,7 @@ from tcc import (
 )
 from tcc.channel import EXHAUSTIVE_LIMIT
 from tcc.code import ENUMERATION_LIMIT
-from tcc.linalg import count_text
+from tcc.linalg import count_text, matmul_mod
 
 SMALL_PRIMES = (2, 3, 5, 7)
 
@@ -71,23 +71,50 @@ def rand_invertible(rng, n, prime) -> Matrix:
         return m
 
 
+def all_ones(n, prime) -> Matrix:
+    """J, the n x n all-ones matrix."""
+    return Matrix(np.ones((n, n), dtype=np.int64), prime)
+
+
+def unit_e11(n, prime) -> Matrix:
+    """E11, the n x n matrix with a single 1 in the top-left corner."""
+    data = np.zeros((n, n), dtype=np.int64)
+    data[0, 0] = 1
+    return Matrix(data, prime)
+
+
+def is_codeword(code: LinearCode, word: Vector) -> bool:
+    """Membership via the RREF generator: re-encode the pivot coordinates."""
+    if word.prime != code.prime:
+        raise FieldMismatchError(f"word over GF({word.prime.p}) for a GF({code.prime.p}) code")
+    if len(word) != code.length:
+        raise ValueError(f"word length {len(word)} does not match code length {code.length}")
+    if code.generator is None:
+        return word.weight() == 0
+    coeffs = word.array[list(code.pivots)]
+    recon = matmul_mod(coeffs, code.generator.array, code.prime.p)
+    return bool(np.array_equal(recon, word.array))
+
+
 def _rand_prime(rng) -> Prime:
     return Prime(int(rng.choice(SMALL_PRIMES)))
 
 
 def check_field_axioms(count=1000, seed=101):
+    """The field laws of GF(p) as tcc computes them: 1x1 matrices under +, -, @ and inverse."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         prime = _rand_prime(rng)
-        a, b, c = (Felt(int(v), prime) for v in rng.integers(0, prime.p, size=3))
+        a, b, c = (Matrix([[int(v)]], prime) for v in rng.integers(0, prime.p, size=3))
+        zero, one = Matrix.zeros(1, 1, prime), Matrix.identity(1, prime)
         assert a + b == b + a
-        assert a * b == b * a
+        assert a @ b == b @ a
         assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + (-a) == Felt(0, prime)
-        if a.value != 0:
-            assert a * a.inverse() == Felt(1, prime)
+        assert (a @ b) @ c == a @ (b @ c)
+        assert a @ (b + c) == a @ b + a @ c
+        assert a + (-a) == zero
+        if a != zero:
+            assert a @ inverse(a) == one
 
 
 def check_rref_idempotent(count=1000, seed=102):
@@ -144,7 +171,7 @@ def check_operator_identity(count=1000, seed=106):
         n = int(rng.integers(2, 5))
         a = rand_matrix(rng, n, n, prime)
         b = rand_matrix(rng, n, n, prime)
-        twist = Felt(int(rng.integers(0, prime.p)), prime)
+        twist = int(rng.integers(0, prime.p))
         op = twisted_operator(TwistSpec(a, twist))
         assert op @ vec(b) == vec(a @ b - (b @ a) * twist)
 

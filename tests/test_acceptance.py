@@ -15,7 +15,6 @@ import helpers
 from tcc import (
     UNIQUE,
     CombParams,
-    Felt,
     Matrix,
     Prime,
     Spectrum,
@@ -33,7 +32,6 @@ from tcc import (
     encode,
     exhaustive_stats,
     inverse,
-    is_codeword,
     vec,
 )
 
@@ -55,8 +53,8 @@ def _hypothesis_tuples():
 
 def _mds_code(p, n, x, y, a):
     prime = Prime(p)
-    matrix = comb_matrix(CombParams(n, Felt(x, prime), Felt(y, prime)))
-    return code_from_basis(centralizer_code(TwistSpec(matrix, Felt(a, prime))))
+    matrix = comb_matrix(CombParams(n, x, y, prime))
+    return code_from_basis(centralizer_code(TwistSpec(matrix, a)))
 
 
 def test_criterion_1_theorem_sweep():
@@ -87,14 +85,14 @@ def test_criterion_2_oracle_equivalence():
         for n in (2, 3):
             rng = np.random.default_rng(9000 + 10 * p + n)
             fixed = [
-                comb_matrix(CombParams(n, Felt(x, prime), Felt(y, prime)))
+                comb_matrix(CombParams(n, x, y, prime))
                 for x in range(p)
                 for y in range(p)
             ]
             sampled = [helpers.rand_matrix(rng, n, n, prime) for _ in range(20)]
             for matrix in fixed + sampled:
                 for a in range(p):
-                    spec = TwistSpec(matrix, Felt(a, prime))
+                    spec = TwistSpec(matrix, a)
                     basis = centralizer_code(spec)
                     oracle = brute_force_centralizer(spec)
                     label = (p, n, a)
@@ -104,7 +102,7 @@ def test_criterion_2_oracle_equivalence():
                         assert b in oracle_set, label
                     code = code_from_basis(basis)
                     for member in oracle:
-                        assert is_codeword(code, vec(member)), label
+                        assert helpers.is_codeword(code, vec(member)), label
                     cases += 1
     elapsed = time.monotonic() - started
     assert cases == (4 + 20) * 2 * 2 + (9 + 20) * 3 * 2
@@ -117,7 +115,7 @@ def test_criterion_3_spectral_claims():
         for n in SWEEP_ORDERS:
             for x in range(p):
                 for y in range(p):
-                    params = CombParams(n, Felt(x, prime), Felt(y, prime))
+                    params = CombParams(n, x, y, prime)
                     formula = comb_spectrum(params)
                     assert formula == eigen_scan(comb_matrix(params)), (p, n, x, y)
                     lam_ones = (x * n + y) % p
@@ -130,7 +128,7 @@ def test_criterion_3_spectral_claims():
 def test_criterion_4_diagonalization_and_transfer():
     for p, n, x, y, a in _hypothesis_tuples():
         prime = Prime(p)
-        params = CombParams(n, Felt(x, prime), Felt(y, prime))
+        params = CombParams(n, x, y, prime)
         label = (p, n, x, y, a)
 
         diag = diagonalize(params)
@@ -140,9 +138,8 @@ def test_criterion_4_diagonalization_and_transfer():
         matrix = comb_matrix(params)
         assert (diag.transform @ matrix) @ inverse(diag.transform) == diag.diagonal, label
 
-        twist = Felt(a, prime)
-        basis_d = centralizer_code(TwistSpec(diag.diagonal, twist))
-        target = TwistSpec(matrix, twist)
+        basis_d = centralizer_code(TwistSpec(diag.diagonal, a))
+        target = TwistSpec(matrix, a)
         moved = helpers.conjugation_transfer(basis_d, diag.transform, target=target)
         direct = centralizer_code(target)
         assert moved.basis == direct.basis, label
@@ -183,7 +180,7 @@ def test_criterion_6_exhaustive_detection():
         assert helpers.exhaustive_detection_check(code, t), t
     assert not helpers.exhaustive_detection_check(code, 4)
     # Exhibit one weight-4 pattern landing on a codeword: add 1111 to 0000.
-    assert is_codeword(code, Vector([1, 1, 1, 1], code.prime))
+    assert helpers.is_codeword(code, Vector([1, 1, 1, 1], code.prime))
     print("criterion 6 (exhaustive detection): PASS")
 
 

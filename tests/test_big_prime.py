@@ -11,7 +11,6 @@ import pytest
 
 from tcc import (
     CombParams,
-    Felt,
     GuardExceededError,
     LinearCode,
     Matrix,
@@ -123,10 +122,9 @@ class TestCombSolve:
     @pytest.mark.parametrize("x, a", [(1, 2), (5, P - 1), (P - 3, 12345)])
     def test_theorem_tuples_match_kernel(self, n, x, a):
         y = (-x * n) % P
-        params = CombParams(n, Felt(x, BIG), Felt(y, BIG))
-        twist = Felt(a, BIG)
-        basis = comb_centralizer(params, twist)
-        assert basis == centralizer_code(TwistSpec(comb_matrix(params), twist))
+        params = CombParams(n, x, y, BIG)
+        basis = comb_centralizer(params, a)
+        assert basis == centralizer_code(TwistSpec(comb_matrix(params), a))
         report = analyze(code_from_basis(basis))
         assert (report.length, report.dim, report.min_distance, report.mds) == (n * n, 1, n * n, True)
 
@@ -135,10 +133,9 @@ class TestCombSolve:
     def test_other_tuples_match_kernel(self, n, x, y, a):
         # Two eigenvalue pairs whose blocks are merged by elimination (a = 1;
         # y = a = 0), the scalar full space (x = 0) and the zero space.
-        params = CombParams(n, Felt(x, BIG), Felt(y, BIG))
-        twist = Felt(a, BIG)
-        basis = comb_centralizer(params, twist)
-        assert basis == centralizer_code(TwistSpec(comb_matrix(params), twist))
+        params = CombParams(n, x, y, BIG)
+        basis = comb_centralizer(params, a)
+        assert basis == centralizer_code(TwistSpec(comb_matrix(params), a))
 
 
 class TestGuardMessages:

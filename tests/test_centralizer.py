@@ -5,7 +5,6 @@ import tcc.centralizer
 from tcc import (
     CentralizerBasis,
     CombParams,
-    Felt,
     FieldMismatchError,
     GuardExceededError,
     Matrix,
@@ -17,43 +16,55 @@ from tcc import (
     comb_matrix,
     diagonalize,
     is_member,
-    special_matrix,
     twisted_operator,
     vec,
 )
-from helpers import GF2, GF3, GF5, conjugation_transfer, rand_matrix
+from helpers import GF2, GF3, GF5, all_ones, conjugation_transfer, rand_matrix, unit_e11
 
 
 def comb_spec(n, x, y, p, a):
     prime = Prime(p)
-    matrix = comb_matrix(CombParams(n, Felt(x, prime), Felt(y, prime)))
-    return TwistSpec(matrix, Felt(a, prime))
+    matrix = comb_matrix(CombParams(n, x, y, prime))
+    return TwistSpec(matrix, a)
 
 
 class TestTwistSpec:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            TwistSpec(Matrix([[1, 0, 0], [0, 1, 0]], GF3), Felt(1, GF3))
+            TwistSpec(Matrix([[1, 0, 0], [0, 1, 0]], GF3), 1)
 
-    def test_field_mismatch_rejected(self):
-        with pytest.raises(FieldMismatchError):
-            TwistSpec(Matrix.identity(2, GF3), Felt(1, GF5))
+    def test_twist_reduced_once(self):
+        for twist, residue in [(-1, 2), (3, 0), (7, 1), (np.int64(-4), 2), (np.int64(5), 2)]:
+            spec = TwistSpec(Matrix.identity(2, GF3), twist)
+            assert spec.twist == residue and type(spec.twist) is int, twist
+        assert TwistSpec(Matrix.identity(2, GF3), -1) == TwistSpec(Matrix.identity(2, GF3), 2)
+
+    @pytest.mark.parametrize("bad", [True, 2.7, "1"])
+    def test_non_integer_twist_rejected(self, bad):
+        with pytest.raises(TypeError, match="twist must be an int"):
+            TwistSpec(Matrix.identity(2, GF3), bad)
+
+    def test_comb_centralizer_reduces_its_twist(self):
+        params = CombParams(2, 1, 1, GF3)
+        assert comb_centralizer(params, -1) == comb_centralizer(params, 2)
+        with pytest.raises(TypeError, match="twist must be an int"):
+            comb_centralizer(params, 2.0)
 
 
 class TestTwistedOperator:
     def test_identity_twist_one_gives_zero(self):
         for n in (2, 3):
-            op = twisted_operator(TwistSpec(Matrix.identity(n, GF5), Felt(1, GF5)))
+            op = twisted_operator(TwistSpec(Matrix.identity(n, GF5), 1))
             assert op == Matrix.zeros(n * n, n * n, GF5)
 
     def test_identity_twist_zero_gives_identity(self):
-        op = twisted_operator(TwistSpec(Matrix.identity(2, GF3), Felt(0, GF3)))
+        op = twisted_operator(TwistSpec(Matrix.identity(2, GF3), 0))
         assert op == Matrix.identity(4, GF3)
 
     def test_defining_identity_on_random_input(self):
         rng = np.random.default_rng(11)
         a = rand_matrix(rng, 3, 3, GF5)
-        spec = TwistSpec(a, Felt(3, GF5))
+        spec = TwistSpec(a, 3)
         op = twisted_operator(spec)
         for _ in range(10):
             b = rand_matrix(rng, 3, 3, GF5)
@@ -65,18 +76,18 @@ class TestIsMember:
         rng = np.random.default_rng(3)
         for p, a in [(2, 0), (3, 2), (5, 4)]:
             prime = Prime(p)
-            spec = TwistSpec(rand_matrix(rng, 3, 3, prime), Felt(a, prime))
+            spec = TwistSpec(rand_matrix(rng, 3, 3, prime), a)
             assert is_member(Matrix.zeros(3, 3, prime), spec)
 
     def test_all_ones_member_under_divisibility(self):
         # J A = A J = (x*n + y) J = 0 when p | x*n + y, so J is in C(A, a) for every a.
-        j = special_matrix("J", 2, GF3)
+        j = all_ones(2, GF3)
         for a in range(3):
             assert is_member(j, comb_spec(2, 1, 1, 3, a))
 
     def test_first_unit_cell_not_member(self):
         # A E11 = [[2,0],[1,0]] but 2 E11 A = [[1,2],[0,0]] over GF(3).
-        assert not is_member(special_matrix("E11", 2, GF3), comb_spec(2, 1, 1, 3, 2))
+        assert not is_member(unit_e11(2, GF3), comb_spec(2, 1, 1, 3, 2))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -91,23 +102,23 @@ class TestCentralizerCode:
     def test_worked_example_spans_all_ones(self):
         basis = centralizer_code(comb_spec(2, 1, 1, 3, 2))
         assert basis.dim == 1
-        assert vec(basis.basis[0]) == vec(special_matrix("J", 2, GF3))
+        assert vec(basis.basis[0]) == vec(all_ones(2, GF3))
 
     def test_zero_matrix_gives_full_space(self):
         for n, p in [(2, 3), (3, 2)]:
             prime = Prime(p)
-            spec = TwistSpec(Matrix.zeros(n, n, prime), Felt(1, prime))
+            spec = TwistSpec(Matrix.zeros(n, n, prime), 1)
             assert centralizer_code(spec).dim == n * n
 
     def test_untwisted_identity_gives_full_space(self):
-        spec = TwistSpec(Matrix.identity(3, GF5), Felt(1, GF5))
+        spec = TwistSpec(Matrix.identity(3, GF5), 1)
         assert centralizer_code(spec).dim == 9
 
     def test_identity_always_in_untwisted_centralizer(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             a = rand_matrix(rng, 3, 3, GF3)
-            spec = TwistSpec(a, Felt(1, GF3))
+            spec = TwistSpec(a, 1)
             assert is_member(Matrix.identity(3, GF3), spec)
             assert centralizer_code(spec).dim >= 1
 
@@ -116,7 +127,7 @@ class TestCentralizerCode:
         for p in (2, 3):
             prime = Prime(p)
             for _ in range(8):
-                spec = TwistSpec(rand_matrix(rng, 3, 3, prime), Felt(int(rng.integers(p)), prime))
+                spec = TwistSpec(rand_matrix(rng, 3, 3, prime), int(rng.integers(p)))
                 basis = centralizer_code(spec)
                 for b in basis.basis:
                     assert is_member(b, spec)
@@ -126,16 +137,16 @@ class TestCentralizerCode:
             raise AssertionError("T must not be built past the guard")
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
-        spec = TwistSpec(Matrix.identity(33, GF3), Felt(1, GF3))
+        spec = TwistSpec(Matrix.identity(33, GF3), 1)
         with pytest.raises(GuardExceededError, match="1089x1089"):
             centralizer_code(spec)
 
     def test_basis_rejects_non_member(self):
         # E11 is not in C(J + I, 2) over GF(3), nor in C of a non-comb matrix.
-        e11 = special_matrix("E11", 2, GF3)
+        e11 = unit_e11(2, GF3)
         with pytest.raises(ValueError, match="twisted commutation"):
             CentralizerBasis(comb_spec(2, 1, 1, 3, 2), (e11,))
-        general = TwistSpec(Matrix([[1, 2], [0, 1]], GF3), Felt(2, GF3))
+        general = TwistSpec(Matrix([[1, 2], [0, 1]], GF3), 2)
         with pytest.raises(ValueError, match="twisted commutation"):
             CentralizerBasis(general, (e11,))
 
@@ -147,7 +158,7 @@ class TestCentralizerCode:
         assert len(members) >= 2
         CentralizerBasis(spec, members + members)
         with pytest.raises(ValueError, match="twisted commutation"):
-            CentralizerBasis(spec, members + (special_matrix("E11", 2, GF3),))
+            CentralizerBasis(spec, members + (unit_e11(2, GF3),))
 
     def test_basis_rejects_wrong_order(self):
         with pytest.raises(ValueError, match="expected a 2x2 matrix"):
@@ -160,7 +171,7 @@ class TestCentralizerCode:
     def test_basis_vecs_form_rref(self):
         from tcc import rref
 
-        spec = TwistSpec(Matrix.zeros(2, 2, GF3), Felt(0, GF3))
+        spec = TwistSpec(Matrix.zeros(2, 2, GF3), 0)
         basis = centralizer_code(spec)
         stacked = Matrix(np.vstack([vec(b).array for b in basis.basis]), GF3)
         assert rref(stacked).matrix == stacked
@@ -169,21 +180,21 @@ class TestCentralizerCode:
 class TestBruteForce:
     def test_worked_example_exact_set(self):
         members = brute_force_centralizer(comb_spec(2, 1, 1, 3, 2))
-        j = special_matrix("J", 2, GF3)
+        j = all_ones(2, GF3)
         expected = {Matrix.zeros(2, 2, GF3), j, j * 2}
         assert set(members) == expected
 
     def test_identity_untwisted_is_everything(self):
-        members = brute_force_centralizer(TwistSpec(Matrix.identity(2, GF2), Felt(1, GF2)))
+        members = brute_force_centralizer(TwistSpec(Matrix.identity(2, GF2), 1))
         assert len(members) == 16
 
     def test_canonical_enumeration_order(self):
-        members = brute_force_centralizer(TwistSpec(Matrix.identity(2, GF3), Felt(1, GF3)))
+        members = brute_force_centralizer(TwistSpec(Matrix.identity(2, GF3), 1))
         flat = [tuple(m.array.flatten()) for m in members]
         assert flat == sorted(flat)  # row-major lexicographic, chunking invisible
 
     def test_invertible_with_zero_twist(self):
-        spec = TwistSpec(Matrix([[1, 1], [0, 1]], GF3), Felt(0, GF3))
+        spec = TwistSpec(Matrix([[1, 1], [0, 1]], GF3), 0)
         assert brute_force_centralizer(spec) == [Matrix.zeros(2, 2, GF3)]
 
     def test_closed_under_addition_and_scaling(self):
@@ -195,7 +206,7 @@ class TestBruteForce:
                 assert u + v in member_set
 
     def test_guard(self):
-        spec = TwistSpec(Matrix.identity(3, GF5), Felt(1, GF5))
+        spec = TwistSpec(Matrix.identity(3, GF5), 1)
         with pytest.raises(GuardExceededError, match="1953125"):
             brute_force_centralizer(spec)
 
@@ -204,7 +215,7 @@ class TestBruteForce:
         for p, n in [(2, 2), (3, 2), (2, 3)]:
             prime = Prime(p)
             for _ in range(5):
-                spec = TwistSpec(rand_matrix(rng, n, n, prime), Felt(int(rng.integers(p)), prime))
+                spec = TwistSpec(rand_matrix(rng, n, n, prime), int(rng.integers(p)))
                 basis = centralizer_code(spec)
                 oracle = brute_force_centralizer(spec)
                 assert len(oracle) == p**basis.dim
@@ -220,13 +231,13 @@ class TestConjugationTransfer:
         assert moved.basis == basis.basis
 
     def test_worked_diagonal_example(self):
-        params = CombParams(2, Felt(1, GF3), Felt(1, GF3))
+        params = CombParams(2, 1, 1, GF3)
         diag = diagonalize(params)
-        a_spec = TwistSpec(comb_matrix(params), Felt(2, GF3))
-        d_spec = TwistSpec(diag.diagonal, Felt(2, GF3))
+        a_spec = TwistSpec(comb_matrix(params), 2)
+        d_spec = TwistSpec(diag.diagonal, 2)
         basis_d = centralizer_code(d_spec)
         assert basis_d.dim == 1
-        assert vec(basis_d.basis[0]) == vec(special_matrix("E11", 2, GF3))
+        assert vec(basis_d.basis[0]) == vec(unit_e11(2, GF3))
         moved = conjugation_transfer(basis_d, diag.transform, target=a_spec)
         direct = centralizer_code(a_spec)
         assert moved.basis == direct.basis
@@ -237,16 +248,16 @@ class TestConjugationTransfer:
             prime = Prime(p)
             entries = np.full(3, y, dtype=np.int64)
             entries[0] = 0
-            d_spec = TwistSpec(Matrix(np.diag(entries), prime), Felt(a, prime))
+            d_spec = TwistSpec(Matrix(np.diag(entries), prime), a)
             basis = centralizer_code(d_spec)
             assert basis.dim == 1
-            assert vec(basis.basis[0]) == vec(special_matrix("E11", 3, prime))
+            assert vec(basis.basis[0]) == vec(unit_e11(3, prime))
 
     def test_wrong_target_detected(self):
-        params = CombParams(2, Felt(1, GF3), Felt(1, GF3))
+        params = CombParams(2, 1, 1, GF3)
         diag = diagonalize(params)
-        basis_d = centralizer_code(TwistSpec(diag.diagonal, Felt(2, GF3)))
-        wrong = TwistSpec(Matrix.identity(2, GF3), Felt(2, GF3))
+        basis_d = centralizer_code(TwistSpec(diag.diagonal, 2))
+        wrong = TwistSpec(Matrix.identity(2, GF3), 2)
         with pytest.raises(ValueError, match="broke membership"):
             conjugation_transfer(basis_d, diag.transform, target=wrong)
 
@@ -256,7 +267,7 @@ class TestConjugationTransfer:
 
         for _ in range(5):
             d = rand_matrix(rng, 3, 3, GF3)
-            basis_d = centralizer_code(TwistSpec(d, Felt(2, GF3)))
+            basis_d = centralizer_code(TwistSpec(d, 2))
             transform = rand_invertible(rng, 3, GF3)
             moved = conjugation_transfer(basis_d, transform)
             assert moved.dim == basis_d.dim
@@ -272,13 +283,12 @@ class TestCombCentralizer:
             for n in range(2, 6):
                 for x in range(p):
                     for y in range(p):
-                        params = CombParams(n, Felt(x, prime), Felt(y, prime))
+                        params = CombParams(n, x, y, prime)
                         scalar += x == 0
                         merged += x != 0 and (x * n) % p == 0
                         for a in range(p):
-                            twist = Felt(a, prime)
-                            direct = centralizer_code(TwistSpec(comb_matrix(params), twist))
-                            assert comb_centralizer(params, twist) == direct, (p, n, x, y, a)
+                            direct = centralizer_code(TwistSpec(comb_matrix(params), a))
+                            assert comb_centralizer(params, a) == direct, (p, n, x, y, a)
         assert scalar == 4 * (2 + 3 + 5 + 7)
         # (x, y) pairs with p | n and x != 0: p = 2 at n = 2, 4; p = 3 at n = 3; p = 5 at n = 5.
         assert merged == 2 * (1 * 2) + 2 * 3 + 4 * 5
@@ -288,8 +298,8 @@ class TestCombCentralizer:
             raise AssertionError("the structured solve must not build T")
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
-        params = CombParams(32, Felt(1, Prime(7)), Felt(1, Prime(7)))
-        basis = comb_centralizer(params, Felt(3, Prime(7)))
+        params = CombParams(32, 1, 1, Prime(7))
+        basis = comb_centralizer(params, 3)
         # 1 = 3 * (32 + 1) mod 7: C(D, 3) is spanned by E_i1 for the n - 1 indices i > 1.
         assert basis.dim == 31
 
@@ -303,7 +313,7 @@ class TestCombCentralizer:
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", counted)
         # 3 | x*n, so x*J + y*I has the single eigenvalue y and no eigenbasis.
-        basis = comb_centralizer(CombParams(3, Felt(1, GF3), Felt(1, GF3)), Felt(1, GF3))
+        basis = comb_centralizer(CombParams(3, 1, 1, GF3), 1)
         assert calls == [3]
         assert basis == centralizer_code(comb_spec(3, 1, 1, 3, 1))
 
@@ -317,5 +327,5 @@ class TestCombCentralizer:
                 + (n - 1) * ((lam == a * y % p) + (y == a * lam % p))
                 + (n - 1) ** 2 * (y == a * y % p)
             )
-            basis = comb_centralizer(CombParams(n, Felt(x, prime), Felt(y, prime)), Felt(a, prime))
+            basis = comb_centralizer(CombParams(n, x, y, prime), a)
             assert basis.dim == expected, (n, p, x, y, a)

@@ -10,7 +10,6 @@ from tcc import (
     UNIQUE,
     ChannelStats,
     CombParams,
-    Felt,
     GuardExceededError,
     LinearCode,
     Matrix,
@@ -43,8 +42,8 @@ BIG_PRIME = 2**31 - 1
 
 def comb_code(n, x, y, p, a):
     prime = Prime(p)
-    matrix = comb_matrix(CombParams(n, Felt(x, prime), Felt(y, prime)))
-    return code_from_basis(centralizer_code(TwistSpec(matrix, Felt(a, prime))))
+    matrix = comb_matrix(CombParams(n, x, y, prime))
+    return code_from_basis(centralizer_code(TwistSpec(matrix, a)))
 
 
 @pytest.fixture(scope="module")

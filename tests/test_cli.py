@@ -120,6 +120,23 @@ class TestBuildCommand:
         assert code == EXIT_USAGE
         assert "square" in err
 
+    @pytest.mark.parametrize("command", ["build", "analyze"])
+    def test_matrix_file_refuses_comb_flags(self, capsys, tmp_path, command):
+        path = tmp_path / "a.mat"
+        path.write_text("3 2 2\n2 1\n1 2\n")
+        flags = ["--matrix-file", str(path), "--a", "2", "--json"]
+        code, out, err = run_cli(capsys, command, *flags, "--n", "5", "--p", "7", "--x", "1", "--y", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--matrix-file cannot be combined with --n --p --x --y" in err
+        code, out, err = run_cli(capsys, command, *flags, "--y", "0")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--matrix-file cannot be combined with --y\n" in err
+
+    def test_coefficients_reported_mod_p(self, capsys):
+        code, out, _ = run_cli(capsys, "build", "--n", "2", "--p", "7", "--x", "-1", "--y", "9", "--a", "9", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"p": 7, "n": 2, "x": 6, "y": 2, "a": 2, "length": 4, "dimension": 1}
+
     def test_params_or_file_required(self, capsys):
         code, _, err = run_cli(capsys, "build", "--a", "2")
         assert code == EXIT_USAGE
@@ -318,6 +335,19 @@ class TestSimulateCommand:
         )
         assert code == EXIT_GUARD
         assert "16777217 trials" in err
+
+    def test_negative_seed_names_the_flag(self, capsys, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("no trial may run with a bad seed")
+
+        monkeypatch.setattr(np.random, "default_rng", no_trial)
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "2", "--p", "3", "--x", "1", "--y", "1", "--a", "2",
+            "--t", "1", "--seed", "-1",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "tcc: error: --seed must be a non-negative integer, got -1\n"
 
     def test_theorem_code_at_largest_prime(self, capsys):
         flags = ["--n", "3", "--p", "2147483647", "--x", "1", "--y", "2147483644", "--a", "2", "--t", "4"]

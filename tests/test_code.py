@@ -8,7 +8,6 @@ from tcc import (
     AMBIGUOUS,
     UNIQUE,
     CombParams,
-    Felt,
     GuardExceededError,
     LinearCode,
     Matrix,
@@ -21,10 +20,9 @@ from tcc import (
     comb_matrix,
     decode_nearest,
     encode,
-    is_codeword,
     min_distance,
 )
-from helpers import GF2, GF3, GF5, hamming_distance, rand_matrix
+from helpers import GF2, GF3, GF5, hamming_distance, is_codeword, rand_matrix
 
 
 def repetition_code(p=3):
@@ -33,8 +31,8 @@ def repetition_code(p=3):
 
 def comb_code(n, x, y, p, a):
     prime = Prime(p)
-    matrix = comb_matrix(CombParams(n, Felt(x, prime), Felt(y, prime)))
-    return code_from_basis(centralizer_code(TwistSpec(matrix, Felt(a, prime))))
+    matrix = comb_matrix(CombParams(n, x, y, prime))
+    return code_from_basis(centralizer_code(TwistSpec(matrix, a)))
 
 
 class TestCodeConstruction:
@@ -45,13 +43,13 @@ class TestCodeConstruction:
 
     def test_empty_basis_gives_zero_code(self):
         # A invertible with a = 0 forces B = 0, the genuine zero code.
-        spec = TwistSpec(Matrix.identity(2, GF3), Felt(0, GF3))
+        spec = TwistSpec(Matrix.identity(2, GF3), 0)
         zero_code = code_from_basis(centralizer_code(spec))
         assert zero_code.dim == 0
         assert zero_code.generator is None
 
     def test_full_space_generator_is_identity(self):
-        spec = TwistSpec(Matrix.zeros(2, 2, GF3), Felt(1, GF3))
+        spec = TwistSpec(Matrix.zeros(2, 2, GF3), 1)
         code = code_from_basis(centralizer_code(spec))
         assert code.generator == Matrix.identity(4, GF3)
 
@@ -78,7 +76,7 @@ class TestMinDistance:
         assert min_distance(code) == 9
 
     def test_zero_code_rejected(self):
-        spec = TwistSpec(Matrix.identity(2, GF3), Felt(0, GF3))
+        spec = TwistSpec(Matrix.identity(2, GF3), 0)
         code = code_from_basis(centralizer_code(spec))
         with pytest.raises(ValueError, match="zero code has no minimum distance"):
             min_distance(code)
@@ -140,7 +138,7 @@ class TestAnalyze:
         assert report.mds
 
     def test_zero_code_rejected(self):
-        spec = TwistSpec(Matrix.identity(2, GF3), Felt(0, GF3))
+        spec = TwistSpec(Matrix.identity(2, GF3), 0)
         with pytest.raises(ValueError, match="zero code"):
             analyze(code_from_basis(centralizer_code(spec)))
 
@@ -185,7 +183,7 @@ class TestIsCodeword:
         assert not is_codeword(repetition_code(), Vector([1, 1, 0, 1], GF3))
 
     def test_zero_code_contains_only_zero(self):
-        spec = TwistSpec(Matrix.identity(2, GF3), Felt(0, GF3))
+        spec = TwistSpec(Matrix.identity(2, GF3), 0)
         code = code_from_basis(centralizer_code(spec))
         assert is_codeword(code, Vector([0, 0, 0, 0], GF3))
         assert not is_codeword(code, Vector([1, 0, 0, 0], GF3))

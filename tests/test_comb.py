@@ -4,25 +4,23 @@ import pytest
 from tcc import (
     CombParams,
     DefectiveMatrixError,
-    Felt,
     GuardExceededError,
     Matrix,
     Prime,
     Spectrum,
-    all_ones_eigencheck,
+    Vector,
     comb_matrix,
     comb_spectrum,
     diagonalize,
     eigen_scan,
     inverse,
-    special_matrix,
 )
-from helpers import GF2, GF3, GF5, GF7
+from helpers import GF3, GF5, GF7, all_ones
 
 
 def params(n, x, y, p):
     prime = Prime(p)
-    return CombParams(n, Felt(x, prime), Felt(y, prime))
+    return CombParams(n, x, y, prime)
 
 
 class TestCombParams:
@@ -35,11 +33,20 @@ class TestCombParams:
             params(65, 1, 1, 3)
         assert params(64, 1, 1, 3).n == 64
 
-    def test_mixed_fields_rejected(self):
-        from tcc import FieldMismatchError
+    def test_coefficients_reduced_once(self):
+        cp = CombParams(3, -1, 12, GF5)
+        assert (cp.x, cp.y) == (4, 2)
+        assert cp == CombParams(3, 4, 2, GF5)
+        big = CombParams(2, np.int64(-8), np.int64(7), GF7)
+        assert (big.x, big.y) == (6, 0)
+        assert type(big.x) is int and type(big.y) is int
 
-        with pytest.raises(FieldMismatchError):
-            CombParams(2, Felt(1, GF3), Felt(1, GF5))
+    @pytest.mark.parametrize("bad", [True, 2.7, "1"])
+    def test_non_integer_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError, match="x must be an int"):
+            CombParams(2, bad, 1, GF5)
+        with pytest.raises(TypeError, match="y must be an int"):
+            CombParams(2, 1, bad, GF5)
 
 
 class TestCombMatrix:
@@ -51,33 +58,18 @@ class TestCombMatrix:
             assert comb_matrix(params(n, 0, 1, 7)) == Matrix.identity(n, GF7)
 
     def test_degenerates_to_all_ones(self):
-        assert comb_matrix(params(3, 1, 0, 5)) == special_matrix("J", 3, GF5)
+        assert comb_matrix(params(3, 1, 0, 5)) == all_ones(3, GF5)
 
     def test_matches_explicit_linear_combination(self):
         for n, x, y, p in [(2, 1, 1, 3), (3, 2, 4, 5), (4, 6, 3, 7), (5, 1, 1, 2)]:
             prime = Prime(p)
             built = comb_matrix(params(n, x, y, p))
-            combined = special_matrix("J", n, prime) * x + special_matrix("I", n, prime) * y
+            combined = all_ones(n, prime) * x + Matrix.identity(n, prime) * y
             assert built == combined
 
     def test_symmetric(self):
         m = comb_matrix(params(4, 3, 2, 5))
         assert m == m.T
-
-
-class TestSpecialMatrix:
-    def test_first_unit_cell(self):
-        assert special_matrix("E11", 2, GF3) == Matrix([[1, 0], [0, 0]], GF3)
-
-    def test_all_ones(self):
-        assert special_matrix("J", 2, GF2) == Matrix([[1, 1], [1, 1]], GF2)
-
-    def test_identity(self):
-        assert special_matrix("I", 3, GF5) == Matrix.identity(3, GF5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown special matrix"):
-            special_matrix("Q", 2, GF3)
 
 
 class TestSpectrumType:
@@ -147,8 +139,14 @@ class TestCombSpectrum:
         for n in (2, 3, 4):
             for x in range(p):
                 for y in range(p):
-                    cp = CombParams(n, Felt(x, prime), Felt(y, prime))
+                    cp = CombParams(n, x, y, prime)
                     assert comb_spectrum(cp) == eigen_scan(comb_matrix(cp)), (p, n, x, y)
+
+
+def all_ones_eigencheck(cp):
+    """Whether A u = (x n + y) u for the all-ones vector u (it always should)."""
+    ones = np.ones(cp.n, dtype=np.int64)
+    return comb_matrix(cp) @ Vector(ones, cp.prime) == Vector((cp.x * cp.n + cp.y) * ones, cp.prime)
 
 
 class TestAllOnesEigencheck:
@@ -167,7 +165,7 @@ class TestAllOnesEigencheck:
             for n in (2, 3):
                 for x in range(p):
                     for y in range(p):
-                        assert all_ones_eigencheck(CombParams(n, Felt(x, prime), Felt(y, prime)))
+                        assert all_ones_eigencheck(CombParams(n, x, y, prime))
 
 
 class TestDiagonalize:
@@ -192,7 +190,7 @@ class TestDiagonalize:
             for n in (2, 3, 4):
                 for x in range(p):
                     for y in range(p):
-                        cp = CombParams(n, Felt(x, prime), Felt(y, prime))
+                        cp = CombParams(n, x, y, prime)
                         full = comb_spectrum(cp).total_multiplicity == n
                         if full:
                             d = diagonalize(cp)
@@ -216,7 +214,7 @@ class TestDiagonalize:
                     y = (-x * n) % p
                     if y == 0:
                         continue
-                    d = diagonalize(CombParams(n, Felt(x, prime), Felt(y, prime)))
+                    d = diagonalize(CombParams(n, x, y, prime))
                     expected = np.full(n, y, dtype=np.int64)
                     expected[0] = 0
                     assert d.diagonal == Matrix(np.diag(expected), prime)
