@@ -23,8 +23,6 @@ from .linalg import (
     parse_matrix_text,
     rank,
     rref,
-    unvec,
-    vec,
 )
 from .comb import (
     CombParams,
@@ -39,7 +37,6 @@ from .comb import (
 from .centralizer import (
     CentralizerBasis,
     TwistSpec,
-    brute_force_centralizer,
     centralizer_code,
     comb_centralizer,
     is_member,
@@ -88,7 +85,6 @@ __all__ = [
     "UNIQUE",
     "Vector",
     "analyze",
-    "brute_force_centralizer",
     "centralizer_code",
     "code_from_basis",
     "comb_centralizer",
@@ -111,6 +107,4 @@ __all__ = [
     "rank",
     "rref",
     "twisted_operator",
-    "unvec",
-    "vec",
 ]

@@ -4,22 +4,22 @@ The membership condition is linear in B, so column-stacking turns it into
 an ordinary kernel problem: with T = (I (x) A) - a * (A^T (x) I) we have
 T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  That
 costs about n^6, so comb matrices x*J + y*I take a structured route
-through their eigenbasis instead, landing on the same canonical basis.  A
-hard-guarded exhaustive enumeration of all n x n matrices doubles as an
-independent oracle for the kernel solver, which in turn checks the
-structured one.
+through their eigenbasis instead.  Either way the solved space is the
+linear code of length n^2 spanned by the vec images, canonicalized once
+by LinearCode.from_generator; the Kronecker kernel checks the structured
+solve.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .code import LinearCode
 from .linalg import (
     FieldMismatchError,
     GuardExceededError,
     Matrix,
     Prime,
-    count_text,
     inverse,
     kernel_basis,
     kronecker,
@@ -28,10 +28,8 @@ from .linalg import (
 )
 from .comb import MAX_ORDER, CombParams, DefectiveMatrixError, Diagonalization, comb_matrix, diagonalize
 
-BRUTE_FORCE_LIMIT = 1 << 20
 # Largest operator the Kronecker kernel builds: n = 32, a 1024 x 1024 T.
 KRONECKER_MAX_CELLS = 1 << 10
-_CHUNK = 1 << 15
 # Membership checks run over stacks of at most this many matrix entries.
 _CHECK_CELLS = 1 << 20
 
@@ -64,27 +62,34 @@ class TwistSpec:
 
 @dataclass(frozen=True)
 class CentralizerBasis:
-    """A basis of C(A, a) whose vec images form an RREF generator matrix.
+    """C(A, a) as a code of length n^2: its RREF generator rows are the vec images of a basis.
 
     The RREF normalization makes bases canonical: two centralizers are
-    equal iff their bases are identical, with no span chasing.
+    equal iff their codes are identical, with no span chasing.
     """
 
     spec: TwistSpec
-    basis: tuple[Matrix, ...]
+    code: LinearCode
 
     def __post_init__(self):
-        for b in self.basis:
-            _check_compatible(b, self.spec)
-        step = max(1, _CHECK_CELLS // (self.spec.n * self.spec.n))
-        for start in range(0, len(self.basis), step):
-            stack = np.stack([b.array for b in self.basis[start : start + step]])
+        n = self.spec.n
+        if self.code.length != n * n:
+            raise ValueError(f"expected a code of length {n * n} for order {n}, got {self.code.length}")
+        if self.code.prime != self.spec.prime:
+            raise FieldMismatchError(f"code over GF({self.code.prime.p}) against a GF({self.spec.prime.p}) centralizer")
+        if self.code.generator is None:
+            return
+        rows = self.code.generator.array
+        step = max(1, _CHECK_CELLS // (n * n))
+        for start in range(0, len(rows), step):
+            # A row is vec(B), column by column, so its row-major reshape is B^T.
+            stack = rows[start : start + step].reshape(-1, n, n).transpose(0, 2, 1)
             if not _all_members(stack, self.spec):
                 raise ValueError("basis matrix fails the twisted commutation condition")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.code.dim
 
 
 def twisted_operator(spec: TwistSpec) -> Matrix:
@@ -94,10 +99,11 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
     return kronecker(ident, a) - kronecker(a.T, ident) * spec.twist
 
 
-def _from_rows(spec: TwistSpec, rows: np.ndarray) -> CentralizerBasis:
-    """The basis whose vec images are the rows of an RREF array."""
-    n = spec.n
-    return CentralizerBasis(spec, tuple(Matrix(r.reshape((n, n), order="F"), spec.prime) for r in rows))
+def _solved(spec: TwistSpec, rows: list[np.ndarray]) -> CentralizerBasis:
+    """The basis whose code is spanned by the stacked vec images in ``rows``."""
+    if not rows:
+        return CentralizerBasis(spec, LinearCode(spec.prime, spec.n * spec.n, None, ()))
+    return CentralizerBasis(spec, LinearCode.from_generator(Matrix(np.vstack(rows), spec.prime)))
 
 
 def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
@@ -114,11 +120,7 @@ def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
             f"the Kronecker kernel for order {spec.n} needs T of {cells}x{cells}, "
             f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
         )
-    kernel = kernel_basis(twisted_operator(spec))
-    if not kernel:
-        return CentralizerBasis(spec, ())
-    stacked = Matrix(np.vstack([v.array for v in kernel]), spec.prime)
-    return _from_rows(spec, rref(stacked).matrix.array)
+    return _solved(spec, [v.array for v in kernel_basis(twisted_operator(spec))])
 
 
 def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
@@ -129,20 +131,20 @@ def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
     eigenvalue groups I, J with lambda_I = a lambda_J the images of those
     E_ij column-stack to rowspace(P[J, :]) (x) rowspace(P^-1[:, I]^T), so
     the Kronecker products of the two small RREFs span C(A, a).  Those rows
-    are sparse, and one RREF of their stack gives exactly the basis
-    centralizer_code returns.  The merged case, where A has no
-    eigenbasis, falls back to centralizer_code.
+    are sparse, and LinearCode.from_generator reduces their stack to
+    exactly the code centralizer_code returns.  The merged case, where A
+    has no eigenbasis, falls back to centralizer_code.
     """
     spec = TwistSpec(comb_matrix(params), twist)
     try:
         diag = diagonalize(params)
     except DefectiveMatrixError:
         return centralizer_code(spec)
-    return _from_rows(spec, _eigen_span(diag, spec.twist))
+    return _solved(spec, _eigen_span(diag, spec.twist))
 
 
-def _eigen_span(diag: Diagonalization, twist: int) -> np.ndarray:
-    """RREF rows spanning vec(P^-1 C(D, a) P) for P A P^-1 = D, a = twist."""
+def _eigen_span(diag: Diagonalization, twist: int) -> list[np.ndarray]:
+    """Blocks of rows spanning vec(P^-1 C(D, a) P) for P A P^-1 = D, a = twist."""
     prime = diag.transform.prime
     p = prime.p
     transform = diag.transform.array
@@ -156,16 +158,7 @@ def _eigen_span(diag: Diagonalization, twist: int) -> np.ndarray:
                 left = rref(Matrix(transform[j_idx], prime)).matrix
                 right = rref(Matrix(p_inv[:, i_idx].T, prime)).matrix
                 blocks.append(kronecker(left, right).array)
-    if not blocks:
-        return np.zeros((0, d.size * d.size), dtype=np.int64)
-    return rref(Matrix(np.vstack(blocks), prime)).matrix.array
-
-
-def _check_compatible(b: Matrix, spec: TwistSpec) -> None:
-    if b.shape != spec.matrix.shape:
-        raise ValueError(f"expected a {spec.n}x{spec.n} matrix, got {b.rows}x{b.cols}")
-    if b.prime != spec.prime:
-        raise FieldMismatchError(f"matrix over GF({b.prime.p}) against a GF({spec.prime.p}) centralizer")
+    return blocks
 
 
 def _all_members(stack: np.ndarray, spec: TwistSpec) -> bool:
@@ -177,37 +170,8 @@ def _all_members(stack: np.ndarray, spec: TwistSpec) -> bool:
 
 def is_member(b: Matrix, spec: TwistSpec) -> bool:
     """Exact entrywise test of A @ B == a * (B @ A)."""
-    _check_compatible(b, spec)
+    if b.shape != spec.matrix.shape:
+        raise ValueError(f"expected a {spec.n}x{spec.n} matrix, got {b.rows}x{b.cols}")
+    if b.prime != spec.prime:
+        raise FieldMismatchError(f"matrix over GF({b.prime.p}) against a GF({spec.prime.p}) centralizer")
     return _all_members(b.array[None], spec)
-
-
-def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
-    """Oracle: enumerate all p^(n^2) matrices and keep the members.
-
-    Exists to cross-check the kernel solver on tiny cases; hard-guarded so
-    it cannot be reached with more than 2^20 candidates.  Results come in
-    lexicographic order of the row-major entries, independent of chunking.
-    """
-    p = spec.prime.p
-    n = spec.n
-    cells = n * n
-    total = p**cells
-    if total > BRUTE_FORCE_LIMIT:
-        raise GuardExceededError(
-            f"brute force over GF({p})^({n}x{n}) means {count_text(total)} candidates, "
-            f"beyond the {BRUTE_FORCE_LIMIT} guard"
-        )
-    a_arr = spec.matrix.array
-    twist = spec.twist
-    powers = p ** np.arange(cells - 1, -1, -1, dtype=np.int64)
-    members = []
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % p
-        candidates = digits.reshape(-1, n, n)
-        lhs = matmul_mod(a_arr, candidates, p)
-        rhs = (matmul_mod(candidates, a_arr, p) * twist) % p
-        for b in candidates[np.all(lhs == rhs, axis=(1, 2))]:
-            members.append(Matrix(b, spec.prime))
-    return members
-

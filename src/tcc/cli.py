@@ -32,6 +32,7 @@ EXIT_GUARD = 3
 # Hard sweep caps keep the full verification desk-scale.
 VERIFY_MAX_PRIME = 13
 VERIFY_MAX_ORDER = 6
+DEFAULT_TRIALS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +101,7 @@ def build_parser() -> _Parser:
     _add_comb_flags(mp, required=True)
     mp.add_argument("--a", type=int, required=True, help="twist constant")
     mp.add_argument("--t", type=int, required=True, help="number of corrupted symbols per trial")
-    mp.add_argument("--trials", type=int, default=1000, help="Monte Carlo trials (default 1000)")
+    mp.add_argument("--trials", type=int, help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
     mp.add_argument("--seed", type=int, default=0, help="random seed (default 0, fixed)")
     mp.add_argument("--exhaustive", action="store_true", help="sweep every weight-t pattern instead")
     mp.set_defaults(func=cmd_simulate)
@@ -331,6 +332,8 @@ def _check_theorem_row(p, n, x, y, a, basis) -> VerifyRow:
 
 
 def cmd_simulate(args) -> int:
+    if args.exhaustive and args.trials is not None:
+        raise ValueError("--trials cannot be combined with --exhaustive, which sweeps every pattern")
     if not args.exhaustive and args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     params = _comb_params(args)
@@ -357,7 +360,8 @@ def cmd_simulate(args) -> int:
         stats = exhaustive_stats(code, args.t)
     else:
         mode = "monte-carlo"
-        stats = monte_carlo(code, args.t, args.trials, args.seed)
+        trials = DEFAULT_TRIALS if args.trials is None else args.trials
+        stats = monte_carlo(code, args.t, trials, args.seed)
 
     failures = stats.trials - stats.successes
     within = args.t <= capacity

@@ -1,7 +1,7 @@
-"""Linear codes of length n^2 built from centralizer bases.
+"""Linear codes over GF(p): the codes C(A, a) and their parameters.
 
-A dimension-k basis of n x n matrices becomes a [n^2, k] code over GF(p)
-by column-stacking each basis matrix into a generator row.  Parameters
+A solved centralizer is a [n^2, k] code whose generator rows are the
+column-stacked members of a basis.  Parameters
 follow the standard rules: a code of minimum distance d detects up to
 d - 1 symbol errors and corrects up to floor((d - 1) / 2); it is MDS when
 d meets the Singleton bound N - k + 1 exactly.
@@ -21,7 +21,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .centralizer import CentralizerBasis
 from .linalg import (
     FieldMismatchError,
     GuardExceededError,
@@ -31,7 +30,6 @@ from .linalg import (
     count_text,
     matmul_mod,
     rref,
-    vec,
 )
 
 ENUMERATION_LIMIT = 1 << 20
@@ -43,22 +41,24 @@ UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
 
 
+@dataclass(frozen=True)
 class LinearCode:
     """[N, k] linear code over GF(p) with a canonical (RREF) generator.
 
     The zero code (k = 0) is representable and carries no generator.
     """
 
-    def __init__(self, prime: Prime, length: int, generator: Matrix | None, pivots: tuple[int, ...]):
-        if generator is not None:
-            if generator.prime != prime or generator.cols != length:
+    prime: Prime
+    length: int
+    generator: Matrix | None
+    pivots: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.generator is not None:
+            if self.generator.prime != self.prime or self.generator.cols != self.length:
                 raise ValueError("generator does not match the declared code")
-            if len(pivots) != generator.rows:
+            if len(self.pivots) != self.generator.rows:
                 raise ValueError("generator must have full row rank")
-        self.prime = prime
-        self.length = length
-        self.generator = generator
-        self.pivots = pivots
 
     @property
     def dim(self) -> int:
@@ -98,14 +98,9 @@ class DecodeResult:
     distance: int
 
 
-def code_from_basis(basis: CentralizerBasis) -> LinearCode:
-    """Vectorize a centralizer basis into a code of length n^2."""
-    n = basis.spec.n
-    prime = basis.spec.prime
-    if basis.dim == 0:
-        return LinearCode(prime, n * n, None, ())
-    rows = Matrix(np.vstack([vec(b).array for b in basis.basis]), prime)
-    return LinearCode.from_generator(rows)
+def code_from_basis(basis) -> LinearCode:
+    """The code of length n^2 a CentralizerBasis holds; it is already in RREF."""
+    return basis.code
 
 
 def _message_block(p: int, k: int, start: int, stop: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Matrices and vectors carry their field with them and every operation is a
 pure function on fully reduced residues: Gauss-Jordan elimination, kernel
-bases, inverses, Kronecker products and column-stacking vectorization.
+bases, inverses and Kronecker products.
 These are the primitives everything else (spectra, centralizer solving,
 code analysis) is built on.
 """
@@ -375,21 +375,6 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: block (i, j) equals a[i, j] * b."""
     _check_same_field(a, b)
     return Matrix(np.kron(a.array, b.array) % a.prime.p, a.prime)
-
-
-def vec(m: Matrix) -> Vector:
-    """Column-stacking vectorization: column 1, then column 2, and so on.
-
-    With this convention vec(A X B) == kronecker(B.T, A) @ vec(X).
-    """
-    return Vector(m.array.flatten(order="F"), m.prime)
-
-
-def unvec(v: Vector, rows: int, cols: int) -> Matrix:
-    """Inverse of :func:`vec`; requires len(v) == rows * cols."""
-    if len(v) != rows * cols:
-        raise ValueError(f"vector of length {len(v)} cannot fill a {rows}x{cols} matrix")
-    return Matrix(v.array.reshape((rows, cols), order="F"), v.prime)
 
 
 def parse_matrix_text(text: str) -> Matrix:

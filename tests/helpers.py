@@ -4,11 +4,15 @@ The check_* functions run the randomized property suites; they live here
 so both the per-module tests and the acceptance gate can invoke them.
 all_ones and unit_e11 build the named matrices J and E11, and is_codeword
 tests membership through the RREF generator.
-conjugation_transfer is the literal per-matrix transfer of a centralizer
-basis, kept as an oracle for the diagonalization claims.  The literal_*
-channel runs decode one Vector per (message, pattern) or per trial, kept
-as oracles for the batched sweeps in tcc.channel; the exhaustive_*_check
-functions are the acceptance gate's correction and detection sweeps.
+vec and unvec are the column-stacking maps between n x n matrices and
+code words, and basis_matrices unvecs a basis's generator rows.
+brute_force_centralizer enumerates every matrix, kept as the oracle for
+the kernel solver.  conjugation_transfer is the literal per-matrix
+transfer of a centralizer basis, kept as an oracle for the
+diagonalization claims.  The literal_* channel runs decode one Vector
+per (message, pattern) or per trial, kept as oracles for the batched
+sweeps in tcc.channel; the exhaustive_*_check functions are the
+acceptance gate's correction and detection sweeps.
 """
 
 import math
@@ -38,14 +42,14 @@ from tcc import (
     kronecker,
     rref,
     twisted_operator,
-    unvec,
-    vec,
 )
 from tcc.channel import EXHAUSTIVE_LIMIT
 from tcc.code import ENUMERATION_LIMIT
 from tcc.linalg import count_text, matmul_mod
 
 SMALL_PRIMES = (2, 3, 5, 7)
+BRUTE_FORCE_LIMIT = 1 << 20
+_CHUNK = 1 << 15
 
 GF2 = Prime(2)
 GF3 = Prime(3)
@@ -81,6 +85,59 @@ def unit_e11(n, prime) -> Matrix:
     data = np.zeros((n, n), dtype=np.int64)
     data[0, 0] = 1
     return Matrix(data, prime)
+
+
+def vec(m: Matrix) -> Vector:
+    """Column-stacking vectorization: column 1, then column 2, and so on.
+
+    With this convention vec(A X B) == kronecker(B.T, A) @ vec(X).
+    """
+    return Vector(m.array.flatten(order="F"), m.prime)
+
+
+def unvec(v: Vector, rows: int, cols: int) -> Matrix:
+    """Inverse of :func:`vec`; requires len(v) == rows * cols."""
+    if len(v) != rows * cols:
+        raise ValueError(f"vector of length {len(v)} cannot fill a {rows}x{cols} matrix")
+    return Matrix(v.array.reshape((rows, cols), order="F"), v.prime)
+
+
+def basis_matrices(basis: CentralizerBasis) -> list[Matrix]:
+    """The members of C(A, a) whose vec images are the basis's generator rows."""
+    code = basis.code
+    n = basis.spec.n
+    return [unvec(code.generator.row(i), n, n) for i in range(code.dim)]
+
+
+def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
+    """Oracle: enumerate all p^(n^2) matrices and keep the members.
+
+    Exists to cross-check the kernel solver on tiny cases; hard-guarded so
+    it cannot be reached with more than 2^20 candidates.  Results come in
+    lexicographic order of the row-major entries, independent of chunking.
+    """
+    p = spec.prime.p
+    n = spec.n
+    cells = n * n
+    total = p**cells
+    if total > BRUTE_FORCE_LIMIT:
+        raise GuardExceededError(
+            f"brute force over GF({p})^({n}x{n}) means {count_text(total)} candidates, "
+            f"beyond the {BRUTE_FORCE_LIMIT} guard"
+        )
+    a_arr = spec.matrix.array
+    twist = spec.twist
+    powers = p ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    members = []
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        digits = (idx[:, None] // powers[None, :]) % p
+        candidates = digits.reshape(-1, n, n)
+        lhs = matmul_mod(a_arr, candidates, p)
+        rhs = (matmul_mod(candidates, a_arr, p) * twist) % p
+        for b in candidates[np.all(lhs == rhs, axis=(1, 2))]:
+            members.append(Matrix(b, spec.prime))
+    return members
 
 
 def is_codeword(code: LinearCode, word: Vector) -> bool:
@@ -220,19 +277,17 @@ def conjugation_transfer(
     elif target.twist != basis_d.spec.twist or target.matrix.shape != d.shape:
         raise ValueError("target spec does not match the basis being transferred")
     carried = []
-    for b in basis_d.basis:
+    for b in basis_matrices(basis_d):
         image = (p_inv @ b) @ transform
         if not is_member(image, target):
             raise ValueError("conjugation transfer broke membership; is D = P A P^-1?")
         carried.append(vec(image).array)
     if not carried:
-        return CentralizerBasis(target, ())
-    reduced = rref(Matrix(np.vstack(carried), target.prime))
-    n = target.n
-    mats = tuple(unvec(reduced.matrix.row(i), n, n) for i in range(reduced.rank))
-    if len(mats) != basis_d.dim:
+        return CentralizerBasis(target, LinearCode(target.prime, target.n * target.n, None, ()))
+    code = LinearCode.from_generator(Matrix(np.vstack(carried), target.prime))
+    if code.dim != basis_d.dim:
         raise ValueError("conjugation transfer changed the dimension")
-    return CentralizerBasis(target, mats)
+    return CentralizerBasis(target, code)
 
 
 def hamming_distance(u: Vector, v: Vector) -> int:

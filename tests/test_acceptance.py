@@ -21,7 +21,6 @@ from tcc import (
     TwistSpec,
     Vector,
     analyze,
-    brute_force_centralizer,
     centralizer_code,
     code_from_basis,
     comb_matrix,
@@ -32,8 +31,8 @@ from tcc import (
     encode,
     exhaustive_stats,
     inverse,
-    vec,
 )
+from tcc.cli import _hypotheses_met
 
 SWEEP_PRIMES = (2, 3, 5, 7, 11, 13)
 SWEEP_ORDERS = (2, 3, 4, 5, 6)
@@ -59,6 +58,17 @@ def _mds_code(p, n, x, y, a):
 
 def test_criterion_1_theorem_sweep():
     started = time.monotonic()
+    # The CLI's predicate accepts exactly the enumerated tuples on the whole grid.
+    grid = [
+        (p, n, x, y, a)
+        for p in SWEEP_PRIMES
+        for n in SWEEP_ORDERS
+        for x in range(p)
+        for y in range(p)
+        for a in range(p)
+    ]
+    assert len(grid) == 20155
+    assert [t for t in grid if _hypotheses_met(*t)] == list(_hypothesis_tuples())
     checked = 0
     for p, n, x, y, a in _hypothesis_tuples():
         code = _mds_code(p, n, x, y, a)
@@ -94,15 +104,15 @@ def test_criterion_2_oracle_equivalence():
                 for a in range(p):
                     spec = TwistSpec(matrix, a)
                     basis = centralizer_code(spec)
-                    oracle = brute_force_centralizer(spec)
+                    oracle = helpers.brute_force_centralizer(spec)
                     label = (p, n, a)
                     assert len(oracle) == p**basis.dim, label
                     oracle_set = set(oracle)
-                    for b in basis.basis:
+                    for b in helpers.basis_matrices(basis):
                         assert b in oracle_set, label
                     code = code_from_basis(basis)
                     for member in oracle:
-                        assert helpers.is_codeword(code, vec(member)), label
+                        assert helpers.is_codeword(code, helpers.vec(member)), label
                     cases += 1
     elapsed = time.monotonic() - started
     assert cases == (4 + 20) * 2 * 2 + (9 + 20) * 3 * 2
@@ -142,7 +152,7 @@ def test_criterion_4_diagonalization_and_transfer():
         target = TwistSpec(matrix, a)
         moved = helpers.conjugation_transfer(basis_d, diag.transform, target=target)
         direct = centralizer_code(target)
-        assert moved.basis == direct.basis, label
+        assert moved.code == direct.code, label
     print("criterion 4 (diagonalization and conjugation transfer): PASS")
 
 

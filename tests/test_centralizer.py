@@ -2,30 +2,48 @@ import numpy as np
 import pytest
 
 import tcc.centralizer
+import tcc.code
+import tcc.linalg
 from tcc import (
     CentralizerBasis,
     CombParams,
     FieldMismatchError,
     GuardExceededError,
+    LinearCode,
     Matrix,
     Prime,
     TwistSpec,
-    brute_force_centralizer,
     centralizer_code,
+    code_from_basis,
     comb_centralizer,
     comb_matrix,
     diagonalize,
     is_member,
     twisted_operator,
+)
+from helpers import (
+    GF2,
+    GF3,
+    GF5,
+    all_ones,
+    basis_matrices,
+    brute_force_centralizer,
+    conjugation_transfer,
+    rand_matrix,
+    unit_e11,
     vec,
 )
-from helpers import GF2, GF3, GF5, all_ones, conjugation_transfer, rand_matrix, unit_e11
 
 
 def comb_spec(n, x, y, p, a):
     prime = Prime(p)
     matrix = comb_matrix(CombParams(n, x, y, prime))
     return TwistSpec(matrix, a)
+
+
+def code_of(*members: Matrix) -> LinearCode:
+    """The code spanned by the vec images of ``members``."""
+    return LinearCode.from_generator(Matrix(np.vstack([vec(m).array for m in members]), members[0].prime))
 
 
 class TestTwistSpec:
@@ -102,7 +120,7 @@ class TestCentralizerCode:
     def test_worked_example_spans_all_ones(self):
         basis = centralizer_code(comb_spec(2, 1, 1, 3, 2))
         assert basis.dim == 1
-        assert vec(basis.basis[0]) == vec(all_ones(2, GF3))
+        assert basis.code.generator.row(0) == vec(all_ones(2, GF3))
 
     def test_zero_matrix_gives_full_space(self):
         for n, p in [(2, 3), (3, 2)]:
@@ -129,7 +147,7 @@ class TestCentralizerCode:
             for _ in range(8):
                 spec = TwistSpec(rand_matrix(rng, 3, 3, prime), int(rng.integers(p)))
                 basis = centralizer_code(spec)
-                for b in basis.basis:
+                for b in basis_matrices(basis):
                     assert is_member(b, spec)
 
     def test_order_beyond_32_refused_before_elimination(self, monkeypatch):
@@ -145,36 +163,51 @@ class TestCentralizerCode:
         # E11 is not in C(J + I, 2) over GF(3), nor in C of a non-comb matrix.
         e11 = unit_e11(2, GF3)
         with pytest.raises(ValueError, match="twisted commutation"):
-            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), (e11,))
+            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), code_of(e11))
         general = TwistSpec(Matrix([[1, 2], [0, 1]], GF3), 2)
         with pytest.raises(ValueError, match="twisted commutation"):
-            CentralizerBasis(general, (e11,))
+            CentralizerBasis(general, code_of(e11))
 
     def test_basis_rejects_one_non_member_among_members(self, monkeypatch):
-        # Two members per checked stack: the stray E11 sits in the second one.
+        # Two generator rows per checked stack.  C(E22, 0) = span(E11, E12),
+        # and E22 is no member: its RREF row comes last, alone in the second stack.
         monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", 2 * 2 * 2)
-        spec = comb_spec(2, 1, 1, 3, 1)
-        members = centralizer_code(spec).basis
-        assert len(members) >= 2
-        CentralizerBasis(spec, members + members)
+        spec = TwistSpec(Matrix([[0, 0], [0, 1]], GF3), 0)
+        e12, e22 = Matrix([[0, 1], [0, 0]], GF3), Matrix([[0, 0], [0, 1]], GF3)
+        assert CentralizerBasis(spec, code_of(unit_e11(2, GF3), e12)) == centralizer_code(spec)
+        code = code_of(unit_e11(2, GF3), e12, e22)
+        members = [unit_e11(2, GF3), e12]
+        assert [vec(m) for m in members] == [code.generator.row(0), code.generator.row(1)]
         with pytest.raises(ValueError, match="twisted commutation"):
-            CentralizerBasis(spec, members + (unit_e11(2, GF3),))
+            CentralizerBasis(spec, code)
 
     def test_basis_rejects_wrong_order(self):
-        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
-            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), (Matrix.identity(3, GF3),))
+        with pytest.raises(ValueError, match="expected a code of length 4 for order 2, got 9"):
+            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), code_of(Matrix.identity(3, GF3)))
 
     def test_basis_rejects_wrong_field(self):
         with pytest.raises(FieldMismatchError):
-            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), (Matrix.identity(2, GF5),))
+            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), code_of(Matrix.identity(2, GF5)))
 
     def test_basis_vecs_form_rref(self):
         from tcc import rref
 
         spec = TwistSpec(Matrix.zeros(2, 2, GF3), 0)
         basis = centralizer_code(spec)
-        stacked = Matrix(np.vstack([vec(b).array for b in basis.basis]), GF3)
-        assert rref(stacked).matrix == stacked
+        stacked = Matrix(np.vstack([vec(b).array for b in basis_matrices(basis)]), GF3)
+        assert rref(stacked).matrix == stacked == basis.code.generator
+
+    def test_code_from_basis_eliminates_nothing(self, monkeypatch):
+        basis = comb_centralizer(CombParams(6, 1, 1, Prime(7)), 1)
+
+        def refuse(*args):
+            raise AssertionError("the basis already holds its RREF code")
+
+        monkeypatch.setattr(tcc.code, "rref", refuse)
+        monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
+        code = code_from_basis(basis)
+        assert code is basis.code
+        assert (code.length, code.dim) == (36, 26)
 
 
 class TestBruteForce:
@@ -220,7 +253,7 @@ class TestBruteForce:
                 oracle = brute_force_centralizer(spec)
                 assert len(oracle) == p**basis.dim
                 oracle_set = set(oracle)
-                for b in basis.basis:
+                for b in basis_matrices(basis):
                     assert b in oracle_set
 
 
@@ -228,7 +261,7 @@ class TestConjugationTransfer:
     def test_identity_transform_is_noop(self):
         basis = centralizer_code(comb_spec(2, 1, 1, 3, 2))
         moved = conjugation_transfer(basis, Matrix.identity(2, GF3))
-        assert moved.basis == basis.basis
+        assert moved.code == basis.code
 
     def test_worked_diagonal_example(self):
         params = CombParams(2, 1, 1, GF3)
@@ -237,10 +270,10 @@ class TestConjugationTransfer:
         d_spec = TwistSpec(diag.diagonal, 2)
         basis_d = centralizer_code(d_spec)
         assert basis_d.dim == 1
-        assert vec(basis_d.basis[0]) == vec(unit_e11(2, GF3))
+        assert basis_d.code.generator.row(0) == vec(unit_e11(2, GF3))
         moved = conjugation_transfer(basis_d, diag.transform, target=a_spec)
         direct = centralizer_code(a_spec)
-        assert moved.basis == direct.basis
+        assert moved.code == direct.code
 
     def test_diagonal_centralizer_is_first_unit_cell(self):
         # D = diag(0, y, ..., y) with y != 0 and a outside {0, 1}.
@@ -251,7 +284,7 @@ class TestConjugationTransfer:
             d_spec = TwistSpec(Matrix(np.diag(entries), prime), a)
             basis = centralizer_code(d_spec)
             assert basis.dim == 1
-            assert vec(basis.basis[0]) == vec(unit_e11(3, prime))
+            assert basis.code.generator.row(0) == vec(unit_e11(3, prime))
 
     def test_wrong_target_detected(self):
         params = CombParams(2, 1, 1, GF3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tcc.centralizer
+import tcc.cli
 import tcc.linalg
 from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
 
@@ -349,6 +350,20 @@ class TestSimulateCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "tcc: error: --seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("trials", ["0", "24", "1000"])
+    def test_exhaustive_refuses_trials(self, capsys, monkeypatch, trials):
+        def no_sweep(*args):
+            raise AssertionError("no sweep may run with a --trials it would ignore")
+
+        monkeypatch.setattr(tcc.cli, "exhaustive_stats", no_sweep)
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "2", "--p", "3", "--x", "1", "--y", "1", "--a", "2",
+            "--t", "1", "--exhaustive", "--trials", trials, "--json",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "tcc: error: --trials cannot be combined with --exhaustive, which sweeps every pattern\n"
+
     def test_theorem_code_at_largest_prime(self, capsys):
         flags = ["--n", "3", "--p", "2147483647", "--x", "1", "--y", "2147483644", "--a", "2", "--t", "4"]
         code, out, _ = run_cli(capsys, "simulate", *flags, "--trials", "1000", "--seed", "0", "--json")
@@ -389,3 +404,48 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "summary" in proc.stdout
+
+
+# Exact stdout, stderr and exit code of build and analyze through each solve path: the
+# structured comb solve, its merged-case fallback to the Kronecker kernel, a zero code,
+# the full space, a --matrix-file input (MATRIX) and the theorem code at p = 2^31 - 1.
+PINNED_MATRIX_FILE = "5 3 3\n1 2 0\n0 1 3\n4 0 2\n"
+PINNED_SOLVE = [
+    ('build --n 2 --p 3 --x 1 --y 1 --a 2', 0, 'C(A, 2) over GF(3), n = 2\ndim = 1\ngenerator (RREF):\n[1 1 1 1]\n', ''),
+    ('build --n 2 --p 3 --x 1 --y 1 --a 2 --json', 0, '{"p": 3, "n": 2, "x": 1, "y": 1, "a": 2, "length": 4, "dimension": 1}\n', ''),
+    ('analyze --n 2 --p 3 --x 1 --y 1 --a 2', 0, 'code parameters [4, 1, 4] over GF(3)\nMDS: yes\ndetects up to 3 errors; corrects up to 1\nrate: 1/4\n', ''),
+    ('analyze --n 2 --p 3 --x 1 --y 1 --a 2 --json', 0, '{"p": 3, "n": 2, "x": 1, "y": 1, "a": 2, "length": 4, "dimension": 1, "min_distance": 4, "mds": true, "detect": 3, "correct": 1, "rate": "1/4"}\n', ''),
+    ('build --n 3 --p 3 --x 1 --y 1 --a 1', 0, 'C(A, 1) over GF(3), n = 3\ndim = 5\ngenerator (RREF):\n[1 0 0 0 0 1 0 1 0]\n[0 1 0 0 0 1 1 0 0]\n[0 0 1 0 0 1 1 1 2]\n[0 0 0 1 0 2 2 0 1]\n[0 0 0 0 1 2 0 2 1]\n', ''),
+    ('build --n 3 --p 3 --x 1 --y 1 --a 1 --json', 0, '{"p": 3, "n": 3, "x": 1, "y": 1, "a": 1, "length": 9, "dimension": 5}\n', ''),
+    ('analyze --n 3 --p 3 --x 1 --y 1 --a 1', 0, 'code parameters [9, 5, 3] over GF(3)\nMDS: no\ndetects up to 2 errors; corrects up to 1\nrate: 5/9\n', ''),
+    ('analyze --n 3 --p 3 --x 1 --y 1 --a 1 --json', 0, '{"p": 3, "n": 3, "x": 1, "y": 1, "a": 1, "length": 9, "dimension": 5, "min_distance": 3, "mds": false, "detect": 2, "correct": 1, "rate": "5/9"}\n', ''),
+    ('build --n 2 --p 5 --x 1 --y 1 --a 0', 0, 'C(A, 0) over GF(5), n = 2\ndim = 0\ngenerator: (zero code)\n', ''),
+    ('build --n 2 --p 5 --x 1 --y 1 --a 0 --json', 0, '{"p": 5, "n": 2, "x": 1, "y": 1, "a": 0, "length": 4, "dimension": 0}\n', ''),
+    ('analyze --n 2 --p 5 --x 1 --y 1 --a 0', 1, '', 'tcc: zero code: C(A, a) contains only the zero matrix, nothing to analyze\n'),
+    ('analyze --n 2 --p 5 --x 1 --y 1 --a 0 --json', 1, '', 'tcc: zero code: C(A, a) contains only the zero matrix, nothing to analyze\n'),
+    ('build --n 2 --p 3 --x 0 --y 1 --a 1', 0, 'C(A, 1) over GF(3), n = 2\ndim = 4\ngenerator (RREF):\n[1 0 0 0]\n[0 1 0 0]\n[0 0 1 0]\n[0 0 0 1]\n', ''),
+    ('build --n 2 --p 3 --x 0 --y 1 --a 1 --json', 0, '{"p": 3, "n": 2, "x": 0, "y": 1, "a": 1, "length": 4, "dimension": 4}\n', ''),
+    ('analyze --n 2 --p 3 --x 0 --y 1 --a 1', 0, 'code parameters [4, 4, 1] over GF(3)\nMDS: yes\ndetects up to 0 errors; corrects up to 0\nrate: 4/4\n', ''),
+    ('analyze --n 2 --p 3 --x 0 --y 1 --a 1 --json', 0, '{"p": 3, "n": 2, "x": 0, "y": 1, "a": 1, "length": 4, "dimension": 4, "min_distance": 1, "mds": true, "detect": 0, "correct": 0, "rate": "4/4"}\n', ''),
+    ('build --matrix-file MATRIX --a 1', 0, 'C(A, 1) over GF(5), n = 3\ndim = 3\ngenerator (RREF):\n[1 0 0 0 1 0 0 0 1]\n[0 1 0 4 0 4 3 0 0]\n[0 0 1 3 0 0 0 2 4]\n', ''),
+    ('build --matrix-file MATRIX --a 1 --json', 0, '{"p": 5, "n": 3, "a": 1, "length": 9, "dimension": 3}\n', ''),
+    ('analyze --matrix-file MATRIX --a 1', 0, 'code parameters [9, 3, 3] over GF(5)\nMDS: no\ndetects up to 2 errors; corrects up to 1\nrate: 3/9\n', ''),
+    ('analyze --matrix-file MATRIX --a 1 --json', 0, '{"p": 5, "n": 3, "a": 1, "length": 9, "dimension": 3, "min_distance": 3, "mds": false, "detect": 2, "correct": 1, "rate": "3/9"}\n', ''),
+    ('build --matrix-file MATRIX --a 2', 0, 'C(A, 2) over GF(5), n = 3\ndim = 0\ngenerator: (zero code)\n', ''),
+    ('build --matrix-file MATRIX --a 2 --json', 0, '{"p": 5, "n": 3, "a": 2, "length": 9, "dimension": 0}\n', ''),
+    ('analyze --matrix-file MATRIX --a 2', 1, '', 'tcc: zero code: C(A, a) contains only the zero matrix, nothing to analyze\n'),
+    ('analyze --matrix-file MATRIX --a 2 --json', 1, '', 'tcc: zero code: C(A, a) contains only the zero matrix, nothing to analyze\n'),
+    ('build --n 3 --p 2147483647 --x 1 --y 2147483644 --a 2', 0, 'C(A, 2) over GF(2147483647), n = 3\ndim = 1\ngenerator (RREF):\n[1 1 1 1 1 1 1 1 1]\n', ''),
+    ('build --n 3 --p 2147483647 --x 1 --y 2147483644 --a 2 --json', 0, '{"p": 2147483647, "n": 3, "x": 1, "y": 2147483644, "a": 2, "length": 9, "dimension": 1}\n', ''),
+    ('analyze --n 3 --p 2147483647 --x 1 --y 2147483644 --a 2', 0, 'code parameters [9, 1, 9] over GF(2147483647)\nMDS: yes\ndetects up to 8 errors; corrects up to 4\nrate: 1/9\n', ''),
+    ('analyze --n 3 --p 2147483647 --x 1 --y 2147483644 --a 2 --json', 0, '{"p": 2147483647, "n": 3, "x": 1, "y": 2147483644, "a": 2, "length": 9, "dimension": 1, "min_distance": 9, "mds": true, "detect": 8, "correct": 4, "rate": "1/9"}\n', ''),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stdout, stderr", PINNED_SOLVE, ids=[argv for argv, _, _, _ in PINNED_SOLVE]
+)
+def test_pinned_solve_output(capsys, tmp_path, argv, exit_code, stdout, stderr):
+    path = tmp_path / "a.mat"
+    path.write_text(PINNED_MATRIX_FILE)
+    assert run_cli(capsys, *argv.replace("MATRIX", str(path)).split()) == (exit_code, stdout, stderr)

@@ -14,10 +14,8 @@ from tcc import (
     parse_matrix_text,
     rank,
     rref,
-    unvec,
-    vec,
 )
-from helpers import GF3, GF5, rand_matrix
+from helpers import GF3, GF5, rand_matrix, unvec, vec
 
 
 class TestPrime:
