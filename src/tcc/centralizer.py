@@ -3,11 +3,11 @@
 The membership condition is linear in B, so column-stacking turns it into
 an ordinary kernel problem: with T = (I (x) A) - a * (A^T (x) I) we have
 T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  That
-costs about n^6, so comb matrices x*J + y*I take a structured route
-through their eigenbasis instead.  Either way the solved space is the
-linear code of length n^2 spanned by the vec images, canonicalized once
-by LinearCode.from_generator; the Kronecker kernel checks the structured
-solve.
+costs about n^6, so comb matrices x*J + y*I are solved from row and
+column sums instead, through a system of at most 2n - 1 rows whose
+kernel comes out in RREF.  Either way the solved space is the linear code
+of length n^2 spanned by the vec images; the Kronecker kernel serves
+--matrix-file input and checks the comb solve in the tests.
 """
 
 from dataclasses import dataclass
@@ -15,18 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import LinearCode
-from .linalg import (
-    FieldMismatchError,
-    GuardExceededError,
-    Matrix,
-    Prime,
-    inverse,
-    kernel_basis,
-    kronecker,
-    matmul_mod,
-    rref,
-)
-from .comb import MAX_ORDER, CombParams, DefectiveMatrixError, Diagonalization, comb_matrix, diagonalize
+from .linalg import FieldMismatchError, GuardExceededError, Matrix, Prime, kernel_basis, kronecker, matmul_mod
+from .comb import MAX_ORDER, CombParams, comb_matrix
 
 # Largest operator the Kronecker kernel builds: n = 32, a 1024 x 1024 T.
 KRONECKER_MAX_CELLS = 1 << 10
@@ -99,20 +89,23 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
     return kronecker(ident, a) - kronecker(a.T, ident) * spec.twist
 
 
-def _solved(spec: TwistSpec, rows: list[np.ndarray]) -> CentralizerBasis:
-    """The basis whose code is spanned by the stacked vec images in ``rows``."""
-    if not rows:
-        return CentralizerBasis(spec, LinearCode(spec.prime, spec.n * spec.n, None, ()))
-    return CentralizerBasis(spec, LinearCode.from_generator(Matrix(np.vstack(rows), spec.prime)))
+def _basis(spec: TwistSpec, gen: np.ndarray) -> CentralizerBasis:
+    """The basis whose code has the RREF generator rows ``gen``, which may be none."""
+    cells = spec.n * spec.n
+    if not len(gen):
+        return CentralizerBasis(spec, LinearCode(spec.prime, cells, None, ()))
+    generator = Matrix(gen, spec.prime)
+    pivots = tuple((generator.array != 0).argmax(axis=1).tolist())
+    return CentralizerBasis(spec, LinearCode(spec.prime, cells, generator, pivots))
 
 
 def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
     """Solve AB = aBA: the kernel of the twisted operator, RREF-normalized.
 
-    Dimension equals n^2 - rank(T); ordering is inherited from the
-    deterministic kernel basis, then canonicalized by row reduction.
-    T has n^2 x n^2 entries and its elimination costs about n^6, so
-    orders beyond 32 are refused before T is built.
+    Dimension equals n^2 - rank(T); the deterministic kernel basis is
+    canonicalized by a second row reduction.  T has n^2 x n^2 entries and
+    its elimination costs about n^6, so orders beyond 32 are refused
+    before T is built.
     """
     cells = spec.n * spec.n
     if cells > KRONECKER_MAX_CELLS:
@@ -120,45 +113,60 @@ def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
             f"the Kronecker kernel for order {spec.n} needs T of {cells}x{cells}, "
             f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
         )
-    return _solved(spec, [v.array for v in kernel_basis(twisted_operator(spec))])
+    kernel = kernel_basis(twisted_operator(spec))
+    if not len(kernel):
+        return _basis(spec, kernel)
+    return CentralizerBasis(spec, LinearCode.from_generator(Matrix(kernel, spec.prime)))
 
 
 def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
-    """C(x*J + y*I, a) through the eigenbasis, with no n^2 x n^2 operator.
+    """C(x*J + y*I, a) from row and column sums, with no n^2 x n^2 operator.
 
-    With P A P^-1 = D diagonal, B -> P^-1 B P carries C(D, a) onto C(A, a),
-    and C(D, a) is spanned by the unit matrices E_ij with d_i = a d_j.  For
-    eigenvalue groups I, J with lambda_I = a lambda_J the images of those
-    E_ij column-stack to rowspace(P[J, :]) (x) rowspace(P^-1[:, I]^T), so
-    the Kronecker products of the two small RREFs span C(A, a).  Those rows
-    are sparse, and LinearCode.from_generator reduces their stack to
-    exactly the code centralizer_code returns.  The merged case, where A
-    has no eigenbasis, falls back to centralizer_code.
+    With u the all-ones vector, c = B u and r = u^T B, we have
+    AB - aBA = s*B + x*(u r - a c u^T) for s = (1 - a) y.  For s = 0 the
+    code is the full space (x = 0) or the kernel of the 2n - 1 sum
+    constraints r_j = a c_0 and a c_i = a c_0.  For s != 0 every member is
+    B[i, j] = g_i + h_j, fixed by its entries B[:, 0] and B[0, 1:] (h_0 = 0),
+    which solve a (2n - 1)-square system; as every member's first nonzero
+    entry is one of them, the expanded kernel rows stay in RREF.
     """
     spec = TwistSpec(comb_matrix(params), twist)
-    try:
-        diag = diagonalize(params)
-    except DefectiveMatrixError:
-        return centralizer_code(spec)
-    return _solved(spec, _eigen_span(diag, spec.twist))
+    p, n, x, a = params.prime.p, params.n, params.x, spec.twist
+    s = (1 - a) * params.y % p
+    if s == 0 and x == 0:
+        return _basis(spec, np.eye(n * n, dtype=np.int64))
+    if s == 0:
+        # Row j is r_j - a c_0, row n - 1 + i is a (c_i - c_0); entry [., j, i] weighs B[i, j].
+        sums = np.zeros((2 * n - 1, n, n), dtype=np.int64)
+        sums[np.arange(n), np.arange(n)] = 1
+        sums[:n, :, 0] -= a
+        sums[np.arange(n, 2 * n - 1), :, np.arange(1, n)] = a
+        sums[n:, :, 0] = -a
+        return _basis(spec, _rref_kernel(sums.reshape(2 * n - 1, n * n), params.prime))
+    # Unknowns v = (g_0 .. g_(n-1), g_0 + h_1 .. g_0 + h_(n-1)).  Rows i < n:
+    # alpha g_i + x (sum g - a sum h) = 0; rows n - 1 + j: beta h_j = 0.
+    alpha, beta = (s - a * x * n) % p, (s + x * n) % p
+    eqs = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int64)
+    eqs[:n, :n] = x
+    eqs[:n, n:] = -a * x % p
+    eqs[np.arange(n), np.arange(n)] += alpha
+    eqs[np.arange(n, 2 * n - 1), np.arange(n, 2 * n - 1)] = beta
+    # h_j = v_(n-1+j) - v_0 moves the weight of each h_j onto v_0 too.
+    eqs[:, 0] -= eqs[:, n:].sum(axis=1)
+    v = _rref_kernel(eqs, params.prime)
+    h = np.zeros((len(v), n), dtype=np.int64)
+    h[:, 1:] = v[:, n:] - v[:, :1]
+    # Column-stacked, entry j n + i is B[i, j] = g_i + h_j.
+    return _basis(spec, (h[:, :, None] + v[:, None, :n]).reshape(len(v), n * n))
 
 
-def _eigen_span(diag: Diagonalization, twist: int) -> list[np.ndarray]:
-    """Blocks of rows spanning vec(P^-1 C(D, a) P) for P A P^-1 = D, a = twist."""
-    prime = diag.transform.prime
-    p = prime.p
-    transform = diag.transform.array
-    p_inv = inverse(diag.transform).array
-    d = np.diag(diag.diagonal.array)
-    groups = [np.flatnonzero(d == lam) for lam in np.unique(d)]
-    blocks = []
-    for i_idx in groups:
-        for j_idx in groups:
-            if d[i_idx[0]] == (twist * int(d[j_idx[0]])) % p:
-                left = rref(Matrix(transform[j_idx], prime)).matrix
-                right = rref(Matrix(p_inv[:, i_idx].T, prime)).matrix
-                blocks.append(kronecker(left, right).array)
-    return blocks
+def _rref_kernel(eqs: np.ndarray, prime: Prime) -> np.ndarray:
+    """The kernel of ``eqs`` in RREF, from one elimination of its reversed columns.
+
+    A kernel row of the reversed system ends in a 1 on its free column and
+    is 0 on the other free columns, so reversed back it starts with that 1.
+    """
+    return kernel_basis(Matrix(eqs[:, ::-1], prime))[::-1, ::-1]
 
 
 def _all_members(stack: np.ndarray, spec: TwistSpec) -> bool:

@@ -130,8 +130,8 @@ def _comb_params(args) -> CombParams:
 def _solve(args) -> tuple[CentralizerBasis, dict]:
     """Resolve A from flags or file and solve C(A, a); returns the basis and the JSON header fields.
 
-    A comb matrix from flags takes the structured eigenbasis solve; a matrix
-    file takes the Kronecker kernel.
+    A comb matrix from flags takes the row and column sum solve at every
+    order up to 64; a matrix file takes the Kronecker kernel.
     """
     comb_flags = [f"--{name}" for name in ("n", "p", "x", "y") if getattr(args, name) is not None]
     if args.matrix_file is not None:
@@ -268,9 +268,9 @@ def cmd_verify(args) -> int:
         for n in range(2, args.n_max + 1):
             for x in range(p):
                 for y in range(p):
-                    matrix = comb_matrix(CombParams(n, x, y, prime))
+                    params = CombParams(n, x, y, prime)
                     for a in range(p):
-                        basis = centralizer_code(TwistSpec(matrix, a))
+                        basis = comb_centralizer(params, a)
                         if not _hypotheses_met(p, n, x, y, a):
                             rows.append(VerifyRow(p, n, x, y, a, False, basis.dim))
                             continue

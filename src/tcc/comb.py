@@ -165,9 +165,8 @@ def diagonalize(params: CombParams) -> Diagonalization:
             f"x*J + y*I with x={params.x}, y={params.y}, n={n} "
             f"is defective over GF({p}): its single eigenvalue has multiplicity {n - 1}"
         )
-    rows = [np.ones(n, dtype=np.int64)]
-    rows.extend(v.array for v in kernel_basis(Matrix(np.ones((n, n), dtype=np.int64), prime)))
-    transform = Matrix(np.vstack(rows), prime)
+    ones = np.ones((n, n), dtype=np.int64)
+    transform = Matrix(np.vstack([ones[0], kernel_basis(Matrix(ones, prime))]), prime)
     diag_entries = np.full(n, lam_rest, dtype=np.int64)
     diag_entries[0] = lam_ones
     diagonal = Matrix(np.diag(diag_entries), prime)

@@ -296,7 +296,7 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -306,15 +306,15 @@ def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         a[r] = (a[r] * inv) % p
         col_vals = a[:, c].copy()
         col_vals[r] = 0
-        hit = np.nonzero(col_vals)[0]
+        hit = col_vals.nonzero()[0]
         # Entrywise products stay below (p-1)^2 < 2^63, so no overflow here.
         # Mostly-zero pivot columns take the compressed update; dense ones
         # update in place to avoid the gather/scatter copies.
         if hit.size * 2 > rows:
-            a -= np.outer(col_vals, a[r])
+            a -= col_vals[:, None] * a[r]
             a %= p
         elif hit.size:
-            a[hit] = (a[hit] - np.outer(col_vals[hit], a[r])) % p
+            a[hit] = (a[hit] - col_vals[hit, None] * a[r]) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -335,27 +335,19 @@ def rank(m: Matrix) -> int:
     return rref(m).rank
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Deterministic basis of the right null space of ``m``.
+def kernel_basis(m: Matrix) -> np.ndarray:
+    """Deterministic basis of the right null space of ``m``, one row per vector.
 
-    One basis vector per RREF free column, taken in increasing column
-    order: the free coordinate is set to 1 and each pivot coordinate
-    absorbs the negated RREF entry.  Returns exactly cols - rank(m)
-    vectors, each satisfying m @ v == 0.
+    One basis row per RREF free column, taken in increasing column order:
+    the free coordinate is set to 1 and each pivot coordinate absorbs the
+    negated RREF entry.  Returns an int64 array of shape (cols - rank(m),
+    cols) whose every row v satisfies m @ v == 0.
     """
-    R, _, pivots = rref(m)
-    p = m.prime.p
-    pivot_set = set(pivots)
-    ra = R.array
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = np.zeros(m.cols, dtype=np.int64)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-ra[r, f]) % p
-        basis.append(Vector(v, m.prime))
+    R, rk, pivots = rref(m)
+    free = np.delete(np.arange(m.cols), pivots)
+    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = (-R.array[:rk, free].T) % m.prime.p
     return basis
 
 

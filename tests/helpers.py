@@ -7,7 +7,8 @@ tests membership through the RREF generator.
 vec and unvec are the column-stacking maps between n x n matrices and
 code words, and basis_matrices unvecs a basis's generator rows.
 brute_force_centralizer enumerates every matrix, kept as the oracle for
-the kernel solver.  conjugation_transfer is the literal per-matrix
+the kernel solver, and literal_kernel_basis builds one kernel row per
+free column, kept as the oracle for kernel_basis.  conjugation_transfer is the literal per-matrix
 transfer of a centralizer basis, kept as an oracle for the
 diagonalization claims.  The literal_* channel runs decode one Vector
 per (message, pattern) or per trial, kept as oracles for the batched
@@ -193,10 +194,22 @@ def check_kernel(count=1000, seed=103):
         rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 7))
         m = rand_matrix(rng, rows, cols, prime)
         basis = kernel_basis(m)
-        assert len(basis) == cols - rref(m).rank
-        zero = Vector(np.zeros(rows, dtype=np.int64), prime)
-        for v in basis:
-            assert m @ v == zero
+        assert basis.shape == (cols - rref(m).rank, cols) and basis.dtype == np.int64
+        assert not matmul_mod(m.array, basis.T, prime.p).any()
+        assert basis.tolist() == literal_kernel_basis(m)
+
+
+def literal_kernel_basis(m: Matrix) -> list[list[int]]:
+    """kernel_basis one free column at a time: a 1 there, the negated RREF entries on the pivots."""
+    reduced, _, pivots = rref(m)
+    rows = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [0] * m.cols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r, f] % m.prime.p
+        rows.append(v)
+    return rows
 
 
 def check_vec_roundtrip(count=1000, seed=104):

@@ -129,10 +129,12 @@ class TestCombSolve:
         assert (report.length, report.dim, report.min_distance, report.mds) == (n * n, 1, n * n, True)
 
     @pytest.mark.parametrize("n", [3, 4])
-    @pytest.mark.parametrize("x, y, a", [(1, 1, 1), (7, 0, 0), (0, 9, 1), (2, 3, 0)])
+    @pytest.mark.parametrize(
+        "x, y, a", [(1, 1, 1), (7, 0, 0), (0, 9, 1), (2, 3, 0), (P - 2, 5, 1), (P - 2, P - 5, P - 1)]
+    )
     def test_other_tuples_match_kernel(self, n, x, y, a):
-        # Two eigenvalue pairs whose blocks are merged by elimination (a = 1;
-        # y = a = 0), the scalar full space (x = 0) and the zero space.
+        # s = (1 - a) y = 0 with x != 0 (a = 1; y = a = 0), the scalar full
+        # space (x = 0), the zero space, and x, y and a at the top of the field.
         params = CombParams(n, x, y, BIG)
         basis = comb_centralizer(params, a)
         assert basis == centralizer_code(TwistSpec(comb_matrix(params), a))

@@ -309,7 +309,7 @@ class TestConjugationTransfer:
 class TestCombCentralizer:
     def test_matches_kronecker_kernel_on_small_grid(self):
         # Every (p, n, x, y, a) with p <= 7 and n <= 5: x = 0, the generic
-        # split and the merged tuples that fall back to the kernel.
+        # split and the merged tuples, where x*J + y*I has no eigenbasis.
         merged = scalar = 0
         for p in (2, 3, 5, 7):
             prime = Prime(p)
@@ -326,6 +326,24 @@ class TestCombCentralizer:
         # (x, y) pairs with p | n and x != 0: p = 2 at n = 2, 4; p = 3 at n = 3; p = 5 at n = 5.
         assert merged == 2 * (1 * 2) + 2 * 3 + 4 * 5
 
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_matches_kronecker_kernel_at_larger_primes(self, p):
+        prime = Prime(p)
+        for n in range(2, 5):
+            for x in range(p):
+                for y in range(p):
+                    params = CombParams(n, x, y, prime)
+                    for a in range(p):
+                        direct = centralizer_code(TwistSpec(comb_matrix(params), a))
+                        assert comb_centralizer(params, a) == direct, (p, n, x, y, a)
+
+    @pytest.mark.parametrize("n, p, x, y, a, dim", [(16, 2, 1, 0, 1, 226), (18, 3, 1, 1, 1, 290)])
+    def test_matches_kronecker_kernel_on_large_merged_tuples(self, n, p, x, y, a, dim):
+        params = CombParams(n, x, y, Prime(p))
+        basis = comb_centralizer(params, a)
+        assert basis.dim == dim
+        assert basis == centralizer_code(TwistSpec(comb_matrix(params), a))
+
     def test_structured_path_builds_no_operator(self, monkeypatch):
         def no_operator(spec):
             raise AssertionError("the structured solve must not build T")
@@ -336,19 +354,33 @@ class TestCombCentralizer:
         # 1 = 3 * (32 + 1) mod 7: C(D, 3) is spanned by E_i1 for the n - 1 indices i > 1.
         assert basis.dim == 31
 
-    def test_merged_case_falls_back_to_kernel(self, monkeypatch):
-        calls = []
-        original = tcc.centralizer.twisted_operator
+    def test_solves_eliminate_at_most_2n_rows(self, monkeypatch):
+        def no_operator(spec):
+            raise AssertionError("the structured solve must not build T")
 
-        def counted(spec):
-            calls.append(spec.n)
-            return original(spec)
+        shapes = []
+        original = tcc.linalg._rref_array
 
-        monkeypatch.setattr(tcc.centralizer, "twisted_operator", counted)
-        # 3 | x*n, so x*J + y*I has the single eigenvalue y and no eigenbasis.
-        basis = comb_centralizer(CombParams(3, 1, 1, GF3), 1)
-        assert calls == [3]
-        assert basis == centralizer_code(comb_spec(3, 1, 1, 3, 1))
+        def recorded(a, p):
+            shapes.append(a.shape)
+            return original(a, p)
+
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
+        monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
+        # At n = 3 every tuple over GF(3); beyond 32 the full space, the
+        # merged s = 0 kernel, s != 0 and the zero code.
+        dims = {(3, 3, x, y, a): None for x in range(3) for y in range(3) for a in range(3)}
+        dims.update({
+            (33, 3, 0, 1, 1): 1089, (33, 3, 1, 1, 1): 1025, (33, 3, 1, 1, 2): 0,
+            (64, 2, 1, 1, 1): 3970, (64, 3, 1, 1, 2): 126, (64, 7, 1, 1, 0): 0,
+        })
+        for (n, p, x, y, a), dim in dims.items():
+            shapes.clear()
+            basis = comb_centralizer(CombParams(n, x, y, Prime(p)), a)
+            assert dim in (None, basis.dim), (n, p, x, y, a)
+            assert all(rows < 2 * n for rows, _ in shapes), (n, p, x, y, a, shapes)
+            # Only the full space (s = 0 and x = 0) skips elimination.
+            assert len(shapes) == (x != 0 or (1 - a) * y % p != 0), (n, p, x, y, a)
 
     def test_dimension_closed_form(self):
         # [l1 = a l1] + (n-1)([l1 = a y] + [y = a l1]) + (n-1)^2 [y = a y], l1 = x n + y.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -169,11 +170,18 @@ class TestKroneckerGuard:
         assert out == ""
         assert "guard exceeded" in err and "1089x1089" in err
 
-    def test_merged_comb_beyond_32_refused(self, capsys, no_elimination):
-        # 3 | 33, so x*J + y*I has no eigenbasis and needs the Kronecker kernel.
-        code, _, err = run_cli(capsys, "analyze", "--n", "33", "--p", "3", "--x", "1", "--y", "1", "--a", "2")
-        assert code == EXIT_GUARD
-        assert "1089x1089" in err
+    def test_merged_comb_beyond_32_solved(self, capsys, monkeypatch):
+        # 3 | 33, so x*J + y*I has no eigenbasis; the sum solve needs no T either.
+        def no_operator(spec):
+            raise AssertionError("comb flags must not build T")
+
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
+        code, out, err = run_cli(capsys, "build", "--n", "33", "--p", "3", "--x", "1", "--y", "1", "--a", "1", "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {"p": 3, "n": 33, "x": 1, "y": 1, "a": 1, "length": 1089, "dimension": 1025}
+        code, out, err = run_cli(capsys, "analyze", "--n", "33", "--p", "3", "--x", "1", "--y", "1", "--a", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "tcc: zero code: C(A, a) contains only the zero matrix, nothing to analyze\n"
 
 
 class TestAnalyzeCommand:
@@ -254,6 +262,13 @@ class TestVerifyCommand:
         assert all(row["matches_theorem"] for row in met)
         unmet = [row for row in doc["rows"] if not row["hypotheses_met"]]
         assert all("min_distance" not in row and "matches_theorem" not in row for row in unmet)
+
+    def test_stock_json_sweep_pinned(self, capsys):
+        # The sha256 of the whole --json document: every row's dimension,
+        # distance and theorem verdict, byte for byte.
+        code, out, _ = run_cli(capsys, "verify", "--p-max", "7", "--n-max", "5", "--json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == "85282103cc5b228a88d257285d9a635de7c99188172e67b75e702fcdf20a14b7"
 
     def test_sweep_caps_enforced(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p-max", "17")
@@ -407,8 +422,8 @@ class TestParser:
 
 
 # Exact stdout, stderr and exit code of build and analyze through each solve path: the
-# structured comb solve, its merged-case fallback to the Kronecker kernel, a zero code,
-# the full space, a --matrix-file input (MATRIX) and the theorem code at p = 2^31 - 1.
+# comb solve with s != 0 and with s = 0 on a merged matrix, a zero code, the full space,
+# a --matrix-file input (MATRIX) and the theorem code at p = 2^31 - 1.
 PINNED_MATRIX_FILE = "5 3 3\n1 2 0\n0 1 3\n4 0 2\n"
 PINNED_SOLVE = [
     ('build --n 2 --p 3 --x 1 --y 1 --a 2', 0, 'C(A, 2) over GF(3), n = 2\ndim = 1\ngenerator (RREF):\n[1 1 1 1]\n', ''),

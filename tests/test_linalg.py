@@ -140,24 +140,29 @@ class TestRref:
 
 class TestKernel:
     def test_invertible_matrix_has_empty_kernel(self):
-        assert kernel_basis(Matrix.identity(3, GF5)) == []
+        assert kernel_basis(Matrix.identity(3, GF5)).shape == (0, 3)
 
     def test_zero_matrix_kernel_is_everything(self):
         basis = kernel_basis(Matrix.zeros(3, 3, Prime(7)))
-        assert len(basis) == 3
+        assert basis.tolist() == np.eye(3, dtype=np.int64).tolist()
 
     def test_all_ones_kernel_over_gf5(self):
         j = Matrix(np.ones((3, 3), dtype=np.int64), GF5)
         basis = kernel_basis(j)
-        assert len(basis) == 2  # nullity = 3 - rank(J) = 2
+        assert basis.shape == (2, 3)  # nullity = 3 - rank(J) = 2
         zero = Vector([0, 0, 0], GF5)
         for v in basis:
-            assert j @ v == zero
-            assert sum(v.array.tolist()) % 5 == 0
+            assert j @ Vector(v, GF5) == zero
+            assert sum(v.tolist()) % 5 == 0
 
     def test_deterministic_free_column_order(self):
         j = Matrix(np.ones((3, 3), dtype=np.int64), GF5)
-        assert [v.array.tolist() for v in kernel_basis(j)] == [[4, 1, 0], [4, 0, 1]]
+        assert kernel_basis(j).tolist() == [[4, 1, 0], [4, 0, 1]]
+
+    def test_free_columns_between_pivots(self):
+        # Pivots 0 and 2 leave free columns 1 and 3, each row a 1 there.
+        m = Matrix([[1, 2, 0, 3], [0, 0, 1, 4]], GF5)
+        assert kernel_basis(m).tolist() == [[3, 1, 0, 0], [2, 0, 1, 1]]
 
 
 class TestInverse:
