@@ -15,7 +15,6 @@ from .linalg import (
     Prime,
     RrefResult,
     SingularMatrixError,
-    Vector,
     inverse,
     is_prime,
     kernel_basis,
@@ -43,33 +42,25 @@ from .centralizer import (
     twisted_operator,
 )
 from .code import (
-    AMBIGUOUS,
-    UNIQUE,
     CodeReport,
-    DecodeResult,
     LinearCode,
     analyze,
     code_from_basis,
-    decode_nearest,
-    encode,
     min_distance,
 )
 from .channel import (
     ChannelStats,
     exhaustive_stats,
-    inject_errors,
     monte_carlo,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AMBIGUOUS",
     "CentralizerBasis",
     "ChannelStats",
     "CodeReport",
     "CombParams",
-    "DecodeResult",
     "DefectiveMatrixError",
     "Diagonalization",
     "FieldMismatchError",
@@ -82,20 +73,15 @@ __all__ = [
     "SingularMatrixError",
     "Spectrum",
     "TwistSpec",
-    "UNIQUE",
-    "Vector",
     "analyze",
     "centralizer_code",
     "code_from_basis",
     "comb_centralizer",
     "comb_matrix",
     "comb_spectrum",
-    "decode_nearest",
     "diagonalize",
     "eigen_scan",
-    "encode",
     "exhaustive_stats",
-    "inject_errors",
     "inverse",
     "is_member",
     "is_prime",

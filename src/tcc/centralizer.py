@@ -4,10 +4,11 @@ The membership condition is linear in B, so column-stacking turns it into
 an ordinary kernel problem: with T = (I (x) A) - a * (A^T (x) I) we have
 T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  That
 costs about n^6, so comb matrices x*J + y*I are solved from row and
-column sums instead, through a system of at most 2n - 1 rows whose
-kernel comes out in RREF.  Either way the solved space is the linear code
-of length n^2 spanned by the vec images; the Kronecker kernel serves
---matrix-file input and checks the comb solve in the tests.
+column sums instead, through a system of at most 2n - 1 rows.  Both
+routes eliminate their system once with its columns reversed, so the
+kernel comes out as the RREF generator of the linear code of length n^2
+spanned by the vec images; no second reduction runs.  The Kronecker
+kernel serves --matrix-file input and checks the comb solve in the tests.
 """
 
 from dataclasses import dataclass
@@ -100,12 +101,12 @@ def _basis(spec: TwistSpec, gen: np.ndarray) -> CentralizerBasis:
 
 
 def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
-    """Solve AB = aBA: the kernel of the twisted operator, RREF-normalized.
+    """Solve AB = aBA: the kernel of the twisted operator, in RREF.
 
-    Dimension equals n^2 - rank(T); the deterministic kernel basis is
-    canonicalized by a second row reduction.  T has n^2 x n^2 entries and
-    its elimination costs about n^6, so orders beyond 32 are refused
-    before T is built.
+    Dimension equals n^2 - rank(T).  One elimination of T with its columns
+    reversed gives the kernel already in RREF, as for the comb solve.  T
+    has n^2 x n^2 entries and its elimination costs about n^6, so orders
+    beyond 32 are refused before T is built.
     """
     cells = spec.n * spec.n
     if cells > KRONECKER_MAX_CELLS:
@@ -113,10 +114,7 @@ def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
             f"the Kronecker kernel for order {spec.n} needs T of {cells}x{cells}, "
             f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
         )
-    kernel = kernel_basis(twisted_operator(spec))
-    if not len(kernel):
-        return _basis(spec, kernel)
-    return CentralizerBasis(spec, LinearCode.from_generator(Matrix(kernel, spec.prime)))
+    return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
 
 
 def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:

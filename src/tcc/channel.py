@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .code import LinearCode, _codeword_blocks, _encode_rows, _message_block, _nearest
-from .linalg import GuardExceededError, Vector, count_text
+from .linalg import GuardExceededError, count_text
 
 EXHAUSTIVE_LIMIT = 1 << 24
 # Cells of one (B, N) block of received words handed to the decoder.
@@ -42,16 +42,15 @@ class ChannelStats:
         )
 
 
-def inject_errors(word: Vector, t: int, rng: np.random.Generator) -> Vector:
-    """Corrupt exactly t positions, each to a uniformly chosen other symbol."""
+def inject_errors(word: np.ndarray, p: int, t: int, rng: np.random.Generator) -> np.ndarray:
+    """Corrupt exactly t positions of a row of residues mod p, each to a uniformly chosen other symbol."""
     if t > len(word):
         raise ValueError(f"cannot corrupt {t} of {len(word)} positions")
-    p = word.prime.p
-    out = word.array.copy()
+    out = word.copy()
     positions = rng.choice(len(word), size=t, replace=False)
     # Adding a uniform nonzero offset is uniform over the p - 1 other symbols.
     out[positions] = (out[positions] + rng.integers(1, p, size=t)) % p
-    return Vector(out, word.prime)
+    return out
 
 
 def _tally(code: LinearCode, received: np.ndarray, sent: np.ndarray) -> ChannelStats:

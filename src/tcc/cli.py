@@ -8,7 +8,6 @@ single machine-readable object instead of the human rendering.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .centralizer import CentralizerBasis, TwistSpec, centralizer_code, comb_centralizer
@@ -39,40 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class VerifyRow:
-    """One sweep tuple: observed dimension, plus the theorem check when it applies."""
-
-    p: int
-    n: int
-    x: int
-    y: int
-    a: int
-    hypotheses_met: bool
-    dim: int
-    min_distance: int | None = None
-    mds: bool | None = None
-    matches_theorem: bool | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "p": self.p,
-            "n": self.n,
-            "x": self.x,
-            "y": self.y,
-            "a": self.a,
-            "hypotheses_met": self.hypotheses_met,
-            "dim": self.dim,
-        }
-        if self.min_distance is not None:
-            out["min_distance"] = self.min_distance
-        if self.mds is not None:
-            out["mds"] = self.mds
-        if self.matches_theorem is not None:
-            out["matches_theorem"] = self.matches_theorem
-        return out
 
 
 def build_parser() -> _Parser:
@@ -271,13 +236,14 @@ def cmd_verify(args) -> int:
                     params = CombParams(n, x, y, prime)
                     for a in range(p):
                         basis = comb_centralizer(params, a)
-                        if not _hypotheses_met(p, n, x, y, a):
-                            rows.append(VerifyRow(p, n, x, y, a, False, basis.dim))
-                            continue
-                        rows.append(_check_theorem_row(p, n, x, y, a, basis))
+                        hyp = _hypotheses_met(p, n, x, y, a)
+                        row = {"p": p, "n": n, "x": x, "y": y, "a": a, "hypotheses_met": hyp, "dim": basis.dim}
+                        if hyp:
+                            row.update(_theorem_check(n, basis))
+                        rows.append(row)
 
-    mismatches = [row for row in rows if row.hypotheses_met and not row.matches_theorem]
-    hypothesis_count = sum(1 for row in rows if row.hypotheses_met)
+    mismatches = [row for row in rows if row["hypotheses_met"] and not row["matches_theorem"]]
+    hypothesis_count = sum(1 for row in rows if row["hypotheses_met"])
     ok = not mismatches
 
     if args.json:
@@ -289,31 +255,35 @@ def cmd_verify(args) -> int:
                     "tuples": len(rows),
                     "hypothesis_tuples": hypothesis_count,
                     "ok": ok,
-                    "rows": [row.to_json() for row in rows],
+                    "rows": rows,
                 }
             )
         )
     else:
         print(f"{'p':>3} {'n':>2} {'x':>3} {'y':>3} {'a':>3}  {'hyp':<3} {'dim':>4} {'d':>4}  {'mds':<3} {'ok':<3}")
         for row in rows:
-            d = "-" if row.min_distance is None else str(row.min_distance)
-            mds = "-" if row.mds is None else ("yes" if row.mds else "no")
-            okc = "-" if row.matches_theorem is None else ("yes" if row.matches_theorem else "NO")
-            hyp = "yes" if row.hypotheses_met else "no"
-            print(f"{row.p:>3} {row.n:>2} {row.x:>3} {row.y:>3} {row.a:>3}  {hyp:<3} {row.dim:>4} {d:>4}  {mds:<3} {okc:<3}")
+            d = str(row.get("min_distance", "-"))
+            mds = "-" if "mds" not in row else ("yes" if row["mds"] else "no")
+            okc = "-" if "matches_theorem" not in row else ("yes" if row["matches_theorem"] else "NO")
+            hyp = "yes" if row["hypotheses_met"] else "no"
+            print(
+                f"{row['p']:>3} {row['n']:>2} {row['x']:>3} {row['y']:>3} {row['a']:>3}  "
+                f"{hyp:<3} {row['dim']:>4} {d:>4}  {mds:<3} {okc:<3}"
+            )
         print(
             f"summary: {len(rows)} tuples, {hypothesis_count} met the hypotheses, "
             f"{len(mismatches)} mismatches"
         )
         for row in mismatches:
-            print(f"MISMATCH: p={row.p} n={row.n} x={row.x} y={row.y} a={row.a} dim={row.dim}")
+            print("MISMATCH: p={p} n={n} x={x} y={y} a={a} dim={dim}".format_map(row))
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _check_theorem_row(p, n, x, y, a, basis) -> VerifyRow:
+def _theorem_check(n: int, basis: CentralizerBasis) -> dict:
+    """The theorem keys of a sweep row whose tuple meets the hypotheses."""
     code = code_from_basis(basis)
     if code.dim == 0:
-        return VerifyRow(p, n, x, y, a, True, 0, matches_theorem=False)
+        return {"matches_theorem": False}
     report = analyze(code)
     generator_is_all_ones = bool((code.generator.array == 1).all())
     matches = (
@@ -325,10 +295,7 @@ def _check_theorem_row(p, n, x, y, a, basis) -> VerifyRow:
         and report.correct == (n * n - 1) // 2
         and report.rate == (1, n * n)
     )
-    return VerifyRow(
-        p, n, x, y, a, True, basis.dim,
-        min_distance=report.min_distance, mds=report.mds, matches_theorem=matches,
-    )
+    return {"min_distance": report.min_distance, "mds": report.mds, "matches_theorem": matches}
 
 
 def cmd_simulate(args) -> int:

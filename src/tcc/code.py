@@ -22,11 +22,9 @@ from typing import Iterator
 import numpy as np
 
 from .linalg import (
-    FieldMismatchError,
     GuardExceededError,
     Matrix,
     Prime,
-    Vector,
     count_text,
     matmul_mod,
     rref,
@@ -93,8 +91,8 @@ class CodeReport:
 @dataclass(frozen=True)
 class DecodeResult:
     status: str  # UNIQUE or AMBIGUOUS
-    codeword: Vector
-    message: Vector
+    codeword: np.ndarray
+    message: np.ndarray
     distance: int
 
 
@@ -174,13 +172,11 @@ def analyze(code: LinearCode) -> CodeReport:
     )
 
 
-def encode(code: LinearCode, msg: Vector) -> Vector:
-    """Generator-matrix encoding: msg @ G."""
-    if msg.prime != code.prime:
-        raise FieldMismatchError(f"message over GF({msg.prime.p}) for a GF({code.prime.p}) code")
+def encode(code: LinearCode, msg: np.ndarray) -> np.ndarray:
+    """Generator-matrix encoding of one message row of residues: msg @ G."""
     if len(msg) != code.dim:
         raise ValueError(f"message length {len(msg)} does not match code dimension {code.dim}")
-    return Vector(_encode_rows(code, msg.array[None, :])[0], code.prime)
+    return _encode_rows(code, msg[None, :])[0]
 
 
 def _vote(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,21 +246,19 @@ def _nearest(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _scan(code, words)
 
 
-def decode_nearest(code: LinearCode, word: Vector) -> DecodeResult:
-    """Nearest-codeword decoding with explicit tie reporting.
+def decode_nearest(code: LinearCode, word: np.ndarray) -> DecodeResult:
+    """Nearest-codeword decoding of one row of residues, with explicit tie reporting.
 
     A strict minimizer comes back as UNIQUE; ties come back as AMBIGUOUS
     carrying the first minimizer in message enumeration order, never
     silently broken, since uniqueness inside the packing radius is exactly
     what correction guarantees rest on.
     """
-    if word.prime != code.prime:
-        raise FieldMismatchError(f"word over GF({word.prime.p}) for a GF({code.prime.p}) code")
     if len(word) != code.length:
         raise ValueError(f"word length {len(word)} does not match code length {code.length}")
-    best, first, ties = _nearest(code, word.array[None, :])
+    best, first, ties = _nearest(code, word[None, :])
     index = int(first[0])
-    message = Vector(_message_block(code.prime.p, code.dim, index, index + 1)[0], code.prime)
+    message = _message_block(code.prime.p, code.dim, index, index + 1)[0]
     return DecodeResult(
         status=UNIQUE if ties[0] == 1 else AMBIGUOUS,
         codeword=encode(code, message),

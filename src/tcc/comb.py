@@ -65,21 +65,8 @@ class Spectrum:
             raise ValueError("every geometric multiplicity must be at least 1")
 
     @property
-    def eigenvalues(self) -> tuple[int, ...]:
-        return tuple(lam for lam, _ in self.pairs)
-
-    @property
     def total_multiplicity(self) -> int:
         return sum(mult for _, mult in self.pairs)
-
-    def multiplicity(self, eigenvalue: int) -> int:
-        for lam, mult in self.pairs:
-            if lam == eigenvalue:
-                return mult
-        return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
 
 
 @dataclass(frozen=True)

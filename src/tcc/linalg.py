@@ -1,7 +1,7 @@
 """Exact dense linear algebra over prime fields GF(p).
 
-Matrices and vectors carry their field with them and every operation is a
-pure function on fully reduced residues: Gauss-Jordan elimination, kernel
+Matrices carry their field with them and every operation is a pure
+function on fully reduced residues: Gauss-Jordan elimination, kernel
 bases, inverses and Kronecker products.
 These are the primitives everything else (spectra, centralizer solving,
 code analysis) is built on.
@@ -101,66 +101,13 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def _as_reduced(data, p: int, ndim: int) -> np.ndarray:
+def _as_reduced(data, p: int) -> np.ndarray:
     arr = np.asarray(data, dtype=np.int64)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected {ndim}-dimensional data, got ndim={arr.ndim}")
+    if arr.ndim != 2:
+        raise ValueError(f"expected 2-dimensional data, got ndim={arr.ndim}")
     arr = np.ascontiguousarray(arr % p)
     arr.flags.writeable = False
     return arr
-
-
-class Vector:
-    """Immutable vector over GF(p)."""
-
-    __slots__ = ("prime", "_data")
-
-    def __init__(self, data, prime: Prime):
-        self.prime = prime
-        self._data = _as_reduced(data, prime.p, 1)
-        if len(self._data) > MAX_DIM:
-            raise ValueError(f"vector length {len(self._data)} exceeds cap {MAX_DIM}")
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._data
-
-    def __len__(self):
-        return len(self._data)
-
-    def __getitem__(self, i) -> int:
-        return int(self._data[i])
-
-    def __eq__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.prime == other.prime and np.array_equal(self._data, other._data)
-
-    def __hash__(self):
-        return hash((self.prime, self._data.tobytes()))
-
-    def __add__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        _check_same_field(self, other)
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return Vector(self._data + other._data, self.prime)
-
-    def __sub__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        _check_same_field(self, other)
-        if len(self) != len(other):
-            raise ValueError(f"length mismatch: {len(self)} vs {len(other)}")
-        return Vector(self._data - other._data, self.prime)
-
-    def weight(self) -> int:
-        """Hamming weight: number of nonzero coordinates."""
-        return int(np.count_nonzero(self._data))
-
-    def __repr__(self):
-        return f"Vector({self._data.tolist()} over GF({self.prime.p}))"
 
 
 def _check_same_field(a, b):
@@ -179,7 +126,7 @@ class Matrix:
 
     def __init__(self, data, prime: Prime):
         self.prime = prime
-        self._data = _as_reduced(data, prime.p, 2)
+        self._data = _as_reduced(data, prime.p)
         rows, cols = self._data.shape
         if not (1 <= rows <= MAX_DIM and 1 <= cols <= MAX_DIM):
             raise ValueError(f"matrix shape must be within 1..{MAX_DIM} per axis, got {rows}x{cols}")
@@ -216,12 +163,6 @@ class Matrix:
     def T(self) -> "Matrix":
         return Matrix(self._data.T, self.prime)
 
-    def row(self, i: int) -> Vector:
-        return Vector(self._data[i], self.prime)
-
-    def col(self, j: int) -> Vector:
-        return Vector(self._data[:, j], self.prime)
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         return int(self._data[i, j])
@@ -255,11 +196,6 @@ class Matrix:
         return Matrix(-self._data, self.prime)
 
     def __matmul__(self, other):
-        if isinstance(other, Vector):
-            _check_same_field(self, other)
-            if self.cols != len(other):
-                raise ValueError(f"cannot multiply {self.rows}x{self.cols} by length-{len(other)} vector")
-            return Vector(matmul_mod(self._data, other.array, self.prime.p), self.prime)
         if isinstance(other, Matrix):
             _check_same_field(self, other)
             if self.cols != other.rows:

@@ -3,14 +3,15 @@
 The check_* functions run the randomized property suites; they live here
 so both the per-module tests and the acceptance gate can invoke them.
 all_ones and unit_e11 build the named matrices J and E11, and is_codeword
-tests membership through the RREF generator.
+tests membership through the RREF generator.  A word is an int64 row of
+residues, as everywhere in tcc.
 vec and unvec are the column-stacking maps between n x n matrices and
 code words, and basis_matrices unvecs a basis's generator rows.
 brute_force_centralizer enumerates every matrix, kept as the oracle for
 the kernel solver, and literal_kernel_basis builds one kernel row per
 free column, kept as the oracle for kernel_basis.  conjugation_transfer is the literal per-matrix
 transfer of a centralizer basis, kept as an oracle for the
-diagonalization claims.  The literal_* channel runs decode one Vector
+diagonalization claims.  The literal_* channel runs decode one word
 per (message, pattern) or per trial, kept as oracles for the batched
 sweeps in tcc.channel; the exhaustive_*_check functions are the
 acceptance gate's correction and detection sweeps.
@@ -22,21 +23,15 @@ from itertools import combinations, product
 import numpy as np
 
 from tcc import (
-    UNIQUE,
     CentralizerBasis,
     ChannelStats,
-    FieldMismatchError,
     GuardExceededError,
     LinearCode,
     Matrix,
     Prime,
     SingularMatrixError,
     TwistSpec,
-    Vector,
-    decode_nearest,
-    encode,
     exhaustive_stats,
-    inject_errors,
     inverse,
     is_member,
     kernel_basis,
@@ -44,8 +39,8 @@ from tcc import (
     rref,
     twisted_operator,
 )
-from tcc.channel import EXHAUSTIVE_LIMIT
-from tcc.code import ENUMERATION_LIMIT
+from tcc.channel import EXHAUSTIVE_LIMIT, inject_errors
+from tcc.code import ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import count_text, matmul_mod
 
 SMALL_PRIMES = (2, 3, 5, 7)
@@ -60,10 +55,6 @@ GF7 = Prime(7)
 
 def rand_matrix(rng, rows, cols, prime) -> Matrix:
     return Matrix(rng.integers(0, prime.p, size=(rows, cols)), prime)
-
-
-def rand_vector(rng, n, prime) -> Vector:
-    return Vector(rng.integers(0, prime.p, size=n), prime)
 
 
 def rand_invertible(rng, n, prime) -> Matrix:
@@ -88,26 +79,26 @@ def unit_e11(n, prime) -> Matrix:
     return Matrix(data, prime)
 
 
-def vec(m: Matrix) -> Vector:
+def vec(m: Matrix) -> np.ndarray:
     """Column-stacking vectorization: column 1, then column 2, and so on.
 
     With this convention vec(A X B) == kronecker(B.T, A) @ vec(X).
     """
-    return Vector(m.array.flatten(order="F"), m.prime)
+    return m.array.flatten(order="F")
 
 
-def unvec(v: Vector, rows: int, cols: int) -> Matrix:
+def unvec(v: np.ndarray, rows: int, cols: int, prime: Prime) -> Matrix:
     """Inverse of :func:`vec`; requires len(v) == rows * cols."""
     if len(v) != rows * cols:
         raise ValueError(f"vector of length {len(v)} cannot fill a {rows}x{cols} matrix")
-    return Matrix(v.array.reshape((rows, cols), order="F"), v.prime)
+    return Matrix(v.reshape((rows, cols), order="F"), prime)
 
 
 def basis_matrices(basis: CentralizerBasis) -> list[Matrix]:
     """The members of C(A, a) whose vec images are the basis's generator rows."""
     code = basis.code
     n = basis.spec.n
-    return [unvec(code.generator.row(i), n, n) for i in range(code.dim)]
+    return [unvec(code.generator.array[i], n, n, code.prime) for i in range(code.dim)]
 
 
 def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
@@ -141,17 +132,15 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
     return members
 
 
-def is_codeword(code: LinearCode, word: Vector) -> bool:
-    """Membership via the RREF generator: re-encode the pivot coordinates."""
-    if word.prime != code.prime:
-        raise FieldMismatchError(f"word over GF({word.prime.p}) for a GF({code.prime.p}) code")
+def is_codeword(code: LinearCode, word: np.ndarray) -> bool:
+    """Membership of a row of residues via the RREF generator: re-encode the pivot coordinates."""
     if len(word) != code.length:
         raise ValueError(f"word length {len(word)} does not match code length {code.length}")
     if code.generator is None:
-        return word.weight() == 0
-    coeffs = word.array[list(code.pivots)]
+        return not np.any(word)
+    coeffs = word[list(code.pivots)]
     recon = matmul_mod(coeffs, code.generator.array, code.prime.p)
-    return bool(np.array_equal(recon, word.array))
+    return bool(np.array_equal(recon, word))
 
 
 def _rand_prime(rng) -> Prime:
@@ -218,7 +207,7 @@ def check_vec_roundtrip(count=1000, seed=104):
         prime = _rand_prime(rng)
         rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         m = rand_matrix(rng, rows, cols, prime)
-        assert unvec(vec(m), rows, cols) == m
+        assert unvec(vec(m), rows, cols, prime) == m
 
 
 def check_kron_mixed_product(count=1000, seed=105):
@@ -243,7 +232,7 @@ def check_operator_identity(count=1000, seed=106):
         b = rand_matrix(rng, n, n, prime)
         twist = int(rng.integers(0, prime.p))
         op = twisted_operator(TwistSpec(a, twist))
-        assert op @ vec(b) == vec(a @ b - (b @ a) * twist)
+        assert np.array_equal(matmul_mod(op.array, vec(b), prime.p), vec(a @ b - (b @ a) * twist))
 
 
 def check_inverse_roundtrip(count=1000, seed=107):
@@ -266,7 +255,7 @@ def check_vec_sandwich(count=1000, seed=108):
         a = rand_matrix(rng, r, s, prime)
         x = rand_matrix(rng, s, t, prime)
         b = rand_matrix(rng, t, u, prime)
-        assert vec((a @ x) @ b) == kronecker(b.T, a) @ vec(x)
+        assert np.array_equal(vec((a @ x) @ b), matmul_mod(kronecker(b.T, a).array, vec(x), prime.p))
 
 
 def conjugation_transfer(
@@ -294,7 +283,7 @@ def conjugation_transfer(
         image = (p_inv @ b) @ transform
         if not is_member(image, target):
             raise ValueError("conjugation transfer broke membership; is D = P A P^-1?")
-        carried.append(vec(image).array)
+        carried.append(vec(image))
     if not carried:
         return CentralizerBasis(target, LinearCode(target.prime, target.n * target.n, None, ()))
     code = LinearCode.from_generator(Matrix(np.vstack(carried), target.prime))
@@ -303,12 +292,10 @@ def conjugation_transfer(
     return CentralizerBasis(target, code)
 
 
-def hamming_distance(u: Vector, v: Vector) -> int:
-    if u.prime != v.prime:
-        raise FieldMismatchError("Hamming distance needs operands over the same field")
+def hamming_distance(u: np.ndarray, v: np.ndarray) -> int:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return int(np.count_nonzero(u.array != v.array))
+    return int(np.count_nonzero(u != v))
 
 
 def _pattern_count(length: int, t: int, p: int) -> int:
@@ -324,15 +311,15 @@ def _weight_patterns(length: int, t: int, p: int):
 def _messages(code: LinearCode):
     """Every message in enumeration order, with its codeword."""
     for digits in product(range(code.prime.p), repeat=code.dim):
-        message = Vector(list(digits), code.prime)
+        message = np.array(digits, dtype=np.int64)
         yield message, encode(code, message)
 
 
-def _classify(code: LinearCode, received: Vector, message: Vector) -> str:
+def _classify(code: LinearCode, received: np.ndarray, message: np.ndarray) -> str:
     result = decode_nearest(code, received)
     if result.status != UNIQUE:
         return "ambiguous"
-    return "success" if result.message == message else "miscorrected"
+    return "success" if np.array_equal(result.message, message) else "miscorrected"
 
 
 def _stats(counts: dict) -> ChannelStats:
@@ -345,9 +332,9 @@ def literal_exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     counts = {"success": 0, "ambiguous": 0, "miscorrected": 0}
     for message, word in _messages(code):
         for positions, offsets in _weight_patterns(code.length, t, p):
-            corrupted = word.array.copy()
+            corrupted = word.copy()
             corrupted[positions] = (corrupted[positions] + offsets) % p
-            counts[_classify(code, Vector(corrupted, code.prime), message)] += 1
+            counts[_classify(code, corrupted, message)] += 1
     return _stats(counts)
 
 
@@ -356,8 +343,8 @@ def literal_monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     counts = {"success": 0, "ambiguous": 0, "miscorrected": 0}
     for _ in range(trials):
-        message = Vector(rng.integers(0, code.prime.p, size=code.dim), code.prime)
-        received = inject_errors(encode(code, message), t, rng)
+        message = rng.integers(0, code.prime.p, size=code.dim)
+        received = inject_errors(encode(code, message), code.prime.p, t, rng)
         counts[_classify(code, received, message)] += 1
     return _stats(counts)
 
@@ -389,8 +376,8 @@ def exhaustive_detection_check(code: LinearCode, t: int) -> bool:
     for _, word in _messages(code):
         for w in range(1, t + 1):
             for positions, offsets in _weight_patterns(code.length, w, p):
-                corrupted = word.array.copy()
+                corrupted = word.copy()
                 corrupted[positions] = (corrupted[positions] + offsets) % p
-                if is_codeword(code, Vector(corrupted, code.prime)):
+                if is_codeword(code, corrupted):
                     return False
     return True

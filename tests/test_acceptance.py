@@ -13,26 +13,23 @@ import numpy as np
 
 import helpers
 from tcc import (
-    UNIQUE,
     CombParams,
     Matrix,
     Prime,
     Spectrum,
     TwistSpec,
-    Vector,
     analyze,
     centralizer_code,
     code_from_basis,
     comb_matrix,
     comb_spectrum,
-    decode_nearest,
     diagonalize,
     eigen_scan,
-    encode,
     exhaustive_stats,
     inverse,
 )
 from tcc.cli import _hypotheses_met
+from tcc.code import UNIQUE, decode_nearest, encode
 
 SWEEP_PRIMES = (2, 3, 5, 7, 11, 13)
 SWEEP_ORDERS = (2, 3, 4, 5, 6)
@@ -162,15 +159,15 @@ def test_criterion_5_exhaustive_correction():
     small = _mds_code(3, 2, 1, 1, 2)
     assert (small.length, small.dim) == (4, 1)
     for m in range(3):
-        message = Vector([m], small.prime)
+        message = np.array([m])
         sent = encode(small, message)
         for pos in range(4):
             for offset in (1, 2):
-                corrupted = sent.array.copy()
+                corrupted = sent.copy()
                 corrupted[pos] = (corrupted[pos] + offset) % 3
-                result = decode_nearest(small, Vector(corrupted, small.prime))
+                result = decode_nearest(small, corrupted)
                 assert result.status == UNIQUE, (m, pos, offset)
-                assert result.message == message, (m, pos, offset)
+                assert np.array_equal(result.message, message), (m, pos, offset)
     assert helpers.exhaustive_correction_check(small, 1)
 
     large = _mds_code(5, 3, 3, 1, 2)
@@ -190,7 +187,7 @@ def test_criterion_6_exhaustive_detection():
         assert helpers.exhaustive_detection_check(code, t), t
     assert not helpers.exhaustive_detection_check(code, 4)
     # Exhibit one weight-4 pattern landing on a codeword: add 1111 to 0000.
-    assert helpers.is_codeword(code, Vector([1, 1, 1, 1], code.prime))
+    assert helpers.is_codeword(code, np.array([1, 1, 1, 1]))
     print("criterion 6 (exhaustive detection): PASS")
 
 

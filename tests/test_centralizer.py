@@ -19,8 +19,10 @@ from tcc import (
     comb_matrix,
     diagonalize,
     is_member,
+    kernel_basis,
     twisted_operator,
 )
+from tcc.linalg import matmul_mod
 from helpers import (
     GF2,
     GF3,
@@ -43,7 +45,7 @@ def comb_spec(n, x, y, p, a):
 
 def code_of(*members: Matrix) -> LinearCode:
     """The code spanned by the vec images of ``members``."""
-    return LinearCode.from_generator(Matrix(np.vstack([vec(m).array for m in members]), members[0].prime))
+    return LinearCode.from_generator(Matrix(np.vstack([vec(m) for m in members]), members[0].prime))
 
 
 class TestTwistSpec:
@@ -86,7 +88,7 @@ class TestTwistedOperator:
         op = twisted_operator(spec)
         for _ in range(10):
             b = rand_matrix(rng, 3, 3, GF5)
-            assert op @ vec(b) == vec(a @ b - (b @ a) * 3)
+            assert np.array_equal(matmul_mod(op.array, vec(b), 5), vec(a @ b - (b @ a) * 3))
 
 
 class TestIsMember:
@@ -120,7 +122,7 @@ class TestCentralizerCode:
     def test_worked_example_spans_all_ones(self):
         basis = centralizer_code(comb_spec(2, 1, 1, 3, 2))
         assert basis.dim == 1
-        assert basis.code.generator.row(0) == vec(all_ones(2, GF3))
+        assert np.array_equal(basis.code.generator.array[0], vec(all_ones(2, GF3)))
 
     def test_zero_matrix_gives_full_space(self):
         for n, p in [(2, 3), (3, 2)]:
@@ -177,7 +179,7 @@ class TestCentralizerCode:
         assert CentralizerBasis(spec, code_of(unit_e11(2, GF3), e12)) == centralizer_code(spec)
         code = code_of(unit_e11(2, GF3), e12, e22)
         members = [unit_e11(2, GF3), e12]
-        assert [vec(m) for m in members] == [code.generator.row(0), code.generator.row(1)]
+        assert [vec(m).tolist() for m in members] == code.generator.array[:2].tolist()
         with pytest.raises(ValueError, match="twisted commutation"):
             CentralizerBasis(spec, code)
 
@@ -194,8 +196,34 @@ class TestCentralizerCode:
 
         spec = TwistSpec(Matrix.zeros(2, 2, GF3), 0)
         basis = centralizer_code(spec)
-        stacked = Matrix(np.vstack([vec(b).array for b in basis_matrices(basis)]), GF3)
+        stacked = Matrix(np.vstack([vec(b) for b in basis_matrices(basis)]), GF3)
         assert rref(stacked).matrix == stacked == basis.code.generator
+
+    def test_one_elimination_gives_the_reduced_kernel(self, monkeypatch):
+        # Oracle: the kernel basis of T reduced a second time by from_generator.
+        rng = np.random.default_rng(43)
+        shapes = []
+        original = tcc.linalg._rref_array
+
+        def recorded(a, p):
+            shapes.append(a.shape)
+            return original(a, p)
+
+        for p in (2, 3, 5, 7):
+            prime = Prime(p)
+            for n in (2, 3, 4):
+                for a in (0, 1, 2 % p, p - 1):
+                    spec = TwistSpec(rand_matrix(rng, n, n, prime), a)
+                    kernel = kernel_basis(twisted_operator(spec))
+                    shapes.clear()
+                    monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
+                    basis = centralizer_code(spec)
+                    monkeypatch.undo()
+                    assert shapes == [(n * n, n * n)], (p, n, a)
+                    if len(kernel):
+                        assert basis.code == LinearCode.from_generator(Matrix(kernel, prime)), (p, n, a)
+                    else:
+                        assert basis.dim == 0, (p, n, a)
 
     def test_code_from_basis_eliminates_nothing(self, monkeypatch):
         basis = comb_centralizer(CombParams(6, 1, 1, Prime(7)), 1)
@@ -270,7 +298,7 @@ class TestConjugationTransfer:
         d_spec = TwistSpec(diag.diagonal, 2)
         basis_d = centralizer_code(d_spec)
         assert basis_d.dim == 1
-        assert basis_d.code.generator.row(0) == vec(unit_e11(2, GF3))
+        assert np.array_equal(basis_d.code.generator.array[0], vec(unit_e11(2, GF3)))
         moved = conjugation_transfer(basis_d, diag.transform, target=a_spec)
         direct = centralizer_code(a_spec)
         assert moved.code == direct.code
@@ -284,7 +312,7 @@ class TestConjugationTransfer:
             d_spec = TwistSpec(Matrix(np.diag(entries), prime), a)
             basis = centralizer_code(d_spec)
             assert basis.dim == 1
-            assert basis.code.generator.row(0) == vec(unit_e11(3, prime))
+            assert np.array_equal(basis.code.generator.array[0], vec(unit_e11(3, prime)))
 
     def test_wrong_target_detected(self):
         params = CombParams(2, 1, 1, GF3)

