@@ -3,20 +3,22 @@
 The error model corrupts exactly t positions, each to a uniformly chosen
 different symbol.  Worst-case weight-t guarantees are what the codes
 promise, so fixed-weight sweeps test them directly; an i.i.d. flip
-channel would not.
+channel would not.  Both sweeps decode errors over the zero codeword:
+for a linear code, c + e decodes uniquely exactly when e does, and back
+to c exactly when e's unique nearest codeword is 0.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .code import LinearCode, _codeword_blocks, _encode_rows, _message_block, _nearest
+from .code import LinearCode, _message_block, _nearest
 from .linalg import GuardExceededError, count_text
 
 EXHAUSTIVE_LIMIT = 1 << 24
-# Cells of one (B, N) block of received words handed to the decoder.
+# Cells of one (B, N) block of error patterns handed to the decoder.
 _BATCH_CELLS = 1 << 14
 
 
@@ -53,13 +55,11 @@ def inject_errors(word: np.ndarray, p: int, t: int, rng: np.random.Generator) ->
     return out
 
 
-def _tally(code: LinearCode, received: np.ndarray, sent: np.ndarray) -> ChannelStats:
-    """Decode a (B, N) block and classify each row against its sent message digits."""
-    _, first, ties = _nearest(code, received)
-    # The decoder has passed its guard, so p^k fits in int64 here.
-    powers = code.prime.p ** np.arange(code.dim - 1, -1, -1, dtype=np.int64)
+def _tally(code: LinearCode, errors: np.ndarray) -> ChannelStats:
+    """Decode a (B, N) block of errors over the zero codeword and classify each row."""
+    _, first, ties = _nearest(code, errors)
     unique = ties == 1
-    trials, successes = len(received), int(np.count_nonzero(unique & (first == sent @ powers)))
+    trials, successes = len(errors), int(np.count_nonzero(unique & (first == 0)))
     ambiguous = trials - int(np.count_nonzero(unique))
     return ChannelStats(trials, successes, ambiguous, trials - successes - ambiguous)
 
@@ -67,13 +67,13 @@ def _tally(code: LinearCode, received: np.ndarray, sent: np.ndarray) -> ChannelS
 def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     """Decode every message under every weight-t error pattern.
 
-    Guarded by the exact work product C(N, t) * (p-1)^t * p^k, so a sweep
-    can never silently explode.  For each position set, the (p-1)^t offset
-    rows are added to every codeword and decoded in bounded blocks.
+    Guarded by the outcome count C(N, t) * (p-1)^t * p^k, so a sweep can
+    never silently explode.  Only the error patterns are decoded, in bounded
+    blocks; every message shares their outcomes, so the counts scale by p^k.
     """
     p = code.prime.p
-    if t > code.length:
-        raise ValueError(f"weight {t} exceeds code length {code.length}")
+    if not 0 <= t <= code.length:
+        raise ValueError(f"weight {t} must lie in [0, {code.length}]")
     work = math.comb(code.length, t) * (p - 1) ** t * p**code.dim
     if work > EXHAUSTIVE_LIMIT:
         raise GuardExceededError(
@@ -81,28 +81,27 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
             "use monte_carlo instead"
         )
     offset_count = (p - 1) ** t
+    step = max(1, _BATCH_CELLS // code.length)
     stats = ChannelStats(0, 0, 0, 0)
-    for _, msgs, words in _codeword_blocks(code, p**code.dim):
-        step = max(1, _BATCH_CELLS // (code.length * len(words)))
-        for positions in combinations(range(code.length), t):
-            cols = list(positions)
-            for lo in range(0, offset_count, step):
-                # Offsets lo.. in product order: base-(p-1) digits shifted into 1..p-1.
-                offsets = _message_block(p - 1, t, lo, min(lo + step, offset_count)) + 1
-                received = np.repeat(words, len(offsets), axis=0)
-                received[:, cols] = (received[:, cols] + np.tile(offsets, (len(words), 1))) % p
-                stats += _tally(code, received, np.repeat(msgs, len(offsets), axis=0))
-    return stats
+    for positions in combinations(range(code.length), t):
+        for lo in range(0, offset_count, step):
+            # Offsets lo.. in product order: base-(p-1) digits shifted into 1..p-1.
+            offsets = _message_block(p - 1, t, lo, min(lo + step, offset_count)) + 1
+            errors = np.zeros((len(offsets), code.length), dtype=np.int64)
+            errors[:, list(positions)] = offsets
+            stats += _tally(code, errors)
+    return ChannelStats(*(count * p**code.dim for count in astuple(stats)))
 
 
 def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
     """Seeded random (message, weight-t error) trials, decoded in blocks.
 
     Each trial draws its message digits, positions and offsets in the order
-    inject_errors does, so the block size never changes a seed's trials.
-    Reproducible for a fixed seed within one build of this package; no
-    cross-implementation stream equality is promised.  The trial count
-    shares the exhaustive sweep's decode budget.
+    inject_errors does, so the block size never changes a seed's trials; the
+    digits are then dropped, as only the error is decoded.  Reproducible for
+    a fixed seed within one build of this package; no cross-implementation
+    stream equality is promised.  The trial count shares the exhaustive
+    sweep's decode budget.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -110,22 +109,19 @@ def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> Channel
         raise GuardExceededError(
             f"Monte Carlo run of {count_text(trials)} trials, beyond the {EXHAUSTIVE_LIMIT}-decode guard"
         )
-    if t > code.length:
-        raise ValueError(f"weight {t} exceeds code length {code.length}")
+    if not 0 <= t <= code.length:
+        raise ValueError(f"weight {t} must lie in [0, {code.length}]")
     rng = np.random.default_rng(seed)
     p, k, length = code.prime.p, code.dim, code.length
     block = min(trials, max(1, _BATCH_CELLS // length))
-    msgs = np.empty((block, k), dtype=np.int64)
-    errors = np.empty((block, length), dtype=np.int64)
     stats = ChannelStats(0, 0, 0, 0)
     for done in range(0, trials, block):
         rows = min(block, trials - done)
-        errors[:rows] = 0
+        errors = np.zeros((rows, length), dtype=np.int64)
         for row in range(rows):
-            msgs[row] = rng.integers(0, p, size=k)
+            rng.integers(0, p, size=k)
             # Two statements: an assignment evaluates its value before its target.
             positions = rng.choice(length, size=t, replace=False)
             errors[row, positions] = rng.integers(1, p, size=t)
-        received = (_encode_rows(code, msgs[:rows]) + errors[:rows]) % p
-        stats += _tally(code, received, msgs[:rows])
+        stats += _tally(code, errors)
     return stats

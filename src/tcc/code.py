@@ -17,7 +17,6 @@ cheap, so no pruning machinery is warranted.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -113,12 +112,6 @@ def _encode_rows(code: LinearCode, msgs: np.ndarray) -> np.ndarray:
     if code.generator is None:
         return np.zeros((len(msgs), code.length), dtype=np.int64)
     return matmul_mod(msgs, code.generator.array, code.prime.p)
-
-
-def _codeword_blocks(code: LinearCode, count: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    for start in range(0, count, _BLOCK):
-        msgs = _message_block(code.prime.p, code.dim, start, min(start + _BLOCK, count))
-        yield start, msgs, _encode_rows(code, msgs)
 
 
 def min_distance(code: LinearCode) -> int:
@@ -219,7 +212,8 @@ def _scan(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     best = np.full(rows, code.length + 1, dtype=np.int64)
     first = np.zeros(rows, dtype=np.int64)
     ties = np.zeros(rows, dtype=np.int64)
-    for start, _, table in _codeword_blocks(code, count):
+    for start in range(0, count, _BLOCK):
+        table = _encode_rows(code, _message_block(code.prime.p, code.dim, start, min(start + _BLOCK, count)))
         columns = np.ascontiguousarray(table.T)
         step = max(1, _SCORE_CELLS // len(table))
         for lo in range(0, rows, step):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,10 @@ class TestExhaustiveCorrection:
         with pytest.raises(GuardExceededError, match="monte_carlo"):
             exhaustive_stats(code, 10)
 
+    def test_negative_weight_rejected(self, four_one_four):
+        with pytest.raises(ValueError, match=r"weight -1 must lie in \[0, 4\]"):
+            exhaustive_stats(four_one_four, -1)
+
 
 class TestExhaustiveDetection:
     def test_detects_up_to_distance_minus_one(self, four_one_four):
@@ -177,6 +182,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(four_one_four, 1, 0, seed=0)
 
+    def test_negative_weight_rejected(self, four_one_four):
+        with pytest.raises(ValueError, match=r"weight -1 must lie in \[0, 4\]"):
+            monte_carlo(four_one_four, -1, 10, seed=0)
+
 
 class TestBatchedAgainstLiteral:
     """The batched sweeps count exactly what one decode per word counts."""
@@ -226,6 +235,58 @@ class TestBatchedAgainstLiteral:
     def test_monte_carlo_edge_weights(self, four_one_four, four_two, t):
         for code in (four_one_four, four_two):
             assert monte_carlo(code, t, 100, 5) == literal_monte_carlo(code, t, 100, 5)
+
+
+class TestErrorsOnly:
+    """By linearity both sweeps decode error patterns alone, over the zero codeword."""
+
+    @pytest.fixture
+    def decoded_rows(self, monkeypatch):
+        rows = []
+        nearest = tcc.channel._nearest
+
+        def counting(code, words):
+            rows.append(len(words))
+            return nearest(code, words)
+
+        monkeypatch.setattr(tcc.channel, "_nearest", counting)
+        return rows
+
+    @pytest.mark.parametrize("t", range(5))
+    def test_exhaustive_decodes_each_pattern_once(self, four_one_four, four_two, decoded_rows, t):
+        for code in (four_one_four, four_two):
+            decoded_rows.clear()
+            stats = exhaustive_stats(code, t)
+            patterns = math.comb(code.length, t) * (code.prime.p - 1) ** t
+            assert sum(decoded_rows) == patterns
+            assert stats.trials == patterns * code.prime.p**code.dim
+
+    def test_monte_carlo_encodes_no_message(self, nine_one_nine, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no message may be encoded")
+
+        for module in (tcc.code, tcc.channel):
+            if hasattr(module, "_encode_rows"):
+                monkeypatch.setattr(module, "_encode_rows", refuse)
+        assert monte_carlo(nine_one_nine, 4, 300, seed=31_337) == ChannelStats(300, 300, 0, 0)
+
+
+class TestNineFiveThree:
+    """Exhaustive counts on the k = 5 [9, 5, 3] code over GF(5), where the literal oracle takes minutes."""
+
+    @pytest.mark.parametrize(
+        "t, expected",
+        [(1, ChannelStats(112500, 112500, 0, 0)), (2, ChannelStats(1800000, 675000, 900000, 225000))],
+    )
+    def test_pinned_counts(self, t, expected):
+        code = comb_code(3, 1, 1, 5, 1)
+        assert (code.length, code.dim) == (9, 5)
+        assert exhaustive_stats(code, t) == expected
+
+    def test_weight_three_exits_at_the_guard(self, capsys):
+        flags = "--n 3 --p 5 --x 1 --y 1 --a 1 --t 3 --exhaustive".split()
+        assert main(["simulate", *flags]) == 3
+        assert "exhaustive sweep means 16800000 decodes" in capsys.readouterr().err
 
 
 class TestVoteDecoder:
