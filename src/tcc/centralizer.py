@@ -92,12 +92,8 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
 
 def _basis(spec: TwistSpec, gen: np.ndarray) -> CentralizerBasis:
     """The basis whose code has the RREF generator rows ``gen``, which may be none."""
-    cells = spec.n * spec.n
-    if not len(gen):
-        return CentralizerBasis(spec, LinearCode(spec.prime, cells, None, ()))
-    generator = Matrix(gen, spec.prime)
-    pivots = tuple((generator.array != 0).argmax(axis=1).tolist())
-    return CentralizerBasis(spec, LinearCode(spec.prime, cells, generator, pivots))
+    generator = Matrix(gen, spec.prime) if len(gen) else None
+    return CentralizerBasis(spec, LinearCode(spec.prime, spec.n * spec.n, generator))
 
 
 def centralizer_code(spec: TwistSpec) -> CentralizerBasis:

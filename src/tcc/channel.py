@@ -74,13 +74,14 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     p = code.prime.p
     if not 0 <= t <= code.length:
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
-    work = math.comb(code.length, t) * (p - 1) ** t * p**code.dim
+    offset_count = (p - 1) ** t
+    patterns = math.comb(code.length, t) * offset_count
+    work = patterns * p**code.dim
     if work > EXHAUSTIVE_LIMIT:
         raise GuardExceededError(
-            f"exhaustive sweep means {count_text(work)} decodes, beyond the {EXHAUSTIVE_LIMIT} guard; "
-            "use monte_carlo instead"
+            f"exhaustive sweep means {count_text(work)} outcomes from {count_text(patterns)} decoded patterns, "
+            f"beyond the {EXHAUSTIVE_LIMIT} guard; use monte_carlo instead"
         )
-    offset_count = (p - 1) ** t
     step = max(1, _BATCH_CELLS // code.length)
     stats = ChannelStats(0, 0, 0, 0)
     for positions in combinations(range(code.length), t):

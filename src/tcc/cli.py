@@ -1,18 +1,21 @@
 """Command-line front end: spectrum, build, analyze, verify, simulate.
 
 Exit codes: 0 success/verified, 1 usage error, 2 verification or
-simulation failure, 3 guard exceeded.  With --json each command prints a
-single machine-readable object instead of the human rendering.
+simulation failure, 3 guard exceeded.  Each command returns its exit code
+and one result dict; with --json main prints that dict as the single
+machine-readable object, otherwise the command prints its human rendering
+of the same fields.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .centralizer import CentralizerBasis, TwistSpec, centralizer_code, comb_centralizer
 from .channel import exhaustive_stats, monte_carlo
-from .code import analyze, code_from_basis
+from .code import LinearCode, analyze, code_from_basis
 from .comb import (
     EIGEN_SCAN_MAX_P,
     CombParams,
@@ -69,7 +72,7 @@ def build_parser() -> _Parser:
     mp.add_argument("--trials", type=int, help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
     mp.add_argument("--seed", type=int, default=0, help="random seed (default 0, fixed)")
     mp.add_argument("--exhaustive", action="store_true", help="sweep every weight-t pattern instead")
-    mp.set_defaults(func=cmd_simulate)
+    mp.set_defaults(func=cmd_simulate, matrix_file=None)
 
     return parser
 
@@ -92,8 +95,12 @@ def _comb_params(args) -> CombParams:
     return CombParams(args.n, args.x, args.y, Prime(args.p))
 
 
-def _solve(args) -> tuple[CentralizerBasis, dict]:
-    """Resolve A from flags or file and solve C(A, a); returns the basis and the JSON header fields.
+class _ZeroCodeError(Exception):
+    """C(A, a) is the zero code, which the command cannot work on."""
+
+
+def _solve(args) -> tuple[LinearCode, dict]:
+    """Resolve A from flags or file and solve C(A, a); returns the code and the JSON header fields.
 
     A comb matrix from flags takes the row and column sum solve at every
     order up to 64; a matrix file takes the Kronecker kernel.
@@ -111,13 +118,21 @@ def _solve(args) -> tuple[CentralizerBasis, dict]:
             raise ValueError(f"matrix file holds a {matrix.rows}x{matrix.cols} matrix, need square")
         spec = TwistSpec(matrix, args.a)
         header = {"p": matrix.prime.p, "n": matrix.rows, "a": spec.twist}
-        return centralizer_code(spec), header
+        return code_from_basis(centralizer_code(spec)), header
     if len(comb_flags) < 4:
         raise ValueError("either --matrix-file or all of --n --p --x --y must be given")
     params = _comb_params(args)
     basis = comb_centralizer(params, args.a)
     header = {"p": params.prime.p, "n": params.n, "x": params.x, "y": params.y, "a": basis.spec.twist}
-    return basis, header
+    return code_from_basis(basis), header
+
+
+def _nonzero_code(args) -> tuple[LinearCode, dict]:
+    """_solve, refusing the zero code, which has no parameters and carries no message."""
+    code, header = _solve(args)
+    if code.dim == 0:
+        raise _ZeroCodeError
+    return code, header
 
 
 def _hypotheses_met(p: int, n: int, x: int, y: int, a: int) -> bool:
@@ -125,103 +140,79 @@ def _hypotheses_met(p: int, n: int, x: int, y: int, a: int) -> bool:
     return (x * n + y) % p == 0 and x % p != 0 and y % p != 0 and a % p not in (0, 1)
 
 
-def _rate_str(rate: tuple[int, int]) -> str:
-    return f"{rate[0]}/{rate[1]}"
-
-
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> tuple[int, dict]:
     params = _comb_params(args)
     matrix = comb_matrix(params)
     spectrum = comb_spectrum(params)
-    scan_agrees = None
+    out = {
+        "p": params.prime.p,
+        "n": params.n,
+        "x": params.x,
+        "y": params.y,
+        "eigenvalues": [[lam, mult] for lam, mult in spectrum.pairs],
+        "diagonalizable": spectrum.total_multiplicity == params.n,
+    }
+    if out["diagonalizable"]:
+        out["diagonal"] = diagonalize(params).diagonal.array.diagonal().tolist()
     if params.prime.p <= EIGEN_SCAN_MAX_P:
-        scan_agrees = eigen_scan(matrix) == spectrum
-    diagonalizable = spectrum.total_multiplicity == params.n
-    diagonal = None
-    if diagonalizable:
-        diagonal = diagonalize(params).diagonal.array.diagonal().tolist()
-
-    if args.json:
-        out = {
-            "p": params.prime.p,
-            "n": params.n,
-            "x": params.x,
-            "y": params.y,
-            "eigenvalues": [[lam, mult] for lam, mult in spectrum.pairs],
-            "diagonalizable": diagonalizable,
-        }
-        if diagonal is not None:
-            out["diagonal"] = diagonal
-        if scan_agrees is not None:
-            out["scan_agrees"] = scan_agrees
-        print(json.dumps(out))
-    else:
-        print(f"A = {params.x}*J + {params.y}*I over GF({params.prime.p}), n = {params.n}")
+        out["scan_agrees"] = eigen_scan(matrix) == spectrum
+    if not args.json:
+        print(f"A = {out['x']}*J + {out['y']}*I over GF({out['p']}), n = {out['n']}")
         print(matrix)
         print("spectrum: " + "; ".join(f"eigenvalue {lam} with multiplicity {m}" for lam, m in spectrum.pairs))
-        if scan_agrees is None:
+        if "scan_agrees" not in out:
             print(f"eigen scan cross-check: skipped (p > {EIGEN_SCAN_MAX_P})")
         else:
-            print(f"eigen scan cross-check: {'agrees' if scan_agrees else 'DISAGREES'}")
-        if diagonalizable:
-            print(f"diagonalizable: yes, D = diag({', '.join(str(v) for v in diagonal)})")
+            print(f"eigen scan cross-check: {'agrees' if out['scan_agrees'] else 'DISAGREES'}")
+        if out["diagonalizable"]:
+            print(f"diagonalizable: yes, D = diag({', '.join(str(v) for v in out['diagonal'])})")
         else:
             print(
                 f"diagonalizable: no (eigenspaces span {spectrum.total_multiplicity} "
                 f"of {params.n} dimensions)"
             )
-    if scan_agrees is False:
+    if out.get("scan_agrees") is False:
         print("tcc: spectrum formula and eigen scan disagree", file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+        return EXIT_FAILURE, out
+    return EXIT_OK, out
 
 
-def cmd_build(args) -> int:
-    basis, header = _solve(args)
-    spec = basis.spec
-    code = code_from_basis(basis)
-    if args.json:
-        out = dict(header)
-        out["length"] = code.length
-        out["dimension"] = code.dim
-        print(json.dumps(out))
-        return EXIT_OK
-    print(f"C(A, {spec.twist}) over GF({spec.prime.p}), n = {spec.n}")
-    print(f"dim = {basis.dim}")
-    if code.generator is not None:
-        print("generator (RREF):")
-        print(code.generator)
-    else:
-        print("generator: (zero code)")
-    return EXIT_OK
+def cmd_build(args) -> tuple[int, dict]:
+    code, header = _solve(args)
+    out = {**header, "length": code.length, "dimension": code.dim}
+    if not args.json:
+        print(f"C(A, {out['a']}) over GF({out['p']}), n = {out['n']}")
+        print(f"dim = {out['dimension']}")
+        if code.generator is not None:
+            print("generator (RREF):")
+            print(code.generator)
+        else:
+            print("generator: (zero code)")
+    return EXIT_OK, out
 
 
-def cmd_analyze(args) -> int:
-    basis, header = _solve(args)
-    code = code_from_basis(basis)
-    if code.dim == 0:
-        print("tcc: zero code: C(A, a) contains only the zero matrix, nothing to analyze", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_analyze(args) -> tuple[int, dict]:
+    code, header = _nonzero_code(args)
     report = analyze(code)
-    if args.json:
-        out = dict(header)
-        out["length"] = report.length
-        out["dimension"] = report.dim
-        out["min_distance"] = report.min_distance
-        out["mds"] = report.mds
-        out["detect"] = report.detect
-        out["correct"] = report.correct
-        out["rate"] = _rate_str(report.rate)
-        print(json.dumps(out))
-        return EXIT_OK
-    print(f"code parameters [{report.length}, {report.dim}, {report.min_distance}] over GF({basis.spec.prime.p})")
-    print(f"MDS: {'yes' if report.mds else 'no'}")
-    print(f"detects up to {report.detect} errors; corrects up to {report.correct}")
-    print(f"rate: {_rate_str(report.rate)}")
-    return EXIT_OK
+    out = {
+        **header,
+        "length": report.length,
+        "dimension": report.dim,
+        "min_distance": report.min_distance,
+        "mds": report.mds,
+        "detect": report.detect,
+        "correct": report.correct,
+        "rate": "{}/{}".format(*report.rate),
+    }
+    if not args.json:
+        print(f"code parameters [{out['length']}, {out['dimension']}, {out['min_distance']}] over GF({out['p']})")
+        print(f"MDS: {'yes' if out['mds'] else 'no'}")
+        print(f"detects up to {out['detect']} errors; corrects up to {out['correct']}")
+        print(f"rate: {out['rate']}")
+    return EXIT_OK, out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     if not 2 <= args.p_max <= VERIFY_MAX_PRIME:
         raise ValueError(f"--p-max must lie in [2, {VERIFY_MAX_PRIME}], got {args.p_max}")
     if not 2 <= args.n_max <= VERIFY_MAX_ORDER:
@@ -243,23 +234,15 @@ def cmd_verify(args) -> int:
                         rows.append(row)
 
     mismatches = [row for row in rows if row["hypotheses_met"] and not row["matches_theorem"]]
-    hypothesis_count = sum(1 for row in rows if row["hypotheses_met"])
-    ok = not mismatches
-
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "p_max": args.p_max,
-                    "n_max": args.n_max,
-                    "tuples": len(rows),
-                    "hypothesis_tuples": hypothesis_count,
-                    "ok": ok,
-                    "rows": rows,
-                }
-            )
-        )
-    else:
+    out = {
+        "p_max": args.p_max,
+        "n_max": args.n_max,
+        "tuples": len(rows),
+        "hypothesis_tuples": sum(1 for row in rows if row["hypotheses_met"]),
+        "ok": not mismatches,
+        "rows": rows,
+    }
+    if not args.json:
         print(f"{'p':>3} {'n':>2} {'x':>3} {'y':>3} {'a':>3}  {'hyp':<3} {'dim':>4} {'d':>4}  {'mds':<3} {'ok':<3}")
         for row in rows:
             d = str(row.get("min_distance", "-"))
@@ -271,12 +254,12 @@ def cmd_verify(args) -> int:
                 f"{hyp:<3} {row['dim']:>4} {d:>4}  {mds:<3} {okc:<3}"
             )
         print(
-            f"summary: {len(rows)} tuples, {hypothesis_count} met the hypotheses, "
+            f"summary: {out['tuples']} tuples, {out['hypothesis_tuples']} met the hypotheses, "
             f"{len(mismatches)} mismatches"
         )
         for row in mismatches:
             print("MISMATCH: p={p} n={n} x={x} y={y} a={a} dim={dim}".format_map(row))
-    return EXIT_OK if ok else EXIT_FAILURE
+    return (EXIT_OK if out["ok"] else EXIT_FAILURE), out
 
 
 def _theorem_check(n: int, basis: CentralizerBasis) -> dict:
@@ -298,85 +281,62 @@ def _theorem_check(n: int, basis: CentralizerBasis) -> dict:
     return {"min_distance": report.min_distance, "mds": report.mds, "matches_theorem": matches}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict]:
     if args.exhaustive and args.trials is not None:
         raise ValueError("--trials cannot be combined with --exhaustive, which sweeps every pattern")
     if not args.exhaustive and args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    # The note precedes a zero-code refusal, and --t is checked before analyze's distance guard.
     params = _comb_params(args)
-    prime = params.prime
-    hyp = _hypotheses_met(prime.p, params.n, params.x, params.y, args.a)
+    hyp = _hypotheses_met(params.prime.p, params.n, params.x, params.y, args.a)
     if not hyp:
         print(
             "tcc: note: these parameters miss the MDS construction hypotheses "
             "(need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies",
             file=sys.stderr,
         )
-    basis = comb_centralizer(params, args.a)
-    code = code_from_basis(basis)
-    if code.dim == 0:
-        print("tcc: zero code: C(A, a) contains only the zero matrix, nothing to simulate", file=sys.stderr)
-        return EXIT_USAGE
+    code, header = _nonzero_code(args)
     if not 0 <= args.t <= code.length:
         raise ValueError(f"--t must lie in [0, {code.length}], got {args.t}")
     report = analyze(code)
-    capacity = report.correct
 
     if args.exhaustive:
-        mode = "exhaustive"
         stats = exhaustive_stats(code, args.t)
     else:
-        mode = "monte-carlo"
         trials = DEFAULT_TRIALS if args.trials is None else args.trials
         stats = monte_carlo(code, args.t, trials, args.seed)
 
     failures = stats.trials - stats.successes
-    within = args.t <= capacity
-    verdict = "PASS" if within and failures == 0 else "FAIL"
-
-    if args.json:
-        out = {
-            "p": prime.p,
-            "n": params.n,
-            "x": params.x,
-            "y": params.y,
-            "a": basis.spec.twist,
-            "t": args.t,
-            "length": report.length,
-            "dimension": report.dim,
-            "min_distance": report.min_distance,
-            "capacity": capacity,
-            "hypotheses_met": hyp,
-            "mode": mode,
-        }
-        if mode == "monte-carlo":
-            out["seed"] = args.seed
-        out.update(
-            {
-                "trials": stats.trials,
-                "successes": stats.successes,
-                "ambiguous": stats.ambiguous,
-                "miscorrected": stats.miscorrected,
-                "within_capacity": within,
-                "verdict": verdict,
-            }
-        )
-        print(json.dumps(out))
-    else:
+    within = args.t <= report.correct
+    out = {
+        **header,
+        "t": args.t,
+        "length": report.length,
+        "dimension": report.dim,
+        "min_distance": report.min_distance,
+        "capacity": report.correct,
+        "hypotheses_met": hyp,
+        "mode": "exhaustive" if args.exhaustive else "monte-carlo",
+        **({} if args.exhaustive else {"seed": args.seed}),
+        **asdict(stats),
+        "within_capacity": within,
+        "verdict": "PASS" if within and failures == 0 else "FAIL",
+    }
+    if not args.json:
         print(
-            f"code [{report.length}, {report.dim}, {report.min_distance}] over GF({prime.p}), "
-            f"correction capacity {capacity}"
+            f"code [{out['length']}, {out['dimension']}, {out['min_distance']}] over GF({out['p']}), "
+            f"correction capacity {out['capacity']}"
         )
-        print(f"mode: {mode}" + (f" (seed {args.seed})" if mode == "monte-carlo" else ""))
+        print(f"mode: {out['mode']}" + (f" (seed {out['seed']})" if "seed" in out else ""))
         print(
-            f"trials {stats.trials}: {stats.successes} success, "
-            f"{stats.ambiguous} ambiguous, {stats.miscorrected} miscorrected"
+            f"trials {out['trials']}: {out['successes']} success, "
+            f"{out['ambiguous']} ambiguous, {out['miscorrected']} miscorrected"
         )
         if within:
-            print(f"{verdict}: {failures} failures at t={args.t} (within capacity {capacity})")
+            print(f"{out['verdict']}: {failures} failures at t={args.t} (within capacity {out['capacity']})")
         else:
-            print(f"FAIL: t={args.t} exceeds correction capacity {capacity} ({failures} failures)")
-    return EXIT_OK if verdict == "PASS" else EXIT_FAILURE
+            print(f"FAIL: t={args.t} exceeds correction capacity {out['capacity']} ({failures} failures)")
+    return (EXIT_OK if out["verdict"] == "PASS" else EXIT_FAILURE), out
 
 
 def main(argv=None) -> int:
@@ -386,7 +346,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status, out = args.func(args)
+    except _ZeroCodeError:
+        print(f"tcc: zero code: C(A, a) contains only the zero matrix, nothing to {args.command}", file=sys.stderr)
+        return EXIT_USAGE
     except GuardExceededError as exc:
         print(f"tcc: guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -396,6 +359,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"tcc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        print(json.dumps(out))
+    return status
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from .linalg import (
     Prime,
     count_text,
     matmul_mod,
-    rref,
 )
 
 ENUMERATION_LIMIT = 1 << 20
@@ -48,27 +47,15 @@ class LinearCode:
     prime: Prime
     length: int
     generator: Matrix | None
-    pivots: tuple[int, ...]
 
     def __post_init__(self):
         if self.generator is not None:
             if self.generator.prime != self.prime or self.generator.cols != self.length:
                 raise ValueError("generator does not match the declared code")
-            if len(self.pivots) != self.generator.rows:
-                raise ValueError("generator must have full row rank")
 
     @property
     def dim(self) -> int:
         return 0 if self.generator is None else self.generator.rows
-
-    @classmethod
-    def from_generator(cls, rows: Matrix) -> "LinearCode":
-        """Build a code from any spanning set of rows, canonicalized by RREF."""
-        reduced, rk, pivots = rref(rows)
-        if rk == 0:
-            return cls(rows.prime, rows.cols, None, ())
-        gen = Matrix(reduced.array[:rk], rows.prime)
-        return cls(rows.prime, rows.cols, gen, pivots)
 
     def __repr__(self):
         return f"LinearCode([{self.length}, {self.dim}] over GF({self.prime.p}))"

@@ -89,16 +89,17 @@ class Prime:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (possibly batched) matrix product mod p.
+    """Exact (possibly batched) matrix product mod p of reduced residues, in int64.
 
-    Uses the int64 fast path when the accumulated dot products cannot
-    overflow; otherwise falls back to Python-int arithmetic.
+    One plain product when its dot products cannot overflow.  Otherwise b
+    splits into 16-bit limbs, b = hi * 2^16 + lo: for p < 2^31 and an inner
+    dimension up to MAX_DIM = 2^12, each limb's dot products stay below
+    2^12 * 2^31 * 2^16 = 2^59, so the recombined sum fits int64 too.
     """
     inner = a.shape[-1]
     if inner * (p - 1) ** 2 < 2**63:
         return (a @ b) % p
-    out = (a.astype(object) @ b.astype(object)) % p
-    return out.astype(np.int64)
+    return ((a @ (b >> 16)) % p * 65536 + a @ (b & 65535)) % p
 
 
 def _as_reduced(data, p: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The check_* functions run the randomized property suites; they live here
 so both the per-module tests and the acceptance gate can invoke them.
-all_ones and unit_e11 build the named matrices J and E11, and is_codeword
-tests membership through the RREF generator.  A word is an int64 row of
+all_ones and unit_e11 build the named matrices J and E11, code_from_rows
+reduces any spanning rows to a code's RREF generator, and is_codeword
+tests membership through that generator.  A word is an int64 row of
 residues, as everywhere in tcc.
 vec and unvec are the column-stacking maps between n x n matrices and
 code words, and basis_matrices unvecs a basis's generator rows.
@@ -14,14 +15,18 @@ transfer of a centralizer basis, kept as an oracle for the
 diagonalization claims.  The literal_* channel runs decode one word
 per (message, pattern) or per trial, kept as oracles for the batched
 sweeps in tcc.channel; the exhaustive_*_check functions are the
-acceptance gate's correction and detection sweeps.
+acceptance gate's correction and detection sweeps.  child_env lets a
+subprocess import the same tcc as the tests, installed or not.
 """
 
 import math
+import os
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
+import tcc
 from tcc import (
     CentralizerBasis,
     ChannelStats,
@@ -51,6 +56,12 @@ GF2 = Prime(2)
 GF3 = Prime(3)
 GF5 = Prime(5)
 GF7 = Prime(7)
+
+
+def child_env() -> dict:
+    """os.environ with the directory holding the imported tcc first on PYTHONPATH."""
+    paths = [str(Path(tcc.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def rand_matrix(rng, rows, cols, prime) -> Matrix:
@@ -132,13 +143,20 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
     return members
 
 
+def code_from_rows(rows: Matrix) -> LinearCode:
+    """The code spanned by any set of rows, canonicalized by RREF."""
+    reduced, rk, _ = rref(rows)
+    return LinearCode(rows.prime, rows.cols, Matrix(reduced.array[:rk], rows.prime) if rk else None)
+
+
 def is_codeword(code: LinearCode, word: np.ndarray) -> bool:
     """Membership of a row of residues via the RREF generator: re-encode the pivot coordinates."""
     if len(word) != code.length:
         raise ValueError(f"word length {len(word)} does not match code length {code.length}")
     if code.generator is None:
         return not np.any(word)
-    coeffs = word[list(code.pivots)]
+    # Each RREF row's first nonzero entry is its pivot.
+    coeffs = word[(code.generator.array != 0).argmax(axis=1)]
     recon = matmul_mod(coeffs, code.generator.array, code.prime.p)
     return bool(np.array_equal(recon, word))
 
@@ -285,8 +303,8 @@ def conjugation_transfer(
             raise ValueError("conjugation transfer broke membership; is D = P A P^-1?")
         carried.append(vec(image))
     if not carried:
-        return CentralizerBasis(target, LinearCode(target.prime, target.n * target.n, None, ()))
-    code = LinearCode.from_generator(Matrix(np.vstack(carried), target.prime))
+        return CentralizerBasis(target, LinearCode(target.prime, target.n * target.n, None))
+    code = code_from_rows(Matrix(np.vstack(carried), target.prime))
     if code.dim != basis_d.dim:
         raise ValueError("conjugation transfer changed the dimension")
     return CentralizerBasis(target, code)

@@ -198,8 +198,8 @@ def test_criterion_7_reproducible_simulation():
         "simulate", "--n", "3", "--p", "5", "--x", "3", "--y", "1", "--a", "2",
         "--t", "4", "--trials", "500", "--seed", "314159", "--json",
     ]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    first = subprocess.run(argv, capture_output=True, check=True, env=helpers.child_env())
+    second = subprocess.run(argv, capture_output=True, check=True, env=helpers.child_env())
     assert first.stdout == second.stdout
     doc = json.loads(first.stdout)
     assert doc["verdict"] == "PASS"

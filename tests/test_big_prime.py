@@ -1,7 +1,8 @@
 """Edge cases at the largest accepted prime, p = 2^31 - 1.
 
 Here (p - 1)^2 is just under 2^62, so a dot product of two terms still
-fits int64 and one of three or more takes matmul_mod's Python-int path.
+fits one int64 product and one of three or more takes matmul_mod's
+16-bit limb split.
 Each primitive is checked against plain Python-int arithmetic, and the
 structured comb solve against the Kronecker kernel.
 """
@@ -12,7 +13,6 @@ import pytest
 from tcc import (
     CombParams,
     GuardExceededError,
-    LinearCode,
     Matrix,
     Prime,
     TwistSpec,
@@ -27,7 +27,8 @@ from tcc import (
     min_distance,
     rref,
 )
-from tcc.linalg import matmul_mod
+from tcc.linalg import MAX_DIM, matmul_mod
+from helpers import code_from_rows
 
 P = 2**31 - 1
 BIG = Prime(P)
@@ -68,9 +69,11 @@ def ref_rref(rows):
 
 
 class TestMatmulObjectPath:
+    """Products past the plain int64 limit, which take the 16-bit limb split."""
+
     @pytest.mark.parametrize("inner", [2, 3, 17])
     def test_matches_python_ints(self, inner):
-        # inner = 2 is the int64 path at its limit; 3 and up overflow it.
+        # inner = 2 is the plain product at its limit; 3 and up take the limb split.
         assert (inner * (P - 1) ** 2 >= 2**63) == (inner > 2)
         rng = np.random.default_rng(inner)
         a = rand_rows(rng, 4, inner)
@@ -91,6 +94,14 @@ class TestMatmulObjectPath:
         a = np.full((2, 8), P - 1, dtype=np.int64)
         # Eight products of (p - 1)^2 = 1 mod p.
         assert matmul_mod(a, a.T, P).tolist() == [[8, 8], [8, 8]]
+
+    def test_limb_split_at_the_largest_inner_dimension(self):
+        # inner = MAX_DIM with every entry p - 1: the limb sums reach their bound.
+        a = np.full((2, MAX_DIM), P - 1, dtype=np.int64)
+        b = np.full((MAX_DIM, 3), P - 1, dtype=np.int64)
+        out = matmul_mod(a, b, P)
+        assert out.dtype == np.int64
+        assert out.tolist() == ref_matmul(a, b) == [[MAX_DIM] * 3] * 2
 
     def test_matrix_product_and_inverse(self):
         rng = np.random.default_rng(11)
@@ -144,11 +155,11 @@ class TestGuardMessages:
     # Past 4300 digits Python refuses to turn an int into a string, so
     # these guards must still fire with a readable size.
     def test_distance_count_beyond_string_limit(self):
-        code = LinearCode.from_generator(Matrix.identity(600, BIG))
+        code = code_from_rows(Matrix.identity(600, BIG))
         with pytest.raises(GuardExceededError, match=r"about 10\^5589 codewords"):
             min_distance(code)
 
     def test_sweep_count_beyond_string_limit(self):
-        code = LinearCode.from_generator(Matrix(np.ones((1, 1000), dtype=np.int64), BIG))
-        with pytest.raises(GuardExceededError, match=r"about 10\^\d{4} decodes"):
+        code = code_from_rows(Matrix(np.ones((1, 1000), dtype=np.int64), BIG))
+        with pytest.raises(GuardExceededError, match=r"about 10\^4974 outcomes from about 10\^4965 decoded patterns"):
             exhaustive_stats(code, 500)

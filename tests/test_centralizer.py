@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import tcc.centralizer
-import tcc.code
 import tcc.linalg
 from tcc import (
     CentralizerBasis,
@@ -30,6 +29,7 @@ from helpers import (
     all_ones,
     basis_matrices,
     brute_force_centralizer,
+    code_from_rows,
     conjugation_transfer,
     rand_matrix,
     unit_e11,
@@ -45,7 +45,7 @@ def comb_spec(n, x, y, p, a):
 
 def code_of(*members: Matrix) -> LinearCode:
     """The code spanned by the vec images of ``members``."""
-    return LinearCode.from_generator(Matrix(np.vstack([vec(m) for m in members]), members[0].prime))
+    return code_from_rows(Matrix(np.vstack([vec(m) for m in members]), members[0].prime))
 
 
 class TestTwistSpec:
@@ -200,7 +200,7 @@ class TestCentralizerCode:
         assert rref(stacked).matrix == stacked == basis.code.generator
 
     def test_one_elimination_gives_the_reduced_kernel(self, monkeypatch):
-        # Oracle: the kernel basis of T reduced a second time by from_generator.
+        # Oracle: the kernel basis of T reduced a second time by code_from_rows.
         rng = np.random.default_rng(43)
         shapes = []
         original = tcc.linalg._rref_array
@@ -221,7 +221,7 @@ class TestCentralizerCode:
                     monkeypatch.undo()
                     assert shapes == [(n * n, n * n)], (p, n, a)
                     if len(kernel):
-                        assert basis.code == LinearCode.from_generator(Matrix(kernel, prime)), (p, n, a)
+                        assert basis.code == code_from_rows(Matrix(kernel, prime)), (p, n, a)
                     else:
                         assert basis.dim == 0, (p, n, a)
 
@@ -231,7 +231,7 @@ class TestCentralizerCode:
         def refuse(*args):
             raise AssertionError("the basis already holds its RREF code")
 
-        monkeypatch.setattr(tcc.code, "rref", refuse)
+        monkeypatch.setattr(tcc.linalg, "rref", refuse)
         monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
         code = code_from_basis(basis)
         assert code is basis.code

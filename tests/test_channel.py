@@ -10,7 +10,6 @@ from tcc import (
     ChannelStats,
     CombParams,
     GuardExceededError,
-    LinearCode,
     Matrix,
     Prime,
     TwistSpec,
@@ -24,6 +23,7 @@ from tcc.channel import inject_errors
 from tcc.cli import main
 from tcc.code import AMBIGUOUS, UNIQUE, decode_nearest, encode
 from helpers import (
+    code_from_rows,
     exhaustive_correction_check,
     exhaustive_detection_check,
     hamming_distance,
@@ -286,7 +286,10 @@ class TestNineFiveThree:
     def test_weight_three_exits_at_the_guard(self, capsys):
         flags = "--n 3 --p 5 --x 1 --y 1 --a 1 --t 3 --exhaustive".split()
         assert main(["simulate", *flags]) == 3
-        assert "exhaustive sweep means 16800000 decodes" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "tcc: guard exceeded: exhaustive sweep means 16800000 outcomes from 5376 decoded patterns, "
+            "beyond the 16777216 guard; use monte_carlo instead"
+        )
 
 
 class TestVoteDecoder:
@@ -306,7 +309,7 @@ class TestVoteDecoder:
     @pytest.mark.parametrize("row", [[1, 1, 1, 1, 1, 1, 1, 1, 1], [1, 0, 66, 5, 0, 2, 17, 0, 40]])
     def test_random_words_at_prime_67(self, row):
         prime = Prime(67)
-        code = LinearCode.from_generator(Matrix([row], prime))
+        code = code_from_rows(Matrix([row], prime))
         rng = np.random.default_rng(67)
         sent = rng.integers(0, 67, size=(400, 1)) * code.generator.array[0] % 67
         errors = np.where(rng.random((400, 9)) < rng.random((400, 1)), rng.integers(1, 67, size=(400, 9)), 0)
@@ -327,7 +330,7 @@ class TestVoteDecoder:
         # Generator entries near p make each vote's product approach 2^62.
         prime = Prime(BIG_PRIME)
         gen = [1, BIG_PRIME - 1, 2, 0, BIG_PRIME - 2, 3, 0, 5, 7]
-        code = LinearCode.from_generator(Matrix([gen], prime))
+        code = code_from_rows(Matrix([gen], prime))
         message = np.array([BIG_PRIME - 5])
         sent = encode(code, message)
         rng = np.random.default_rng(5)
@@ -341,7 +344,7 @@ class TestVoteDecoder:
 
     def test_tie_takes_smallest_vote(self):
         prime = Prime(7)
-        code = LinearCode.from_generator(Matrix([[1, 1, 1, 1]], prime))
+        code = code_from_rows(Matrix([[1, 1, 1, 1]], prime))
         result = decode_nearest(code, np.array([5, 5, 3, 3]))
         assert result.status == AMBIGUOUS
         assert result.message.tolist() == [3]

@@ -10,6 +10,7 @@ import tcc.centralizer
 import tcc.cli
 import tcc.linalg
 from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
+from helpers import child_env
 
 
 def run_cli(capsys, *argv):
@@ -389,7 +390,7 @@ class TestSimulateCommand:
         # The exhaustive sweep stays refused by its work guard.
         code, _, err = run_cli(capsys, "simulate", *flags, "--exhaustive")
         assert code == EXIT_GUARD
-        assert "exhaustive sweep means about 10^48 decodes" in err
+        assert "exhaustive sweep means about 10^48 outcomes from about 10^39 decoded patterns" in err
 
     def test_seed_repeatability(self, capsys):
         argv = [
@@ -416,6 +417,7 @@ class TestParser:
             [sys.executable, "-m", "tcc", "verify", "--p-max", "2", "--n-max", "2"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "summary" in proc.stdout
@@ -464,3 +466,39 @@ def test_pinned_solve_output(capsys, tmp_path, argv, exit_code, stdout, stderr):
     path = tmp_path / "a.mat"
     path.write_text(PINNED_MATRIX_FILE)
     assert run_cli(capsys, *argv.replace("MATRIX", str(path)).split()) == (exit_code, stdout, stderr)
+
+
+# Exact exit code, stdout and stderr of the other commands: spectrum in the generic, defective
+# and p > 997 cases; simulate exhaustive, in Monte Carlo within and beyond capacity, and on a
+# zero code; and a --t out of range on a code whose analysis would hit the distance guard,
+# which must be refused first.  A verify document is long, so its stdout is pinned by sha256.
+PINNED_COMMANDS = [
+    ('spectrum --n 3 --p 5 --x 1 --y 1', 0, 'A = 1*J + 1*I over GF(5), n = 3\n[2 1 1]\n[1 2 1]\n[1 1 2]\nspectrum: eigenvalue 1 with multiplicity 2; eigenvalue 4 with multiplicity 1\neigen scan cross-check: agrees\ndiagonalizable: yes, D = diag(4, 1, 1)\n', ''),
+    ('spectrum --n 3 --p 5 --x 1 --y 1 --json', 0, '{"p": 5, "n": 3, "x": 1, "y": 1, "eigenvalues": [[1, 2], [4, 1]], "diagonalizable": true, "diagonal": [4, 1, 1], "scan_agrees": true}\n', ''),
+    ('spectrum --n 3 --p 3 --x 1 --y 1', 0, 'A = 1*J + 1*I over GF(3), n = 3\n[2 1 1]\n[1 2 1]\n[1 1 2]\nspectrum: eigenvalue 1 with multiplicity 2\neigen scan cross-check: agrees\ndiagonalizable: no (eigenspaces span 2 of 3 dimensions)\n', ''),
+    ('spectrum --n 3 --p 3 --x 1 --y 1 --json', 0, '{"p": 3, "n": 3, "x": 1, "y": 1, "eigenvalues": [[1, 2]], "diagonalizable": false, "scan_agrees": true}\n', ''),
+    ('spectrum --n 2 --p 1009 --x 1 --y 1', 0, 'A = 1*J + 1*I over GF(1009), n = 2\n[2 1]\n[1 2]\nspectrum: eigenvalue 1 with multiplicity 1; eigenvalue 3 with multiplicity 1\neigen scan cross-check: skipped (p > 997)\ndiagonalizable: yes, D = diag(3, 1)\n', ''),
+    ('spectrum --n 2 --p 1009 --x 1 --y 1 --json', 0, '{"p": 1009, "n": 2, "x": 1, "y": 1, "eigenvalues": [[1, 1], [3, 1]], "diagonalizable": true, "diagonal": [3, 1]}\n', ''),
+    ('simulate --n 2 --p 3 --x 1 --y 1 --a 2 --t 1 --exhaustive', 0, 'code [4, 1, 4] over GF(3), correction capacity 1\nmode: exhaustive\ntrials 24: 24 success, 0 ambiguous, 0 miscorrected\nPASS: 0 failures at t=1 (within capacity 1)\n', ''),
+    ('simulate --n 2 --p 3 --x 1 --y 1 --a 2 --t 1 --exhaustive --json', 0, '{"p": 3, "n": 2, "x": 1, "y": 1, "a": 2, "t": 1, "length": 4, "dimension": 1, "min_distance": 4, "capacity": 1, "hypotheses_met": true, "mode": "exhaustive", "trials": 24, "successes": 24, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n', ''),
+    ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 2 --trials 50 --seed 3', 0, 'code [9, 1, 9] over GF(5), correction capacity 4\nmode: monte-carlo (seed 3)\ntrials 50: 50 success, 0 ambiguous, 0 miscorrected\nPASS: 0 failures at t=2 (within capacity 4)\n', ''),
+    ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 2 --trials 50 --seed 3 --json', 0, '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 2, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "monte-carlo", "seed": 3, "trials": 50, "successes": 50, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n', ''),
+    ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 5 --trials 20', 2, 'code [9, 1, 9] over GF(5), correction capacity 4\nmode: monte-carlo (seed 0)\ntrials 20: 17 success, 3 ambiguous, 0 miscorrected\nFAIL: t=5 exceeds correction capacity 4 (3 failures)\n', ''),
+    ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 5 --trials 20 --json', 2, '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 5, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 20, "successes": 17, "ambiguous": 3, "miscorrected": 0, "within_capacity": false, "verdict": "FAIL"}\n', ''),
+    ('simulate --n 2 --p 5 --x 1 --y 1 --a 0 --t 1', 1, '', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\ntcc: zero code: C(A, a) contains only the zero matrix, nothing to simulate\n'),
+    ('simulate --n 2 --p 5 --x 1 --y 1 --a 0 --t 1 --json', 1, '', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\ntcc: zero code: C(A, a) contains only the zero matrix, nothing to simulate\n'),
+    ('simulate --n 4 --p 7 --x 0 --y 1 --a 1 --t 17', 1, '', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\ntcc: error: --t must lie in [0, 16], got 17\n'),
+    ('simulate --n 4 --p 7 --x 0 --y 1 --a 1 --t 17 --json', 1, '', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\ntcc: error: --t must lie in [0, 16], got 17\n'),
+    ('verify --p-max 3 --n-max 3', 0, 'sha256:27fcfab2c408e294adf02d2284736902c43b364c53b6e9b7e35af73500205e8a', ''),
+    ('verify --p-max 3 --n-max 3 --json', 0, 'sha256:48a6ed2c9eaf1fb8b1b9af1d06e7e40553e89018dcd52a75f7f184ae8f859c96', ''),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stdout, stderr", PINNED_COMMANDS, ids=[argv for argv, _, _, _ in PINNED_COMMANDS]
+)
+def test_pinned_command_output(capsys, argv, exit_code, stdout, stderr):
+    code, out, err = run_cli(capsys, *argv.split())
+    if stdout.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert (code, out, err) == (exit_code, stdout, stderr)

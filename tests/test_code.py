@@ -7,7 +7,6 @@ import tcc.code
 from tcc import (
     CombParams,
     GuardExceededError,
-    LinearCode,
     Matrix,
     Prime,
     TwistSpec,
@@ -18,11 +17,11 @@ from tcc import (
     min_distance,
 )
 from tcc.code import AMBIGUOUS, UNIQUE, decode_nearest, encode
-from helpers import GF2, GF3, GF5, hamming_distance, is_codeword, rand_matrix
+from helpers import GF2, GF3, GF5, code_from_rows, hamming_distance, is_codeword, rand_matrix
 
 
 def repetition_code(p=3):
-    return LinearCode.from_generator(Matrix([[1, 1, 1, 1]], Prime(p)))
+    return code_from_rows(Matrix([[1, 1, 1, 1]], Prime(p)))
 
 
 def comb_code(n, x, y, p, a):
@@ -49,10 +48,10 @@ class TestCodeConstruction:
         code = code_from_basis(centralizer_code(spec))
         assert code.generator == Matrix.identity(4, GF3)
 
-    def test_from_generator_canonicalizes(self):
+    def test_code_from_rows_canonicalizes(self):
         # Dependent rows collapse to the RREF of the row space.
         rows = Matrix([[2, 2, 2, 2], [1, 1, 1, 1]], GF3)
-        code = LinearCode.from_generator(rows)
+        code = code_from_rows(rows)
         assert code.dim == 1
         assert code.generator == Matrix([[1, 1, 1, 1]], GF3)
 
@@ -62,7 +61,7 @@ class TestMinDistance:
         assert min_distance(repetition_code()) == 4
 
     def test_identity_generator(self):
-        code = LinearCode.from_generator(Matrix.identity(5, GF3))
+        code = code_from_rows(Matrix.identity(5, GF3))
         assert min_distance(code) == 1
 
     def test_nine_one_nine_over_gf7(self):
@@ -78,20 +77,20 @@ class TestMinDistance:
             min_distance(code)
 
     def test_enumeration_guard(self):
-        code = LinearCode.from_generator(Matrix.identity(25, GF3))
+        code = code_from_rows(Matrix.identity(25, GF3))
         with pytest.raises(GuardExceededError):
             min_distance(code)
 
     def test_guard_counts_projective_points(self):
         # (3^13 - 1) / 2 = 797161 representatives fit the 2^20 guard that
         # 3^13 = 1594323 messages would not; one more dimension does not.
-        assert min_distance(LinearCode.from_generator(Matrix.identity(13, GF3))) == 1
+        assert min_distance(code_from_rows(Matrix.identity(13, GF3))) == 1
         with pytest.raises(GuardExceededError, match="2391484"):
-            min_distance(LinearCode.from_generator(Matrix.identity(14, GF3)))
+            min_distance(code_from_rows(Matrix.identity(14, GF3)))
 
     def test_one_codeword_at_the_largest_prime(self):
         big = Prime(2147483647)
-        code = LinearCode.from_generator(Matrix([[3, 0, 5, 1, 0, 2]], big))
+        code = code_from_rows(Matrix([[3, 0, 5, 1, 0, 2]], big))
         assert min_distance(code) == 4
 
     def test_matches_every_message_enumeration(self):
@@ -100,7 +99,7 @@ class TestMinDistance:
         for p, k, length in [(2, 4, 7), (3, 3, 6), (5, 2, 5), (7, 3, 5)]:
             prime = Prime(p)
             for _ in range(5):
-                code = LinearCode.from_generator(rand_matrix(rng, k, length, prime))
+                code = code_from_rows(rand_matrix(rng, k, length, prime))
                 if code.dim == 0:
                     continue
                 weights = [
@@ -129,7 +128,7 @@ class TestAnalyze:
         assert report.rate == (1, 9)
 
     def test_identity_generator_is_trivially_mds(self):
-        report = analyze(LinearCode.from_generator(Matrix.identity(5, GF3)))
+        report = analyze(code_from_rows(Matrix.identity(5, GF3)))
         assert (report.length, report.dim, report.min_distance) == (5, 5, 1)
         assert report.mds
 
@@ -142,7 +141,7 @@ class TestAnalyze:
         rng = np.random.default_rng(13)
         for _ in range(20):
             rows = rand_matrix(rng, int(rng.integers(1, 4)), 6, GF3)
-            code = LinearCode.from_generator(rows)
+            code = code_from_rows(rows)
             if code.dim == 0:
                 continue
             report = analyze(code)
@@ -158,7 +157,7 @@ class TestEncode:
 
     def test_linearity(self):
         rng = np.random.default_rng(17)
-        code = LinearCode.from_generator(rand_matrix(rng, 2, 5, GF5))
+        code = code_from_rows(rand_matrix(rng, 2, 5, GF5))
         for _ in range(20):
             u = rng.integers(0, 5, size=code.dim)
             v = rng.integers(0, 5, size=code.dim)
@@ -203,13 +202,13 @@ class TestDecodeNearest:
         assert result.distance == 0
 
     def test_symmetric_tie_reported(self):
-        code = LinearCode.from_generator(Matrix([[1, 1, 1, 1]], GF2))
+        code = code_from_rows(Matrix([[1, 1, 1, 1]], GF2))
         result = decode_nearest(code, np.array([1, 1, 0, 0]))
         assert result.status == AMBIGUOUS
         assert result.distance == 2
 
     def test_guard(self):
-        code = LinearCode.from_generator(Matrix.identity(25, GF3))
+        code = code_from_rows(Matrix.identity(25, GF3))
         with pytest.raises(GuardExceededError):
             decode_nearest(code, np.zeros(25, dtype=np.int64))
 
@@ -219,7 +218,7 @@ class TestDecodeNearest:
         # only the parity column ties the zero codeword with all 19 weight-1
         # messages.  The block-wise min reduction must still see every tie.
         gen = np.hstack([np.eye(19, dtype=np.int64), np.ones((19, 1), dtype=np.int64)])
-        code = LinearCode.from_generator(Matrix(gen, GF2))
+        code = code_from_rows(Matrix(gen, GF2))
         assert min_distance(code) == 2
         word = np.zeros(20, dtype=np.int64)
         word[19] = 1
