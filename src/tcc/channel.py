@@ -64,33 +64,49 @@ def _tally(code: LinearCode, errors: np.ndarray) -> ChannelStats:
     return ChannelStats(trials, successes, ambiguous, trials - successes - ambiguous)
 
 
+def _pattern_blocks(length: int, t: int, p: int, step: int):
+    """Every weight-t error pattern, position set by position set, in blocks of step rows.
+
+    Within a position set the offsets run in product order (base-(p-1)
+    digits shifted into 1..p-1).  A block fills across position sets, so
+    only the last one is short.
+    """
+    offset_count = (p - 1) ** t
+    errors, rows = np.zeros((step, length), dtype=np.int64), 0
+    for positions in combinations(range(length), t):
+        lo = 0
+        while lo < offset_count:
+            hi = min(offset_count, lo + step - rows)
+            errors[rows : rows + hi - lo, list(positions)] = _message_block(p - 1, t, lo, hi) + 1
+            rows, lo = rows + hi - lo, hi
+            if rows == step:
+                yield errors
+                errors, rows = np.zeros((step, length), dtype=np.int64), 0
+    if rows:
+        yield errors[:rows]
+
+
 def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     """Decode every message under every weight-t error pattern.
 
     Guarded by the outcome count C(N, t) * (p-1)^t * p^k, so a sweep can
-    never silently explode.  Only the error patterns are decoded, in bounded
-    blocks; every message shares their outcomes, so the counts scale by p^k.
+    never silently explode.  Only the error patterns are decoded, in blocks
+    of at most _BATCH_CELLS cells; every message shares their outcomes, so
+    the counts scale by p^k.
     """
     p = code.prime.p
     if not 0 <= t <= code.length:
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
-    offset_count = (p - 1) ** t
-    patterns = math.comb(code.length, t) * offset_count
+    patterns = math.comb(code.length, t) * (p - 1) ** t
     work = patterns * p**code.dim
     if work > EXHAUSTIVE_LIMIT:
         raise GuardExceededError(
             f"exhaustive sweep means {count_text(work)} outcomes from {count_text(patterns)} decoded patterns, "
             f"beyond the {EXHAUSTIVE_LIMIT} guard; use monte_carlo instead"
         )
-    step = max(1, _BATCH_CELLS // code.length)
     stats = ChannelStats(0, 0, 0, 0)
-    for positions in combinations(range(code.length), t):
-        for lo in range(0, offset_count, step):
-            # Offsets lo.. in product order: base-(p-1) digits shifted into 1..p-1.
-            offsets = _message_block(p - 1, t, lo, min(lo + step, offset_count)) + 1
-            errors = np.zeros((len(offsets), code.length), dtype=np.int64)
-            errors[:, list(positions)] = offsets
-            stats += _tally(code, errors)
+    for errors in _pattern_blocks(code.length, t, p, max(1, _BATCH_CELLS // code.length)):
+        stats += _tally(code, errors)
     return ChannelStats(*(count * p**code.dim for count in astuple(stats)))
 
 

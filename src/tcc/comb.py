@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GuardExceededError, Matrix, Prime, inverse, kernel_basis, rank
+from .linalg import GuardExceededError, Matrix, Prime, inverse, kernel_basis, matmul_mod, rank
 
-# The scan solves p rank problems; past this it is the wrong tool.
+# The scan evaluates a degree-n polynomial at all p residues and solves one rank
+# problem per root.  That would stay cheap well past this cap; the cap is kept so
+# that `spectrum` output keeps its bytes (it prints "skipped (p > 997)" above it).
 EIGEN_SCAN_MAX_P = 997
 
 MAX_ORDER = 64
@@ -85,12 +87,51 @@ def comb_matrix(params: CombParams) -> Matrix:
     return Matrix(data, params.prime)
 
 
-def eigen_scan(m: Matrix) -> Spectrum:
-    """Spectrum of any square matrix by scanning every field element.
+def _char_poly(m: Matrix) -> np.ndarray:
+    """Coefficients of det(X*I - m) mod p, constant term first.
 
-    For each lambda in GF(p) the geometric multiplicity is the nullity of
-    m - lambda*I, computed exactly via rank; only nonzero multiplicities
-    are reported.  Cost is O(p * n^3), so p is capped.
+    m is first reduced to upper Hessenberg form H by similarity: each
+    pivoted row operation below the subdiagonal is paired with its inverse
+    column operation.  The characteristic polynomials p_k of H's leading
+    k x k blocks then follow the Hessenberg recurrence (Cohen, GTM 138,
+    Algorithm 2.2.9), 0-indexed:
+    p_{k+1} = (X - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i.
+    """
+    p, n = m.prime.p, m.rows
+    h = m.array.copy()
+    for j in range(n - 2):
+        nz = h[j + 1 :, j].nonzero()[0]
+        if nz.size == 0:
+            continue
+        r = j + 1 + int(nz[0])
+        h[[j + 1, r]] = h[[r, j + 1]]
+        h[:, [j + 1, r]] = h[:, [r, j + 1]]
+        mult = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
+        # Rows k > j+1 lose mult_k * row j+1; column j+1 gains sum_k mult_k * column k.
+        h[j + 2 :] = (h[j + 2 :] - mult[:, None] * h[j + 1]) % p
+        h[:, j + 1] = (h[:, j + 1] + matmul_mod(h[:, j + 2 :], mult, p)) % p
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    # chain[i] = h_{i+1,i} ... h_{k,k-1}, the subdiagonal product from row i+1 down to row k.
+    chain = np.zeros(0, dtype=np.int64)
+    for k in range(n):
+        if k:
+            chain = np.append(chain, 1) * h[k, k - 1] % p
+        step = np.zeros(n + 1, dtype=np.int64)
+        step[1:] = polys[k, :-1]
+        step -= h[k, k] * polys[k] + matmul_mod(h[:k, k] * chain % p, polys[:k], p)
+        polys[k + 1] = step % p
+    return polys[n]
+
+
+def eigen_scan(m: Matrix) -> Spectrum:
+    """Spectrum of any square matrix by testing every field element.
+
+    The characteristic polynomial det(X*I - m) is evaluated at all p
+    residues at once; where it is nonzero, m - lambda*I is invertible and
+    lambda is no eigenvalue.  At each root the geometric multiplicity is
+    the nullity of m - lambda*I, computed exactly via rank.  Cost is
+    O(n^3 + p * n) plus one O(n^3) rank per distinct eigenvalue.
     """
     if not m.is_square:
         raise ValueError(f"eigen scan needs a square matrix, got {m.rows}x{m.cols}")
@@ -101,13 +142,13 @@ def eigen_scan(m: Matrix) -> Spectrum:
             "comb_spectrum covers combinatorial matrices at any p"
         )
     n = m.rows
+    field = np.arange(p, dtype=np.int64)
+    values = np.zeros(p, dtype=np.int64)
+    for coeff in _char_poly(m)[::-1]:
+        values = (values * field + coeff) % p
     ident = Matrix.identity(n, m.prime)
-    pairs = []
-    for lam in range(p):
-        nullity = n - rank(m - ident * lam)
-        if nullity:
-            pairs.append((lam, nullity))
-    return Spectrum(tuple(pairs))
+    roots = np.flatnonzero(values == 0).tolist()
+    return Spectrum(tuple((lam, n - rank(m - ident * lam)) for lam in roots))
 
 
 def comb_spectrum(params: CombParams) -> Spectrum:

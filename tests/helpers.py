@@ -10,7 +10,8 @@ vec and unvec are the column-stacking maps between n x n matrices and
 code words, and basis_matrices unvecs a basis's generator rows.
 brute_force_centralizer enumerates every matrix, kept as the oracle for
 the kernel solver, and literal_kernel_basis builds one kernel row per
-free column, kept as the oracle for kernel_basis.  conjugation_transfer is the literal per-matrix
+free column, kept as the oracle for kernel_basis.  literal_eigen_scan solves one rank problem
+per field element, kept as the oracle for eigen_scan.  conjugation_transfer is the literal per-matrix
 transfer of a centralizer basis, kept as an oracle for the
 diagonalization claims.  The literal_* channel runs decode one word
 per (message, pattern) or per trial, kept as oracles for the batched
@@ -35,12 +36,14 @@ from tcc import (
     Matrix,
     Prime,
     SingularMatrixError,
+    Spectrum,
     TwistSpec,
     exhaustive_stats,
     inverse,
     is_member,
     kernel_basis,
     kronecker,
+    rank,
     rref,
     twisted_operator,
 )
@@ -217,6 +220,18 @@ def literal_kernel_basis(m: Matrix) -> list[list[int]]:
             v[c] = -reduced[r, f] % m.prime.p
         rows.append(v)
     return rows
+
+
+def literal_eigen_scan(m: Matrix) -> Spectrum:
+    """eigen_scan one field element at a time: the nullity of m - lambda*I for every lambda in GF(p)."""
+    n = m.rows
+    ident = Matrix.identity(n, m.prime)
+    pairs = []
+    for lam in range(m.prime.p):
+        nullity = n - rank(m - ident * lam)
+        if nullity:
+            pairs.append((lam, nullity))
+    return Spectrum(tuple(pairs))
 
 
 def check_vec_roundtrip(count=1000, seed=104):

@@ -261,6 +261,30 @@ class TestErrorsOnly:
             assert sum(decoded_rows) == patterns
             assert stats.trials == patterns * code.prime.p**code.dim
 
+    @pytest.mark.parametrize("cells", [1, 9, 40, 1 << 14])
+    def test_exhaustive_blocks_fill_across_position_sets(
+        self, four_one_four, four_two, decoded_rows, monkeypatch, cells
+    ):
+        # Every block but the last is full, whatever the position sets hold.
+        monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", cells)
+        for code in (four_one_four, four_two):
+            step = max(1, cells // code.length)
+            for t in range(5):
+                decoded_rows.clear()
+                exhaustive_stats(code, t)
+                patterns = math.comb(code.length, t) * (code.prime.p - 1) ** t
+                assert len(decoded_rows) == -(-patterns // step)
+                assert decoded_rows[:-1] == [step] * (len(decoded_rows) - 1)
+
+    def test_exhaustive_decoder_calls_on_channel_sweeps(self, nine_one_nine, decoded_rows):
+        # 576 patterns fit one block of 1,820 rows; 32,256 patterns take 18 blocks.
+        nine_five_three = comb_code(3, 1, 1, 5, 1)
+        assert exhaustive_stats(nine_five_three, 2) == ChannelStats(1800000, 675000, 900000, 225000)
+        assert decoded_rows == [576]
+        decoded_rows.clear()
+        exhaustive_stats(nine_one_nine, 4)
+        assert decoded_rows == [1820] * 17 + [32256 - 17 * 1820]
+
     def test_monte_carlo_encodes_no_message(self, nine_one_nine, monkeypatch):
         def refuse(*args):
             raise AssertionError("no message may be encoded")

@@ -469,9 +469,11 @@ def test_pinned_solve_output(capsys, tmp_path, argv, exit_code, stdout, stderr):
 
 
 # Exact exit code, stdout and stderr of the other commands: spectrum in the generic, defective
-# and p > 997 cases; simulate exhaustive, in Monte Carlo within and beyond capacity, and on a
+# and p > 997 cases, over GF(2), merged (p | x*n) at n = 4 and 6, and at the largest scanned
+# size (n = 64, p = 997); simulate exhaustive, in Monte Carlo within and beyond capacity, and on a
 # zero code; and a --t out of range on a code whose analysis would hit the distance guard,
-# which must be refused first.  A verify document is long, so its stdout is pinned by sha256.
+# which must be refused first.  A verify document or an n = 64 spectrum is long, so its stdout
+# is pinned by sha256.
 PINNED_COMMANDS = [
     ('spectrum --n 3 --p 5 --x 1 --y 1', 0, 'A = 1*J + 1*I over GF(5), n = 3\n[2 1 1]\n[1 2 1]\n[1 1 2]\nspectrum: eigenvalue 1 with multiplicity 2; eigenvalue 4 with multiplicity 1\neigen scan cross-check: agrees\ndiagonalizable: yes, D = diag(4, 1, 1)\n', ''),
     ('spectrum --n 3 --p 5 --x 1 --y 1 --json', 0, '{"p": 5, "n": 3, "x": 1, "y": 1, "eigenvalues": [[1, 2], [4, 1]], "diagonalizable": true, "diagonal": [4, 1, 1], "scan_agrees": true}\n', ''),
@@ -479,6 +481,14 @@ PINNED_COMMANDS = [
     ('spectrum --n 3 --p 3 --x 1 --y 1 --json', 0, '{"p": 3, "n": 3, "x": 1, "y": 1, "eigenvalues": [[1, 2]], "diagonalizable": false, "scan_agrees": true}\n', ''),
     ('spectrum --n 2 --p 1009 --x 1 --y 1', 0, 'A = 1*J + 1*I over GF(1009), n = 2\n[2 1]\n[1 2]\nspectrum: eigenvalue 1 with multiplicity 1; eigenvalue 3 with multiplicity 1\neigen scan cross-check: skipped (p > 997)\ndiagonalizable: yes, D = diag(3, 1)\n', ''),
     ('spectrum --n 2 --p 1009 --x 1 --y 1 --json', 0, '{"p": 1009, "n": 2, "x": 1, "y": 1, "eigenvalues": [[1, 1], [3, 1]], "diagonalizable": true, "diagonal": [3, 1]}\n', ''),
+    ('spectrum --n 3 --p 2 --x 1 --y 0', 0, 'A = 1*J + 0*I over GF(2), n = 3\n[1 1 1]\n[1 1 1]\n[1 1 1]\nspectrum: eigenvalue 0 with multiplicity 2; eigenvalue 1 with multiplicity 1\neigen scan cross-check: agrees\ndiagonalizable: yes, D = diag(1, 0, 0)\n', ''),
+    ('spectrum --n 3 --p 2 --x 1 --y 0 --json', 0, '{"p": 2, "n": 3, "x": 1, "y": 0, "eigenvalues": [[0, 2], [1, 1]], "diagonalizable": true, "diagonal": [1, 0, 0], "scan_agrees": true}\n', ''),
+    ('spectrum --n 4 --p 2 --x 1 --y 1', 0, 'A = 1*J + 1*I over GF(2), n = 4\n[0 1 1 1]\n[1 0 1 1]\n[1 1 0 1]\n[1 1 1 0]\nspectrum: eigenvalue 1 with multiplicity 3\neigen scan cross-check: agrees\ndiagonalizable: no (eigenspaces span 3 of 4 dimensions)\n', ''),
+    ('spectrum --n 4 --p 2 --x 1 --y 1 --json', 0, '{"p": 2, "n": 4, "x": 1, "y": 1, "eigenvalues": [[1, 3]], "diagonalizable": false, "scan_agrees": true}\n', ''),
+    ('spectrum --n 6 --p 3 --x 2 --y 1', 0, 'A = 2*J + 1*I over GF(3), n = 6\n[0 2 2 2 2 2]\n[2 0 2 2 2 2]\n[2 2 0 2 2 2]\n[2 2 2 0 2 2]\n[2 2 2 2 0 2]\n[2 2 2 2 2 0]\nspectrum: eigenvalue 1 with multiplicity 5\neigen scan cross-check: agrees\ndiagonalizable: no (eigenspaces span 5 of 6 dimensions)\n', ''),
+    ('spectrum --n 6 --p 3 --x 2 --y 1 --json', 0, '{"p": 3, "n": 6, "x": 2, "y": 1, "eigenvalues": [[1, 5]], "diagonalizable": false, "scan_agrees": true}\n', ''),
+    ('spectrum --n 64 --p 997 --x 1 --y 1', 0, 'sha256:a479bd812b96856ff34261635003da3917d98ab44150bbd762c5615e45490a0d', ''),
+    ('spectrum --n 64 --p 997 --x 1 --y 1 --json', 0, 'sha256:da8028d978addbe2749756794cb0a5ba1b6695737f3d5462772dfb0d7ba3c986', ''),
     ('simulate --n 2 --p 3 --x 1 --y 1 --a 2 --t 1 --exhaustive', 0, 'code [4, 1, 4] over GF(3), correction capacity 1\nmode: exhaustive\ntrials 24: 24 success, 0 ambiguous, 0 miscorrected\nPASS: 0 failures at t=1 (within capacity 1)\n', ''),
     ('simulate --n 2 --p 3 --x 1 --y 1 --a 2 --t 1 --exhaustive --json', 0, '{"p": 3, "n": 2, "x": 1, "y": 1, "a": 2, "t": 1, "length": 4, "dimension": 1, "min_distance": 4, "capacity": 1, "hypotheses_met": true, "mode": "exhaustive", "trials": 24, "successes": 24, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n', ''),
     ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 2 --trials 50 --seed 3', 0, 'code [9, 1, 9] over GF(5), correction capacity 4\nmode: monte-carlo (seed 3)\ntrials 50: 50 success, 0 ambiguous, 0 miscorrected\nPASS: 0 failures at t=2 (within capacity 4)\n', ''),

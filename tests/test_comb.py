@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tcc.comb
 from tcc import (
     CombParams,
     DefectiveMatrixError,
@@ -15,7 +16,7 @@ from tcc import (
     inverse,
 )
 from tcc.linalg import matmul_mod
-from helpers import GF3, GF5, GF7, all_ones
+from helpers import GF3, GF5, GF7, all_ones, literal_eigen_scan, rand_invertible
 
 
 def params(n, x, y, p):
@@ -111,6 +112,94 @@ class TestEigenScan:
         big = Prime(1009)
         with pytest.raises(GuardExceededError, match="comb_spectrum"):
             eigen_scan(Matrix.identity(2, big))
+
+
+class TestEigenScanAgainstLiteral:
+    """The characteristic-polynomial scan reports exactly what one rank per field element reports."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_every_comb_matrix(self, p):
+        prime = Prime(p)
+        for n in range(2, 7):
+            for x in range(p):
+                for y in range(p):
+                    a = comb_matrix(CombParams(n, x, y, prime))
+                    assert eigen_scan(a) == literal_eigen_scan(a), (p, n, x, y)
+
+    @staticmethod
+    def seeded_matrices(seed, count=60):
+        """Random, upper triangular, nilpotent and similar-to-diagonal matrices, n in 1..7."""
+        rng = np.random.default_rng(seed)
+        for index in range(count):
+            prime = Prime(int(rng.choice([2, 3, 5, 7, 13, 31])))
+            p, n = prime.p, int(rng.integers(1, 8))
+            entries = rng.integers(0, p, size=(n, n))
+            kind = index % 4
+            if kind == 1:
+                entries = np.triu(entries)
+            elif kind == 2:
+                entries = np.triu(entries, 1)
+            elif kind == 3:
+                # Few distinct eigenvalues, so most repeat.
+                diag = Matrix(np.diag(rng.choice(rng.integers(0, p, size=2), size=n)), prime)
+                change = rand_invertible(rng, n, prime)
+                entries = (inverse(change) @ diag @ change).array
+            yield Matrix(entries, prime)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_seeded_matrices(self, seed):
+        for a in self.seeded_matrices(seed):
+            assert eigen_scan(a) == literal_eigen_scan(a), a.array.tolist()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_order_one(self, p):
+        for v in range(p):
+            a = Matrix([[v]], Prime(p))
+            assert eigen_scan(a) == literal_eigen_scan(a) == Spectrum(((v, 1),))
+
+    def test_dense_order_64(self):
+        rng = np.random.default_rng(64)
+        prime = Prime(101)
+        diag = Matrix(np.diag(rng.choice([3, 17, 17, 50], size=64)), prime)
+        change = rand_invertible(rng, 64, prime)
+        a = inverse(change) @ diag @ change
+        assert eigen_scan(a) == literal_eigen_scan(a)
+        assert [lam for lam, _ in eigen_scan(a).pairs] == sorted(set(np.diag(diag.array).tolist()))
+
+
+class TestEigenScanWork:
+    """One rank per distinct eigenvalue, and none where the characteristic polynomial has no root."""
+
+    @pytest.fixture
+    def ranked(self, monkeypatch):
+        calls = []
+        rank = tcc.comb.rank
+
+        def counting(m):
+            calls.append(m.shape)
+            return rank(m)
+
+        monkeypatch.setattr(tcc.comb, "rank", counting)
+        return calls
+
+    def test_benchmark_comb_matrix(self, ranked):
+        assert eigen_scan(comb_matrix(params(64, 1, 1, 997))) == Spectrum(((1, 63), (65, 1)))
+        assert ranked == [(64, 64)] * 2
+
+    def test_scalar_matrix(self, ranked):
+        assert eigen_scan(Matrix.identity(5, GF7) * 3) == Spectrum(((3, 5),))
+        assert len(ranked) == 1
+
+    def test_no_root(self, ranked):
+        # det(X*I - A) = X^2 - 2 = X^2 + 1 has no root in GF(3).
+        assert eigen_scan(Matrix([[0, 2], [1, 0]], GF3)) == Spectrum(())
+        assert ranked == []
+
+    def test_guard_before_any_work(self, ranked, monkeypatch):
+        monkeypatch.setattr(tcc.comb, "_char_poly", None)
+        with pytest.raises(GuardExceededError, match=r"eigen scan over GF\(1009\) exceeds the p <= 997 cap"):
+            eigen_scan(Matrix.identity(64, Prime(1009)))
+        assert ranked == []
 
 
 class TestCombSpectrum:
