@@ -4,25 +4,39 @@ The membership condition is linear in B, so column-stacking turns it into
 an ordinary kernel problem: with T = (I (x) A) - a * (A^T (x) I) we have
 T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  That
 costs about n^6, so comb matrices x*J + y*I are solved from row and
-column sums instead, through a system of at most 2n - 1 rows.  Both
-routes eliminate their system once with its columns reversed, so the
-kernel comes out as the RREF generator of the linear code of length n^2
+column sums instead: in closed form, or, when (1 - a) y = 0, through a
+system of 2n - 1 sum constraints that is eliminated once per (n, a, p)
+and cached.  Eliminations run with the columns reversed, so each kernel
+comes out as the RREF generator of the linear code of length n^2
 spanned by the vec images; no second reduction runs.  The Kronecker
 kernel serves --matrix-file input and checks the comb solve in the tests.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .code import LinearCode
-from .linalg import FieldMismatchError, GuardExceededError, Matrix, Prime, kernel_basis, kronecker, matmul_mod
+from .linalg import (
+    FieldMismatchError,
+    GuardExceededError,
+    Matrix,
+    Prime,
+    _free_column_kernel,
+    kernel_basis,
+    kronecker,
+    matmul_mod,
+    rref,
+)
 from .comb import MAX_ORDER, CombParams, comb_matrix
 
 # Largest operator the Kronecker kernel builds: n = 32, a 1024 x 1024 T.
 KRONECKER_MAX_CELLS = 1 << 10
 # Membership checks run over stacks of at most this many matrix entries.
 _CHECK_CELLS = 1 << 20
+# Eliminated s = 0 comb systems kept, one per (n, a, p): a verify (p, n) block needs p <= 13.
+_SUM_SYSTEMS_CACHED = 16
 
 
 @dataclass(frozen=True)
@@ -114,15 +128,26 @@ def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
 
 
 def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
-    """C(x*J + y*I, a) from row and column sums, with no n^2 x n^2 operator.
+    """C(x*J + y*I, a) in closed form, with no n^2 x n^2 operator.
 
     With u the all-ones vector, c = B u and r = u^T B, we have
-    AB - aBA = s*B + x*(u r - a c u^T) for s = (1 - a) y.  For s = 0 the
-    code is the full space (x = 0) or the kernel of the 2n - 1 sum
-    constraints r_j = a c_0 and a c_i = a c_0.  For s != 0 every member is
-    B[i, j] = g_i + h_j, fixed by its entries B[:, 0] and B[0, 1:] (h_0 = 0),
-    which solve a (2n - 1)-square system; as every member's first nonzero
-    entry is one of them, the expanded kernel rows stay in RREF.
+    AB - aBA = s*B + x*(u r - a c u^T) for s = (1 - a) y.  For s != 0
+    every member is B[i, j] = g_i + h_j with h_0 = 0, and AB = aBA reads
+    alpha g_i + beta h_j + x (sum g - a sum h) = 0 for alpha = s - a x n
+    and beta = s + x n.  The dimension is then
+
+    * alpha, beta != 0: 1 (span(J)) if p | x n + y, else 0, since
+      alpha + x n = (1 - a)(x n + y): the paper's theorem and its converse;
+    * alpha = 0, beta != 0: n - 1 (B = g u^T with sum g = 0);
+    * alpha != 0, beta = 0: n for a = 0 (B = u h^T), else n - 1;
+    * alpha = beta = 0, which forces a = -1: 2n - 2.
+
+    For s = 0 the code is the full space n^2 when x = 0; otherwise it is
+    the kernel of 2n - 1 sum constraints that depend only on (n, a, p), of
+    dimension n^2 - n for a = 0, n^2 - 2n + 2 for a = 1 and
+    (n - 1)^2 + [p | n] otherwise.  Only that case eliminates, once per
+    (n, a, p) while the system stays cached.  Every generator comes out
+    in RREF, so no second reduction runs.
     """
     spec = TwistSpec(comb_matrix(params), twist)
     p, n, x, a = params.prime.p, params.n, params.x, spec.twist
@@ -130,28 +155,64 @@ def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
     if s == 0 and x == 0:
         return _basis(spec, np.eye(n * n, dtype=np.int64))
     if s == 0:
-        # Row j is r_j - a c_0, row n - 1 + i is a (c_i - c_0); entry [., j, i] weighs B[i, j].
-        sums = np.zeros((2 * n - 1, n, n), dtype=np.int64)
-        sums[np.arange(n), np.arange(n)] = 1
-        sums[:n, :, 0] -= a
-        sums[np.arange(n, 2 * n - 1), :, np.arange(1, n)] = a
-        sums[n:, :, 0] = -a
-        return _basis(spec, _rref_kernel(sums.reshape(2 * n - 1, n * n), params.prime))
-    # Unknowns v = (g_0 .. g_(n-1), g_0 + h_1 .. g_0 + h_(n-1)).  Rows i < n:
-    # alpha g_i + x (sum g - a sum h) = 0; rows n - 1 + j: beta h_j = 0.
-    alpha, beta = (s - a * x * n) % p, (s + x * n) % p
-    eqs = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int64)
-    eqs[:n, :n] = x
-    eqs[:n, n:] = -a * x % p
-    eqs[np.arange(n), np.arange(n)] += alpha
-    eqs[np.arange(n, 2 * n - 1), np.arange(n, 2 * n - 1)] = beta
-    # h_j = v_(n-1+j) - v_0 moves the weight of each h_j onto v_0 too.
-    eqs[:, 0] -= eqs[:, n:].sum(axis=1)
-    v = _rref_kernel(eqs, params.prime)
+        reduced, pivots = _sum_system_rref(n, a, params.prime)
+        return _basis(spec, _free_column_kernel(reduced, pivots, p)[::-1, ::-1])
+    v = _closed_form_kernel(n, x, params.y, a, p)
     h = np.zeros((len(v), n), dtype=np.int64)
     h[:, 1:] = v[:, n:] - v[:, :1]
-    # Column-stacked, entry j n + i is B[i, j] = g_i + h_j.
+    # Column-stacked, entry j n + i is B[i, j] = g_i + h_j.  A row's first
+    # nonzero entry is its first nonzero in v, as B[:, 0] = g and B[0, j] = w_j.
     return _basis(spec, (h[:, :, None] + v[:, None, :n]).reshape(len(v), n * n))
+
+
+def _closed_form_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
+    """The RREF kernel, for s = (1 - a) y != 0, in v = (g_0 .. g_(n-1), w_1 .. w_(n-1)).
+
+    Here w_j = B[0, j] = g_0 + h_j, and e_i below is the i-th unit row.
+    """
+    s = (1 - a) * y % p
+    alpha, beta = (s - a * x * n) % p, (s + x * n) % p
+    eye = np.eye(2 * n - 1, dtype=np.int64)
+    if alpha and beta:
+        # h = 0 and g is constant, which (1 - a)(x n + y) must annihilate.
+        return eye[:0] if (x * n + y) % p else np.ones((1, 2 * n - 1), dtype=np.int64)
+    if beta:
+        # sum g = 0 and h = 0, so w_j = g_0: rows e_i - e_(n-1), w = 1 on row 0.
+        v = eye[: n - 1].copy()
+        v[:, n - 1] = -1
+        v[0, n:] = 1
+        return v % p
+    if alpha:
+        # g is constant; h is free for a = 0, else sum w = -g_0.
+        v = eye[n - 1 : 2 * n - 1 if a == 0 else 2 * n - 2].copy()
+        v[0, :n] = 1
+        if a:
+            v[:, -1] = -1
+        return v % p
+    # a = -1: the one constraint sum g + sum h = 0 is c.v = 0, c = (2 - n, 1, .., 1).
+    v = eye[:-1].copy()
+    v[:, -1] = -1
+    v[0, -1] = n - 2
+    return v % p
+
+
+@lru_cache(maxsize=_SUM_SYSTEMS_CACHED)
+def _sum_system_rref(n: int, a: int, prime: Prime) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The s = 0 sum constraints of order n and twist a, eliminated with their columns reversed.
+
+    Returns the read-only nonzero RREF rows and their pivot columns.  The
+    cache holds the elimination, not the kernel: at n = 64 these rows are
+    at most 127 x 4096 int64, about 4 MB, where the kernel can be
+    3,970 x 4,096, about 130 MB.
+    """
+    # Row j is r_j - a c_0, row n - 1 + i is a (c_i - c_0); entry [., j, i] weighs B[i, j].
+    sums = np.zeros((2 * n - 1, n, n), dtype=np.int64)
+    sums[np.arange(n), np.arange(n)] = 1
+    sums[:n, :, 0] -= a
+    sums[np.arange(n, 2 * n - 1), :, np.arange(1, n)] = a
+    sums[n:, :, 0] = -a
+    reduced, rk, pivots = rref(Matrix(sums.reshape(2 * n - 1, n * n)[:, ::-1], prime))
+    return reduced.array[:rk], pivots
 
 
 def _rref_kernel(eqs: np.ndarray, prime: Prime) -> np.ndarray:

@@ -280,11 +280,17 @@ def kernel_basis(m: Matrix) -> np.ndarray:
     negated RREF entry.  Returns an int64 array of shape (cols - rank(m),
     cols) whose every row v satisfies m @ v == 0.
     """
-    R, rk, pivots = rref(m)
-    free = np.delete(np.arange(m.cols), pivots)
-    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    reduced, _, pivots = rref(m)
+    return _free_column_kernel(reduced.array, pivots, m.prime.p)
+
+
+def _free_column_kernel(reduced: np.ndarray, pivots, p: int) -> np.ndarray:
+    """The kernel rows of an RREF matrix, one per free column, as in kernel_basis."""
+    cols = reduced.shape[1]
+    free = np.delete(np.arange(cols), pivots)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, list(pivots)] = (-R.array[:rk, free].T) % m.prime.p
+    basis[:, list(pivots)] = (-reduced[: len(pivots), free].T) % p
     return basis
 
 

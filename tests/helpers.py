@@ -10,7 +10,9 @@ vec and unvec are the column-stacking maps between n x n matrices and
 code words, and basis_matrices unvecs a basis's generator rows.
 brute_force_centralizer enumerates every matrix, kept as the oracle for
 the kernel solver, and literal_kernel_basis builds one kernel row per
-free column, kept as the oracle for kernel_basis.  literal_eigen_scan solves one rank problem
+free column, kept as the oracle for kernel_basis.  eliminated_comb_kernel
+eliminates the (2n - 1)-square system of a comb solve with s != 0, kept
+as the oracle for its closed-form kernel.  literal_eigen_scan solves one rank problem
 per field element, kept as the oracle for eigen_scan.  conjugation_transfer is the literal per-matrix
 transfer of a centralizer basis, kept as an oracle for the
 diagonalization claims.  The literal_* channel runs decode one word
@@ -47,6 +49,7 @@ from tcc import (
     rref,
     twisted_operator,
 )
+from tcc.centralizer import _rref_kernel
 from tcc.channel import EXHAUSTIVE_LIMIT, inject_errors
 from tcc.code import ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import count_text, matmul_mod
@@ -220,6 +223,24 @@ def literal_kernel_basis(m: Matrix) -> list[list[int]]:
             v[c] = -reduced[r, f] % m.prime.p
         rows.append(v)
     return rows
+
+
+def eliminated_comb_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
+    """The kernel that comb_centralizer writes in closed form for s = (1 - a) y != 0, by elimination.
+
+    Unknowns v = (g_0 .. g_(n-1), g_0 + h_1 .. g_0 + h_(n-1)).  Rows i < n:
+    alpha g_i + x (sum g - a sum h) = 0; rows n - 1 + j: beta h_j = 0.
+    """
+    s = (1 - a) * y % p
+    alpha, beta = (s - a * x * n) % p, (s + x * n) % p
+    eqs = np.zeros((2 * n - 1, 2 * n - 1), dtype=np.int64)
+    eqs[:n, :n] = x
+    eqs[:n, n:] = -a * x % p
+    eqs[np.arange(n), np.arange(n)] += alpha
+    eqs[np.arange(n, 2 * n - 1), np.arange(n, 2 * n - 1)] = beta
+    # h_j = v_(n-1+j) - v_0 moves the weight of each h_j onto v_0 too.
+    eqs[:, 0] -= eqs[:, n:].sum(axis=1)
+    return _rref_kernel(eqs, Prime(p))
 
 
 def literal_eigen_scan(m: Matrix) -> Spectrum:

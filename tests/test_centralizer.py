@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from tcc import (
     kernel_basis,
     twisted_operator,
 )
+from tcc.centralizer import _closed_form_kernel
 from tcc.linalg import matmul_mod
 from helpers import (
     GF2,
@@ -31,6 +35,7 @@ from helpers import (
     brute_force_centralizer,
     code_from_rows,
     conjugation_transfer,
+    eliminated_comb_kernel,
     rand_matrix,
     unit_e11,
     vec,
@@ -382,10 +387,25 @@ class TestCombCentralizer:
         # 1 = 3 * (32 + 1) mod 7: C(D, 3) is spanned by E_i1 for the n - 1 indices i > 1.
         assert basis.dim == 31
 
-    def test_solves_eliminate_at_most_2n_rows(self, monkeypatch):
+    def test_only_the_sum_system_eliminates(self, monkeypatch):
         def no_operator(spec):
             raise AssertionError("the structured solve must not build T")
 
+        def refuse(a, p):
+            raise AssertionError("s != 0 and the full space are written in closed form")
+
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
+        monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
+        # At n = 3 every s != 0 tuple over GF(3); beyond 32 the full space,
+        # s != 0 and the zero code.
+        dims = {(3, 3, x, y, a): None for x in range(3) for y in range(3) for a in range(3) if (1 - a) * y % 3}
+        assert len(dims) == 12
+        dims.update({(33, 3, 0, 1, 1): 1089, (33, 3, 1, 1, 2): 0, (64, 3, 1, 1, 2): 126, (64, 7, 1, 1, 0): 0})
+        for (n, p, x, y, a), dim in dims.items():
+            basis = comb_centralizer(CombParams(n, x, y, Prime(p)), a)
+            assert dim in (None, basis.dim), (n, p, x, y, a)
+
+    def test_sum_system_eliminates_once_per_order_twist_and_prime(self, monkeypatch):
         shapes = []
         original = tcc.linalg._rref_array
 
@@ -393,22 +413,75 @@ class TestCombCentralizer:
             shapes.append(a.shape)
             return original(a, p)
 
-        monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
+        def s_zero_dim(n, p, a):
+            return n * n - n if a == 0 else n * n - 2 * n + 2 if a == 1 else (n - 1) ** 2 + (n % p == 0)
+
+        tcc.centralizer._sum_system_rref.cache_clear()
         monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
-        # At n = 3 every tuple over GF(3); beyond 32 the full space, the
-        # merged s = 0 kernel, s != 0 and the zero code.
-        dims = {(3, 3, x, y, a): None for x in range(3) for y in range(3) for a in range(3)}
-        dims.update({
-            (33, 3, 0, 1, 1): 1089, (33, 3, 1, 1, 1): 1025, (33, 3, 1, 1, 2): 0,
-            (64, 2, 1, 1, 1): 3970, (64, 3, 1, 1, 2): 126, (64, 7, 1, 1, 0): 0,
-        })
-        for (n, p, x, y, a), dim in dims.items():
-            shapes.clear()
-            basis = comb_centralizer(CombParams(n, x, y, Prime(p)), a)
-            assert dim in (None, basis.dim), (n, p, x, y, a)
-            assert all(rows < 2 * n for rows, _ in shapes), (n, p, x, y, a, shapes)
-            # Only the full space (s = 0 and x = 0) skips elimination.
-            assert len(shapes) == (x != 0 or (1 - a) * y % p != 0), (n, p, x, y, a)
+        # (n, p, a, y) with s = (1 - a) y = 0, solved at x and again at another x.
+        for n, p, a, y, xs in [(33, 3, 1, 1, (1, 2)), (4, 5, 0, 0, (1, 3)), (6, 7, 3, 0, (2, 5)), (5, 5, 2, 0, (1, 4))]:
+            for x, eliminations in zip(xs, ([(2 * n - 1, n * n)], [])):
+                shapes.clear()
+                basis = comb_centralizer(CombParams(n, x, y, Prime(p)), a)
+                assert shapes == eliminations, (n, p, a, y, x)
+                assert basis.dim == s_zero_dim(n, p, a), (n, p, a, y, x)
+        shapes.clear()
+        assert comb_centralizer(CombParams(64, 1, 1, Prime(2)), 1).dim == s_zero_dim(64, 2, 1) == 3970
+        assert shapes == [(127, 4096)]
+
+    def test_cached_sum_system_is_read_only_and_bounded(self):
+        cached = tcc.centralizer._sum_system_rref
+        cached.cache_clear()
+        reduced, pivots = cached(4, 2, GF5)
+        assert not reduced.flags.writeable and isinstance(pivots, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            reduced[0, 0] = 1
+        maxsize = cached.cache_info().maxsize
+        assert maxsize == tcc.centralizer._SUM_SYSTEMS_CACHED
+        for n in range(2, maxsize + 5):
+            comb_centralizer(CombParams(n, 1, 0, GF3), 2)
+        assert cached.cache_info().currsize == maxsize
+
+    def test_closed_form_kernel_matches_elimination(self):
+        # Every s != 0 tuple with p <= 11 and n <= 7, then one tuple per case
+        # at n = 33 and 64 over large primes.
+        def case(n, x, y, a, p):
+            s = (1 - a) * y % p
+            alpha, beta = (s - a * x * n) % p, (s + x * n) % p
+            if alpha and beta:
+                return "span(J)" if (x * n + y) % p == 0 else "zero"
+            if beta:
+                return "alpha = 0"
+            if alpha:
+                return "beta = 0, a = 0" if a == 0 else "beta = 0, a != 0"
+            return "alpha = beta = 0"
+
+        tuples = [
+            (n, x, y, a, p)
+            for p in (2, 3, 5, 7, 11)
+            for n in range(2, 8)
+            for x, y, a in product(range(p), repeat=3)
+            if (1 - a) * y % p
+        ]
+        for n in (33, 64):
+            for p in (65521, 2**31 - 1):
+                half = pow(2, -1, p)
+                tuples += [
+                    (n, 1, -n % p, 2, p),  # p | x n + y
+                    (n, 1, 1, 2, p),  # p does not divide x n + y
+                    (n, 1, -2 * n % p, 2, p),  # alpha = 0
+                    (n, 1, -n % p, 0, p),  # beta = 0, a = 0
+                    (n, 1, n, 2, p),  # beta = 0, a != 0
+                    (n, 1, -n * half % p, p - 1, p),  # alpha = beta = 0
+                ]
+        tally = Counter()
+        for n, x, y, a, p in tuples:
+            tally[case(n, x, y, a, p), n > 32] += 1
+            kernel = _closed_form_kernel(n, x, y, a, p)
+            assert np.array_equal(kernel, eliminated_comb_kernel(n, x, y, a, p)), (n, x, y, a, p)
+        cases = {"span(J)", "zero", "alpha = 0", "beta = 0, a = 0", "beta = 0, a != 0", "alpha = beta = 0"}
+        assert {c for c, _ in tally} == cases
+        assert all(tally[c, True] == 4 for c in cases)
 
     def test_dimension_closed_form(self):
         # [l1 = a l1] + (n-1)([l1 = a y] + [y = a l1]) + (n-1)^2 [y = a y], l1 = x n + y.

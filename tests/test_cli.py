@@ -271,6 +271,24 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == "85282103cc5b228a88d257285d9a635de7c99188172e67b75e702fcdf20a14b7"
 
+    def test_full_json_sweep_pinned(self, capsys, monkeypatch):
+        # The largest sweep verify accepts: p <= 13 and n <= 6, 20,155 tuples.
+        # Only s = 0 comb systems eliminate, once per (n, a, p): 5 orders times
+        # the 41 twists summed over the six primes.
+        eliminations = []
+        original = tcc.linalg._rref_array
+
+        def counted(a, p):
+            eliminations.append(a.shape)
+            return original(a, p)
+
+        tcc.centralizer._sum_system_rref.cache_clear()
+        monkeypatch.setattr(tcc.linalg, "_rref_array", counted)
+        code, out, _ = run_cli(capsys, "verify", "--p-max", "13", "--n-max", "6", "--json")
+        assert code == EXIT_OK
+        assert len(eliminations) == 5 * (2 + 3 + 5 + 7 + 11 + 13) == 205
+        assert hashlib.sha256(out.encode()).hexdigest() == "fa09d78430516328b066f630a5f4ae17a13525054173e3daa4ff39d43fafaa15"
+
     def test_sweep_caps_enforced(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p-max", "17")
         assert code == EXIT_USAGE
