@@ -25,12 +25,9 @@ from .linalg import (
 )
 from .comb import (
     CombParams,
-    DefectiveMatrixError,
-    Diagonalization,
     Spectrum,
     comb_matrix,
     comb_spectrum,
-    diagonalize,
     eigen_scan,
 )
 from .centralizer import (
@@ -61,8 +58,6 @@ __all__ = [
     "ChannelStats",
     "CodeReport",
     "CombParams",
-    "DefectiveMatrixError",
-    "Diagonalization",
     "FieldMismatchError",
     "GuardExceededError",
     "LinearCode",
@@ -79,7 +74,6 @@ __all__ = [
     "comb_centralizer",
     "comb_matrix",
     "comb_spectrum",
-    "diagonalize",
     "eigen_scan",
     "exhaustive_stats",
     "inverse",

@@ -4,16 +4,15 @@ The membership condition is linear in B, so column-stacking turns it into
 an ordinary kernel problem: with T = (I (x) A) - a * (A^T (x) I) we have
 T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  That
 costs about n^6, so comb matrices x*J + y*I are solved from row and
-column sums instead: in closed form, or, when (1 - a) y = 0, through a
-system of 2n - 1 sum constraints that is eliminated once per (n, a, p)
-and cached.  Eliminations run with the columns reversed, so each kernel
-comes out as the RREF generator of the linear code of length n^2
-spanned by the vec images; no second reduction runs.  The Kronecker
-kernel serves --matrix-file input and checks the comb solve in the tests.
+column sums instead, in closed form: every comb generator is written
+directly as the RREF generator of the linear code of length n^2 spanned
+by the vec images, and no comb solve eliminates.  The Kronecker kernel
+serves --matrix-file input and checks the comb solve in the tests; its
+elimination runs with the columns reversed, so its kernel comes out in
+RREF too and no second reduction runs.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,11 +22,9 @@ from .linalg import (
     GuardExceededError,
     Matrix,
     Prime,
-    _free_column_kernel,
     kernel_basis,
     kronecker,
     matmul_mod,
-    rref,
 )
 from .comb import MAX_ORDER, CombParams, comb_matrix
 
@@ -35,8 +32,6 @@ from .comb import MAX_ORDER, CombParams, comb_matrix
 KRONECKER_MAX_CELLS = 1 << 10
 # Membership checks run over stacks of at most this many matrix entries.
 _CHECK_CELLS = 1 << 20
-# Eliminated s = 0 comb systems kept, one per (n, a, p): a verify (p, n) block needs p <= 13.
-_SUM_SYSTEMS_CACHED = 16
 
 
 @dataclass(frozen=True)
@@ -142,12 +137,11 @@ def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
     * alpha != 0, beta = 0: n for a = 0 (B = u h^T), else n - 1;
     * alpha = beta = 0, which forces a = -1: 2n - 2.
 
-    For s = 0 the code is the full space n^2 when x = 0; otherwise it is
-    the kernel of 2n - 1 sum constraints that depend only on (n, a, p), of
-    dimension n^2 - n for a = 0, n^2 - 2n + 2 for a = 1 and
-    (n - 1)^2 + [p | n] otherwise.  Only that case eliminates, once per
-    (n, a, p) while the system stays cached.  Every generator comes out
-    in RREF, so no second reduction runs.
+    For s = 0 the code is the full space n^2 when x = 0.  Otherwise
+    AB - aBA = x (u r - a c u^T), so every column sum equals a times every
+    row sum, and the dimension is n^2 - n for a = 0 (zero column sums),
+    else (n - 1)^2 + [a = 1 or p | n].  Every generator is written in
+    RREF, so nothing is eliminated or reduced.
     """
     spec = TwistSpec(comb_matrix(params), twist)
     p, n, x, a = params.prime.p, params.n, params.x, spec.twist
@@ -155,8 +149,7 @@ def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
     if s == 0 and x == 0:
         return _basis(spec, np.eye(n * n, dtype=np.int64))
     if s == 0:
-        reduced, pivots = _sum_system_rref(n, a, params.prime)
-        return _basis(spec, _free_column_kernel(reduced, pivots, p)[::-1, ::-1])
+        return _basis(spec, _sum_kernel(n, a, p))
     v = _closed_form_kernel(n, x, params.y, a, p)
     h = np.zeros((len(v), n), dtype=np.int64)
     h[:, 1:] = v[:, n:] - v[:, :1]
@@ -196,23 +189,34 @@ def _closed_form_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
     return v % p
 
 
-@lru_cache(maxsize=_SUM_SYSTEMS_CACHED)
-def _sum_system_rref(n: int, a: int, prime: Prime) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The s = 0 sum constraints of order n and twist a, eliminated with their columns reversed.
+def _sum_kernel(n: int, a: int, p: int) -> np.ndarray:
+    """The RREF generator for s = 0 and x != 0: column sums r_j = a c_i for all row sums c_i.
 
-    Returns the read-only nonzero RREF rows and their pivot columns.  The
-    cache holds the elimination, not the kernel: at n = 64 these rows are
-    at most 127 x 4096 int64, about 4 MB, where the kernel can be
-    3,970 x 4,096, about 130 MB.
+    Row j (n - 1) + i, for i < n - 1, is E_ij - E_(n-1)j when a = 0 (zero
+    column sums); for a != 0 and j < n - 1 it also has -E_i(n-1) + E_(n-1)(n-1)
+    (zero row and column sums).  When a != 0 and a = 1 or p | n, one member
+    E with column sums 1 and row sums 1/a joins them: its pivot B[n - 1, 0]
+    sits at vec index n - 1, so it is row n - 1, the rows after it move down
+    one, and it is added to the rows before it.
     """
-    # Row j is r_j - a c_0, row n - 1 + i is a (c_i - c_0); entry [., j, i] weighs B[i, j].
-    sums = np.zeros((2 * n - 1, n, n), dtype=np.int64)
-    sums[np.arange(n), np.arange(n)] = 1
-    sums[:n, :, 0] -= a
-    sums[np.arange(n, 2 * n - 1), :, np.arange(1, n)] = a
-    sums[n:, :, 0] = -a
-    reduced, rk, pivots = rref(Matrix(sums.reshape(2 * n - 1, n * n)[:, ::-1], prime))
-    return reduced.array[:rk], pivots
+    m = n - 1
+    extra = a != 0 and (a == 1 or n % p == 0)
+    j, i = np.divmod(np.arange(m * (n if a == 0 else m)), m)
+    rows = np.arange(len(j)) + extra * (j > 0)
+    gen = np.zeros((len(j) + extra, n * n), dtype=np.int64)
+    gen[rows, j * n + i] = 1
+    gen[rows, j * n + m] = p - 1
+    if a:
+        gen[rows, m * n + i] = p - 1
+        gen[rows, m * n + m] = 1
+    if extra:
+        inv = pow(a, -1, p)
+        # Entry j n + i is B[i, j]: 1 in row n - 1 left of the corner, 1/a above it.
+        gen[m, m : m * n : n] = 1
+        gen[m, m * n : m * n + m] = inv
+        gen[m, m * n + m] = (inv - m) % p
+        gen[:m] = (gen[:m] + gen[m]) % p
+    return gen
 
 
 def _rref_kernel(eqs: np.ndarray, prime: Prime) -> np.ndarray:

@@ -21,7 +21,6 @@ from .comb import (
     CombParams,
     comb_matrix,
     comb_spectrum,
-    diagonalize,
     eigen_scan,
 )
 from .linalg import GuardExceededError, MatrixFormatError, Prime, is_prime, parse_matrix_text
@@ -153,7 +152,8 @@ def cmd_spectrum(args) -> tuple[int, dict]:
         "diagonalizable": spectrum.total_multiplicity == params.n,
     }
     if out["diagonalizable"]:
-        out["diagonal"] = diagonalize(params).diagonal.array.diagonal().tolist()
+        # A is then similar to diag(x n + y, y, ..., y), which also covers x = 0.
+        out["diagonal"] = [(params.x * params.n + params.y) % params.prime.p] + [params.y] * (params.n - 1)
     if params.prime.p <= EIGEN_SCAN_MAX_P:
         out["scan_agrees"] = eigen_scan(matrix) == spectrum
     if not args.json:

@@ -1,24 +1,21 @@
-"""Combinatorial matrices x*J + y*I over GF(p): spectra and diagonalization.
+"""Combinatorial matrices x*J + y*I over GF(p) and their spectra.
 
 J is the all-ones matrix, I the identity.  Row sums show that the all-ones
 vector u satisfies A u = (x n + y) u, and the y-eigenspace is the null
 space of x*J, i.e. the zero-coordinate-sum hyperplane.  So the spectrum is
 {x n + y, y} with geometric multiplicities 1 and n - 1, except that over
 GF(p) the two eigenvalues can merge (p | x n), in which case the matrix is
-defective unless it is scalar.  Multiplicities here are always computed
-from ranks, never assumed from the generic split.
-
-A note on constructions: eliminating the off-diagonal x's by sequential
-row operations only triangularizes A (the first row keeps its x's when
-x != 0); the similar diagonal matrix diag(x n + y, y, ..., y) shares that
-triangle's diagonal but is reached here through an explicit eigenbasis.
+defective unless it is scalar: A - y*I = x*J has rank 1, so the single
+eigenvalue y has multiplicity n - 1.  When A is diagonalizable it is
+similar to diag(x n + y, y, ..., y).  eigen_scan, which computes
+multiplicities from ranks for any square matrix, checks these formulas.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GuardExceededError, Matrix, Prime, inverse, kernel_basis, matmul_mod, rank
+from .linalg import GuardExceededError, Matrix, Prime, matmul_mod, rank
 
 # The scan evaluates a degree-n polynomial at all p residues and solves one rank
 # problem per root.  That would stay cheap well past this cap; the cap is kept so
@@ -26,10 +23,6 @@ from .linalg import GuardExceededError, Matrix, Prime, inverse, kernel_basis, ma
 EIGEN_SCAN_MAX_P = 997
 
 MAX_ORDER = 64
-
-
-class DefectiveMatrixError(ValueError):
-    """The matrix admits no eigenbasis over its field."""
 
 
 @dataclass(frozen=True)
@@ -69,14 +62,6 @@ class Spectrum:
     @property
     def total_multiplicity(self) -> int:
         return sum(mult for _, mult in self.pairs)
-
-
-@dataclass(frozen=True)
-class Diagonalization:
-    """An invertible row eigenbasis P and diagonal D with P A P^-1 = D."""
-
-    transform: Matrix
-    diagonal: Matrix
 
 
 def comb_matrix(params: CombParams) -> Matrix:
@@ -152,12 +137,12 @@ def eigen_scan(m: Matrix) -> Spectrum:
 
 
 def comb_spectrum(params: CombParams) -> Spectrum:
-    """Spectrum of x*J + y*I from the structure of J, in O(n^3).
+    """Spectrum of x*J + y*I from the structure of J, in O(1).
 
     Generic case (x != 0, eigenvalues distinct mod p): {(x n + y, 1),
     (y, n - 1)}.  Scalar case (x == 0): {(y, n)}.  Merged case (x != 0
-    but p | x n): a single eigenvalue y whose multiplicity is computed
-    from the rank of A - y*I rather than assumed.
+    but p | x n): a single eigenvalue y of multiplicity n - 1, the
+    nullity of the rank-1 matrix A - y*I = x*J.
     """
     p = params.prime.p
     n = params.n
@@ -165,40 +150,6 @@ def comb_spectrum(params: CombParams) -> Spectrum:
     lam_rest = params.y
     if params.x == 0:
         return Spectrum(((lam_rest, n),))
-    if lam_ones != lam_rest:
-        pairs = sorted(((lam_ones, 1), (lam_rest, n - 1)))
-        return Spectrum(tuple(pairs))
-    shifted = comb_matrix(params) - Matrix.identity(n, params.prime) * lam_rest
-    return Spectrum(((lam_rest, n - rank(shifted)),))
-
-
-def diagonalize(params: CombParams) -> Diagonalization:
-    """Explicit diagonalization P A P^-1 = diag(x n + y, y, ..., y).
-
-    P's rows are an eigenbasis (A is symmetric, so row and column
-    eigenvectors coincide): the all-ones vector first, then the kernel
-    basis of J spanning the y-eigenspace.  Raises DefectiveMatrixError in
-    the merged-eigenvalue case, where the eigenspaces do not fill GF(p)^n.
-    """
-    prime = params.prime
-    p = prime.p
-    n = params.n
-    a = comb_matrix(params)
-    if params.x == 0:
-        return Diagonalization(Matrix.identity(n, prime), a)
-    lam_ones = (params.x * n + params.y) % p
-    lam_rest = params.y
     if lam_ones == lam_rest:
-        raise DefectiveMatrixError(
-            f"x*J + y*I with x={params.x}, y={params.y}, n={n} "
-            f"is defective over GF({p}): its single eigenvalue has multiplicity {n - 1}"
-        )
-    ones = np.ones((n, n), dtype=np.int64)
-    transform = Matrix(np.vstack([ones[0], kernel_basis(Matrix(ones, prime))]), prime)
-    diag_entries = np.full(n, lam_rest, dtype=np.int64)
-    diag_entries[0] = lam_ones
-    diagonal = Matrix(np.diag(diag_entries), prime)
-    # Construction sanity: distinct eigenvalues force P invertible and P A = D P.
-    if (transform @ a) @ inverse(transform) != diagonal:
-        raise RuntimeError("eigenbasis construction failed to diagonalize")
-    return Diagonalization(transform, diagonal)
+        return Spectrum(((lam_rest, n - 1),))
+    return Spectrum(tuple(sorted(((lam_ones, 1), (lam_rest, n - 1)))))

@@ -8,6 +8,7 @@ code analysis) is built on.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,6 +17,8 @@ import numpy as np
 # Desk-scale caps: order-64 square matrices flatten to length-4096 words.
 MAX_DIM = 4096
 MAX_PRIME = 2**31 - 1
+# A matrix file integer: int() alone would also read "1_0" and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class FieldMismatchError(ValueError):
@@ -281,16 +284,10 @@ def kernel_basis(m: Matrix) -> np.ndarray:
     cols) whose every row v satisfies m @ v == 0.
     """
     reduced, _, pivots = rref(m)
-    return _free_column_kernel(reduced.array, pivots, m.prime.p)
-
-
-def _free_column_kernel(reduced: np.ndarray, pivots, p: int) -> np.ndarray:
-    """The kernel rows of an RREF matrix, one per free column, as in kernel_basis."""
-    cols = reduced.shape[1]
-    free = np.delete(np.arange(cols), pivots)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
+    free = np.delete(np.arange(m.cols), pivots)
+    basis = np.zeros((len(free), m.cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, list(pivots)] = (-reduced[: len(pivots), free].T) % p
+    basis[:, list(pivots)] = (-reduced.array[: len(pivots), free].T) % m.prime.p
     return basis
 
 
@@ -312,12 +309,19 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(np.kron(a.array, b.array) % a.prime.p, a.prime)
 
 
+def _integer(tok: str) -> int:
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError(tok)
+    return int(tok)
+
+
 def parse_matrix_text(text: str) -> Matrix:
     """Parse the plain matrix interchange format.
 
     Line 1 is ``p rows cols``; each of the following ``rows`` lines holds
-    ``cols`` whitespace-separated integers in [0, p).  Out-of-range
-    entries are rejected rather than silently reduced.
+    ``cols`` whitespace-separated integers in [0, p).  Every field is an
+    ASCII decimal integer with an optional sign.  Out-of-range entries
+    are rejected rather than silently reduced.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -331,7 +335,7 @@ def parse_matrix_text(text: str) -> Matrix:
             f"line 1: expected 'p rows cols' header, got {len(header)} fields", line=1
         )
     try:
-        p, rows, cols = (int(tok) for tok in header)
+        p, rows, cols = (_integer(tok) for tok in header)
     except ValueError:
         raise MatrixFormatError("line 1: header fields must be integers", line=1) from None
     try:
@@ -357,7 +361,7 @@ def parse_matrix_text(text: str) -> Matrix:
             )
         for j, tok in enumerate(parts, start=1):
             try:
-                val = int(tok)
+                val = _integer(tok)
             except ValueError:
                 raise MatrixFormatError(
                     f"line {i}, column {j}: '{tok}' is not an integer", line=i, column=j

@@ -11,8 +11,11 @@ code words, and basis_matrices unvecs a basis's generator rows.
 brute_force_centralizer enumerates every matrix, kept as the oracle for
 the kernel solver, and literal_kernel_basis builds one kernel row per
 free column, kept as the oracle for kernel_basis.  eliminated_comb_kernel
-eliminates the (2n - 1)-square system of a comb solve with s != 0, kept
-as the oracle for its closed-form kernel.  literal_eigen_scan solves one rank problem
+eliminates the (2n - 1)-square system of a comb solve with s != 0, and
+eliminated_sum_kernel the 2n - 1 sum constraints of one with s = 0 and
+x != 0, kept as the oracles for their closed-form kernels.
+diagonalize builds an explicit eigenbasis of x*J + y*I, kept as the
+oracle for the diagonal that spectrum prints.  literal_eigen_scan solves one rank problem
 per field element, kept as the oracle for eigen_scan.  conjugation_transfer is the literal per-matrix
 transfer of a centralizer basis, kept as an oracle for the
 diagonalization claims.  The literal_* channel runs decode one word
@@ -24,6 +27,7 @@ subprocess import the same tcc as the tests, installed or not.
 
 import math
 import os
+from dataclasses import dataclass
 from itertools import combinations, product
 from pathlib import Path
 
@@ -33,6 +37,7 @@ import tcc
 from tcc import (
     CentralizerBasis,
     ChannelStats,
+    CombParams,
     GuardExceededError,
     LinearCode,
     Matrix,
@@ -40,6 +45,7 @@ from tcc import (
     SingularMatrixError,
     Spectrum,
     TwistSpec,
+    comb_matrix,
     exhaustive_stats,
     inverse,
     is_member,
@@ -241,6 +247,69 @@ def eliminated_comb_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray
     # h_j = v_(n-1+j) - v_0 moves the weight of each h_j onto v_0 too.
     eqs[:, 0] -= eqs[:, n:].sum(axis=1)
     return _rref_kernel(eqs, Prime(p))
+
+
+def eliminated_sum_kernel(n: int, a: int, p: int) -> np.ndarray:
+    """The kernel that comb_centralizer writes in closed form for s = 0 and x != 0, by elimination.
+
+    Row j is r_j - a c_0 and row n - 1 + i is a (c_i - c_0), for column sums
+    r and row sums c; entry [., j, i] weighs B[i, j], at vec index j n + i.
+    """
+    sums = np.zeros((2 * n - 1, n, n), dtype=np.int64)
+    sums[np.arange(n), np.arange(n)] = 1
+    sums[:n, :, 0] -= a
+    sums[np.arange(n, 2 * n - 1), :, np.arange(1, n)] = a
+    sums[n:, :, 0] = -a
+    return _rref_kernel(sums.reshape(2 * n - 1, n * n), Prime(p))
+
+
+class DefectiveMatrixError(ValueError):
+    """The matrix admits no eigenbasis over its field."""
+
+
+@dataclass(frozen=True)
+class Diagonalization:
+    """An invertible row eigenbasis P and diagonal D with P A P^-1 = D."""
+
+    transform: Matrix
+    diagonal: Matrix
+
+
+def diagonalize(params: CombParams) -> Diagonalization:
+    """Explicit diagonalization P A P^-1 = diag(x n + y, y, ..., y) of A = x*J + y*I.
+
+    P's rows are an eigenbasis (A is symmetric, so row and column
+    eigenvectors coincide): the all-ones vector first, then the kernel
+    basis of J spanning the y-eigenspace.  Raises DefectiveMatrixError in
+    the merged-eigenvalue case, where the eigenspaces do not fill GF(p)^n.
+
+    Eliminating the off-diagonal x's by sequential row operations would
+    only triangularize A (the first row keeps its x's when x != 0); the
+    similar diagonal matrix shares that triangle's diagonal but is reached
+    here through the eigenbasis.
+    """
+    prime = params.prime
+    p = prime.p
+    n = params.n
+    a = comb_matrix(params)
+    if params.x == 0:
+        return Diagonalization(Matrix.identity(n, prime), a)
+    lam_ones = (params.x * n + params.y) % p
+    lam_rest = params.y
+    if lam_ones == lam_rest:
+        raise DefectiveMatrixError(
+            f"x*J + y*I with x={params.x}, y={params.y}, n={n} "
+            f"is defective over GF({p}): its single eigenvalue has multiplicity {n - 1}"
+        )
+    ones = np.ones((n, n), dtype=np.int64)
+    transform = Matrix(np.vstack([ones[0], kernel_basis(Matrix(ones, prime))]), prime)
+    diag_entries = np.full(n, lam_rest, dtype=np.int64)
+    diag_entries[0] = lam_ones
+    diagonal = Matrix(np.diag(diag_entries), prime)
+    # Construction sanity: distinct eigenvalues force P invertible and P A = D P.
+    if (transform @ a) @ inverse(transform) != diagonal:
+        raise RuntimeError("eigenbasis construction failed to diagonalize")
+    return Diagonalization(transform, diagonal)
 
 
 def literal_eigen_scan(m: Matrix) -> Spectrum:

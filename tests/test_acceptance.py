@@ -23,7 +23,6 @@ from tcc import (
     code_from_basis,
     comb_matrix,
     comb_spectrum,
-    diagonalize,
     eigen_scan,
     exhaustive_stats,
     inverse,
@@ -138,7 +137,7 @@ def test_criterion_4_diagonalization_and_transfer():
         params = CombParams(n, x, y, prime)
         label = (p, n, x, y, a)
 
-        diag = diagonalize(params)
+        diag = helpers.diagonalize(params)
         expected_diag = np.full(n, y, dtype=np.int64)
         expected_diag[0] = 0
         assert diag.diagonal == Matrix(np.diag(expected_diag), prime), label

@@ -19,12 +19,11 @@ from tcc import (
     code_from_basis,
     comb_centralizer,
     comb_matrix,
-    diagonalize,
     is_member,
     kernel_basis,
     twisted_operator,
 )
-from tcc.centralizer import _closed_form_kernel
+from tcc.centralizer import _closed_form_kernel, _sum_kernel
 from tcc.linalg import matmul_mod
 from helpers import (
     GF2,
@@ -35,7 +34,9 @@ from helpers import (
     brute_force_centralizer,
     code_from_rows,
     conjugation_transfer,
+    diagonalize,
     eliminated_comb_kernel,
+    eliminated_sum_kernel,
     rand_matrix,
     unit_e11,
     vec,
@@ -387,64 +388,28 @@ class TestCombCentralizer:
         # 1 = 3 * (32 + 1) mod 7: C(D, 3) is spanned by E_i1 for the n - 1 indices i > 1.
         assert basis.dim == 31
 
-    def test_only_the_sum_system_eliminates(self, monkeypatch):
+    def test_no_comb_solve_eliminates(self, monkeypatch):
         def no_operator(spec):
             raise AssertionError("the structured solve must not build T")
 
         def refuse(a, p):
-            raise AssertionError("s != 0 and the full space are written in closed form")
+            raise AssertionError("every comb generator is written in closed form")
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
         monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
-        # At n = 3 every s != 0 tuple over GF(3); beyond 32 the full space,
-        # s != 0 and the zero code.
-        dims = {(3, 3, x, y, a): None for x in range(3) for y in range(3) for a in range(3) if (1 - a) * y % 3}
-        assert len(dims) == 12
+        # At n = 3 every tuple over GF(3), s = 0 or not; beyond 32 the full
+        # space, s = 0 with a = 0, a = 1 and p | n, s != 0 and the zero code.
+        dims = {(3, 3, x, y, a): None for x in range(3) for y in range(3) for a in range(3)}
+        assert sum((1 - a) * y % 3 == 0 for _, _, _, y, a in dims) == 15
         dims.update({(33, 3, 0, 1, 1): 1089, (33, 3, 1, 1, 2): 0, (64, 3, 1, 1, 2): 126, (64, 7, 1, 1, 0): 0})
+        dims.update({(33, 7, 1, 0, 0): 1056, (33, 3, 1, 0, 2): 1025, (64, 2, 1, 1, 1): 3970})
         for (n, p, x, y, a), dim in dims.items():
             basis = comb_centralizer(CombParams(n, x, y, Prime(p)), a)
             assert dim in (None, basis.dim), (n, p, x, y, a)
 
-    def test_sum_system_eliminates_once_per_order_twist_and_prime(self, monkeypatch):
-        shapes = []
-        original = tcc.linalg._rref_array
-
-        def recorded(a, p):
-            shapes.append(a.shape)
-            return original(a, p)
-
-        def s_zero_dim(n, p, a):
-            return n * n - n if a == 0 else n * n - 2 * n + 2 if a == 1 else (n - 1) ** 2 + (n % p == 0)
-
-        tcc.centralizer._sum_system_rref.cache_clear()
-        monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
-        # (n, p, a, y) with s = (1 - a) y = 0, solved at x and again at another x.
-        for n, p, a, y, xs in [(33, 3, 1, 1, (1, 2)), (4, 5, 0, 0, (1, 3)), (6, 7, 3, 0, (2, 5)), (5, 5, 2, 0, (1, 4))]:
-            for x, eliminations in zip(xs, ([(2 * n - 1, n * n)], [])):
-                shapes.clear()
-                basis = comb_centralizer(CombParams(n, x, y, Prime(p)), a)
-                assert shapes == eliminations, (n, p, a, y, x)
-                assert basis.dim == s_zero_dim(n, p, a), (n, p, a, y, x)
-        shapes.clear()
-        assert comb_centralizer(CombParams(64, 1, 1, Prime(2)), 1).dim == s_zero_dim(64, 2, 1) == 3970
-        assert shapes == [(127, 4096)]
-
-    def test_cached_sum_system_is_read_only_and_bounded(self):
-        cached = tcc.centralizer._sum_system_rref
-        cached.cache_clear()
-        reduced, pivots = cached(4, 2, GF5)
-        assert not reduced.flags.writeable and isinstance(pivots, tuple)
-        with pytest.raises(ValueError, match="read-only"):
-            reduced[0, 0] = 1
-        maxsize = cached.cache_info().maxsize
-        assert maxsize == tcc.centralizer._SUM_SYSTEMS_CACHED
-        for n in range(2, maxsize + 5):
-            comb_centralizer(CombParams(n, 1, 0, GF3), 2)
-        assert cached.cache_info().currsize == maxsize
-
     def test_closed_form_kernel_matches_elimination(self):
         # Every s != 0 tuple with p <= 11 and n <= 7, then one tuple per case
-        # at n = 33 and 64 over large primes.
+        # at n = 33 and 64 over large primes; then the same for s = 0 below.
         def case(n, x, y, a, p):
             s = (1 - a) * y % p
             alpha, beta = (s - a * x * n) % p, (s + x * n) % p
@@ -483,6 +448,33 @@ class TestCombCentralizer:
         assert {c for c, _ in tally} == cases
         assert all(tally[c, True] == 4 for c in cases)
 
+        # Every s = 0, x != 0 tuple with p <= 11 and n <= 7, through the whole
+        # comb solve; the kernel depends only on (n, a, p), so each oracle runs once.
+        oracle = {}
+        tuples = 0
+        for p in (2, 3, 5, 7, 11):
+            prime = Prime(p)
+            for n in range(2, 8):
+                for x, y, a in product(range(1, p), range(p), range(p)):
+                    if (1 - a) * y % p:
+                        continue
+                    if (n, a, p) not in oracle:
+                        oracle[n, a, p] = eliminated_sum_kernel(n, a, p)
+                    basis = comb_centralizer(CombParams(n, x, y, prime), a)
+                    assert np.array_equal(basis.code.generator.array, oracle[n, a, p]), (n, x, y, a, p)
+                    tuples += 1
+        # (p - 1) x's times p y's at a = 1 plus p - 1 twists a != 1 at y = 0.
+        assert tuples == 6 * sum((p - 1) * (2 * p - 1) for p in (2, 3, 5, 7, 11)) == 2022
+        # a in {0, 1, 2} at n = 33 and 64, with p | n (3 | 33, 2 | 64) and p not dividing n.
+        divides = Counter()
+        for n in (33, 64):
+            for p in (2, 3, 65521, 2**31 - 1):
+                for a in (0, 1, 2 % p):
+                    kernel = _sum_kernel(n, a, p)
+                    assert np.array_equal(kernel, eliminated_sum_kernel(n, a, p)), (n, a, p)
+                    divides[n % p == 0] += 1
+        assert divides == {True: 6, False: 18}
+
     def test_dimension_closed_form(self):
         # [l1 = a l1] + (n-1)([l1 = a y] + [y = a l1]) + (n-1)^2 [y = a y], l1 = x n + y.
         for n, p, x, y, a in [(6, 11, 1, 1, 1), (6, 11, 2, 0, 0), (5, 7, 1, 2, 6), (9, 13, 3, 0, 4)]:
@@ -495,3 +487,18 @@ class TestCombCentralizer:
             )
             basis = comb_centralizer(CombParams(n, x, y, prime), a)
             assert basis.dim == expected, (n, p, x, y, a)
+        # s = (1 - a) y = 0 and x != 0: n^2 - n for a = 0, else (n - 1)^2 + [a = 1 or p | n],
+        # merged tuples (p | x n, no eigenbasis) included.
+        for n, p, x, y, a, dim in [
+            (4, 5, 1, 0, 0, 12),
+            (4, 2, 1, 0, 0, 12),
+            (6, 7, 2, 0, 3, 25),
+            (6, 7, 5, 1, 1, 26),
+            (5, 5, 1, 0, 2, 17),
+            (5, 5, 4, 0, 4, 17),
+            (33, 3, 1, 1, 1, 1025),
+            (33, 3, 2, 0, 2, 1025),
+            (33, 65521, 1, 0, 2, 1024),
+        ]:
+            basis = comb_centralizer(CombParams(n, x, y, Prime(p)), a)
+            assert basis.dim == dim, (n, p, x, y, a)

@@ -9,8 +9,9 @@ import pytest
 import tcc.centralizer
 import tcc.cli
 import tcc.linalg
+from tcc import CombParams, Prime
 from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
-from helpers import child_env
+from helpers import DefectiveMatrixError, child_env, diagonalize
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +67,27 @@ class TestSpectrumCommand:
         assert code == EXIT_USAGE
         assert "prime" in err
 
+    def test_diagonal_matches_eigenbasis_oracle(self, capsys):
+        # Every (n, p, x, y) with n <= 6 and p <= 7: "diagonal" is printed
+        # exactly when the eigenbasis exists, and equals its D.
+        diagonalizable = 0
+        for p in (2, 3, 5, 7):
+            for n in range(2, 7):
+                for x in range(p):
+                    for y in range(p):
+                        argv = ["spectrum", "--n", str(n), "--p", str(p), "--x", str(x), "--y", str(y), "--json"]
+                        code, out, _ = run_cli(capsys, *argv)
+                        doc = json.loads(out)
+                        try:
+                            d = diagonalize(CombParams(n, x, y, Prime(p)))
+                        except DefectiveMatrixError:
+                            assert code == EXIT_OK and "diagonal" not in doc, argv
+                            continue
+                        assert code == EXIT_OK and doc["diagonal"] == d.diagonal.array.diagonal().tolist(), argv
+                        diagonalizable += 1
+        # Only x != 0 with p | n is defective: orders n times nonzero x times y, for p = 2, 3, 5.
+        assert diagonalizable == 5 * (4 + 9 + 25 + 49) - 3 * 1 * 2 - 2 * 2 * 3 - 1 * 4 * 5 == 397
+
     def test_scan_skipped_for_large_prime(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--p", "1009", "--x", "1", "--y", "1")
         assert code == EXIT_OK
@@ -110,6 +132,20 @@ class TestBuildCommand:
         code, _, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "2")
         assert code == EXIT_USAGE
         assert "line 2, column 2" in err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("13 2 2\n1_0 1\n1 \u0663\n", "line 2, column 1: '1_0' is not an integer"),
+            ("13 2 2\n1 1\n1 \u0663\n", "line 3, column 2: '\u0663' is not an integer"),
+            ("1_3 2 2\n1 1\n1 1\n", "line 1: header fields must be integers"),
+        ],
+    )
+    def test_matrix_file_with_non_ascii_decimal_token(self, capsys, tmp_path, text, where):
+        path = tmp_path / "a.mat"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "2")
+        assert (code, out, err) == (EXIT_USAGE, "", f"tcc: matrix file error: {where}\n")
 
     def test_missing_matrix_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "build", "--matrix-file", str(tmp_path / "nope"), "--a", "2")
@@ -273,8 +309,7 @@ class TestVerifyCommand:
 
     def test_full_json_sweep_pinned(self, capsys, monkeypatch):
         # The largest sweep verify accepts: p <= 13 and n <= 6, 20,155 tuples.
-        # Only s = 0 comb systems eliminate, once per (n, a, p): 5 orders times
-        # the 41 twists summed over the six primes.
+        # Every comb generator is written in closed form, so nothing eliminates.
         eliminations = []
         original = tcc.linalg._rref_array
 
@@ -282,11 +317,10 @@ class TestVerifyCommand:
             eliminations.append(a.shape)
             return original(a, p)
 
-        tcc.centralizer._sum_system_rref.cache_clear()
         monkeypatch.setattr(tcc.linalg, "_rref_array", counted)
         code, out, _ = run_cli(capsys, "verify", "--p-max", "13", "--n-max", "6", "--json")
         assert code == EXIT_OK
-        assert len(eliminations) == 5 * (2 + 3 + 5 + 7 + 11 + 13) == 205
+        assert eliminations == []
         assert hashlib.sha256(out.encode()).hexdigest() == "fa09d78430516328b066f630a5f4ae17a13525054173e3daa4ff39d43fafaa15"
 
     def test_sweep_caps_enforced(self, capsys):
@@ -487,11 +521,11 @@ def test_pinned_solve_output(capsys, tmp_path, argv, exit_code, stdout, stderr):
 
 
 # Exact exit code, stdout and stderr of the other commands: spectrum in the generic, defective
-# and p > 997 cases, over GF(2), merged (p | x*n) at n = 4 and 6, and at the largest scanned
-# size (n = 64, p = 997); simulate exhaustive, in Monte Carlo within and beyond capacity, and on a
-# zero code; and a --t out of range on a code whose analysis would hit the distance guard,
-# which must be refused first.  A verify document or an n = 64 spectrum is long, so its stdout
-# is pinned by sha256.
+# and p > 997 cases, over GF(2), merged (p | x*n) at n = 4 and 6, scalar (x = 0) below and
+# above the scan cap, and at the largest scanned size (n = 64, p = 997); simulate exhaustive,
+# in Monte Carlo within and beyond capacity, and on a zero code; and a --t out of range on a
+# code whose analysis would hit the distance guard, which must be refused first.  A verify
+# document or an n = 64 spectrum is long, so its stdout is pinned by sha256.
 PINNED_COMMANDS = [
     ('spectrum --n 3 --p 5 --x 1 --y 1', 0, 'A = 1*J + 1*I over GF(5), n = 3\n[2 1 1]\n[1 2 1]\n[1 1 2]\nspectrum: eigenvalue 1 with multiplicity 2; eigenvalue 4 with multiplicity 1\neigen scan cross-check: agrees\ndiagonalizable: yes, D = diag(4, 1, 1)\n', ''),
     ('spectrum --n 3 --p 5 --x 1 --y 1 --json', 0, '{"p": 5, "n": 3, "x": 1, "y": 1, "eigenvalues": [[1, 2], [4, 1]], "diagonalizable": true, "diagonal": [4, 1, 1], "scan_agrees": true}\n', ''),
@@ -505,6 +539,10 @@ PINNED_COMMANDS = [
     ('spectrum --n 4 --p 2 --x 1 --y 1 --json', 0, '{"p": 2, "n": 4, "x": 1, "y": 1, "eigenvalues": [[1, 3]], "diagonalizable": false, "scan_agrees": true}\n', ''),
     ('spectrum --n 6 --p 3 --x 2 --y 1', 0, 'A = 2*J + 1*I over GF(3), n = 6\n[0 2 2 2 2 2]\n[2 0 2 2 2 2]\n[2 2 0 2 2 2]\n[2 2 2 0 2 2]\n[2 2 2 2 0 2]\n[2 2 2 2 2 0]\nspectrum: eigenvalue 1 with multiplicity 5\neigen scan cross-check: agrees\ndiagonalizable: no (eigenspaces span 5 of 6 dimensions)\n', ''),
     ('spectrum --n 6 --p 3 --x 2 --y 1 --json', 0, '{"p": 3, "n": 6, "x": 2, "y": 1, "eigenvalues": [[1, 5]], "diagonalizable": false, "scan_agrees": true}\n', ''),
+    ('spectrum --n 3 --p 5 --x 0 --y 2', 0, 'A = 0*J + 2*I over GF(5), n = 3\n[2 0 0]\n[0 2 0]\n[0 0 2]\nspectrum: eigenvalue 2 with multiplicity 3\neigen scan cross-check: agrees\ndiagonalizable: yes, D = diag(2, 2, 2)\n', ''),
+    ('spectrum --n 3 --p 5 --x 0 --y 2 --json', 0, '{"p": 5, "n": 3, "x": 0, "y": 2, "eigenvalues": [[2, 3]], "diagonalizable": true, "diagonal": [2, 2, 2], "scan_agrees": true}\n', ''),
+    ('spectrum --n 2 --p 1009 --x 0 --y 5', 0, 'A = 0*J + 5*I over GF(1009), n = 2\n[5 0]\n[0 5]\nspectrum: eigenvalue 5 with multiplicity 2\neigen scan cross-check: skipped (p > 997)\ndiagonalizable: yes, D = diag(5, 5)\n', ''),
+    ('spectrum --n 2 --p 1009 --x 0 --y 5 --json', 0, '{"p": 1009, "n": 2, "x": 0, "y": 5, "eigenvalues": [[5, 2]], "diagonalizable": true, "diagonal": [5, 5]}\n', ''),
     ('spectrum --n 64 --p 997 --x 1 --y 1', 0, 'sha256:a479bd812b96856ff34261635003da3917d98ab44150bbd762c5615e45490a0d', ''),
     ('spectrum --n 64 --p 997 --x 1 --y 1 --json', 0, 'sha256:da8028d978addbe2749756794cb0a5ba1b6695737f3d5462772dfb0d7ba3c986', ''),
     ('simulate --n 2 --p 3 --x 1 --y 1 --a 2 --t 1 --exhaustive', 0, 'code [4, 1, 4] over GF(3), correction capacity 1\nmode: exhaustive\ntrials 24: 24 success, 0 ambiguous, 0 miscorrected\nPASS: 0 failures at t=1 (within capacity 1)\n', ''),

@@ -4,19 +4,26 @@ import pytest
 import tcc.comb
 from tcc import (
     CombParams,
-    DefectiveMatrixError,
     GuardExceededError,
     Matrix,
     Prime,
     Spectrum,
     comb_matrix,
     comb_spectrum,
-    diagonalize,
     eigen_scan,
     inverse,
 )
 from tcc.linalg import matmul_mod
-from helpers import GF3, GF5, GF7, all_ones, literal_eigen_scan, rand_invertible
+from helpers import (
+    GF3,
+    GF5,
+    GF7,
+    DefectiveMatrixError,
+    all_ones,
+    diagonalize,
+    literal_eigen_scan,
+    rand_invertible,
+)
 
 
 def params(n, x, y, p):

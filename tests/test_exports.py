@@ -16,6 +16,14 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
+def test_eigenbasis_stays_out_of_the_package_namespace():
+    # spectrum prints D from its closed form; the explicit eigenbasis is a test oracle.
+    eigenbasis = {"DefectiveMatrixError", "Diagonalization", "diagonalize"}
+    assert eigenbasis.isdisjoint(tcc.__all__)
+    assert not any(hasattr(tcc, name) for name in eigenbasis)
+    assert len(tcc.__all__) == 33
+
+
 def test_per_word_api_stays_out_of_the_package_namespace():
     per_word = {"AMBIGUOUS", "DecodeResult", "UNIQUE", "decode_nearest", "encode", "inject_errors"}
     assert per_word.isdisjoint(tcc.__all__)

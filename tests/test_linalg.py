@@ -235,6 +235,21 @@ class TestMatrixTextFormat:
         with pytest.raises(MatrixFormatError, match=r"line 3, column 1"):
             parse_matrix_text("3 2 2\n0 1\nx 0\n")
 
+    def test_signed_and_zero_padded_entries_read(self):
+        assert parse_matrix_text("+11 1 3\n+4 -0 007\n").array.tolist() == [[4, 0, 7]]
+
+    @pytest.mark.parametrize("tok", ["1_0", "\u0663", "\uff13", "2.0", "0x1"])
+    def test_non_ascii_decimal_entry_rejected(self, tok):
+        # int() alone reads "1_0" as 10 and the Arabic-Indic and fullwidth threes as 3.
+        with pytest.raises(MatrixFormatError, match=rf"line 3, column 2: '{tok}' is not an integer") as info:
+            parse_matrix_text(f"13 2 2\n1 1\n1 {tok}\n")
+        assert (info.value.line, info.value.column) == (3, 2)
+
+    @pytest.mark.parametrize("header", ["1_3 1 1", "13 \u0661 1", "13 1 1_0"])
+    def test_non_ascii_decimal_header_rejected(self, header):
+        with pytest.raises(MatrixFormatError, match="line 1: header fields must be integers"):
+            parse_matrix_text(f"{header}\n1\n")
+
     def test_bad_header(self):
         with pytest.raises(MatrixFormatError, match="line 1"):
             parse_matrix_text("3 2\n0 1\n")
