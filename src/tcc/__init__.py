@@ -34,7 +34,6 @@ from .centralizer import (
     CentralizerBasis,
     TwistSpec,
     centralizer_code,
-    comb_centralizer,
     is_member,
     twisted_operator,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "analyze",
     "centralizer_code",
     "code_from_basis",
-    "comb_centralizer",
     "comb_matrix",
     "comb_spectrum",
     "eigen_scan",

@@ -3,13 +3,13 @@
 The membership condition is linear in B, so column-stacking turns it into
 an ordinary kernel problem: with T = (I (x) A) - a * (A^T (x) I) we have
 T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  That
-costs about n^6, so comb matrices x*J + y*I are solved from row and
-column sums instead, in closed form: every comb generator is written
-directly as the RREF generator of the linear code of length n^2 spanned
-by the vec images, and no comb solve eliminates.  The Kronecker kernel
-serves --matrix-file input and checks the comb solve in the tests; its
-elimination runs with the columns reversed, so its kernel comes out in
-RREF too and no second reduction runs.
+costs about n^6, so centralizer_code first reads A itself: a comb matrix
+x*J + y*I is solved from row and column sums instead, in closed form,
+with every generator written directly as the RREF generator of the
+linear code of length n^2 spanned by the vec images, and no comb solve
+eliminates.  Every other A takes the Kronecker kernel; its elimination
+runs with the columns reversed, so its kernel comes out in RREF too and
+no second reduction runs.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from .linalg import (
     kronecker,
     matmul_mod,
 )
-from .comb import MAX_ORDER, CombParams, comb_matrix
+from .comb import MAX_ORDER
 
 # Largest operator the Kronecker kernel builds: n = 32, a 1024 x 1024 T.
 KRONECKER_MAX_CELLS = 1 << 10
@@ -106,30 +106,14 @@ def _basis(spec: TwistSpec, gen: np.ndarray) -> CentralizerBasis:
 
 
 def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
-    """Solve AB = aBA: the kernel of the twisted operator, in RREF.
+    """Solve AB = aBA in RREF, in closed form when A = x*J + y*I with n >= 2.
 
-    Dimension equals n^2 - rank(T).  One elimination of T with its columns
-    reversed gives the kernel already in RREF, as for the comb solve.  T
-    has n^2 x n^2 entries and its elimination costs about n^6, so orders
-    beyond 32 are refused before T is built.
-    """
-    cells = spec.n * spec.n
-    if cells > KRONECKER_MAX_CELLS:
-        raise GuardExceededError(
-            f"the Kronecker kernel for order {spec.n} needs T of {cells}x{cells}, "
-            f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
-        )
-    return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
-
-
-def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
-    """C(x*J + y*I, a) in closed form, with no n^2 x n^2 operator.
-
-    With u the all-ones vector, c = B u and r = u^T B, we have
-    AB - aBA = s*B + x*(u r - a c u^T) for s = (1 - a) y.  For s != 0
-    every member is B[i, j] = g_i + h_j with h_0 = 0, and AB = aBA reads
-    alpha g_i + beta h_j + x (sum g - a sum h) = 0 for alpha = s - a x n
-    and beta = s + x n.  The dimension is then
+    A is a comb matrix exactly when it equals x*J + (d - x)*I entrywise,
+    for x = A[0, n - 1] and d = A[0, 0].  Then, with u the all-ones vector,
+    c = B u and r = u^T B, we have AB - aBA = s*B + x*(u r - a c u^T) for
+    s = (1 - a) y.  For s != 0 every member is B[i, j] = g_i + h_j with
+    h_0 = 0, and AB = aBA reads alpha g_i + beta h_j + x (sum g - a sum h) = 0
+    for alpha = s - a x n and beta = s + x n.  The dimension is then
 
     * alpha, beta != 0: 1 (span(J)) if p | x n + y, else 0, since
       alpha + x n = (1 - a)(x n + y): the paper's theorem and its converse;
@@ -140,22 +124,39 @@ def comb_centralizer(params: CombParams, twist: int) -> CentralizerBasis:
     For s = 0 the code is the full space n^2 when x = 0.  Otherwise
     AB - aBA = x (u r - a c u^T), so every column sum equals a times every
     row sum, and the dimension is n^2 - n for a = 0 (zero column sums),
-    else (n - 1)^2 + [a = 1 or p | n].  Every generator is written in
-    RREF, so nothing is eliminated or reduced.
+    else (n - 1)^2 + [a = 1 or p | n].  Each is written in RREF directly.
+
+    Any other A, and every 1 x 1 A, takes the kernel of T, of dimension
+    n^2 - rank(T), from one elimination of T with its columns reversed;
+    at about n^6 that is refused beyond order 32, before T is built.
     """
-    spec = TwistSpec(comb_matrix(params), twist)
-    p, n, x, a = params.prime.p, params.n, params.x, spec.twist
-    s = (1 - a) * params.y % p
+    n, p, flat = spec.n, spec.prime.p, spec.matrix.array.ravel().tolist()
+    x, d = flat[n - 1], flat[0]
+    # Row-major, the entries after A[0, 0] are n - 1 runs of n off-diagonal x's, each closed by a diagonal d.
+    if n >= 2 and flat[1:] == ([x] * n + [d]) * (n - 1):
+        return _basis(spec, _comb_generator(n, x, (d - x) % p, spec.twist, p))
+    cells = n * n
+    if cells > KRONECKER_MAX_CELLS:
+        raise GuardExceededError(
+            f"the Kronecker kernel for order {n} needs T of {cells}x{cells}, "
+            f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
+        )
+    return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
+
+
+def _comb_generator(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
+    """The RREF generator rows of C(x*J + y*I, a), in closed form."""
+    s = (1 - a) * y % p
     if s == 0 and x == 0:
-        return _basis(spec, np.eye(n * n, dtype=np.int64))
+        return np.eye(n * n, dtype=np.int64)
     if s == 0:
-        return _basis(spec, _sum_kernel(n, a, p))
-    v = _closed_form_kernel(n, x, params.y, a, p)
+        return _sum_kernel(n, a, p)
+    v = _closed_form_kernel(n, x, y, a, p)
     h = np.zeros((len(v), n), dtype=np.int64)
     h[:, 1:] = v[:, n:] - v[:, :1]
     # Column-stacked, entry j n + i is B[i, j] = g_i + h_j.  A row's first
     # nonzero entry is its first nonzero in v, as B[:, 0] = g and B[0, j] = w_j.
-    return _basis(spec, (h[:, :, None] + v[:, None, :n]).reshape(len(v), n * n))
+    return (h[:, :, None] + v[:, None, :n]).reshape(len(v), n * n)
 
 
 def _closed_form_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .centralizer import CentralizerBasis, TwistSpec, centralizer_code, comb_centralizer
+from .centralizer import CentralizerBasis, TwistSpec, centralizer_code
 from .channel import exhaustive_stats, monte_carlo
 from .code import LinearCode, analyze, code_from_basis
 from .comb import (
@@ -101,8 +101,8 @@ class _ZeroCodeError(Exception):
 def _solve(args) -> tuple[LinearCode, dict]:
     """Resolve A from flags or file and solve C(A, a); returns the code and the JSON header fields.
 
-    A comb matrix from flags takes the row and column sum solve at every
-    order up to 64; a matrix file takes the Kronecker kernel.
+    Either way centralizer_code solves; it recognises a comb matrix
+    x*J + y*I, from flags or file, and writes its code in closed form.
     """
     comb_flags = [f"--{name}" for name in ("n", "p", "x", "y") if getattr(args, name) is not None]
     if args.matrix_file is not None:
@@ -115,15 +115,15 @@ def _solve(args) -> tuple[LinearCode, dict]:
         matrix = parse_matrix_text(text)
         if not matrix.is_square:
             raise ValueError(f"matrix file holds a {matrix.rows}x{matrix.cols} matrix, need square")
-        spec = TwistSpec(matrix, args.a)
-        header = {"p": matrix.prime.p, "n": matrix.rows, "a": spec.twist}
-        return code_from_basis(centralizer_code(spec)), header
-    if len(comb_flags) < 4:
+        source = {"p": matrix.prime.p, "n": matrix.rows}
+    elif len(comb_flags) < 4:
         raise ValueError("either --matrix-file or all of --n --p --x --y must be given")
-    params = _comb_params(args)
-    basis = comb_centralizer(params, args.a)
-    header = {"p": params.prime.p, "n": params.n, "x": params.x, "y": params.y, "a": basis.spec.twist}
-    return code_from_basis(basis), header
+    else:
+        params = _comb_params(args)
+        matrix = comb_matrix(params)
+        source = {"p": params.prime.p, "n": params.n, "x": params.x, "y": params.y}
+    spec = TwistSpec(matrix, args.a)
+    return code_from_basis(centralizer_code(spec)), {**source, "a": spec.twist}
 
 
 def _nonzero_code(args) -> tuple[LinearCode, dict]:
@@ -224,9 +224,9 @@ def cmd_verify(args) -> tuple[int, dict]:
         for n in range(2, args.n_max + 1):
             for x in range(p):
                 for y in range(p):
-                    params = CombParams(n, x, y, prime)
+                    matrix = comb_matrix(CombParams(n, x, y, prime))
                     for a in range(p):
-                        basis = comb_centralizer(params, a)
+                        basis = centralizer_code(TwistSpec(matrix, a))
                         hyp = _hypotheses_met(p, n, x, y, a)
                         row = {"p": p, "n": n, "x": x, "y": y, "a": a, "hypotheses_met": hyp, "dim": basis.dim}
                         if hyp:

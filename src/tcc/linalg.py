@@ -319,11 +319,12 @@ def parse_matrix_text(text: str) -> Matrix:
     """Parse the plain matrix interchange format.
 
     Line 1 is ``p rows cols``; each of the following ``rows`` lines holds
-    ``cols`` whitespace-separated integers in [0, p).  Every field is an
+    ``cols`` whitespace-separated integers in [0, p).  Lines end at a line
+    feed only, never at another Unicode line break.  Every field is an
     ASCII decimal integer with an optional sign.  Out-of-range entries
     are rejected rather than silently reduced.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

@@ -10,10 +10,13 @@ vec and unvec are the column-stacking maps between n x n matrices and
 code words, and basis_matrices unvecs a basis's generator rows.
 brute_force_centralizer enumerates every matrix, kept as the oracle for
 the kernel solver, and literal_kernel_basis builds one kernel row per
-free column, kept as the oracle for kernel_basis.  eliminated_comb_kernel
-eliminates the (2n - 1)-square system of a comb solve with s != 0, and
-eliminated_sum_kernel the 2n - 1 sum constraints of one with s = 0 and
-x != 0, kept as the oracles for their closed-form kernels.
+free column, kept as the oracle for kernel_basis.  kronecker_code solves
+any A, comb or not, through the kernel of the twisted operator, kept as
+the oracle for the closed form that centralizer_code writes for a comb
+matrix.  eliminated_comb_kernel eliminates the (2n - 1)-square system of
+a comb solve with s != 0, and eliminated_sum_kernel the 2n - 1 sum
+constraints of one with s = 0 and x != 0, kept as the oracles for their
+closed-form kernels.
 diagonalize builds an explicit eigenbasis of x*J + y*I, kept as the
 oracle for the diagonal that spectrum prints.  literal_eigen_scan solves one rank problem
 per field element, kept as the oracle for eigen_scan.  conjugation_transfer is the literal per-matrix
@@ -55,7 +58,7 @@ from tcc import (
     rref,
     twisted_operator,
 )
-from tcc.centralizer import _rref_kernel
+from tcc.centralizer import _basis, _rref_kernel
 from tcc.channel import EXHAUSTIVE_LIMIT, inject_errors
 from tcc.code import ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import count_text, matmul_mod
@@ -155,6 +158,11 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
     return members
 
 
+def kronecker_code(spec: TwistSpec) -> CentralizerBasis:
+    """C(A, a) from the RREF kernel of the twisted operator, whatever A is."""
+    return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
+
+
 def code_from_rows(rows: Matrix) -> LinearCode:
     """The code spanned by any set of rows, canonicalized by RREF."""
     reduced, rk, _ = rref(rows)
@@ -232,7 +240,7 @@ def literal_kernel_basis(m: Matrix) -> list[list[int]]:
 
 
 def eliminated_comb_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
-    """The kernel that comb_centralizer writes in closed form for s = (1 - a) y != 0, by elimination.
+    """The kernel written in closed form for a comb matrix with s = (1 - a) y != 0, by elimination.
 
     Unknowns v = (g_0 .. g_(n-1), g_0 + h_1 .. g_0 + h_(n-1)).  Rows i < n:
     alpha g_i + x (sum g - a sum h) = 0; rows n - 1 + j: beta h_j = 0.
@@ -250,7 +258,7 @@ def eliminated_comb_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray
 
 
 def eliminated_sum_kernel(n: int, a: int, p: int) -> np.ndarray:
-    """The kernel that comb_centralizer writes in closed form for s = 0 and x != 0, by elimination.
+    """The kernel written in closed form for a comb matrix with s = 0 and x != 0, by elimination.
 
     Row j is r_j - a c_0 and row n - 1 + i is a (c_i - c_0), for column sums
     r and row sums c; entry [., j, i] weighs B[i, j], at vec index j n + i.

@@ -4,7 +4,7 @@ Here (p - 1)^2 is just under 2^62, so a dot product of two terms still
 fits one int64 product and one of three or more takes matmul_mod's
 16-bit limb split.
 Each primitive is checked against plain Python-int arithmetic, and the
-structured comb solve against the Kronecker kernel.
+closed-form comb solve against the Kronecker kernel.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from tcc import (
     analyze,
     centralizer_code,
     code_from_basis,
-    comb_centralizer,
     comb_matrix,
     exhaustive_stats,
     inverse,
@@ -28,7 +27,7 @@ from tcc import (
     rref,
 )
 from tcc.linalg import MAX_DIM, matmul_mod
-from helpers import code_from_rows
+from helpers import code_from_rows, kronecker_code
 
 P = 2**31 - 1
 BIG = Prime(P)
@@ -133,9 +132,9 @@ class TestCombSolve:
     @pytest.mark.parametrize("x, a", [(1, 2), (5, P - 1), (P - 3, 12345)])
     def test_theorem_tuples_match_kernel(self, n, x, a):
         y = (-x * n) % P
-        params = CombParams(n, x, y, BIG)
-        basis = comb_centralizer(params, a)
-        assert basis == centralizer_code(TwistSpec(comb_matrix(params), a))
+        spec = TwistSpec(comb_matrix(CombParams(n, x, y, BIG)), a)
+        basis = centralizer_code(spec)
+        assert basis == kronecker_code(spec)
         report = analyze(code_from_basis(basis))
         assert (report.length, report.dim, report.min_distance, report.mds) == (n * n, 1, n * n, True)
 
@@ -146,9 +145,9 @@ class TestCombSolve:
     def test_other_tuples_match_kernel(self, n, x, y, a):
         # s = (1 - a) y = 0 with x != 0 (a = 1; y = a = 0), the scalar full
         # space (x = 0), the zero space, and x, y and a at the top of the field.
-        params = CombParams(n, x, y, BIG)
-        basis = comb_centralizer(params, a)
-        assert basis == centralizer_code(TwistSpec(comb_matrix(params), a))
+        spec = TwistSpec(comb_matrix(CombParams(n, x, y, BIG)), a)
+        basis = centralizer_code(spec)
+        assert basis == kronecker_code(spec)
 
 
 class TestGuardMessages:

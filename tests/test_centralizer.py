@@ -17,7 +17,6 @@ from tcc import (
     TwistSpec,
     centralizer_code,
     code_from_basis,
-    comb_centralizer,
     comb_matrix,
     is_member,
     kernel_basis,
@@ -37,6 +36,7 @@ from helpers import (
     diagonalize,
     eliminated_comb_kernel,
     eliminated_sum_kernel,
+    kronecker_code,
     rand_matrix,
     unit_e11,
     vec,
@@ -69,12 +69,6 @@ class TestTwistSpec:
     def test_non_integer_twist_rejected(self, bad):
         with pytest.raises(TypeError, match="twist must be an int"):
             TwistSpec(Matrix.identity(2, GF3), bad)
-
-    def test_comb_centralizer_reduces_its_twist(self):
-        params = CombParams(2, 1, 1, GF3)
-        assert comb_centralizer(params, -1) == comb_centralizer(params, 2)
-        with pytest.raises(TypeError, match="twist must be an int"):
-            comb_centralizer(params, 2.0)
 
 
 class TestTwistedOperator:
@@ -163,7 +157,8 @@ class TestCentralizerCode:
             raise AssertionError("T must not be built past the guard")
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
-        spec = TwistSpec(Matrix.identity(33, GF3), 1)
+        # diag(2, 1, ..., 1) is no comb matrix, so only the Kronecker kernel could solve it.
+        spec = TwistSpec(Matrix(np.diag([2] + [1] * 32), GF3), 1)
         with pytest.raises(GuardExceededError, match="1089x1089"):
             centralizer_code(spec)
 
@@ -219,7 +214,13 @@ class TestCentralizerCode:
             prime = Prime(p)
             for n in (2, 3, 4):
                 for a in (0, 1, 2 % p, p - 1):
-                    spec = TwistSpec(rand_matrix(rng, n, n, prime), a)
+                    # A comb matrix would take the closed form, so draw until A is none.
+                    while True:
+                        m = rand_matrix(rng, n, n, prime)
+                        x, d = m[0, 1], m[0, 0]
+                        if m != comb_matrix(CombParams(n, x, d - x, prime)):
+                            break
+                    spec = TwistSpec(m, a)
                     kernel = kernel_basis(twisted_operator(spec))
                     shapes.clear()
                     monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
@@ -232,7 +233,7 @@ class TestCentralizerCode:
                         assert basis.dim == 0, (p, n, a)
 
     def test_code_from_basis_eliminates_nothing(self, monkeypatch):
-        basis = comb_centralizer(CombParams(6, 1, 1, Prime(7)), 1)
+        basis = centralizer_code(comb_spec(6, 1, 1, 7, 1))
 
         def refuse(*args):
             raise AssertionError("the basis already holds its RREF code")
@@ -354,8 +355,8 @@ class TestCombCentralizer:
                         scalar += x == 0
                         merged += x != 0 and (x * n) % p == 0
                         for a in range(p):
-                            direct = centralizer_code(TwistSpec(comb_matrix(params), a))
-                            assert comb_centralizer(params, a) == direct, (p, n, x, y, a)
+                            spec = TwistSpec(comb_matrix(params), a)
+                            assert centralizer_code(spec) == kronecker_code(spec), (p, n, x, y, a)
         assert scalar == 4 * (2 + 3 + 5 + 7)
         # (x, y) pairs with p | n and x != 0: p = 2 at n = 2, 4; p = 3 at n = 3; p = 5 at n = 5.
         assert merged == 2 * (1 * 2) + 2 * 3 + 4 * 5
@@ -368,23 +369,22 @@ class TestCombCentralizer:
                 for y in range(p):
                     params = CombParams(n, x, y, prime)
                     for a in range(p):
-                        direct = centralizer_code(TwistSpec(comb_matrix(params), a))
-                        assert comb_centralizer(params, a) == direct, (p, n, x, y, a)
+                        spec = TwistSpec(comb_matrix(params), a)
+                        assert centralizer_code(spec) == kronecker_code(spec), (p, n, x, y, a)
 
     @pytest.mark.parametrize("n, p, x, y, a, dim", [(16, 2, 1, 0, 1, 226), (18, 3, 1, 1, 1, 290)])
     def test_matches_kronecker_kernel_on_large_merged_tuples(self, n, p, x, y, a, dim):
-        params = CombParams(n, x, y, Prime(p))
-        basis = comb_centralizer(params, a)
+        spec = comb_spec(n, x, y, p, a)
+        basis = centralizer_code(spec)
         assert basis.dim == dim
-        assert basis == centralizer_code(TwistSpec(comb_matrix(params), a))
+        assert basis == kronecker_code(spec)
 
     def test_structured_path_builds_no_operator(self, monkeypatch):
         def no_operator(spec):
             raise AssertionError("the structured solve must not build T")
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
-        params = CombParams(32, 1, 1, Prime(7))
-        basis = comb_centralizer(params, 3)
+        basis = centralizer_code(comb_spec(32, 1, 1, 7, 3))
         # 1 = 3 * (32 + 1) mod 7: C(D, 3) is spanned by E_i1 for the n - 1 indices i > 1.
         assert basis.dim == 31
 
@@ -397,14 +397,23 @@ class TestCombCentralizer:
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
         monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
-        # At n = 3 every tuple over GF(3), s = 0 or not; beyond 32 the full
+        # Every tuple with p <= 7 and n <= 5, s = 0 or not; beyond 32 the full
         # space, s = 0 with a = 0, a = 1 and p | n, s != 0 and the zero code.
-        dims = {(3, 3, x, y, a): None for x in range(3) for y in range(3) for a in range(3)}
-        assert sum((1 - a) * y % 3 == 0 for _, _, _, y, a in dims) == 15
+        dims = {
+            (n, p, x, y, a): None
+            for p in (2, 3, 5, 7)
+            for n in range(2, 6)
+            for x, y, a in product(range(p), repeat=3)
+        }
+        # y = 0 (A = x*J), x = 0 (scalar; y = 0 is the zero matrix, y = 1 is I) and p | x n.
+        assert sum(y == 0 for _, _, _, y, _ in dims) == sum(x == 0 for _, _, x, _, _ in dims) == 4 * 87
+        assert sum(x == y == 0 for _, _, x, y, _ in dims) == sum(x == 0 and y == 1 for _, _, x, y, _ in dims) == 68
+        # Merged: (p - 1) x's times p^2 pairs (y, a) where p | n, so p = 2 at n = 2, 4; 3 at 3; 5 at 5.
+        assert sum(x != 0 and x * n % p == 0 for n, p, x, _, _ in dims) == 1 * 4 * 2 + 2 * 9 + 4 * 25
         dims.update({(33, 3, 0, 1, 1): 1089, (33, 3, 1, 1, 2): 0, (64, 3, 1, 1, 2): 126, (64, 7, 1, 1, 0): 0})
         dims.update({(33, 7, 1, 0, 0): 1056, (33, 3, 1, 0, 2): 1025, (64, 2, 1, 1, 1): 3970})
         for (n, p, x, y, a), dim in dims.items():
-            basis = comb_centralizer(CombParams(n, x, y, Prime(p)), a)
+            basis = centralizer_code(comb_spec(n, x, y, p, a))
             assert dim in (None, basis.dim), (n, p, x, y, a)
 
     def test_closed_form_kernel_matches_elimination(self):
@@ -453,14 +462,13 @@ class TestCombCentralizer:
         oracle = {}
         tuples = 0
         for p in (2, 3, 5, 7, 11):
-            prime = Prime(p)
             for n in range(2, 8):
                 for x, y, a in product(range(1, p), range(p), range(p)):
                     if (1 - a) * y % p:
                         continue
                     if (n, a, p) not in oracle:
                         oracle[n, a, p] = eliminated_sum_kernel(n, a, p)
-                    basis = comb_centralizer(CombParams(n, x, y, prime), a)
+                    basis = centralizer_code(comb_spec(n, x, y, p, a))
                     assert np.array_equal(basis.code.generator.array, oracle[n, a, p]), (n, x, y, a, p)
                     tuples += 1
         # (p - 1) x's times p y's at a = 1 plus p - 1 twists a != 1 at y = 0.
@@ -478,14 +486,13 @@ class TestCombCentralizer:
     def test_dimension_closed_form(self):
         # [l1 = a l1] + (n-1)([l1 = a y] + [y = a l1]) + (n-1)^2 [y = a y], l1 = x n + y.
         for n, p, x, y, a in [(6, 11, 1, 1, 1), (6, 11, 2, 0, 0), (5, 7, 1, 2, 6), (9, 13, 3, 0, 4)]:
-            prime = Prime(p)
             lam = (x * n + y) % p
             expected = (
                 (lam == a * lam % p)
                 + (n - 1) * ((lam == a * y % p) + (y == a * lam % p))
                 + (n - 1) ** 2 * (y == a * y % p)
             )
-            basis = comb_centralizer(CombParams(n, x, y, prime), a)
+            basis = centralizer_code(comb_spec(n, x, y, p, a))
             assert basis.dim == expected, (n, p, x, y, a)
         # s = (1 - a) y = 0 and x != 0: n^2 - n for a = 0, else (n - 1)^2 + [a = 1 or p | n],
         # merged tuples (p | x n, no eigenbasis) included.
@@ -500,5 +507,73 @@ class TestCombCentralizer:
             (33, 3, 2, 0, 2, 1025),
             (33, 65521, 1, 0, 2, 1024),
         ]:
-            basis = comb_centralizer(CombParams(n, x, y, Prime(p)), a)
+            basis = centralizer_code(comb_spec(n, x, y, p, a))
             assert basis.dim == dim, (n, p, x, y, a)
+
+
+class TestCombDetection:
+    """centralizer_code reads x*J + y*I from A itself; every other A takes the Kronecker kernel."""
+
+    @pytest.fixture
+    def operators(self, monkeypatch):
+        built = []
+        original = tcc.centralizer.twisted_operator
+
+        def recorded(spec):
+            built.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", recorded)
+        return built
+
+    def test_comb_matrices_built_directly_take_the_closed_form(self, operators, monkeypatch):
+        def refuse(a, p):
+            raise AssertionError("a comb matrix is solved in closed form")
+
+        monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
+        # The zero matrix, I and J (x = 1, y = 0), none of them built by comb_matrix.
+        for n, p, a in [(2, 2, 1), (5, 5, 0), (5, 7, 3), (33, 3, 2), (33, 7, 1)]:
+            prime = Prime(p)
+            zero, ident = Matrix.zeros(n, n, prime), Matrix.identity(n, prime)
+            assert centralizer_code(TwistSpec(zero, a)).dim == n * n
+            assert centralizer_code(TwistSpec(ident, a)).dim == (n * n if a == 1 else 0)
+            ones = centralizer_code(TwistSpec(Matrix(np.ones((n, n)), prime), a))
+            assert ones.dim == (n * n - n if a == 0 else (n - 1) ** 2 + (a == 1 or n % p == 0)), (n, p, a)
+        assert operators == []
+
+    def test_one_changed_entry_takes_the_kronecker_route(self, operators):
+        # Each comb matrix with one entry moved, at the corners that the
+        # detection reads (A[0, n - 1] and A[0, 0]) and at their mirrors.
+        cases = 0
+        for n, p in [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]:
+            prime = Prime(p)
+            for x, y in product(range(p), repeat=2):
+                comb = comb_matrix(CombParams(n, x, y, prime)).array
+                for k, (i, j) in enumerate([(0, n - 1), (n - 1, 0), (0, 0), (n - 1, n - 1)]):
+                    data = comb.copy()
+                    data[i, j] += 1 + (x + k) % (p - 1)
+                    spec = TwistSpec(Matrix(data, prime), x + 2 * y + k)
+                    operators.clear()
+                    basis = centralizer_code(spec)
+                    assert operators == [spec], (n, p, x, y, i, j)
+                    assert _matches_brute_force(basis), (n, p, x, y, i, j)
+                    cases += 1
+        assert cases == 4 * (4 + 9 + 25 + 49 + 4 + 9 + 4)
+
+    def test_order_one_takes_the_kronecker_route(self, operators):
+        # C([d], a) is everything when d (1 - a) = 0, else zero.
+        for p in (2, 3, 5, 7):
+            prime = Prime(p)
+            for d, a in product(range(p), repeat=2):
+                spec = TwistSpec(Matrix([[d]], prime), a)
+                operators.clear()
+                basis = centralizer_code(spec)
+                assert operators == [spec], (p, d, a)
+                assert basis.dim == (d * (1 - a) % p == 0), (p, d, a)
+                assert _matches_brute_force(basis), (p, d, a)
+
+
+def _matches_brute_force(basis: CentralizerBasis) -> bool:
+    """The basis spans exactly the members that brute force enumerates."""
+    oracle = set(brute_force_centralizer(basis.spec))
+    return len(oracle) == basis.spec.prime.p**basis.dim and all(b in oracle for b in basis_matrices(basis))

@@ -20,6 +20,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _matrix_file(p, data) -> str:
+    """Matrix file text of the square integer array ``data`` over GF(p)."""
+    n = len(data)
+    return f"{p} {n} {n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in data.tolist())
+
+
 class TestSpectrumCommand:
     def test_merged_eigenvalue_case(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--p", "3", "--x", "1", "--y", "1")
@@ -147,6 +153,14 @@ class TestBuildCommand:
         code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "2")
         assert (code, out, err) == (EXIT_USAGE, "", f"tcc: matrix file error: {where}\n")
 
+    def test_form_feed_starts_no_row(self, capsys, tmp_path):
+        # Only a line feed ends a row, so "2 1\f1 2" is one row of four entries.
+        path = tmp_path / "a.mat"
+        path.write_text("3 2 2\n2 1\x0c1 2\n")
+        code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "tcc: matrix file error: line 2: expected 2 data rows, got 1\n"
+
     def test_missing_matrix_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "build", "--matrix-file", str(tmp_path / "nope"), "--a", "2")
         assert code == EXIT_USAGE
@@ -200,12 +214,26 @@ class TestKroneckerGuard:
         monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
 
     def test_order_33_matrix_file_refused(self, capsys, tmp_path, no_elimination):
+        # diag(2, 1, ..., 1) is no comb matrix, so only the Kronecker kernel could solve it.
         path = tmp_path / "big.mat"
-        path.write_text("3 33 33\n" + "".join(" ".join("1" if i == j else "0" for j in range(33)) + "\n" for i in range(33)))
+        path.write_text(_matrix_file(3, np.diag([2] + [1] * 32)))
         code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "1", "--json")
         assert code == EXIT_GUARD
         assert out == ""
         assert "guard exceeded" in err and "1089x1089" in err
+
+    @pytest.mark.parametrize("n, p, x, y, a, dim", [(33, 3, 1, 1, 1, 1025), (64, 7, 1, 1, 4, 63)])
+    def test_comb_matrix_file_beyond_32_solved(self, capsys, tmp_path, no_elimination, n, p, x, y, a, dim):
+        # A comb matrix read from a file takes the closed form, as the same matrix from flags does.
+        path = tmp_path / "comb.mat"
+        path.write_text(_matrix_file(p, np.full((n, n), x) + y * np.eye(n, dtype=int)))
+        code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", str(a), "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {"p": p, "n": n, "a": a, "length": n * n, "dimension": dim}
+        flags = ["--n", str(n), "--p", str(p), "--x", str(x), "--y", str(y), "--a", str(a), "--json"]
+        code, out, err = run_cli(capsys, "build", *flags)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["dimension"] == dim
 
     def test_merged_comb_beyond_32_solved(self, capsys, monkeypatch):
         # 3 | 33, so x*J + y*I has no eigenbasis; the sum solve needs no T either.
@@ -309,18 +337,27 @@ class TestVerifyCommand:
 
     def test_full_json_sweep_pinned(self, capsys, monkeypatch):
         # The largest sweep verify accepts: p <= 13 and n <= 6, 20,155 tuples.
-        # Every comb generator is written in closed form, so nothing eliminates.
+        # Every comb generator is written in closed form, so nothing eliminates,
+        # and each of the 1,885 matrices (p, n, x, y) is built once for all its twists.
         eliminations = []
         original = tcc.linalg._rref_array
+        matrices = []
+        build = tcc.cli.comb_matrix
 
         def counted(a, p):
             eliminations.append(a.shape)
             return original(a, p)
 
+        def built(params):
+            matrices.append(params)
+            return build(params)
+
         monkeypatch.setattr(tcc.linalg, "_rref_array", counted)
+        monkeypatch.setattr(tcc.cli, "comb_matrix", built)
         code, out, _ = run_cli(capsys, "verify", "--p-max", "13", "--n-max", "6", "--json")
         assert code == EXIT_OK
         assert eliminations == []
+        assert len(matrices) == len(set(matrices)) == 5 * (4 + 9 + 25 + 49 + 121 + 169) == 1885
         assert hashlib.sha256(out.encode()).hexdigest() == "fa09d78430516328b066f630a5f4ae17a13525054173e3daa4ff39d43fafaa15"
 
     def test_sweep_caps_enforced(self, capsys):

@@ -21,7 +21,14 @@ def test_eigenbasis_stays_out_of_the_package_namespace():
     eigenbasis = {"DefectiveMatrixError", "Diagonalization", "diagonalize"}
     assert eigenbasis.isdisjoint(tcc.__all__)
     assert not any(hasattr(tcc, name) for name in eigenbasis)
-    assert len(tcc.__all__) == 33
+    assert len(tcc.__all__) == 32
+
+
+def test_one_solve_entry_for_every_matrix():
+    # centralizer_code recognises x*J + y*I itself; no second, comb-only solver is exported.
+    assert "comb_centralizer" not in tcc.__all__
+    assert not hasattr(tcc, "comb_centralizer")
+    assert not hasattr(tcc.centralizer, "comb_centralizer")
 
 
 def test_per_word_api_stays_out_of_the_package_namespace():

@@ -265,3 +265,14 @@ class TestMatrixTextFormat:
     def test_wrong_entry_count(self):
         with pytest.raises(MatrixFormatError, match="expected 2 entries, got 3"):
             parse_matrix_text("3 1 2\n0 1 1\n")
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_line_feed_starts_a_row(self, brk):
+        # str.splitlines() would also break here and read [[1], [2]]; inside a line it is whitespace.
+        with pytest.raises(MatrixFormatError, match="line 2: expected 2 data rows, got 1"):
+            parse_matrix_text(f"3 2 1\n1{brk}2\n")
+        assert parse_matrix_text(f"3 1 2\n1{brk}2\n").array.tolist() == [[1, 2]]
+
+    def test_crlf_lines_parse(self):
+        m = parse_matrix_text("5 2 3\r\n0 1 2\r\n3 4 0\r\n")
+        assert (m.prime.p, m.array.tolist()) == (5, [[0, 1, 2], [3, 4, 0]])
