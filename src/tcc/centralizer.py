@@ -9,7 +9,7 @@ with every generator written directly as the RREF generator of the
 linear code of length n^2 spanned by the vec images, and no comb solve
 eliminates.  Every other A takes the Kronecker kernel; its elimination
 runs with the columns reversed, so its kernel comes out in RREF too and
-no second reduction runs.
+no second reduction runs.  Either way the code holds the array as it is.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,7 @@ import numpy as np
 
 from .code import LinearCode
 from .linalg import (
+    MAX_ORDER,
     FieldMismatchError,
     GuardExceededError,
     Matrix,
@@ -26,7 +27,6 @@ from .linalg import (
     kronecker,
     matmul_mod,
 )
-from .comb import MAX_ORDER
 
 # Largest operator the Kronecker kernel builds: n = 32, a 1024 x 1024 T.
 KRONECKER_MAX_CELLS = 1 << 10
@@ -77,9 +77,7 @@ class CentralizerBasis:
             raise ValueError(f"expected a code of length {n * n} for order {n}, got {self.code.length}")
         if self.code.prime != self.spec.prime:
             raise FieldMismatchError(f"code over GF({self.code.prime.p}) against a GF({self.spec.prime.p}) centralizer")
-        if self.code.generator is None:
-            return
-        rows = self.code.generator.array
+        rows = self.code.generator
         step = max(1, _CHECK_CELLS // (n * n))
         for start in range(0, len(rows), step):
             # A row is vec(B), column by column, so its row-major reshape is B^T.
@@ -100,9 +98,8 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
 
 
 def _basis(spec: TwistSpec, gen: np.ndarray) -> CentralizerBasis:
-    """The basis whose code has the RREF generator rows ``gen``, which may be none."""
-    generator = Matrix(gen, spec.prime) if len(gen) else None
-    return CentralizerBasis(spec, LinearCode(spec.prime, spec.n * spec.n, generator))
+    """The basis whose code has the RREF generator rows ``gen``, held without a copy; no rows is the zero code."""
+    return CentralizerBasis(spec, LinearCode(spec.prime, spec.n * spec.n, gen))
 
 
 def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
@@ -156,7 +153,7 @@ def _comb_generator(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
     h[:, 1:] = v[:, n:] - v[:, :1]
     # Column-stacked, entry j n + i is B[i, j] = g_i + h_j.  A row's first
     # nonzero entry is its first nonzero in v, as B[:, 0] = g and B[0, j] = w_j.
-    return (h[:, :, None] + v[:, None, :n]).reshape(len(v), n * n)
+    return (h[:, :, None] + v[:, None, :n]).reshape(len(v), n * n) % p
 
 
 def _closed_form_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .comb import (
     comb_spectrum,
     eigen_scan,
 )
-from .linalg import GuardExceededError, MatrixFormatError, Prime, is_prime, parse_matrix_text
+from .linalg import GuardExceededError, Matrix, MatrixFormatError, Prime, is_prime, parse_matrix_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -183,9 +183,9 @@ def cmd_build(args) -> tuple[int, dict]:
     if not args.json:
         print(f"C(A, {out['a']}) over GF({out['p']}), n = {out['n']}")
         print(f"dim = {out['dimension']}")
-        if code.generator is not None:
+        if code.dim:
             print("generator (RREF):")
-            print(code.generator)
+            print(Matrix(code.generator, code.prime))
         else:
             print("generator: (zero code)")
     return EXIT_OK, out
@@ -268,7 +268,7 @@ def _theorem_check(n: int, basis: CentralizerBasis) -> dict:
     if code.dim == 0:
         return {"matches_theorem": False}
     report = analyze(code)
-    generator_is_all_ones = bool((code.generator.array == 1).all())
+    generator_is_all_ones = bool((code.generator == 1).all())
     matches = (
         basis.dim == 1
         and generator_is_all_ones

@@ -1,10 +1,10 @@
 """Linear codes over GF(p): the codes C(A, a) and their parameters.
 
-A solved centralizer is a [n^2, k] code whose generator rows are the
-column-stacked members of a basis.  Parameters
-follow the standard rules: a code of minimum distance d detects up to
-d - 1 symbol errors and corrects up to floor((d - 1) / 2); it is MDS when
-d meets the Singleton bound N - k + 1 exactly.
+A solved centralizer is a [n^2, k] code whose generator rows, a (k, n^2)
+int64 array of residues like every word, are the column-stacked members of
+a basis.  Parameters follow the standard rules: a code of minimum distance
+d detects up to d - 1 symbol errors and corrects up to floor((d - 1) / 2);
+it is MDS when d meets the Singleton bound N - k + 1 exactly.
 
 Nearest-codeword decoding classifies whole (B, N) blocks of received
 words at once.  A k = 1 code, the theorem's whole family, decodes by a
@@ -22,7 +22,6 @@ import numpy as np
 
 from .linalg import (
     GuardExceededError,
-    Matrix,
     Prime,
     count_text,
     matmul_mod,
@@ -37,25 +36,35 @@ UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
     """[N, k] linear code over GF(p) with a canonical (RREF) generator.
 
-    The zero code (k = 0) is representable and carries no generator.
+    The generator is a read-only (k, N) int64 array of residues, held with
+    no copy; the zero code's is (0, N).  Equal codes have equal generators.
     """
 
     prime: Prime
     length: int
-    generator: Matrix | None
+    generator: np.ndarray
 
     def __post_init__(self):
-        if self.generator is not None:
-            if self.generator.prime != self.prime or self.generator.cols != self.length:
-                raise ValueError("generator does not match the declared code")
+        g = self.generator
+        if not isinstance(g, np.ndarray) or g.dtype != np.int64 or g.ndim != 2 or g.shape[1] != self.length:
+            raise ValueError("generator does not match the declared code")
+        # Viewed as uint64 a negative entry is at least 2^63, so one maximum checks both ends.
+        if g.size and g.view(np.uint64).max() >= self.prime.p:
+            raise ValueError(f"generator entries must be residues in [0, {self.prime.p})")
+        g.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearCode):
+            return NotImplemented
+        return self.prime == other.prime and np.array_equal(self.generator, other.generator)
 
     @property
     def dim(self) -> int:
-        return 0 if self.generator is None else self.generator.rows
+        return len(self.generator)
 
     def __repr__(self):
         return f"LinearCode([{self.length}, {self.dim}] over GF({self.prime.p}))"
@@ -96,9 +105,7 @@ def _message_block(p: int, k: int, start: int, stop: int) -> np.ndarray:
 
 def _encode_rows(code: LinearCode, msgs: np.ndarray) -> np.ndarray:
     """Codewords of a (B, k) block of message digit rows."""
-    if code.generator is None:
-        return np.zeros((len(msgs), code.length), dtype=np.int64)
-    return matmul_mod(msgs, code.generator.array, code.prime.p)
+    return matmul_mod(msgs, code.generator, code.prime.p)
 
 
 def min_distance(code: LinearCode) -> int:
@@ -119,7 +126,6 @@ def min_distance(code: LinearCode) -> int:
             f"minimum distance would enumerate (p^k - 1)/(p - 1) = {count_text(count)} codewords, "
             f"beyond the {ENUMERATION_LIMIT} guard"
         )
-    gen = code.generator.array
     best = code.length + 1
     for lead in range(k):
         # Messages (0, ..., 0, 1, free digits): the lead row plus any
@@ -127,7 +133,7 @@ def min_distance(code: LinearCode) -> int:
         free = k - 1 - lead
         for start in range(0, p**free, _BLOCK):
             msgs = _message_block(p, free, start, min(start + _BLOCK, p**free))
-            words = (gen[lead] + matmul_mod(msgs, gen[lead + 1 :], p)) % p
+            words = (code.generator[lead] + matmul_mod(msgs, code.generator[lead + 1 :], p)) % p
             best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 
@@ -168,7 +174,7 @@ def _vote(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     on supp g) and the first minimiser is the smallest of them.
     """
     p = code.prime.p
-    g = code.generator.array[0]
+    g = code.generator[0]
     support = np.flatnonzero(g)
     outside = np.flatnonzero(g == 0)
     inverses = np.array([pow(int(v), -1, p) for v in g[support]], dtype=np.int64)

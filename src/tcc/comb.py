@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GuardExceededError, Matrix, Prime, matmul_mod, rank
+from .linalg import MAX_ORDER, GuardExceededError, Matrix, Prime, matmul_mod, rank
 
 # The scan evaluates a degree-n polynomial at all p residues and solves one rank
 # problem per root.  That would stay cheap well past this cap; the cap is kept so
 # that `spectrum` output keeps its bytes (it prints "skipped (p > 997)" above it).
 EIGEN_SCAN_MAX_P = 997
-
-MAX_ORDER = 64
 
 
 @dataclass(frozen=True)

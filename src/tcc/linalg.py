@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 # Desk-scale caps: order-64 square matrices flatten to length-4096 words.
-MAX_DIM = 4096
+MAX_ORDER = 64
+MAX_DIM = MAX_ORDER**2
 MAX_PRIME = 2**31 - 1
 # A matrix file integer: int() alone would also read "1_0" and non-ASCII digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -318,11 +319,12 @@ def _integer(tok: str) -> int:
 def parse_matrix_text(text: str) -> Matrix:
     """Parse the plain matrix interchange format.
 
-    Line 1 is ``p rows cols``; each of the following ``rows`` lines holds
-    ``cols`` whitespace-separated integers in [0, p).  Lines end at a line
-    feed only, never at another Unicode line break.  Every field is an
-    ASCII decimal integer with an optional sign.  Out-of-range entries
-    are rejected rather than silently reduced.
+    Line 1 is ``p rows cols``, each axis at most MAX_ORDER, since a file
+    holds A; each of the following ``rows`` lines holds ``cols``
+    whitespace-separated integers in [0, p).  Lines end at a line feed
+    only, never at another Unicode line break.  Every field is an ASCII
+    decimal integer with an optional sign.  Out-of-range entries are
+    rejected rather than silently reduced.
     """
     lines = text.split("\n")
     while lines and not lines[-1].strip():
@@ -343,9 +345,9 @@ def parse_matrix_text(text: str) -> Matrix:
         prime = Prime(p)
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"line 1: {exc}", line=1) from None
-    if not (1 <= rows <= MAX_DIM and 1 <= cols <= MAX_DIM):
+    if not (1 <= rows <= MAX_ORDER and 1 <= cols <= MAX_ORDER):
         raise MatrixFormatError(
-            f"line 1: matrix shape must be within 1..{MAX_DIM} per axis, got {rows}x{cols}", line=1
+            f"line 1: matrix shape must be within 1..{MAX_ORDER} per axis, got {rows}x{cols}", line=1
         )
     if len(lines) - 1 != rows:
         raise MatrixFormatError(

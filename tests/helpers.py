@@ -5,7 +5,7 @@ so both the per-module tests and the acceptance gate can invoke them.
 all_ones and unit_e11 build the named matrices J and E11, code_from_rows
 reduces any spanning rows to a code's RREF generator, and is_codeword
 tests membership through that generator.  A word is an int64 row of
-residues, as everywhere in tcc.
+residues and a generator a (k, N) stack of them, as everywhere in tcc.
 vec and unvec are the column-stacking maps between n x n matrices and
 code words, and basis_matrices unvecs a basis's generator rows.
 brute_force_centralizer enumerates every matrix, kept as the oracle for
@@ -124,7 +124,7 @@ def basis_matrices(basis: CentralizerBasis) -> list[Matrix]:
     """The members of C(A, a) whose vec images are the basis's generator rows."""
     code = basis.code
     n = basis.spec.n
-    return [unvec(code.generator.array[i], n, n, code.prime) for i in range(code.dim)]
+    return [unvec(row, n, n, code.prime) for row in code.generator]
 
 
 def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
@@ -166,18 +166,16 @@ def kronecker_code(spec: TwistSpec) -> CentralizerBasis:
 def code_from_rows(rows: Matrix) -> LinearCode:
     """The code spanned by any set of rows, canonicalized by RREF."""
     reduced, rk, _ = rref(rows)
-    return LinearCode(rows.prime, rows.cols, Matrix(reduced.array[:rk], rows.prime) if rk else None)
+    return LinearCode(rows.prime, rows.cols, reduced.array[:rk])
 
 
 def is_codeword(code: LinearCode, word: np.ndarray) -> bool:
     """Membership of a row of residues via the RREF generator: re-encode the pivot coordinates."""
     if len(word) != code.length:
         raise ValueError(f"word length {len(word)} does not match code length {code.length}")
-    if code.generator is None:
-        return not np.any(word)
-    # Each RREF row's first nonzero entry is its pivot.
-    coeffs = word[(code.generator.array != 0).argmax(axis=1)]
-    recon = matmul_mod(coeffs, code.generator.array, code.prime.p)
+    # Each RREF row's first nonzero entry is its pivot; the zero code re-encodes to zeros.
+    coeffs = word[(code.generator != 0).argmax(axis=1)]
+    recon = matmul_mod(coeffs, code.generator, code.prime.p)
     return bool(np.array_equal(recon, word))
 
 
@@ -416,7 +414,8 @@ def conjugation_transfer(
             raise ValueError("conjugation transfer broke membership; is D = P A P^-1?")
         carried.append(vec(image))
     if not carried:
-        return CentralizerBasis(target, LinearCode(target.prime, target.n * target.n, None))
+        zero = np.zeros((0, target.n * target.n), dtype=np.int64)
+        return CentralizerBasis(target, LinearCode(target.prime, target.n * target.n, zero))
     code = code_from_rows(Matrix(np.vstack(carried), target.prime))
     if code.dim != basis_d.dim:
         raise ValueError("conjugation transfer changed the dimension")

@@ -70,7 +70,7 @@ def test_criterion_1_theorem_sweep():
         code = _mds_code(p, n, x, y, a)
         label = (p, n, x, y, a)
         assert code.dim == 1, label
-        assert code.generator.array.tolist() == [[1] * (n * n)], label
+        assert code.generator.tolist() == [[1] * (n * n)], label
         report = analyze(code)
         assert report.min_distance == n * n, label
         assert report.mds, label

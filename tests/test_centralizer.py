@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -122,7 +123,20 @@ class TestCentralizerCode:
     def test_worked_example_spans_all_ones(self):
         basis = centralizer_code(comb_spec(2, 1, 1, 3, 2))
         assert basis.dim == 1
-        assert np.array_equal(basis.code.generator.array[0], vec(all_ones(2, GF3)))
+        assert np.array_equal(basis.code.generator[0], vec(all_ones(2, GF3)))
+
+    def test_solve_holds_one_copy_of_its_generator(self):
+        # C(J + I, 1) at n = 48 over GF(7): (n - 1)^2 + 1 = 2210 rows of 2304 residues, 41 MB.
+        # Beyond the generator itself only the check's chunk temporaries may remain.
+        spec = comb_spec(48, 1, 1, 7, 1)
+        tracemalloc.start()
+        try:
+            basis = centralizer_code(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert basis.dim == 2210
+        assert peak < 1.75 * basis.code.generator.nbytes
 
     def test_zero_matrix_gives_full_space(self):
         for n, p in [(2, 3), (3, 2)]:
@@ -180,7 +194,7 @@ class TestCentralizerCode:
         assert CentralizerBasis(spec, code_of(unit_e11(2, GF3), e12)) == centralizer_code(spec)
         code = code_of(unit_e11(2, GF3), e12, e22)
         members = [unit_e11(2, GF3), e12]
-        assert [vec(m).tolist() for m in members] == code.generator.array[:2].tolist()
+        assert [vec(m).tolist() for m in members] == code.generator[:2].tolist()
         with pytest.raises(ValueError, match="twisted commutation"):
             CentralizerBasis(spec, code)
 
@@ -198,7 +212,7 @@ class TestCentralizerCode:
         spec = TwistSpec(Matrix.zeros(2, 2, GF3), 0)
         basis = centralizer_code(spec)
         stacked = Matrix(np.vstack([vec(b) for b in basis_matrices(basis)]), GF3)
-        assert rref(stacked).matrix == stacked == basis.code.generator
+        assert rref(stacked).matrix == stacked == Matrix(basis.code.generator, GF3)
 
     def test_one_elimination_gives_the_reduced_kernel(self, monkeypatch):
         # Oracle: the kernel basis of T reduced a second time by code_from_rows.
@@ -305,7 +319,7 @@ class TestConjugationTransfer:
         d_spec = TwistSpec(diag.diagonal, 2)
         basis_d = centralizer_code(d_spec)
         assert basis_d.dim == 1
-        assert np.array_equal(basis_d.code.generator.array[0], vec(unit_e11(2, GF3)))
+        assert np.array_equal(basis_d.code.generator[0], vec(unit_e11(2, GF3)))
         moved = conjugation_transfer(basis_d, diag.transform, target=a_spec)
         direct = centralizer_code(a_spec)
         assert moved.code == direct.code
@@ -319,7 +333,7 @@ class TestConjugationTransfer:
             d_spec = TwistSpec(Matrix(np.diag(entries), prime), a)
             basis = centralizer_code(d_spec)
             assert basis.dim == 1
-            assert np.array_equal(basis.code.generator.array[0], vec(unit_e11(3, prime)))
+            assert np.array_equal(basis.code.generator[0], vec(unit_e11(3, prime)))
 
     def test_wrong_target_detected(self):
         params = CombParams(2, 1, 1, GF3)
@@ -469,7 +483,7 @@ class TestCombCentralizer:
                     if (n, a, p) not in oracle:
                         oracle[n, a, p] = eliminated_sum_kernel(n, a, p)
                     basis = centralizer_code(comb_spec(n, x, y, p, a))
-                    assert np.array_equal(basis.code.generator.array, oracle[n, a, p]), (n, x, y, a, p)
+                    assert np.array_equal(basis.code.generator, oracle[n, a, p]), (n, x, y, a, p)
                     tuples += 1
         # (p - 1) x's times p y's at a = 1 plus p - 1 twists a != 1 at y = 0.
         assert tuples == 6 * sum((p - 1) * (2 * p - 1) for p in (2, 3, 5, 7, 11)) == 2022

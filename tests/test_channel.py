@@ -335,7 +335,7 @@ class TestVoteDecoder:
         prime = Prime(67)
         code = code_from_rows(Matrix([row], prime))
         rng = np.random.default_rng(67)
-        sent = rng.integers(0, 67, size=(400, 1)) * code.generator.array[0] % 67
+        sent = rng.integers(0, 67, size=(400, 1)) * code.generator[0] % 67
         errors = np.where(rng.random((400, 9)) < rng.random((400, 1)), rng.integers(1, 67, size=(400, 9)), 0)
         words = np.vstack([(sent + errors) % 67, rng.integers(0, 67, size=(100, 9))])
         self.assert_same(code, words)

@@ -161,6 +161,13 @@ class TestBuildCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "tcc: matrix file error: line 2: expected 2 data rows, got 1\n"
 
+    def test_matrix_file_beyond_the_largest_order_refused_at_its_header(self, capsys, tmp_path):
+        path = tmp_path / "a.mat"
+        path.write_text(_matrix_file(3, np.eye(65, dtype=int)))
+        code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "1")
+        message = "line 1: matrix shape must be within 1..64 per axis, got 65x65"
+        assert (code, out, err) == (EXIT_USAGE, "", f"tcc: matrix file error: {message}\n")
+
     def test_missing_matrix_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "build", "--matrix-file", str(tmp_path / "nope"), "--a", "2")
         assert code == EXIT_USAGE

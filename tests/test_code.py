@@ -7,6 +7,7 @@ import tcc.code
 from tcc import (
     CombParams,
     GuardExceededError,
+    LinearCode,
     Matrix,
     Prime,
     TwistSpec,
@@ -34,26 +35,78 @@ class TestCodeConstruction:
     def test_from_worked_centralizer(self):
         code = comb_code(2, 1, 1, 3, 2)
         assert (code.length, code.dim) == (4, 1)
-        assert code.generator == Matrix([[1, 1, 1, 1]], GF3)
+        assert code.generator.tolist() == [[1, 1, 1, 1]]
 
     def test_empty_basis_gives_zero_code(self):
         # A invertible with a = 0 forces B = 0, the genuine zero code.
         spec = TwistSpec(Matrix.identity(2, GF3), 0)
         zero_code = code_from_basis(centralizer_code(spec))
         assert zero_code.dim == 0
-        assert zero_code.generator is None
+        assert zero_code.generator.shape == (0, 4)
 
     def test_full_space_generator_is_identity(self):
         spec = TwistSpec(Matrix.zeros(2, 2, GF3), 1)
         code = code_from_basis(centralizer_code(spec))
-        assert code.generator == Matrix.identity(4, GF3)
+        assert code.generator.tolist() == np.eye(4, dtype=np.int64).tolist()
 
     def test_code_from_rows_canonicalizes(self):
         # Dependent rows collapse to the RREF of the row space.
         rows = Matrix([[2, 2, 2, 2], [1, 1, 1, 1]], GF3)
         code = code_from_rows(rows)
         assert code.dim == 1
-        assert code.generator == Matrix([[1, 1, 1, 1]], GF3)
+        assert code.generator.tolist() == [[1, 1, 1, 1]]
+
+
+class TestGenerator:
+    def test_held_as_given_and_made_read_only(self):
+        gen = np.array([[1, 0, 2], [0, 1, 1]], dtype=np.int64)
+        code = LinearCode(GF3, 3, gen)
+        assert code.generator is gen
+        assert code.dim == 2
+        assert not gen.flags.writeable
+
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            np.array([[1, 1, 1]], dtype=np.int32),
+            np.array([1, 1, 1], dtype=np.int64),
+            np.array([[1, 1, 1, 1]], dtype=np.int64),
+            Matrix([[1, 1, 1]], GF3),
+        ],
+        ids=["int32", "one-dimensional", "four-columns", "matrix"],
+    )
+    def test_rejects_what_is_no_int64_stack_of_rows(self, gen):
+        with pytest.raises(ValueError, match="generator does not match the declared code"):
+            LinearCode(GF3, 3, gen)
+
+    @pytest.mark.parametrize("entry", [-1, 3, 4])
+    def test_rejects_an_unreduced_entry(self, entry):
+        # Reduced silently, it would pass a membership check mod p and print a wrong row.
+        gen = np.array([[1, entry, 0]], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"generator entries must be residues in \[0, 3\)"):
+            LinearCode(GF3, 3, gen)
+        assert gen.flags.writeable
+
+    def test_equal_codes_have_equal_generators(self):
+        code = repetition_code()
+        assert code == code_from_rows(Matrix([[2, 2, 2, 2], [1, 1, 1, 1]], GF3))
+        assert code != repetition_code(5)
+        assert code != code_from_rows(Matrix([[1, 1, 1, 0]], GF3))
+        assert code != code_from_rows(Matrix([[1, 1, 1, 1, 1]], GF3))
+
+    def test_zero_code_has_no_rows_and_encodes_to_zeros(self):
+        zero = code_from_basis(centralizer_code(TwistSpec(Matrix.identity(2, GF3), 0)))
+        assert zero.generator.shape == (0, 4)
+        assert zero == LinearCode(GF3, 4, np.zeros((0, 4), dtype=np.int64))
+        msgs = np.zeros((3, 0), dtype=np.int64)
+        assert tcc.code._encode_rows(zero, msgs).tolist() == [[0] * 4] * 3
+        assert encode(zero, msgs[0]).tolist() == [0] * 4
+        result = decode_nearest(zero, np.array([0, 2, 0, 1], dtype=np.int64))
+        assert (result.status, result.codeword.tolist(), result.distance) == (UNIQUE, [0] * 4, 2)
+        with pytest.raises(ValueError, match="^zero code has no minimum distance$"):
+            min_distance(zero)
+        with pytest.raises(ValueError, match="^zero code has no parameters to report$"):
+            analyze(zero)
 
 
 class TestMinDistance:

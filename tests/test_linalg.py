@@ -258,6 +258,15 @@ class TestMatrixTextFormat:
         with pytest.raises(MatrixFormatError, match="line 1"):
             parse_matrix_text("4 1 1\n0\n")
 
+    @pytest.mark.parametrize("rows, cols", [(65, 65), (1, 65), (65, 1), (4096, 4096), (0, 1)])
+    def test_shape_beyond_the_largest_order_refused_at_the_header(self, rows, cols):
+        # A file holds A, whose order is at most 64; the data lines, not integers here, are never read.
+        text = f"3 {rows} {cols}\n" + "x\n" * rows
+        message = rf"^line 1: matrix shape must be within 1\.\.64 per axis, got {rows}x{cols}$"
+        with pytest.raises(MatrixFormatError, match=message) as info:
+            parse_matrix_text(text)
+        assert (info.value.line, info.value.column) == (1, None)
+
     def test_wrong_row_count(self):
         with pytest.raises(MatrixFormatError, match="expected 3 data rows"):
             parse_matrix_text("3 3 2\n0 1\n1 0\n")
