@@ -177,7 +177,9 @@ def _vote(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     g = code.generator[0]
     support = np.flatnonzero(g)
     outside = np.flatnonzero(g == 0)
-    inverses = np.array([pow(int(v), -1, p) for v in g[support]], dtype=np.int64)
+    # One inverse per distinct generator value, spread back over the support.
+    values, where = np.unique(g[support], return_inverse=True)
+    inverses = np.array([pow(int(v), -1, p) for v in values], dtype=np.int64)[where]
     # Both factors are below 2^31, so each product stays below 2^62.
     votes = np.sort(words[:, support] * inverses % p, axis=1)
     place = np.arange(len(support))

@@ -230,34 +230,58 @@ class RrefResult(NamedTuple):
 
 
 def _rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """In-place Gauss-Jordan on a writable int64 array; returns (a, pivot cols)."""
+    """In-place Gauss-Jordan on a writable int64 array of residues; returns (a, pivot cols).
+
+    Reduction is delayed, as in FFLAS-FFPACK (Dumas, Giorgi and Pernet,
+    ACM TOMS 35(3), 2008).  A pivot step reduces only its column, which
+    gives the pivot and the multipliers, and the pivot row it normalises.
+    Each update subtracts a multiplier times a pivot-row entry, both
+    residues, so after u unreduced updates every entry lies in
+    (-u (p-1)^2, p).  The block is therefore reduced only once
+    u = (2^63 - 1 - p) // (p-1)^2 updates have piled up (2 at p = 2^31 - 1,
+    about 2.6e17 at p = 7), and once at the end.
+
+    Updates touch only the trailing columns >= c: the pivot row is 0 mod p
+    left of its pivot, no later step reads those columns, and the final
+    reduction brings them to residues.
+    """
     rows, cols = a.shape
+    budget = (2**63 - 1 - p) // (p - 1) ** 2
+    pending = 0
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = a[r:, c].nonzero()[0]
+        col = a[:, c] % p
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col_vals = a[:, c].copy()
-        col_vals[r] = 0
-        hit = col_vals.nonzero()[0]
-        # Entrywise products stay below (p-1)^2 < 2^63, so no overflow here.
-        # Mostly-zero pivot columns take the compressed update; dense ones
-        # update in place to avoid the gather/scatter copies.
-        if hit.size * 2 > rows:
-            a -= col_vals[:, None] * a[r]
-            a %= p
-        elif hit.size:
-            a[hit] = (a[hit] - col_vals[hit, None] * a[r]) % p
+            col[r], col[pr] = col[pr], col[r]
+        block = a[:, c:]
+        row = block[r]
+        row %= p
+        row *= pow(int(col[r]), -1, p)
+        row %= p
+        col[r] = 0
+        hit = col.nonzero()[0]
+        if hit.size:
+            if pending == budget:
+                block %= p
+                pending = 0
+            pending += 1
+            # Mostly-zero pivot columns take the compressed update; dense ones
+            # update in place to avoid the gather/scatter copies.
+            if hit.size * 2 > rows:
+                block -= col[:, None] * row
+            else:
+                block[hit] -= col[hit, None] * row
         pivots.append(c)
         r += 1
+    a %= p
     return a, pivots
 
 

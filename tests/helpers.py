@@ -10,13 +10,15 @@ vec and unvec are the column-stacking maps between n x n matrices and
 code words, and basis_matrices unvecs a basis's generator rows.
 brute_force_centralizer enumerates every matrix, kept as the oracle for
 the kernel solver, and literal_kernel_basis builds one kernel row per
-free column, kept as the oracle for kernel_basis.  kronecker_code solves
-any A, comb or not, through the kernel of the twisted operator, kept as
-the oracle for the closed form that centralizer_code writes for a comb
-matrix.  eliminated_comb_kernel eliminates the (2n - 1)-square system of
-a comb solve with s != 0, and eliminated_sum_kernel the 2n - 1 sum
-constraints of one with s = 0 and x != 0, kept as the oracles for their
-closed-form kernels.
+free column, kept as the oracle for kernel_basis.  literal_rref_array
+is Gauss-Jordan reducing the whole block mod p after every pivot, kept
+as the oracle for the delayed reduction in tcc.linalg._rref_array.
+kronecker_code solves any A, comb or not, through the kernel of the
+twisted operator, kept as the oracle for the closed form that
+centralizer_code writes for a comb matrix.  eliminated_comb_kernel
+eliminates the (2n - 1)-square system of a comb solve with s != 0, and
+eliminated_sum_kernel the 2n - 1 sum constraints of one with s = 0 and
+x != 0, kept as the oracles for their closed-form kernels.
 diagonalize builds an explicit eigenbasis of x*J + y*I, kept as the
 oracle for the diagonal that spectrum prints.  literal_eigen_scan solves one rank problem
 per field element, kept as the oracle for eigen_scan.  conjugation_transfer is the literal per-matrix
@@ -235,6 +237,36 @@ def literal_kernel_basis(m: Matrix) -> list[list[int]]:
             v[c] = -reduced[r, f] % m.prime.p
         rows.append(v)
     return rows
+
+
+def literal_rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """_rref_array reducing the whole block mod p after every pivot step; returns (a, pivot cols)."""
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        col_vals = a[:, c].copy()
+        col_vals[r] = 0
+        hit = col_vals.nonzero()[0]
+        # Entrywise products stay below (p-1)^2 < 2^63, so no overflow here.
+        if hit.size * 2 > rows:
+            a -= col_vals[:, None] * a[r]
+            a %= p
+        elif hit.size:
+            a[hit] = (a[hit] - col_vals[hit, None] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def eliminated_comb_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:

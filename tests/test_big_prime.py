@@ -22,8 +22,10 @@ from tcc import (
     comb_matrix,
     exhaustive_stats,
     inverse,
+    kernel_basis,
     kronecker,
     min_distance,
+    rank,
     rref,
 )
 from tcc.linalg import MAX_DIM, matmul_mod
@@ -116,6 +118,53 @@ class TestRrefAndKronecker:
         # A repeated row combination forces a rank drop.
         rows[-1] = (2 * rows[0] + (P - 1) * rows[1]) % P
         assert rref(Matrix(rows, BIG)).matrix.array.tolist() == ref_rref(rows.tolist())
+
+    # At this prime _rref_array reduces its block after every 2 updates,
+    # so a 24-row system is reduced about a dozen times on the way.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_many_delayed_reductions_match_python_ints(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rand_rows(rng, 24, 40)
+        # Two rows that are combinations of others force a rank drop to 22.
+        rows[-1] = (3 * rows[0] + (P - 1) * rows[5]) % P
+        rows[7] = (rows[2] + rows[3]) % P
+        result = rref(Matrix(rows, BIG))
+        assert result.rank == 22
+        assert result.matrix.array.tolist() == ref_rref(rows.tolist())
+
+    def test_all_top_entries_have_rank_one(self):
+        rows = np.full((24, 40), P - 1, dtype=np.int64)
+        expected = [[1] * 40] + [[0] * 40] * 23
+        assert ref_rref(rows.tolist()) == expected
+        assert rref(Matrix(rows, BIG)).matrix.array.tolist() == expected
+        assert rank(Matrix(rows, BIG)) == 1
+
+    def test_inverse_matches_python_ints(self):
+        rng = np.random.default_rng(4)
+        m = rand_rows(rng, 24, 24)
+        augmented = [row + [int(i == j) for j in range(24)] for i, row in enumerate(m.tolist())]
+        reduced = ref_rref(augmented)
+        assert [row[:24] for row in reduced] == np.eye(24, dtype=np.int64).tolist()
+        assert inverse(Matrix(m, BIG)).array.tolist() == [row[24:] for row in reduced]
+
+    def test_kernel_basis_matches_python_ints(self):
+        rng = np.random.default_rng(5)
+        rows = rand_rows(rng, 24, 40)
+        rows[-1] = (rows[0] + 2 * rows[1]) % P
+        reduced = ref_rref(rows.tolist())
+        pivots = [row.index(1) for row in reduced if any(row)]
+        free = [c for c in range(40) if c not in pivots]
+        expected = []
+        for f in free:
+            v = [0] * 40
+            v[f] = 1
+            for r, c in enumerate(pivots):
+                v[c] = -reduced[r][f] % P
+            expected.append(v)
+        basis = kernel_basis(Matrix(rows, BIG))
+        assert len(free) == 17
+        assert basis.tolist() == expected
+        assert ref_matmul(rows, basis.T) == [[0] * 17] * 24
 
     def test_kronecker_matches_python_ints(self):
         rng = np.random.default_rng(5)

@@ -7,15 +7,17 @@ from tcc import (
     MatrixFormatError,
     Prime,
     SingularMatrixError,
+    TwistSpec,
     inverse,
     kernel_basis,
     kronecker,
     parse_matrix_text,
     rank,
     rref,
+    twisted_operator,
 )
-from tcc.linalg import matmul_mod
-from helpers import GF3, GF5, rand_matrix, unvec, vec
+from tcc.linalg import _rref_array, matmul_mod
+from helpers import GF3, GF5, literal_rref_array, rand_matrix, unvec, vec
 
 
 class TestPrime:
@@ -126,6 +128,59 @@ class TestRref:
             m = rand_matrix(rng, 4, 6, GF3)
             pivots = rref(m).pivots
             assert list(pivots) == sorted(pivots)
+
+
+def _residues(rng, p, rows, cols, density=1.0):
+    """Random residues, about a quarter of them near p - 1; each entry is zeroed with probability 1 - ``density``."""
+    data = rng.integers(0, p, size=(rows, cols))
+    top = rng.random(size=(rows, cols)) < 0.25
+    data[top] = p - 1 - rng.integers(0, min(p, 4), size=int(top.sum()))
+    data[rng.random(size=(rows, cols)) >= density] = 0
+    return data
+
+
+def _rank_deficient(rng, p, rank_, rows, cols):
+    """rows x cols of rank at most ``rank_``: each row a random combination of ``rank_`` random rows."""
+    return matmul_mod(_residues(rng, p, rows, rank_), _residues(rng, p, rank_, cols), p)
+
+
+_PRIMES = [2, 3, 7, 65521, 2**31 - 1]
+
+
+def _systems(p):
+    """Named systems for one prime.
+
+    At p = 2^31 - 1 the budget is 2 updates, so every block with three
+    pivots or more is reduced in between.
+    """
+    rng = np.random.default_rng(p % 1000)
+    twisted = TwistSpec(Matrix(_residues(rng, p, 8, 8), Prime(p)), int(rng.integers(0, p)))
+    return {
+        "sparse": _residues(rng, p, 80, 96, density=0.08),
+        "dense": _residues(rng, p, 72, 72),
+        "wide": _rank_deficient(rng, p, 40, 48, 120),
+        "tall": _residues(rng, p, 120, 40),
+        "zero": np.zeros((6, 9), dtype=np.int64),
+        "rank_deficient": _rank_deficient(rng, p, 40, 64, 64),
+        "small": _rank_deficient(rng, p, 6, 9, 9),
+        "kronecker": twisted_operator(twisted).array[:, ::-1],
+    }
+
+
+class TestDelayedReduction:
+    """_rref_array against the reduce-every-step oracle, entry for entry."""
+
+    @pytest.mark.parametrize("p", _PRIMES)
+    def test_matches_reduce_every_step(self, p):
+        for name, system in _systems(p).items():
+            expected, expected_pivots = literal_rref_array(system.copy(), p)
+            got, pivots = _rref_array(system.copy(), p)
+            assert pivots == expected_pivots, name
+            assert np.array_equal(got, expected), name
+            assert rref(Matrix(system, Prime(p))).matrix.array.tolist() == expected.tolist(), name
+            if name in ("wide", "rank_deficient"):
+                # Products through 40 inner rows; these seeded ones reach rank 40.
+                assert rank(Matrix(system, Prime(p))) == 40, name
 
 
 class TestKernel:
