@@ -24,7 +24,6 @@ from .linalg import (
     Matrix,
     Prime,
     kernel_basis,
-    kronecker,
     matmul_mod,
 )
 
@@ -92,9 +91,10 @@ class CentralizerBasis:
 
 def twisted_operator(spec: TwistSpec) -> Matrix:
     """The n^2 x n^2 matrix T with T vec(B) = vec(AB - a BA)."""
-    a = spec.matrix
-    ident = Matrix.identity(spec.n, spec.prime)
-    return kronecker(ident, a) - kronecker(a.T, ident) * spec.twist
+    a, ident = spec.matrix.array, np.eye(spec.n, dtype=np.int64)
+    # Every entry of either term is below (p - 1)^2 < 2^62, so their
+    # difference fits int64 before Matrix reduces it.
+    return Matrix(np.kron(ident, a) - spec.twist * np.kron(a.T, ident), spec.prime)
 
 
 def _basis(spec: TwistSpec, gen: np.ndarray) -> CentralizerBasis:

@@ -129,9 +129,9 @@ def eigen_scan(m: Matrix) -> Spectrum:
     values = np.zeros(p, dtype=np.int64)
     for coeff in _char_poly(m)[::-1]:
         values = (values * field + coeff) % p
-    ident = Matrix.identity(n, m.prime)
+    ident = np.eye(n, dtype=np.int64)
     roots = np.flatnonzero(values == 0).tolist()
-    return Spectrum(tuple((lam, n - rank(m - ident * lam)) for lam in roots))
+    return Spectrum(tuple((lam, n - rank(Matrix(m.array - lam * ident, m.prime))) for lam in roots))
 
 
 def comb_spectrum(params: CombParams) -> Spectrum:

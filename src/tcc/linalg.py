@@ -1,8 +1,9 @@
 """Exact dense linear algebra over prime fields GF(p).
 
-Matrices carry their field with them and every operation is a pure
-function on fully reduced residues: Gauss-Jordan elimination, kernel
-bases, inverses and Kronecker products.
+Matrices are values that carry their field with them, and every
+operation is a pure function on fully reduced residues: products
+(matmul_mod, on int64 arrays), Gauss-Jordan elimination, kernel bases,
+inverses and Kronecker products.
 These are the primitives everything else (spectra, centralizer solving,
 code analysis) is built on.
 """
@@ -115,16 +116,12 @@ def _as_reduced(data, p: int) -> np.ndarray:
     return arr
 
 
-def _check_same_field(a, b):
-    if a.prime != b.prime:
-        raise FieldMismatchError(f"cannot mix GF({a.prime.p}) and GF({b.prime.p}) operands")
-
-
 class Matrix:
-    """Immutable dense matrix over GF(p).
+    """Immutable dense matrix over GF(p), a validated value.
 
-    Entries are reduced residues held in a read-only int64 array; ``@``
-    multiplies, ``+``/``-`` add, ``*`` scales by an integer taken mod p.
+    Entries are reduced residues held in a read-only int64 array; equal
+    field and entries make equal, hashable matrices.  Arithmetic runs on
+    ``array`` with matmul_mod and numpy.
     """
 
     __slots__ = ("prime", "_data")
@@ -135,14 +132,6 @@ class Matrix:
         rows, cols = self._data.shape
         if not (1 <= rows <= MAX_DIM and 1 <= cols <= MAX_DIM):
             raise ValueError(f"matrix shape must be within 1..{MAX_DIM} per axis, got {rows}x{cols}")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, prime: Prime) -> "Matrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), prime)
-
-    @classmethod
-    def identity(cls, n: int, prime: Prime) -> "Matrix":
-        return cls(np.eye(n, dtype=np.int64), prime)
 
     @property
     def array(self) -> np.ndarray:
@@ -163,50 +152,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    @property
-    def T(self) -> "Matrix":
-        return Matrix(self._data.T, self.prime)
-
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return int(self._data[i, j])
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        _check_same_field(self, other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix(self._data + other._data, self.prime)
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        _check_same_field(self, other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix(self._data - other._data, self.prime)
-
-    def __mul__(self, scalar):
-        try:
-            s = self.prime.residue(scalar, "scalar")
-        except TypeError:
-            return NotImplemented
-        return Matrix(self._data * s, self.prime)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Matrix(-self._data, self.prime)
-
-    def __matmul__(self, other):
-        if isinstance(other, Matrix):
-            _check_same_field(self, other)
-            if self.cols != other.rows:
-                raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            return Matrix(matmul_mod(self._data, other._data, self.prime.p), self.prime)
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -330,7 +275,8 @@ def inverse(m: Matrix) -> Matrix:
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: block (i, j) equals a[i, j] * b."""
-    _check_same_field(a, b)
+    if a.prime != b.prime:
+        raise FieldMismatchError(f"cannot mix GF({a.prime.p}) and GF({b.prime.p}) operands")
     return Matrix(np.kron(a.array, b.array) % a.prime.p, a.prime)
 
 

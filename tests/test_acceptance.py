@@ -142,7 +142,8 @@ def test_criterion_4_diagonalization_and_transfer():
         expected_diag[0] = 0
         assert diag.diagonal == Matrix(np.diag(expected_diag), prime), label
         matrix = comb_matrix(params)
-        assert (diag.transform @ matrix) @ inverse(diag.transform) == diag.diagonal, label
+        conjugated = helpers.matmul(helpers.matmul(diag.transform, matrix), inverse(diag.transform))
+        assert conjugated == diag.diagonal, label
 
         basis_d = centralizer_code(TwistSpec(diag.diagonal, a))
         target = TwistSpec(matrix, a)

@@ -27,9 +27,10 @@ from tcc import (
     min_distance,
     rank,
     rref,
+    twisted_operator,
 )
 from tcc.linalg import MAX_DIM, matmul_mod
-from helpers import code_from_rows, kronecker_code
+from helpers import code_from_rows, identity, kronecker_code, matmul
 
 P = 2**31 - 1
 BIG = Prime(P)
@@ -107,7 +108,7 @@ class TestMatmulObjectPath:
     def test_matrix_product_and_inverse(self):
         rng = np.random.default_rng(11)
         m = Matrix(rand_rows(rng, 5, 5), BIG)
-        assert (m @ inverse(m)) == Matrix.identity(5, BIG)
+        assert matmul(m, inverse(m)) == identity(5, BIG)
 
 
 class TestRrefAndKronecker:
@@ -175,6 +176,18 @@ class TestRrefAndKronecker:
         ]
         assert kronecker(Matrix(a, BIG), Matrix(b, BIG)).array.tolist() == expected
 
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("twist", [0, 1, 2, P - 1])
+    def test_twisted_operator_matches_python_ints(self, n, twist):
+        # T = I (x) A - a A^T (x) I entry by entry; its int64 terms reach about 2^62.
+        a = rand_rows(np.random.default_rng(n), n, n).tolist()
+        expected = [
+            [((j == l) * a[i][k] - twist * a[l][j] * (i == k)) % P for l in range(n) for k in range(n)]
+            for j in range(n)
+            for i in range(n)
+        ]
+        assert twisted_operator(TwistSpec(Matrix(a, BIG), twist)).array.tolist() == expected
+
 
 class TestCombSolve:
     @pytest.mark.parametrize("n", [3, 4])
@@ -203,7 +216,7 @@ class TestGuardMessages:
     # Past 4300 digits Python refuses to turn an int into a string, so
     # these guards must still fire with a readable size.
     def test_distance_count_beyond_string_limit(self):
-        code = code_from_rows(Matrix.identity(600, BIG))
+        code = code_from_rows(identity(600, BIG))
         with pytest.raises(GuardExceededError, match=r"about 10\^5589 codewords"):
             min_distance(code)
 

@@ -18,7 +18,7 @@ from tcc import (
     min_distance,
 )
 from tcc.code import AMBIGUOUS, UNIQUE, decode_nearest, encode
-from helpers import GF2, GF3, GF5, code_from_rows, hamming_distance, is_codeword, rand_matrix
+from helpers import GF2, GF3, GF5, code_from_rows, hamming_distance, identity, is_codeword, rand_matrix, zeros
 
 
 def repetition_code(p=3):
@@ -39,13 +39,13 @@ class TestCodeConstruction:
 
     def test_empty_basis_gives_zero_code(self):
         # A invertible with a = 0 forces B = 0, the genuine zero code.
-        spec = TwistSpec(Matrix.identity(2, GF3), 0)
+        spec = TwistSpec(identity(2, GF3), 0)
         zero_code = code_from_basis(centralizer_code(spec))
         assert zero_code.dim == 0
         assert zero_code.generator.shape == (0, 4)
 
     def test_full_space_generator_is_identity(self):
-        spec = TwistSpec(Matrix.zeros(2, 2, GF3), 1)
+        spec = TwistSpec(zeros(2, 2, GF3), 1)
         code = code_from_basis(centralizer_code(spec))
         assert code.generator.tolist() == np.eye(4, dtype=np.int64).tolist()
 
@@ -95,7 +95,7 @@ class TestGenerator:
         assert code != code_from_rows(Matrix([[1, 1, 1, 1, 1]], GF3))
 
     def test_zero_code_has_no_rows_and_encodes_to_zeros(self):
-        zero = code_from_basis(centralizer_code(TwistSpec(Matrix.identity(2, GF3), 0)))
+        zero = code_from_basis(centralizer_code(TwistSpec(identity(2, GF3), 0)))
         assert zero.generator.shape == (0, 4)
         assert zero == LinearCode(GF3, 4, np.zeros((0, 4), dtype=np.int64))
         msgs = np.zeros((3, 0), dtype=np.int64)
@@ -114,7 +114,7 @@ class TestMinDistance:
         assert min_distance(repetition_code()) == 4
 
     def test_identity_generator(self):
-        code = code_from_rows(Matrix.identity(5, GF3))
+        code = code_from_rows(identity(5, GF3))
         assert min_distance(code) == 1
 
     def test_nine_one_nine_over_gf7(self):
@@ -124,22 +124,22 @@ class TestMinDistance:
         assert min_distance(code) == 9
 
     def test_zero_code_rejected(self):
-        spec = TwistSpec(Matrix.identity(2, GF3), 0)
+        spec = TwistSpec(identity(2, GF3), 0)
         code = code_from_basis(centralizer_code(spec))
         with pytest.raises(ValueError, match="zero code has no minimum distance"):
             min_distance(code)
 
     def test_enumeration_guard(self):
-        code = code_from_rows(Matrix.identity(25, GF3))
+        code = code_from_rows(identity(25, GF3))
         with pytest.raises(GuardExceededError):
             min_distance(code)
 
     def test_guard_counts_projective_points(self):
         # (3^13 - 1) / 2 = 797161 representatives fit the 2^20 guard that
         # 3^13 = 1594323 messages would not; one more dimension does not.
-        assert min_distance(code_from_rows(Matrix.identity(13, GF3))) == 1
+        assert min_distance(code_from_rows(identity(13, GF3))) == 1
         with pytest.raises(GuardExceededError, match="2391484"):
-            min_distance(code_from_rows(Matrix.identity(14, GF3)))
+            min_distance(code_from_rows(identity(14, GF3)))
 
     def test_one_codeword_at_the_largest_prime(self):
         big = Prime(2147483647)
@@ -181,12 +181,12 @@ class TestAnalyze:
         assert report.rate == (1, 9)
 
     def test_identity_generator_is_trivially_mds(self):
-        report = analyze(code_from_rows(Matrix.identity(5, GF3)))
+        report = analyze(code_from_rows(identity(5, GF3)))
         assert (report.length, report.dim, report.min_distance) == (5, 5, 1)
         assert report.mds
 
     def test_zero_code_rejected(self):
-        spec = TwistSpec(Matrix.identity(2, GF3), 0)
+        spec = TwistSpec(identity(2, GF3), 0)
         with pytest.raises(ValueError, match="zero code"):
             analyze(code_from_basis(centralizer_code(spec)))
 
@@ -231,7 +231,7 @@ class TestIsCodeword:
         assert not is_codeword(repetition_code(), np.array([1, 1, 0, 1]))
 
     def test_zero_code_contains_only_zero(self):
-        spec = TwistSpec(Matrix.identity(2, GF3), 0)
+        spec = TwistSpec(identity(2, GF3), 0)
         code = code_from_basis(centralizer_code(spec))
         assert is_codeword(code, np.array([0, 0, 0, 0]))
         assert not is_codeword(code, np.array([1, 0, 0, 0]))
@@ -261,7 +261,7 @@ class TestDecodeNearest:
         assert result.distance == 2
 
     def test_guard(self):
-        code = code_from_rows(Matrix.identity(25, GF3))
+        code = code_from_rows(identity(25, GF3))
         with pytest.raises(GuardExceededError):
             decode_nearest(code, np.zeros(25, dtype=np.int64))
 

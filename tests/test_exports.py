@@ -37,6 +37,22 @@ def test_per_word_api_stays_out_of_the_package_namespace():
     assert not any(hasattr(tcc, name) for name in per_word | {"Vector"})
 
 
+def test_matrix_is_a_value_with_no_arithmetic():
+    # Products and shifts run on .array with matmul_mod; a Matrix validates, compares, hashes and prints.
+    arithmetic = {
+        "zeros", "identity", "T", "__getitem__",
+        "__add__", "__sub__", "__mul__", "__rmul__", "__neg__", "__matmul__",
+    }
+    assert not any(hasattr(tcc.Matrix, name) for name in arithmetic)
+    # TwistSpec and CentralizerBasis equality rest on __eq__; the brute-force oracles put matrices in sets.
+    value = {
+        "__init__", "prime", "array", "rows", "cols", "shape", "is_square",
+        "__repr__", "__str__", "__eq__", "__hash__",
+    }
+    assert value <= set(vars(tcc.Matrix))
+    assert len(tcc.__all__) == 32
+
+
 def _wrapped() -> dict[str, tuple[str, ...]]:
     """WRAPPED from bench/tracing.py, read from its source without importing it."""
     for node in ast.parse(TRACING.read_text()).body:

@@ -17,7 +17,7 @@ from tcc import (
     twisted_operator,
 )
 from tcc.linalg import _rref_array, matmul_mod
-from helpers import GF3, GF5, literal_rref_array, rand_matrix, unvec, vec
+from helpers import GF3, GF5, identity, literal_rref_array, matmul, rand_matrix, unvec, vec, zeros
 
 
 class TestPrime:
@@ -41,7 +41,7 @@ class TestMatrixBasics:
         assert m.array.tolist() == [[0, 1], [2, 3]]
 
     def test_read_only_storage(self):
-        m = Matrix.identity(2, GF3)
+        m = identity(2, GF3)
         with pytest.raises(ValueError):
             m.array[0, 0] = 2
 
@@ -51,61 +51,39 @@ class TestMatrixBasics:
         with pytest.raises(ValueError):
             Matrix([1, 2, 3], GF3)
 
-    def test_scalar_taken_mod_p(self):
-        m = Matrix([[1, 2], [3, 4]], GF5)
-        assert m * -1 == -m
-        assert m * np.int64(7) == m * 2 == 2 * m
-        for bad in (True, 2.5, "2"):
-            with pytest.raises(TypeError):
-                m * bad
-
     def test_identity_multiplication(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
             a = rand_matrix(rng, 3, 3, GF5)
-            assert a @ Matrix.identity(3, GF5) == a
+            assert matmul(a, identity(3, GF5)) == a
 
     def test_all_ones_squared(self):
         # J_n @ J_n = n * J_n: every entry sums n ones.
         for n in (2, 3, 4):
             j = Matrix(np.ones((n, n), dtype=np.int64), GF5)
-            assert j @ j == j * n
+            assert matmul(j, j) == Matrix(j.array * n, GF5)
 
     def test_combinatorial_annihilates_all_ones(self):
         # x=1, y=1, n=2 over GF(3): the characteristic divides x*n + y = 3.
         a = Matrix([[2, 1], [1, 2]], GF3)
         j = Matrix([[1, 1], [1, 1]], GF3)
-        assert a @ j == Matrix.zeros(2, 2, GF3)
-        assert j @ a == Matrix.zeros(2, 2, GF3)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Matrix.identity(2, GF3) @ Matrix.identity(3, GF3)
-
-    def test_field_mismatch_rejected(self):
-        with pytest.raises(FieldMismatchError):
-            Matrix.identity(2, GF3) @ Matrix.identity(2, GF5)
-        with pytest.raises(FieldMismatchError):
-            Matrix.identity(2, GF3) + Matrix.identity(2, GF5)
+        assert matmul(a, j) == zeros(2, 2, GF3)
+        assert matmul(j, a) == zeros(2, 2, GF3)
 
     def test_huge_prime_product_is_exact(self):
-        # 3 * (p - 1)^2 overflows int64, forcing the exact big-int path.
+        # 3 * (p - 1)^2 overflows int64, forcing the 16-bit limb split.
         big = Prime(2147483647)
         a = Matrix([[big.p - 1, big.p - 2, 1]], big)
         b = Matrix([[big.p - 1], [big.p - 1], [5]], big)
         expected = ((big.p - 1) * (big.p - 1) + (big.p - 2) * (big.p - 1) + 5) % big.p
-        assert (a @ b)[0, 0] == expected
-
-    def test_transpose(self):
-        m = Matrix([[1, 2], [3, 4]], GF5)
-        assert m.T == Matrix([[1, 3], [2, 4]], GF5)
+        assert matmul(a, b).array[0, 0] == expected
 
 
 class TestRref:
     def test_identity_already_reduced(self):
         for n in (1, 2, 4):
-            result = rref(Matrix.identity(n, GF5))
-            assert result.matrix == Matrix.identity(n, GF5)
+            result = rref(identity(n, GF5))
+            assert result.matrix == identity(n, GF5)
             assert result.rank == n
             assert result.pivots == tuple(range(n))
 
@@ -185,10 +163,10 @@ class TestDelayedReduction:
 
 class TestKernel:
     def test_invertible_matrix_has_empty_kernel(self):
-        assert kernel_basis(Matrix.identity(3, GF5)).shape == (0, 3)
+        assert kernel_basis(identity(3, GF5)).shape == (0, 3)
 
     def test_zero_matrix_kernel_is_everything(self):
-        basis = kernel_basis(Matrix.zeros(3, 3, Prime(7)))
+        basis = kernel_basis(zeros(3, 3, Prime(7)))
         assert basis.tolist() == np.eye(3, dtype=np.int64).tolist()
 
     def test_all_ones_kernel_over_gf5(self):
@@ -211,10 +189,10 @@ class TestKernel:
 
 class TestInverse:
     def test_identity(self):
-        assert inverse(Matrix.identity(3, GF5)) == Matrix.identity(3, GF5)
+        assert inverse(identity(3, GF5)) == identity(3, GF5)
 
     def test_scalar_matrix(self):
-        assert inverse(Matrix.identity(2, GF5) * 2) == Matrix.identity(2, GF5) * 3
+        assert inverse(Matrix([[2, 0], [0, 2]], GF5)) == Matrix([[3, 0], [0, 3]], GF5)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(SingularMatrixError, match="not invertible"):
@@ -227,7 +205,7 @@ class TestInverse:
 
 class TestKronecker:
     def test_identity_blocks(self):
-        assert kronecker(Matrix.identity(2, GF3), Matrix.identity(2, GF3)) == Matrix.identity(4, GF3)
+        assert kronecker(identity(2, GF3), identity(2, GF3)) == identity(4, GF3)
 
     def test_all_ones_blocks(self):
         j2 = Matrix(np.ones((2, 2), dtype=np.int64), GF3)
@@ -238,11 +216,11 @@ class TestKronecker:
         a = Matrix([[1, 2], [0, 1]], GF5)
         b = Matrix([[1, 1], [1, 0]], GF5)
         k = kronecker(a, b)
-        assert k.array[:2, 2:].tolist() == (b * 2).array.tolist()
+        assert k.array[:2, 2:].tolist() == (b.array * 2 % 5).tolist()
 
     def test_field_mismatch_rejected(self):
         with pytest.raises(FieldMismatchError):
-            kronecker(Matrix.identity(2, GF3), Matrix.identity(2, GF5))
+            kronecker(identity(2, GF3), identity(2, GF5))
 
 
 class TestVecUnvec:
