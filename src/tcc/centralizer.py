@@ -30,7 +30,7 @@ from .linalg import (
 # Largest operator the Kronecker kernel builds: n = 32, a 1024 x 1024 T.
 KRONECKER_MAX_CELLS = 1 << 10
 # Membership checks run over stacks of at most this many matrix entries.
-_CHECK_CELLS = 1 << 20
+_CHECK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,8 @@ class CentralizerBasis:
 def twisted_operator(spec: TwistSpec) -> Matrix:
     """The n^2 x n^2 matrix T with T vec(B) = vec(AB - a BA)."""
     a, ident = spec.matrix.array, np.eye(spec.n, dtype=np.int64)
-    # Every entry of either term is below (p - 1)^2 < 2^62, so their
-    # difference fits int64 before Matrix reduces it.
-    return Matrix(np.kron(ident, a) - spec.twist * np.kron(a.T, ident), spec.prime)
+    # Both terms are below (p - 1)^2 < 2^62, so their difference fits int64 before it is reduced.
+    return Matrix((np.kron(ident, a) - spec.twist * np.kron(a.T, ident)) % spec.prime.p, spec.prime)
 
 
 def _basis(spec: TwistSpec, gen: np.ndarray) -> CentralizerBasis:

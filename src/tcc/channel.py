@@ -67,17 +67,17 @@ def _tally(code: LinearCode, errors: np.ndarray) -> ChannelStats:
 def _pattern_blocks(length: int, t: int, p: int, step: int):
     """Every weight-t error pattern, position set by position set, in blocks of step rows.
 
-    Within a position set the offsets run in product order (base-(p-1)
-    digits shifted into 1..p-1).  A block fills across position sets, so
-    only the last one is short.
+    Each position set runs through one (p-1)^t-row offset table in product
+    order (base-(p-1) digits in 1..p-1); a nonzero code's is 19 MB at most under
+    the sweep guard ([9,1,9], GF(5), t = 9).  Blocks span sets; only the last is short.
     """
-    offset_count = (p - 1) ** t
+    offsets = _message_block(p - 1, t, 0, (p - 1) ** t) + 1
     errors, rows = np.zeros((step, length), dtype=np.int64), 0
     for positions in combinations(range(length), t):
         lo = 0
-        while lo < offset_count:
-            hi = min(offset_count, lo + step - rows)
-            errors[rows : rows + hi - lo, list(positions)] = _message_block(p - 1, t, lo, hi) + 1
+        while lo < len(offsets):
+            hi = min(len(offsets), lo + step - rows)
+            errors[rows : rows + hi - lo, list(positions)] = offsets[lo:hi]
             rows, lo = rows + hi - lo, hi
             if rows == step:
                 yield errors
@@ -104,6 +104,8 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
             f"exhaustive sweep means {count_text(work)} outcomes from {count_text(patterns)} decoded patterns, "
             f"beyond the {EXHAUSTIVE_LIMIT} guard; use monte_carlo instead"
         )
+    if code.dim == 0:  # 0 is the only codeword: every pattern decodes to it uniquely, with no offset table
+        return ChannelStats(patterns, patterns, 0, 0)
     stats = ChannelStats(0, 0, 0, 0)
     for errors in _pattern_blocks(code.length, t, p, max(1, _BATCH_CELLS // code.length)):
         stats += _tally(code, errors)

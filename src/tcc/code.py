@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import (
     GuardExceededError,
     Prime,
+    _held_residues,
     count_text,
     matmul_mod,
 )
@@ -40,8 +41,9 @@ AMBIGUOUS = "ambiguous"
 class LinearCode:
     """[N, k] linear code over GF(p) with a canonical (RREF) generator.
 
-    The generator is a read-only (k, N) int64 array of residues, held with
-    no copy; the zero code's is (0, N).  Equal codes have equal generators.
+    The generator is a (k, N) int64 array of residues, held read-only with no
+    copy after the check a Matrix makes (_held_residues); the zero code's is
+    (0, N).  Equal codes have equal generators.
     """
 
     prime: Prime
@@ -52,10 +54,7 @@ class LinearCode:
         g = self.generator
         if not isinstance(g, np.ndarray) or g.dtype != np.int64 or g.ndim != 2 or g.shape[1] != self.length:
             raise ValueError("generator does not match the declared code")
-        # Viewed as uint64 a negative entry is at least 2^63, so one maximum checks both ends.
-        if g.size and g.view(np.uint64).max() >= self.prime.p:
-            raise ValueError(f"generator entries must be residues in [0, {self.prime.p})")
-        g.flags.writeable = False
+        _held_residues(g, self.prime.p, "generator")
 
     def __eq__(self, other):
         if not isinstance(other, LinearCode):

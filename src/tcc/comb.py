@@ -66,7 +66,7 @@ def comb_matrix(params: CombParams) -> Matrix:
     """The symmetric matrix with x + y on the diagonal and x elsewhere."""
     n = params.n
     data = np.full((n, n), params.x, dtype=np.int64)
-    np.fill_diagonal(data, params.x + params.y)
+    np.fill_diagonal(data, (params.x + params.y) % params.prime.p)
     return Matrix(data, params.prime)
 
 
@@ -131,7 +131,7 @@ def eigen_scan(m: Matrix) -> Spectrum:
         values = (values * field + coeff) % p
     ident = np.eye(n, dtype=np.int64)
     roots = np.flatnonzero(values == 0).tolist()
-    return Spectrum(tuple((lam, n - rank(Matrix(m.array - lam * ident, m.prime))) for lam in roots))
+    return Spectrum(tuple((lam, n - rank(Matrix((m.array - lam * ident) % p, m.prime))) for lam in roots))
 
 
 def comb_spectrum(params: CombParams) -> Spectrum:

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over prime fields GF(p).
 
 Matrices are values that carry their field with them, and every
-operation is a pure function on fully reduced residues: products
-(matmul_mod, on int64 arrays), Gauss-Jordan elimination, kernel bases,
-inverses and Kronecker products.
-These are the primitives everything else (spectra, centralizer solving,
-code analysis) is built on.
+operation is a pure function on residues in [0, p): products (matmul_mod,
+on int64 arrays), Gauss-Jordan elimination, kernel bases, inverses and
+Kronecker products, the primitives of spectra, solves and codes.  Whatever
+makes an array reduces it; a Matrix, like a code's generator, checks it
+once (_held_residues) and holds it read-only, with no copy.
 """
 
 import math
@@ -107,11 +107,11 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a @ (b >> 16)) % p * 65536 + a @ (b & 65535)) % p
 
 
-def _as_reduced(data, p: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected 2-dimensional data, got ndim={arr.ndim}")
-    arr = np.ascontiguousarray(arr % p)
+def _held_residues(arr: np.ndarray, p: int, name: str) -> np.ndarray:
+    """``arr`` itself, marked read-only, once every entry is a residue in [0, p); else ValueError."""
+    # Viewed as uint64 a negative entry is at least 2^63, so one maximum checks both ends.
+    if arr.size and arr.view(np.uint64).max() >= p:
+        raise ValueError(f"{name} entries must be residues in [0, {p})")
     arr.flags.writeable = False
     return arr
 
@@ -119,19 +119,19 @@ def _as_reduced(data, p: int) -> np.ndarray:
 class Matrix:
     """Immutable dense matrix over GF(p), a validated value.
 
-    Entries are reduced residues held in a read-only int64 array; equal
-    field and entries make equal, hashable matrices.  Arithmetic runs on
-    ``array`` with matmul_mod and numpy.
+    Entries must already be residues in [0, p), else ValueError; an int64
+    array is held with no copy, shared and marked read-only.  Equal field and
+    entries make equal, hashable matrices; arithmetic runs on ``array``.
     """
 
     __slots__ = ("prime", "_data")
 
     def __init__(self, data, prime: Prime):
+        arr = np.asarray(data, dtype=np.int64)
+        if arr.ndim != 2 or not all(1 <= size <= MAX_DIM for size in arr.shape):
+            raise ValueError(f"matrix shape must be 2 axes of 1..{MAX_DIM}, got {arr.shape}")
         self.prime = prime
-        self._data = _as_reduced(data, prime.p)
-        rows, cols = self._data.shape
-        if not (1 <= rows <= MAX_DIM and 1 <= cols <= MAX_DIM):
-            raise ValueError(f"matrix shape must be within 1..{MAX_DIM} per axis, got {rows}x{cols}")
+        self._data = _held_residues(arr, prime.p, "matrix")
 
     @property
     def array(self) -> np.ndarray:

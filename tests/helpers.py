@@ -293,7 +293,7 @@ def eliminated_comb_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray
     eqs[np.arange(n, 2 * n - 1), np.arange(n, 2 * n - 1)] = beta
     # h_j = v_(n-1+j) - v_0 moves the weight of each h_j onto v_0 too.
     eqs[:, 0] -= eqs[:, n:].sum(axis=1)
-    return _rref_kernel(eqs, Prime(p))
+    return _rref_kernel(eqs % p, Prime(p))
 
 
 def eliminated_sum_kernel(n: int, a: int, p: int) -> np.ndarray:
@@ -307,7 +307,7 @@ def eliminated_sum_kernel(n: int, a: int, p: int) -> np.ndarray:
     sums[:n, :, 0] -= a
     sums[np.arange(n, 2 * n - 1), :, np.arange(1, n)] = a
     sums[n:, :, 0] = -a
-    return _rref_kernel(sums.reshape(2 * n - 1, n * n), Prime(p))
+    return _rref_kernel(sums.reshape(2 * n - 1, n * n) % p, Prime(p))
 
 
 class DefectiveMatrixError(ValueError):
@@ -365,7 +365,7 @@ def literal_eigen_scan(m: Matrix) -> Spectrum:
     ident = np.eye(n, dtype=np.int64)
     pairs = []
     for lam in range(m.prime.p):
-        nullity = n - rank(Matrix(m.array - lam * ident, m.prime))
+        nullity = n - rank(Matrix((m.array - lam * ident) % m.prime.p, m.prime))
         if nullity:
             pairs.append((lam, nullity))
     return Spectrum(tuple(pairs))
@@ -402,7 +402,7 @@ def check_operator_identity(count=1000, seed=106):
         b = rand_matrix(rng, n, n, prime)
         twist = int(rng.integers(0, prime.p))
         op = twisted_operator(TwistSpec(a, twist))
-        commutator = Matrix(matmul(a, b).array - twist * matmul(b, a).array, prime)
+        commutator = Matrix((matmul(a, b).array - twist * matmul(b, a).array) % prime.p, prime)
         assert np.array_equal(matmul_mod(op.array, vec(b), prime.p), vec(commutator))
 
 

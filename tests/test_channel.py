@@ -10,6 +10,7 @@ from tcc import (
     ChannelStats,
     CombParams,
     GuardExceededError,
+    LinearCode,
     Matrix,
     Prime,
     TwistSpec,
@@ -202,6 +203,11 @@ class TestBatchedAgainstLiteral:
     def test_exhaustive_multi_dimensional(self, four_two, t):
         assert four_two.dim == 2
         assert exhaustive_stats(four_two, t) == literal_exhaustive_stats(four_two, t)
+
+    @pytest.mark.parametrize("t", range(5))
+    def test_exhaustive_zero_code(self, t):
+        zero = LinearCode(Prime(7), 4, np.zeros((0, 4), dtype=np.int64))
+        assert exhaustive_stats(zero, t) == literal_exhaustive_stats(zero, t)
 
     def test_exhaustive_multi_dimensional_failures(self, four_two):
         stats = exhaustive_stats(four_two, 2)

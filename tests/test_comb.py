@@ -74,7 +74,7 @@ class TestCombMatrix:
         for n, x, y, p in [(2, 1, 1, 3), (3, 2, 4, 5), (4, 6, 3, 7), (5, 1, 1, 2)]:
             prime = Prime(p)
             built = comb_matrix(params(n, x, y, p))
-            combined = Matrix(x * all_ones(n, prime).array + y * identity(n, prime).array, prime)
+            combined = Matrix((x * all_ones(n, prime).array + y * identity(n, prime).array) % p, prime)
             assert built == combined
 
     def test_symmetric(self):

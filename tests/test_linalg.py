@@ -3,6 +3,7 @@ import pytest
 
 from tcc import (
     FieldMismatchError,
+    LinearCode,
     Matrix,
     MatrixFormatError,
     Prime,
@@ -36,9 +37,30 @@ class TestPrime:
 
 
 class TestMatrixBasics:
-    def test_entries_reduced(self):
-        m = Matrix([[5, 6], [7, 8]], GF5)
-        assert m.array.tolist() == [[0, 1], [2, 3]]
+    @pytest.mark.parametrize("entry", [-1, 5])
+    def test_refuses_an_entry_that_is_no_residue(self, entry):
+        data = np.array([[0, 1], [entry, 4]], dtype=np.int64)
+        with pytest.raises(ValueError) as err:
+            Matrix(data, GF5)
+        assert str(err.value) == "matrix entries must be residues in [0, 5)"
+        assert data.flags.writeable
+
+    def test_int64_array_held_without_a_copy(self):
+        data = np.array([[0, 1], [2, 4]], dtype=np.int64)
+        m = Matrix(data, GF5)
+        assert np.shares_memory(m.array, data)
+        assert not data.flags.writeable
+
+    @pytest.mark.parametrize("entry", [-1, 3, 4, -(2**63), 2**63 - 1])
+    def test_matrix_and_code_refuse_the_same_entries(self, entry):
+        data = np.array([[1, entry, 0]], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"^matrix entries must be residues in \[0, 3\)$"):
+            Matrix(data, GF3)
+        with pytest.raises(ValueError, match=r"^generator entries must be residues in \[0, 3\)$"):
+            LinearCode(GF3, 3, data)
+        data[0, 1] = 2
+        assert Matrix(data, GF3).array is data
+        assert LinearCode(GF3, 3, data).generator is data
 
     def test_read_only_storage(self):
         m = identity(2, GF3)
@@ -46,10 +68,9 @@ class TestMatrixBasics:
             m.array[0, 0] = 2
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            Matrix(np.zeros((0, 3), dtype=np.int64), GF3)
-        with pytest.raises(ValueError):
-            Matrix([1, 2, 3], GF3)
+        for data in (np.zeros((0, 3), dtype=np.int64), [1, 2, 3], np.zeros((2, 2, 2), dtype=np.int64)):
+            with pytest.raises(ValueError, match=r"^matrix shape must be 2 axes of 1\.\.4096, got \("):
+                Matrix(data, GF3)
 
     def test_identity_multiplication(self):
         rng = np.random.default_rng(1)
