@@ -20,6 +20,8 @@ from .linalg import GuardExceededError, count_text
 EXHAUSTIVE_LIMIT = 1 << 24
 # Cells of one (B, N) block of error patterns handed to the decoder.
 _BATCH_CELLS = 1 << 14
+# Cells of one (rows, N) chunk of Monte Carlo draws; fixed, so seeds do not follow _BATCH_CELLS.
+_DRAW_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -113,14 +115,17 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
 
 
 def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
-    """Seeded random (message, weight-t error) trials, decoded in blocks.
+    """Seeded random weight-t error trials, decoded in blocks over the zero codeword.
 
-    Each trial draws its message digits, positions and offsets in the order
-    inject_errors does, so the block size never changes a seed's trials; the
-    digits are then dropped, as only the error is decoded.  Reproducible for
-    a fixed seed within one build of this package; no cross-implementation
-    stream equality is promised.  The trial count shares the exhaustive
-    sweep's decode budget.
+    Trials are drawn in chunks of _DRAW_CELLS // N rows, two generator calls
+    a chunk: a row's positions are the indices of its t smallest uniform
+    keys, a uniform t-subset, and its t offsets in 1..p-1 go to them in
+    index order.  No message is drawn, as only the error is decoded.  The
+    decode block size never changes a seed's trials.  Reproducible for a
+    fixed seed within one build of this package, not across releases:
+    earlier ones drew each trial's message, positions and offsets as
+    inject_errors does, so their seeded counts differ.  The trial count
+    shares the exhaustive sweep's decode budget.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -131,16 +136,15 @@ def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> Channel
     if not 0 <= t <= code.length:
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
     rng = np.random.default_rng(seed)
-    p, k, length = code.prime.p, code.dim, code.length
-    block = min(trials, max(1, _BATCH_CELLS // length))
+    p, length = code.prime.p, code.length
+    draw, step = max(1, _DRAW_CELLS // length), max(1, _BATCH_CELLS // length)
     stats = ChannelStats(0, 0, 0, 0)
-    for done in range(0, trials, block):
-        rows = min(block, trials - done)
+    for done in range(0, trials, draw):
+        rows = min(draw, trials - done)
         errors = np.zeros((rows, length), dtype=np.int64)
-        for row in range(rows):
-            rng.integers(0, p, size=k)
-            # Two statements: an assignment evaluates its value before its target.
-            positions = rng.choice(length, size=t, replace=False)
-            errors[row, positions] = rng.integers(1, p, size=t)
-        stats += _tally(code, errors)
+        if t:  # argpartition has no kth = -1
+            positions = np.sort(np.argpartition(rng.random((rows, length)), t - 1, axis=1)[:, :t], axis=1)
+            np.put_along_axis(errors, positions, rng.integers(1, p, size=(rows, t)), axis=1)
+        for lo in range(0, rows, step):
+            stats += _tally(code, errors[lo : lo + step])
     return stats

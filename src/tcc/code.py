@@ -31,7 +31,7 @@ from .linalg import (
 ENUMERATION_LIMIT = 1 << 20
 _BLOCK = 1 << 14
 # Cells of one (received words x codewords) distance block of the table decoder.
-_SCORE_CELLS = 1 << 15
+_SCORE_CELLS = 1 << 18
 
 UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"

@@ -270,7 +270,8 @@ def inverse(m: Matrix) -> Matrix:
     reduced, pivots = _rref_array(aug, m.prime.p)
     if len(pivots) < n or pivots[n - 1] != n - 1:
         raise SingularMatrixError("matrix not invertible")
-    return Matrix(reduced[:, n:], m.prime)
+    # A copy: a view of the right half would keep the whole n x 2n buffer alive.
+    return Matrix(reduced[:, n:].copy(), m.prime)
 
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:

@@ -62,7 +62,7 @@ from tcc import (
     twisted_operator,
 )
 from tcc.centralizer import _basis, _rref_kernel
-from tcc.channel import EXHAUSTIVE_LIMIT, inject_errors
+from tcc.channel import _DRAW_CELLS, EXHAUSTIVE_LIMIT
 from tcc.code import ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import count_text, matmul_mod
 
@@ -512,13 +512,28 @@ def literal_exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
 
 
 def literal_monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
-    """monte_carlo, one inject_errors and decode_nearest call per trial."""
-    rng = np.random.default_rng(seed)
+    """monte_carlo, one decode_nearest call per trial on a random codeword plus its error.
+
+    The errors follow monte_carlo's draw: per chunk of _DRAW_CELLS // N
+    trials, one (rows, N) block of uniform keys, then one (rows, t) block of
+    offsets.  A trial's positions are its t smallest keys' indices, sorted
+    here by argsort, and take its offsets in index order.  Messages come
+    from an independent generator, so decoding over a random codeword is
+    checked against monte_carlo's decoding over 0.
+    """
+    p, length = code.prime.p, code.length
+    rng, messages = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+    draw = max(1, _DRAW_CELLS // length)
     counts = {"success": 0, "ambiguous": 0, "miscorrected": 0}
-    for _ in range(trials):
-        message = rng.integers(0, code.prime.p, size=code.dim)
-        received = inject_errors(encode(code, message), code.prime.p, t, rng)
-        counts[_classify(code, received, message)] += 1
+    for done in range(0, trials, draw):
+        rows = min(draw, trials - done)
+        # At t = 0 monte_carlo draws nothing; any keys leave the error 0.
+        keys, offsets = rng.random((rows, length)), rng.integers(1, p, size=(rows, t))
+        for row in range(rows):
+            error = np.zeros(length, dtype=np.int64)
+            error[np.sort(np.argsort(keys[row], kind="stable")[:t])] = offsets[row]
+            message = messages.integers(0, p, size=code.dim)
+            counts[_classify(code, (encode(code, message) + error) % p, message)] += 1
     return _stats(counts)
 
 

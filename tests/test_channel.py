@@ -187,6 +187,34 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"weight -1 must lie in \[0, 4\]"):
             monte_carlo(four_one_four, -1, 10, seed=0)
 
+    @pytest.mark.parametrize("t", [2, 5])
+    def test_seed_does_not_follow_the_decode_block(self, nine_one_nine, four_two, monkeypatch, t):
+        # 2,000 trials on the [9,1,9] code span two draw chunks of 1,820 rows.
+        for code, trials in ((nine_one_nine, 2000), (four_two, 300)):
+            default = monte_carlo(code, min(t, code.length), trials, seed=11)
+            for cells in (1, 3 * code.length):
+                monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", cells)
+                assert monte_carlo(code, min(t, code.length), trials, seed=11) == default
+            monkeypatch.undo()
+
+    def test_draws_every_position_set_and_offset(self, monkeypatch):
+        blocks = []
+        tally = tcc.channel._tally
+
+        def recording(code, errors):
+            blocks.append(errors.copy())
+            return tally(code, errors)
+
+        monkeypatch.setattr(tcc.channel, "_tally", recording)
+        repetition = LinearCode(Prime(5), 4, np.ones((1, 4), dtype=np.int64))
+        assert monte_carlo(repetition, 2, 300, seed=3).trials == 300
+        errors = np.concatenate(blocks)
+        assert len(errors) == 300
+        assert (np.count_nonzero(errors, axis=1) == 2).all()
+        assert {tuple(np.flatnonzero(row)) for row in errors} == set(itertools.combinations(range(4), 2))
+        for column in errors.T:
+            assert set(column[column != 0]) == {1, 2, 3, 4}
+
 
 class TestBatchedAgainstLiteral:
     """The batched sweeps count exactly what one decode per word counts."""
@@ -240,7 +268,9 @@ class TestBatchedAgainstLiteral:
     @pytest.mark.parametrize("t", [0, 4])
     def test_monte_carlo_edge_weights(self, four_one_four, four_two, t):
         for code in (four_one_four, four_two):
-            assert monte_carlo(code, t, 100, 5) == literal_monte_carlo(code, t, 100, 5)
+            stats = monte_carlo(code, t, 100, 5)
+            assert stats == literal_monte_carlo(code, t, 100, 5)
+            assert t or stats == ChannelStats(100, 100, 0, 0)
 
 
 class TestErrorsOnly:
@@ -389,7 +419,7 @@ class TestVoteDecoder:
             exhaustive_stats(code, 4)
 
 
-# Seeded `simulate --json` stdout of the per-trial decoder; the block decoder reproduces it byte for byte.
+# Seeded `simulate --json` stdout; each Monte Carlo count is literal_monte_carlo's for the same code, t, trials and seed.
 PINNED = [
     (
         '--n 3 --p 5 --x 3 --y 1 --a 2 --t 4 --exhaustive --seed 0 --json',
@@ -424,17 +454,17 @@ PINNED = [
     (
         '--n 4 --p 5 --x 1 --y 1 --a 2 --t 9 --trials 10000 --seed 0 --json',
         2,
-        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 10000, "successes": 9945, "ambiguous": 54, "miscorrected": 1, "within_capacity": false, "verdict": "FAIL"}\n',
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 10000, "successes": 9957, "ambiguous": 42, "miscorrected": 1, "within_capacity": false, "verdict": "FAIL"}\n',
     ),
     (
         '--n 4 --p 5 --x 1 --y 1 --a 2 --t 9 --trials 10000 --seed 12345 --json',
         2,
-        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 12345, "trials": 10000, "successes": 9949, "ambiguous": 46, "miscorrected": 5, "within_capacity": false, "verdict": "FAIL"}\n',
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 12345, "trials": 10000, "successes": 9945, "ambiguous": 51, "miscorrected": 4, "within_capacity": false, "verdict": "FAIL"}\n',
     ),
     (
         '--n 4 --p 5 --x 1 --y 1 --a 2 --t 9 --trials 10000 --seed 2147483647 --json',
         2,
-        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 2147483647, "trials": 10000, "successes": 9952, "ambiguous": 47, "miscorrected": 1, "within_capacity": false, "verdict": "FAIL"}\n',
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 2147483647, "trials": 10000, "successes": 9950, "ambiguous": 46, "miscorrected": 4, "within_capacity": false, "verdict": "FAIL"}\n',
     ),
     (
         '--n 3 --p 5 --x 1 --y 1 --a 1 --t 1 --trials 5000 --seed 0 --json',
@@ -454,17 +484,17 @@ PINNED = [
     (
         '--n 3 --p 5 --x 1 --y 1 --a 1 --t 2 --trials 5000 --seed 0 --json',
         2,
-        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 0, "trials": 5000, "successes": 1889, "ambiguous": 2500, "miscorrected": 611, "within_capacity": false, "verdict": "FAIL"}\n',
+        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 0, "trials": 5000, "successes": 1886, "ambiguous": 2497, "miscorrected": 617, "within_capacity": false, "verdict": "FAIL"}\n',
     ),
     (
         '--n 3 --p 5 --x 1 --y 1 --a 1 --t 2 --trials 5000 --seed 12345 --json',
         2,
-        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 12345, "trials": 5000, "successes": 1905, "ambiguous": 2501, "miscorrected": 594, "within_capacity": false, "verdict": "FAIL"}\n',
+        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 12345, "trials": 5000, "successes": 1908, "ambiguous": 2456, "miscorrected": 636, "within_capacity": false, "verdict": "FAIL"}\n',
     ),
     (
         '--n 3 --p 5 --x 1 --y 1 --a 1 --t 2 --trials 5000 --seed 2147483647 --json',
         2,
-        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 2147483647, "trials": 5000, "successes": 1849, "ambiguous": 2513, "miscorrected": 638, "within_capacity": false, "verdict": "FAIL"}\n',
+        '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 2147483647, "trials": 5000, "successes": 1873, "ambiguous": 2520, "miscorrected": 607, "within_capacity": false, "verdict": "FAIL"}\n',
     ),
     (
         '--n 3 --p 5 --x 3 --y 1 --a 2 --t 4 --trials 500 --seed 314159 --json',

@@ -215,6 +215,14 @@ class TestInverse:
     def test_scalar_matrix(self):
         assert inverse(Matrix([[2, 0], [0, 2]], GF5)) == Matrix([[3, 0], [0, 3]], GF5)
 
+    def test_holds_no_augmented_buffer(self):
+        # The n x 2n elimination buffer must not outlive the call behind a view.
+        m = Matrix([[1, 2, 0], [0, 1, 4], [2, 0, 1]], GF5)
+        inv = inverse(m)
+        base = inv.array.base
+        assert base is None or base.shape[1] != 2 * m.rows
+        assert matmul(inv, m) == identity(3, GF5)
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(SingularMatrixError, match="not invertible"):
             inverse(Matrix([[1, 1], [1, 1]], GF3))
