@@ -14,11 +14,8 @@ from .linalg import (
     MatrixFormatError,
     Prime,
     RrefResult,
-    SingularMatrixError,
-    inverse,
     is_prime,
     kernel_basis,
-    kronecker,
     parse_matrix_text,
     rank,
     rref,
@@ -31,17 +28,14 @@ from .comb import (
     eigen_scan,
 )
 from .centralizer import (
-    CentralizerBasis,
     TwistSpec,
     centralizer_code,
-    is_member,
     twisted_operator,
 )
 from .code import (
     CodeReport,
     LinearCode,
     analyze,
-    code_from_basis,
     min_distance,
 )
 from .channel import (
@@ -53,7 +47,6 @@ from .channel import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CentralizerBasis",
     "ChannelStats",
     "CodeReport",
     "CombParams",
@@ -64,21 +57,16 @@ __all__ = [
     "MatrixFormatError",
     "Prime",
     "RrefResult",
-    "SingularMatrixError",
     "Spectrum",
     "TwistSpec",
     "analyze",
     "centralizer_code",
-    "code_from_basis",
     "comb_matrix",
     "comb_spectrum",
     "eigen_scan",
     "exhaustive_stats",
-    "inverse",
-    "is_member",
     "is_prime",
     "kernel_basis",
-    "kronecker",
     "min_distance",
     "monte_carlo",
     "parse_matrix_text",

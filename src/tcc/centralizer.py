@@ -9,7 +9,9 @@ with every generator written directly as the RREF generator of the
 linear code of length n^2 spanned by the vec images, and no comb solve
 eliminates.  Every other A takes the Kronecker kernel; its elimination
 runs with the columns reversed, so its kernel comes out in RREF too and
-no second reduction runs.  Either way the code holds the array as it is.
+no second reduction runs.  Either way centralizer_code returns the
+LinearCode itself, read-only and holding the array as it is, once every
+generator row has been checked against AB = aBA.
 """
 
 from dataclasses import dataclass
@@ -59,36 +61,6 @@ class TwistSpec:
         return self.matrix.prime
 
 
-@dataclass(frozen=True)
-class CentralizerBasis:
-    """C(A, a) as a code of length n^2: its RREF generator rows are the vec images of a basis.
-
-    The RREF normalization makes bases canonical: two centralizers are
-    equal iff their codes are identical, with no span chasing.
-    """
-
-    spec: TwistSpec
-    code: LinearCode
-
-    def __post_init__(self):
-        n = self.spec.n
-        if self.code.length != n * n:
-            raise ValueError(f"expected a code of length {n * n} for order {n}, got {self.code.length}")
-        if self.code.prime != self.spec.prime:
-            raise FieldMismatchError(f"code over GF({self.code.prime.p}) against a GF({self.spec.prime.p}) centralizer")
-        rows = self.code.generator
-        step = max(1, _CHECK_CELLS // (n * n))
-        for start in range(0, len(rows), step):
-            # A row is vec(B), column by column, so its row-major reshape is B^T.
-            stack = rows[start : start + step].reshape(-1, n, n).transpose(0, 2, 1)
-            if not _all_members(stack, self.spec):
-                raise ValueError("basis matrix fails the twisted commutation condition")
-
-    @property
-    def dim(self) -> int:
-        return self.code.dim
-
-
 def twisted_operator(spec: TwistSpec) -> Matrix:
     """The n^2 x n^2 matrix T with T vec(B) = vec(AB - a BA)."""
     a, ident = spec.matrix.array, np.eye(spec.n, dtype=np.int64)
@@ -96,12 +68,25 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
     return Matrix((np.kron(ident, a) - spec.twist * np.kron(a.T, ident)) % spec.prime.p, spec.prime)
 
 
-def _basis(spec: TwistSpec, gen: np.ndarray) -> CentralizerBasis:
-    """The basis whose code has the RREF generator rows ``gen``, held without a copy; no rows is the zero code."""
-    return CentralizerBasis(spec, LinearCode(spec.prime, spec.n * spec.n, gen))
+def _basis(spec: TwistSpec, gen: np.ndarray) -> LinearCode:
+    """The code with the RREF generator rows ``gen``, held without a copy; no rows is the zero code.
+
+    Every row is checked to be the vec image of a member before the code is
+    returned.  One that is not is a fault of the solve, never of its input,
+    so RuntimeError.
+    """
+    n = spec.n
+    code = LinearCode(spec.prime, n * n, gen)
+    step = max(1, _CHECK_CELLS // (n * n))
+    for start in range(0, len(gen), step):
+        # A row is vec(B), column by column, so its row-major reshape is B^T.
+        stack = gen[start : start + step].reshape(-1, n, n).transpose(0, 2, 1)
+        if not _all_members(stack, spec):
+            raise RuntimeError("basis matrix fails the twisted commutation condition; the solve is broken")
+    return code
 
 
-def centralizer_code(spec: TwistSpec) -> CentralizerBasis:
+def centralizer_code(spec: TwistSpec) -> LinearCode:
     """Solve AB = aBA in RREF, in closed form when A = x*J + y*I with n >= 2.
 
     A is a comb matrix exactly when it equals x*J + (d - x)*I entrywise,

@@ -13,9 +13,9 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .centralizer import CentralizerBasis, TwistSpec, centralizer_code
+from .centralizer import TwistSpec, centralizer_code
 from .channel import exhaustive_stats, monte_carlo
-from .code import LinearCode, analyze, code_from_basis
+from .code import LinearCode, analyze
 from .comb import (
     EIGEN_SCAN_MAX_P,
     CombParams,
@@ -123,7 +123,7 @@ def _solve(args) -> tuple[LinearCode, dict]:
         matrix = comb_matrix(params)
         source = {"p": params.prime.p, "n": params.n, "x": params.x, "y": params.y}
     spec = TwistSpec(matrix, args.a)
-    return code_from_basis(centralizer_code(spec)), {**source, "a": spec.twist}
+    return centralizer_code(spec), {**source, "a": spec.twist}
 
 
 def _nonzero_code(args) -> tuple[LinearCode, dict]:
@@ -226,11 +226,11 @@ def cmd_verify(args) -> tuple[int, dict]:
                 for y in range(p):
                     matrix = comb_matrix(CombParams(n, x, y, prime))
                     for a in range(p):
-                        basis = centralizer_code(TwistSpec(matrix, a))
+                        code = centralizer_code(TwistSpec(matrix, a))
                         hyp = _hypotheses_met(p, n, x, y, a)
-                        row = {"p": p, "n": n, "x": x, "y": y, "a": a, "hypotheses_met": hyp, "dim": basis.dim}
+                        row = {"p": p, "n": n, "x": x, "y": y, "a": a, "hypotheses_met": hyp, "dim": code.dim}
                         if hyp:
-                            row.update(_theorem_check(n, basis))
+                            row.update(_theorem_check(n, code))
                         rows.append(row)
 
     mismatches = [row for row in rows if row["hypotheses_met"] and not row["matches_theorem"]]
@@ -262,15 +262,14 @@ def cmd_verify(args) -> tuple[int, dict]:
     return (EXIT_OK if out["ok"] else EXIT_FAILURE), out
 
 
-def _theorem_check(n: int, basis: CentralizerBasis) -> dict:
+def _theorem_check(n: int, code: LinearCode) -> dict:
     """The theorem keys of a sweep row whose tuple meets the hypotheses."""
-    code = code_from_basis(basis)
     if code.dim == 0:
         return {"matches_theorem": False}
     report = analyze(code)
     generator_is_all_ones = bool((code.generator == 1).all())
     matches = (
-        basis.dim == 1
+        code.dim == 1
         and generator_is_all_ones
         and report.min_distance == n * n
         and report.mds

@@ -90,9 +90,13 @@ class DecodeResult:
     distance: int
 
 
-def code_from_basis(basis) -> LinearCode:
-    """The code of length n^2 a CentralizerBasis holds; it is already in RREF."""
-    return basis.code
+def code_from_basis(code: LinearCode) -> LinearCode:
+    """``code`` itself: centralizer_code already returns the checked RREF code.
+
+    Nothing calls it.  It stays only because the benchmark trace wraps it,
+    until ROADMAP items 1 and 5 retire it.
+    """
+    return code
 
 
 def _message_block(p: int, k: int, start: int, stop: int) -> np.ndarray:

@@ -8,7 +8,7 @@ reduces any spanning rows to a code's RREF generator, and is_codeword
 tests membership through that generator.  A word is an int64 row of
 residues and a generator a (k, N) stack of them, as everywhere in tcc.
 vec and unvec are the column-stacking maps between n x n matrices and
-code words, and basis_matrices unvecs a basis's generator rows.
+code words, and basis_matrices unvecs a code's generator rows.
 brute_force_centralizer enumerates every matrix, kept as the oracle for
 the kernel solver, and literal_kernel_basis builds one kernel row per
 free column, kept as the oracle for kernel_basis.  literal_rref_array
@@ -23,7 +23,7 @@ x != 0, kept as the oracles for their closed-form kernels.
 diagonalize builds an explicit eigenbasis of x*J + y*I, kept as the
 oracle for the diagonal that spectrum prints.  literal_eigen_scan solves one rank problem
 per field element, kept as the oracle for eigen_scan.  conjugation_transfer is the literal per-matrix
-transfer of a centralizer basis, kept as an oracle for the
+transfer of a centralizer code, kept as an oracle for the
 diagonalization claims.  The literal_* channel runs decode one word
 per (message, pattern) or per trial, kept as oracles for the batched
 sweeps in tcc.channel; the exhaustive_*_check functions are the
@@ -41,30 +41,25 @@ import numpy as np
 
 import tcc
 from tcc import (
-    CentralizerBasis,
     ChannelStats,
     CombParams,
     GuardExceededError,
     LinearCode,
     Matrix,
     Prime,
-    SingularMatrixError,
     Spectrum,
     TwistSpec,
     comb_matrix,
     exhaustive_stats,
-    inverse,
-    is_member,
     kernel_basis,
-    kronecker,
     rank,
     rref,
     twisted_operator,
 )
-from tcc.centralizer import _basis, _rref_kernel
+from tcc.centralizer import _basis, _rref_kernel, is_member
 from tcc.channel import _DRAW_CELLS, EXHAUSTIVE_LIMIT
 from tcc.code import ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
-from tcc.linalg import count_text, matmul_mod
+from tcc.linalg import SingularMatrixError, count_text, inverse, kronecker, matmul_mod
 
 SMALL_PRIMES = (2, 3, 5, 7)
 BRUTE_FORCE_LIMIT = 1 << 20
@@ -136,10 +131,9 @@ def unvec(v: np.ndarray, rows: int, cols: int, prime: Prime) -> Matrix:
     return Matrix(v.reshape((rows, cols), order="F"), prime)
 
 
-def basis_matrices(basis: CentralizerBasis) -> list[Matrix]:
-    """The members of C(A, a) whose vec images are the basis's generator rows."""
-    code = basis.code
-    n = basis.spec.n
+def basis_matrices(code: LinearCode) -> list[Matrix]:
+    """The members of C(A, a) whose vec images are the generator rows of its code."""
+    n = math.isqrt(code.length)
     return [unvec(row, n, n, code.prime) for row in code.generator]
 
 
@@ -174,7 +168,7 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
     return members
 
 
-def kronecker_code(spec: TwistSpec) -> CentralizerBasis:
+def kronecker_code(spec: TwistSpec) -> LinearCode:
     """C(A, a) from the RREF kernel of the twisted operator, whatever A is."""
     return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
 
@@ -431,38 +425,39 @@ def check_vec_sandwich(count=1000, seed=108):
 
 
 def conjugation_transfer(
-    basis_d: CentralizerBasis,
+    spec_d: TwistSpec,
+    code_d: LinearCode,
     transform: Matrix,
     target: TwistSpec | None = None,
-) -> CentralizerBasis:
-    """Carry a basis of C(D, a) over to C(A, a) along D = P A P^-1.
+) -> LinearCode:
+    """Carry the code C(D, a) of ``spec_d`` over to C(A, a) along D = P A P^-1.
 
     Each member B maps to P^-1 B P.  When ``target`` names the intended
     (A, a), every image is verified against it, which catches a transform
     that does not actually conjugate A to D; with no target, A is derived
     as P^-1 D P.  The result is RREF-normalized and dimension-preserving.
     """
-    d = basis_d.spec.matrix
+    d = spec_d.matrix
     if transform.shape != d.shape:
         raise ValueError(f"transform shape {transform.shape} does not match order {d.rows}")
     p_inv = inverse(transform)
     if target is None:
-        target = TwistSpec(matmul(matmul(p_inv, d), transform), basis_d.spec.twist)
-    elif target.twist != basis_d.spec.twist or target.matrix.shape != d.shape:
-        raise ValueError("target spec does not match the basis being transferred")
+        target = TwistSpec(matmul(matmul(p_inv, d), transform), spec_d.twist)
+    elif target.twist != spec_d.twist or target.matrix.shape != d.shape:
+        raise ValueError("target spec does not match the code being transferred")
     carried = []
-    for b in basis_matrices(basis_d):
+    for b in basis_matrices(code_d):
         image = matmul(matmul(p_inv, b), transform)
         if not is_member(image, target):
             raise ValueError("conjugation transfer broke membership; is D = P A P^-1?")
         carried.append(vec(image))
     if not carried:
         zero = np.zeros((0, target.n * target.n), dtype=np.int64)
-        return CentralizerBasis(target, LinearCode(target.prime, target.n * target.n, zero))
+        return LinearCode(target.prime, target.n * target.n, zero)
     code = code_from_rows(Matrix(np.vstack(carried), target.prime))
-    if code.dim != basis_d.dim:
+    if code.dim != code_d.dim:
         raise ValueError("conjugation transfer changed the dimension")
-    return CentralizerBasis(target, code)
+    return code
 
 
 def hamming_distance(u: np.ndarray, v: np.ndarray) -> int:

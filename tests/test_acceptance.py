@@ -20,15 +20,14 @@ from tcc import (
     TwistSpec,
     analyze,
     centralizer_code,
-    code_from_basis,
     comb_matrix,
     comb_spectrum,
     eigen_scan,
     exhaustive_stats,
-    inverse,
 )
 from tcc.cli import _hypotheses_met
 from tcc.code import UNIQUE, decode_nearest, encode
+from tcc.linalg import inverse
 
 SWEEP_PRIMES = (2, 3, 5, 7, 11, 13)
 SWEEP_ORDERS = (2, 3, 4, 5, 6)
@@ -49,7 +48,7 @@ def _hypothesis_tuples():
 def _mds_code(p, n, x, y, a):
     prime = Prime(p)
     matrix = comb_matrix(CombParams(n, x, y, prime))
-    return code_from_basis(centralizer_code(TwistSpec(matrix, a)))
+    return centralizer_code(TwistSpec(matrix, a))
 
 
 def test_criterion_1_theorem_sweep():
@@ -99,14 +98,13 @@ def test_criterion_2_oracle_equivalence():
             for matrix in fixed + sampled:
                 for a in range(p):
                     spec = TwistSpec(matrix, a)
-                    basis = centralizer_code(spec)
+                    code = centralizer_code(spec)
                     oracle = helpers.brute_force_centralizer(spec)
                     label = (p, n, a)
-                    assert len(oracle) == p**basis.dim, label
+                    assert len(oracle) == p**code.dim, label
                     oracle_set = set(oracle)
-                    for b in helpers.basis_matrices(basis):
+                    for b in helpers.basis_matrices(code):
                         assert b in oracle_set, label
-                    code = code_from_basis(basis)
                     for member in oracle:
                         assert helpers.is_codeword(code, helpers.vec(member)), label
                     cases += 1
@@ -145,11 +143,10 @@ def test_criterion_4_diagonalization_and_transfer():
         conjugated = helpers.matmul(helpers.matmul(diag.transform, matrix), inverse(diag.transform))
         assert conjugated == diag.diagonal, label
 
-        basis_d = centralizer_code(TwistSpec(diag.diagonal, a))
+        d_spec = TwistSpec(diag.diagonal, a)
         target = TwistSpec(matrix, a)
-        moved = helpers.conjugation_transfer(basis_d, diag.transform, target=target)
-        direct = centralizer_code(target)
-        assert moved.code == direct.code, label
+        moved = helpers.conjugation_transfer(d_spec, centralizer_code(d_spec), diag.transform, target=target)
+        assert moved == centralizer_code(target), label
     print("criterion 4 (diagonalization and conjugation transfer): PASS")
 
 

@@ -8,7 +8,6 @@ import pytest
 import tcc.centralizer
 import tcc.linalg
 from tcc import (
-    CentralizerBasis,
     CombParams,
     FieldMismatchError,
     GuardExceededError,
@@ -17,13 +16,11 @@ from tcc import (
     Prime,
     TwistSpec,
     centralizer_code,
-    code_from_basis,
     comb_matrix,
-    is_member,
     kernel_basis,
     twisted_operator,
 )
-from tcc.centralizer import _closed_form_kernel, _sum_kernel
+from tcc.centralizer import _basis, _closed_form_kernel, _sum_kernel, is_member
 from tcc.linalg import matmul_mod
 from helpers import (
     GF2,
@@ -125,9 +122,9 @@ class TestIsMember:
 
 class TestCentralizerCode:
     def test_worked_example_spans_all_ones(self):
-        basis = centralizer_code(comb_spec(2, 1, 1, 3, 2))
-        assert basis.dim == 1
-        assert np.array_equal(basis.code.generator[0], vec(all_ones(2, GF3)))
+        code = centralizer_code(comb_spec(2, 1, 1, 3, 2))
+        assert code.dim == 1
+        assert np.array_equal(code.generator[0], vec(all_ones(2, GF3)))
 
     def test_solve_holds_one_copy_of_its_generator(self):
         # C(J + I, 1) at n = 48 over GF(7): (n - 1)^2 + 1 = 2210 rows of 2304 residues, 41 MB.
@@ -135,12 +132,12 @@ class TestCentralizerCode:
         spec = comb_spec(48, 1, 1, 7, 1)
         tracemalloc.start()
         try:
-            basis = centralizer_code(spec)
+            code = centralizer_code(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert basis.dim == 2210
-        assert peak < 1.25 * basis.code.generator.nbytes
+        assert code.dim == 2210
+        assert peak < 1.25 * code.generator.nbytes
 
     def test_kronecker_route_holds_at_most_three_copies_of_t(self):
         # T of a dense A at n = 24 is 576 x 576 int64, 2.65 MB.  T itself, the
@@ -149,11 +146,11 @@ class TestCentralizerCode:
         spec = TwistSpec(rand_matrix(np.random.default_rng(5), n, n, Prime(7)), 1)
         tracemalloc.start()
         try:
-            basis = centralizer_code(spec)
+            code = centralizer_code(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert basis.dim == n
+        assert code.dim == n
         assert peak < 3.5 * n**4 * 8
 
     def test_zero_matrix_gives_full_space(self):
@@ -180,8 +177,8 @@ class TestCentralizerCode:
             prime = Prime(p)
             for _ in range(8):
                 spec = TwistSpec(rand_matrix(rng, 3, 3, prime), int(rng.integers(p)))
-                basis = centralizer_code(spec)
-                for b in basis_matrices(basis):
+                code = centralizer_code(spec)
+                for b in basis_matrices(code):
                     assert is_member(b, spec)
 
     def test_order_beyond_32_refused_before_elimination(self, monkeypatch):
@@ -196,12 +193,12 @@ class TestCentralizerCode:
 
     def test_basis_rejects_non_member(self):
         # E11 is not in C(J + I, 2) over GF(3), nor in C of a non-comb matrix.
-        e11 = unit_e11(2, GF3)
-        with pytest.raises(ValueError, match="twisted commutation"):
-            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), code_of(e11))
+        e11 = code_of(unit_e11(2, GF3)).generator
+        with pytest.raises(RuntimeError, match="twisted commutation"):
+            _basis(comb_spec(2, 1, 1, 3, 2), e11)
         general = TwistSpec(Matrix([[1, 2], [0, 1]], GF3), 2)
-        with pytest.raises(ValueError, match="twisted commutation"):
-            CentralizerBasis(general, code_of(e11))
+        with pytest.raises(RuntimeError, match="twisted commutation"):
+            _basis(general, e11)
 
     def test_basis_rejects_one_non_member_among_members(self, monkeypatch):
         # Two generator rows per checked stack.  C(E22, 0) = span(E11, E12),
@@ -209,31 +206,50 @@ class TestCentralizerCode:
         monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", 2 * 2 * 2)
         spec = TwistSpec(Matrix([[0, 0], [0, 1]], GF3), 0)
         e12, e22 = Matrix([[0, 1], [0, 0]], GF3), Matrix([[0, 0], [0, 1]], GF3)
-        assert CentralizerBasis(spec, code_of(unit_e11(2, GF3), e12)) == centralizer_code(spec)
+        assert _basis(spec, code_of(unit_e11(2, GF3), e12).generator) == centralizer_code(spec)
         code = code_of(unit_e11(2, GF3), e12, e22)
         members = [unit_e11(2, GF3), e12]
         assert [vec(m).tolist() for m in members] == code.generator[:2].tolist()
-        with pytest.raises(ValueError, match="twisted commutation"):
-            CentralizerBasis(spec, code)
+        with pytest.raises(RuntimeError, match="twisted commutation"):
+            _basis(spec, code.generator)
 
-    def test_basis_rejects_wrong_order(self):
-        with pytest.raises(ValueError, match="expected a code of length 4 for order 2, got 9"):
-            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), code_of(identity(3, GF3)))
+    def test_broken_closed_form_row_is_a_fault(self, monkeypatch):
+        # C(J + 2I, 2) over GF(5) at n = 3 is span(J); one entry moved off J is no member.
+        original = tcc.centralizer._comb_generator
 
-    def test_basis_rejects_wrong_field(self):
-        with pytest.raises(FieldMismatchError):
-            CentralizerBasis(comb_spec(2, 1, 1, 3, 2), code_of(identity(2, GF5)))
+        def perturbed(*args):
+            gen = original(*args)
+            gen[0, 4] = (gen[0, 4] + 1) % 5
+            return gen
+
+        monkeypatch.setattr(tcc.centralizer, "_comb_generator", perturbed)
+        with pytest.raises(RuntimeError, match="twisted commutation"):
+            centralizer_code(comb_spec(3, 1, 2, 5, 2))
+
+    def test_broken_kernel_row_is_a_fault(self, monkeypatch):
+        # C([[1, 2], [0, 1]], 1) over GF(3) is span(I, E12); E21 appended last is no member.
+        original = tcc.centralizer._rref_kernel
+
+        def appended(eqs, prime):
+            return np.vstack([original(eqs, prime), vec(Matrix([[0, 0], [1, 0]], GF3))])
+
+        monkeypatch.setattr(tcc.centralizer, "_rref_kernel", appended)
+        spec = TwistSpec(Matrix([[1, 2], [0, 1]], GF3), 1)
+        with pytest.raises(RuntimeError, match="twisted commutation"):
+            centralizer_code(spec)
+        monkeypatch.undo()
+        assert centralizer_code(spec).dim == 2
 
     def test_basis_vecs_form_rref(self):
         from tcc import rref
 
         spec = TwistSpec(zeros(2, 2, GF3), 0)
-        basis = centralizer_code(spec)
-        stacked = Matrix(np.vstack([vec(b) for b in basis_matrices(basis)]), GF3)
-        assert rref(stacked).matrix == stacked == Matrix(basis.code.generator, GF3)
+        code = centralizer_code(spec)
+        stacked = Matrix(np.vstack([vec(b) for b in basis_matrices(code)]), GF3)
+        assert rref(stacked).matrix == stacked == Matrix(code.generator, GF3)
 
     def test_one_elimination_gives_the_reduced_kernel(self, monkeypatch):
-        # Oracle: the kernel basis of T reduced a second time by code_from_rows.
+        # Oracle: the kernel rows of T reduced a second time by code_from_rows.
         rng = np.random.default_rng(43)
         shapes = []
         original = tcc.linalg._rref_array
@@ -256,25 +272,13 @@ class TestCentralizerCode:
                     kernel = kernel_basis(twisted_operator(spec))
                     shapes.clear()
                     monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
-                    basis = centralizer_code(spec)
+                    code = centralizer_code(spec)
                     monkeypatch.undo()
                     assert shapes == [(n * n, n * n)], (p, n, a)
                     if len(kernel):
-                        assert basis.code == code_from_rows(Matrix(kernel, prime)), (p, n, a)
+                        assert code == code_from_rows(Matrix(kernel, prime)), (p, n, a)
                     else:
-                        assert basis.dim == 0, (p, n, a)
-
-    def test_code_from_basis_eliminates_nothing(self, monkeypatch):
-        basis = centralizer_code(comb_spec(6, 1, 1, 7, 1))
-
-        def refuse(*args):
-            raise AssertionError("the basis already holds its RREF code")
-
-        monkeypatch.setattr(tcc.linalg, "rref", refuse)
-        monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
-        code = code_from_basis(basis)
-        assert code is basis.code
-        assert (code.length, code.dim) == (36, 26)
+                        assert code.dim == 0, (p, n, a)
 
 
 class TestBruteForce:
@@ -316,31 +320,30 @@ class TestBruteForce:
             prime = Prime(p)
             for _ in range(5):
                 spec = TwistSpec(rand_matrix(rng, n, n, prime), int(rng.integers(p)))
-                basis = centralizer_code(spec)
+                code = centralizer_code(spec)
                 oracle = brute_force_centralizer(spec)
-                assert len(oracle) == p**basis.dim
+                assert len(oracle) == p**code.dim
                 oracle_set = set(oracle)
-                for b in basis_matrices(basis):
+                for b in basis_matrices(code):
                     assert b in oracle_set
 
 
 class TestConjugationTransfer:
     def test_identity_transform_is_noop(self):
-        basis = centralizer_code(comb_spec(2, 1, 1, 3, 2))
-        moved = conjugation_transfer(basis, identity(2, GF3))
-        assert moved.code == basis.code
+        spec = comb_spec(2, 1, 1, 3, 2)
+        code = centralizer_code(spec)
+        assert conjugation_transfer(spec, code, identity(2, GF3)) == code
 
     def test_worked_diagonal_example(self):
         params = CombParams(2, 1, 1, GF3)
         diag = diagonalize(params)
         a_spec = TwistSpec(comb_matrix(params), 2)
         d_spec = TwistSpec(diag.diagonal, 2)
-        basis_d = centralizer_code(d_spec)
-        assert basis_d.dim == 1
-        assert np.array_equal(basis_d.code.generator[0], vec(unit_e11(2, GF3)))
-        moved = conjugation_transfer(basis_d, diag.transform, target=a_spec)
-        direct = centralizer_code(a_spec)
-        assert moved.code == direct.code
+        code_d = centralizer_code(d_spec)
+        assert code_d.dim == 1
+        assert np.array_equal(code_d.generator[0], vec(unit_e11(2, GF3)))
+        moved = conjugation_transfer(d_spec, code_d, diag.transform, target=a_spec)
+        assert moved == centralizer_code(a_spec)
 
     def test_diagonal_centralizer_is_first_unit_cell(self):
         # D = diag(0, y, ..., y) with y != 0 and a outside {0, 1}.
@@ -349,17 +352,17 @@ class TestConjugationTransfer:
             entries = np.full(3, y, dtype=np.int64)
             entries[0] = 0
             d_spec = TwistSpec(Matrix(np.diag(entries), prime), a)
-            basis = centralizer_code(d_spec)
-            assert basis.dim == 1
-            assert np.array_equal(basis.code.generator[0], vec(unit_e11(3, prime)))
+            code = centralizer_code(d_spec)
+            assert code.dim == 1
+            assert np.array_equal(code.generator[0], vec(unit_e11(3, prime)))
 
     def test_wrong_target_detected(self):
         params = CombParams(2, 1, 1, GF3)
         diag = diagonalize(params)
-        basis_d = centralizer_code(TwistSpec(diag.diagonal, 2))
+        d_spec = TwistSpec(diag.diagonal, 2)
         wrong = TwistSpec(identity(2, GF3), 2)
         with pytest.raises(ValueError, match="broke membership"):
-            conjugation_transfer(basis_d, diag.transform, target=wrong)
+            conjugation_transfer(d_spec, centralizer_code(d_spec), diag.transform, target=wrong)
 
     def test_dimension_preserved_on_samples(self):
         rng = np.random.default_rng(41)
@@ -367,10 +370,11 @@ class TestConjugationTransfer:
 
         for _ in range(5):
             d = rand_matrix(rng, 3, 3, GF3)
-            basis_d = centralizer_code(TwistSpec(d, 2))
+            d_spec = TwistSpec(d, 2)
+            code_d = centralizer_code(d_spec)
             transform = rand_invertible(rng, 3, GF3)
-            moved = conjugation_transfer(basis_d, transform)
-            assert moved.dim == basis_d.dim
+            moved = conjugation_transfer(d_spec, code_d, transform)
+            assert moved.dim == code_d.dim
 
 
 class TestCombCentralizer:
@@ -407,18 +411,18 @@ class TestCombCentralizer:
     @pytest.mark.parametrize("n, p, x, y, a, dim", [(16, 2, 1, 0, 1, 226), (18, 3, 1, 1, 1, 290)])
     def test_matches_kronecker_kernel_on_large_merged_tuples(self, n, p, x, y, a, dim):
         spec = comb_spec(n, x, y, p, a)
-        basis = centralizer_code(spec)
-        assert basis.dim == dim
-        assert basis == kronecker_code(spec)
+        code = centralizer_code(spec)
+        assert code.dim == dim
+        assert code == kronecker_code(spec)
 
     def test_structured_path_builds_no_operator(self, monkeypatch):
         def no_operator(spec):
             raise AssertionError("the structured solve must not build T")
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
-        basis = centralizer_code(comb_spec(32, 1, 1, 7, 3))
+        code = centralizer_code(comb_spec(32, 1, 1, 7, 3))
         # 1 = 3 * (32 + 1) mod 7: C(D, 3) is spanned by E_i1 for the n - 1 indices i > 1.
-        assert basis.dim == 31
+        assert code.dim == 31
 
     def test_no_comb_solve_eliminates(self, monkeypatch):
         def no_operator(spec):
@@ -445,8 +449,8 @@ class TestCombCentralizer:
         dims.update({(33, 3, 0, 1, 1): 1089, (33, 3, 1, 1, 2): 0, (64, 3, 1, 1, 2): 126, (64, 7, 1, 1, 0): 0})
         dims.update({(33, 7, 1, 0, 0): 1056, (33, 3, 1, 0, 2): 1025, (64, 2, 1, 1, 1): 3970})
         for (n, p, x, y, a), dim in dims.items():
-            basis = centralizer_code(comb_spec(n, x, y, p, a))
-            assert dim in (None, basis.dim), (n, p, x, y, a)
+            code = centralizer_code(comb_spec(n, x, y, p, a))
+            assert dim in (None, code.dim), (n, p, x, y, a)
 
     def test_closed_form_kernel_matches_elimination(self):
         # Every s != 0 tuple with p <= 11 and n <= 7, then one tuple per case
@@ -500,8 +504,8 @@ class TestCombCentralizer:
                         continue
                     if (n, a, p) not in oracle:
                         oracle[n, a, p] = eliminated_sum_kernel(n, a, p)
-                    basis = centralizer_code(comb_spec(n, x, y, p, a))
-                    assert np.array_equal(basis.code.generator, oracle[n, a, p]), (n, x, y, a, p)
+                    code = centralizer_code(comb_spec(n, x, y, p, a))
+                    assert np.array_equal(code.generator, oracle[n, a, p]), (n, x, y, a, p)
                     tuples += 1
         # (p - 1) x's times p y's at a = 1 plus p - 1 twists a != 1 at y = 0.
         assert tuples == 6 * sum((p - 1) * (2 * p - 1) for p in (2, 3, 5, 7, 11)) == 2022
@@ -524,8 +528,8 @@ class TestCombCentralizer:
                 + (n - 1) * ((lam == a * y % p) + (y == a * lam % p))
                 + (n - 1) ** 2 * (y == a * y % p)
             )
-            basis = centralizer_code(comb_spec(n, x, y, p, a))
-            assert basis.dim == expected, (n, p, x, y, a)
+            code = centralizer_code(comb_spec(n, x, y, p, a))
+            assert code.dim == expected, (n, p, x, y, a)
         # s = (1 - a) y = 0 and x != 0: n^2 - n for a = 0, else (n - 1)^2 + [a = 1 or p | n],
         # merged tuples (p | x n, no eigenbasis) included.
         for n, p, x, y, a, dim in [
@@ -539,8 +543,8 @@ class TestCombCentralizer:
             (33, 3, 2, 0, 2, 1025),
             (33, 65521, 1, 0, 2, 1024),
         ]:
-            basis = centralizer_code(comb_spec(n, x, y, p, a))
-            assert basis.dim == dim, (n, p, x, y, a)
+            code = centralizer_code(comb_spec(n, x, y, p, a))
+            assert code.dim == dim, (n, p, x, y, a)
 
 
 class TestCombDetection:
@@ -586,9 +590,9 @@ class TestCombDetection:
                     data[i, j] = (data[i, j] + 1 + (x + k) % (p - 1)) % p
                     spec = TwistSpec(Matrix(data, prime), x + 2 * y + k)
                     operators.clear()
-                    basis = centralizer_code(spec)
+                    code = centralizer_code(spec)
                     assert operators == [spec], (n, p, x, y, i, j)
-                    assert _matches_brute_force(basis), (n, p, x, y, i, j)
+                    assert _matches_brute_force(spec, code), (n, p, x, y, i, j)
                     cases += 1
         assert cases == 4 * (4 + 9 + 25 + 49 + 4 + 9 + 4)
 
@@ -599,13 +603,13 @@ class TestCombDetection:
             for d, a in product(range(p), repeat=2):
                 spec = TwistSpec(Matrix([[d]], prime), a)
                 operators.clear()
-                basis = centralizer_code(spec)
+                code = centralizer_code(spec)
                 assert operators == [spec], (p, d, a)
-                assert basis.dim == (d * (1 - a) % p == 0), (p, d, a)
-                assert _matches_brute_force(basis), (p, d, a)
+                assert code.dim == (d * (1 - a) % p == 0), (p, d, a)
+                assert _matches_brute_force(spec, code), (p, d, a)
 
 
-def _matches_brute_force(basis: CentralizerBasis) -> bool:
-    """The basis spans exactly the members that brute force enumerates."""
-    oracle = set(brute_force_centralizer(basis.spec))
-    return len(oracle) == basis.spec.prime.p**basis.dim and all(b in oracle for b in basis_matrices(basis))
+def _matches_brute_force(spec: TwistSpec, code: LinearCode) -> bool:
+    """The code spans exactly the members that brute force enumerates."""
+    oracle = set(brute_force_centralizer(spec))
+    return len(oracle) == spec.prime.p**code.dim and all(b in oracle for b in basis_matrices(code))

@@ -15,7 +15,6 @@ from tcc import (
     Prime,
     TwistSpec,
     centralizer_code,
-    code_from_basis,
     comb_matrix,
     exhaustive_stats,
     monte_carlo,
@@ -38,7 +37,7 @@ BIG_PRIME = 2**31 - 1
 def comb_code(n, x, y, p, a):
     prime = Prime(p)
     matrix = comb_matrix(CombParams(n, x, y, prime))
-    return code_from_basis(centralizer_code(TwistSpec(matrix, a)))
+    return centralizer_code(TwistSpec(matrix, a))
 
 
 @pytest.fixture(scope="module")

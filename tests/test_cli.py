@@ -211,6 +211,20 @@ class TestBuildCommand:
         assert code == EXIT_OK
         assert json.loads(out) == {"p": 7, "n": 32, "x": 1, "y": 1, "a": 3, "length": 1024, "dimension": 31}
 
+    def test_solver_fault_is_no_usage_error(self, capsys, monkeypatch):
+        # A generator row outside C(A, a) is tcc's fault: it must not exit 1 as if the flags were wrong.
+        original = tcc.centralizer._comb_generator
+
+        def perturbed(*args):
+            gen = original(*args)
+            gen[0, 4] += 1
+            return gen
+
+        monkeypatch.setattr(tcc.centralizer, "_comb_generator", perturbed)
+        with pytest.raises(RuntimeError, match="twisted commutation"):
+            main(["build", "--n", "3", "--p", "5", "--x", "1", "--y", "2", "--a", "2"])
+        assert capsys.readouterr() == ("", "")
+
 
 class TestKroneckerGuard:
     @pytest.fixture

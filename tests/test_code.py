@@ -13,7 +13,6 @@ from tcc import (
     TwistSpec,
     analyze,
     centralizer_code,
-    code_from_basis,
     comb_matrix,
     min_distance,
 )
@@ -28,7 +27,7 @@ def repetition_code(p=3):
 def comb_code(n, x, y, p, a):
     prime = Prime(p)
     matrix = comb_matrix(CombParams(n, x, y, prime))
-    return code_from_basis(centralizer_code(TwistSpec(matrix, a)))
+    return centralizer_code(TwistSpec(matrix, a))
 
 
 class TestCodeConstruction:
@@ -40,13 +39,13 @@ class TestCodeConstruction:
     def test_empty_basis_gives_zero_code(self):
         # A invertible with a = 0 forces B = 0, the genuine zero code.
         spec = TwistSpec(identity(2, GF3), 0)
-        zero_code = code_from_basis(centralizer_code(spec))
+        zero_code = centralizer_code(spec)
         assert zero_code.dim == 0
         assert zero_code.generator.shape == (0, 4)
 
     def test_full_space_generator_is_identity(self):
         spec = TwistSpec(zeros(2, 2, GF3), 1)
-        code = code_from_basis(centralizer_code(spec))
+        code = centralizer_code(spec)
         assert code.generator.tolist() == np.eye(4, dtype=np.int64).tolist()
 
     def test_code_from_rows_canonicalizes(self):
@@ -95,7 +94,7 @@ class TestGenerator:
         assert code != code_from_rows(Matrix([[1, 1, 1, 1, 1]], GF3))
 
     def test_zero_code_has_no_rows_and_encodes_to_zeros(self):
-        zero = code_from_basis(centralizer_code(TwistSpec(identity(2, GF3), 0)))
+        zero = centralizer_code(TwistSpec(identity(2, GF3), 0))
         assert zero.generator.shape == (0, 4)
         assert zero == LinearCode(GF3, 4, np.zeros((0, 4), dtype=np.int64))
         msgs = np.zeros((3, 0), dtype=np.int64)
@@ -125,7 +124,7 @@ class TestMinDistance:
 
     def test_zero_code_rejected(self):
         spec = TwistSpec(identity(2, GF3), 0)
-        code = code_from_basis(centralizer_code(spec))
+        code = centralizer_code(spec)
         with pytest.raises(ValueError, match="zero code has no minimum distance"):
             min_distance(code)
 
@@ -188,7 +187,7 @@ class TestAnalyze:
     def test_zero_code_rejected(self):
         spec = TwistSpec(identity(2, GF3), 0)
         with pytest.raises(ValueError, match="zero code"):
-            analyze(code_from_basis(centralizer_code(spec)))
+            analyze(centralizer_code(spec))
 
     def test_singleton_bound_on_samples(self):
         rng = np.random.default_rng(13)
@@ -232,7 +231,7 @@ class TestIsCodeword:
 
     def test_zero_code_contains_only_zero(self):
         spec = TwistSpec(identity(2, GF3), 0)
-        code = code_from_basis(centralizer_code(spec))
+        code = centralizer_code(spec)
         assert is_codeword(code, np.array([0, 0, 0, 0]))
         assert not is_codeword(code, np.array([1, 0, 0, 0]))
 

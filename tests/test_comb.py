@@ -11,9 +11,8 @@ from tcc import (
     comb_matrix,
     comb_spectrum,
     eigen_scan,
-    inverse,
 )
-from tcc.linalg import matmul_mod
+from tcc.linalg import inverse, matmul_mod
 from helpers import (
     GF3,
     GF5,

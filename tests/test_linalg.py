@@ -7,17 +7,14 @@ from tcc import (
     Matrix,
     MatrixFormatError,
     Prime,
-    SingularMatrixError,
     TwistSpec,
-    inverse,
     kernel_basis,
-    kronecker,
     parse_matrix_text,
     rank,
     rref,
     twisted_operator,
 )
-from tcc.linalg import _rref_array, matmul_mod
+from tcc.linalg import SingularMatrixError, _rref_array, inverse, kronecker, matmul_mod
 from helpers import GF3, GF5, identity, literal_rref_array, matmul, rand_matrix, unvec, vec, zeros
 
 
