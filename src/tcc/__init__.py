@@ -8,7 +8,6 @@ simulates their behaviour on a symbol-error channel.
 """
 
 from .linalg import (
-    FieldMismatchError,
     GuardExceededError,
     Matrix,
     MatrixFormatError,
@@ -50,7 +49,6 @@ __all__ = [
     "ChannelStats",
     "CodeReport",
     "CombParams",
-    "FieldMismatchError",
     "GuardExceededError",
     "LinearCode",
     "Matrix",

@@ -7,9 +7,11 @@ costs about n^6, so centralizer_code first reads A itself: a comb matrix
 x*J + y*I is solved from row and column sums instead, in closed form,
 with every generator written directly as the RREF generator of the
 linear code of length n^2 spanned by the vec images, and no comb solve
-eliminates.  Every other A takes the Kronecker kernel; its elimination
-runs with the columns reversed, so its kernel comes out in RREF too and
-no second reduction runs.  Either way centralizer_code returns the
+eliminates.  For s = (1 - a) y != 0 each row is the vec of a member
+g u^T + u h^T, g tiled and each h_j repeated, and the paper's case returns
+J or nothing.  Every other A takes the Kronecker kernel; its elimination
+runs with the columns reversed, so its kernel comes out in RREF too and no
+second reduction runs.  Either way centralizer_code returns the
 LinearCode itself, read-only and holding the array as it is, once every
 generator row has been checked against AB = aBA.
 """
@@ -71,12 +73,15 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
 def _basis(spec: TwistSpec, gen: np.ndarray) -> LinearCode:
     """The code with the RREF generator rows ``gen``, held without a copy; no rows is the zero code.
 
-    Every row is checked to be the vec image of a member before the code is
-    returned.  One that is not is a fault of the solve, never of its input,
-    so RuntimeError.
+    Every row is checked to be a residue row and the vec image of a member
+    before the code is returned.  One that is not is a fault of the solve,
+    never of its input, so RuntimeError.
     """
     n = spec.n
-    code = LinearCode(spec.prime, n * n, gen)
+    try:
+        code = LinearCode(spec.prime, n * n, gen)
+    except ValueError as err:
+        raise RuntimeError(f"{err}; the solve is broken") from err
     step = max(1, _CHECK_CELLS // (n * n))
     for start in range(0, len(gen), step):
         # A row is vec(B), column by column, so its row-major reshape is B^T.
@@ -126,49 +131,35 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
 
 
 def _comb_generator(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
-    """The RREF generator rows of C(x*J + y*I, a), in closed form."""
+    """The RREF generator rows of C(x*J + y*I, a), in closed form.
+
+    For s = (1 - a) y != 0 each row is vec(g u^T + u h^T), g tiled n times plus
+    each h_j repeated n times; the paper's case is J or nothing.  e_i is the i-th unit row.
+    """
     s = (1 - a) * y % p
     if s == 0 and x == 0:
         return np.eye(n * n, dtype=np.int64)
     if s == 0:
         return _sum_kernel(n, a, p)
-    v = _closed_form_kernel(n, x, y, a, p)
-    h = np.zeros((len(v), n), dtype=np.int64)
-    h[:, 1:] = v[:, n:] - v[:, :1]
-    # Column-stacked, entry j n + i is B[i, j] = g_i + h_j.  A row's first
-    # nonzero entry is its first nonzero in v, as B[:, 0] = g and B[0, j] = w_j.
-    return (h[:, :, None] + v[:, None, :n]).reshape(len(v), n * n) % p
-
-
-def _closed_form_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
-    """The RREF kernel, for s = (1 - a) y != 0, in v = (g_0 .. g_(n-1), w_1 .. w_(n-1)).
-
-    Here w_j = B[0, j] = g_0 + h_j, and e_i below is the i-th unit row.
-    """
-    s = (1 - a) * y % p
     alpha, beta = (s - a * x * n) % p, (s + x * n) % p
-    eye = np.eye(2 * n - 1, dtype=np.int64)
     if alpha and beta:
         # h = 0 and g is constant, which (1 - a)(x n + y) must annihilate.
-        return eye[:0] if (x * n + y) % p else np.ones((1, 2 * n - 1), dtype=np.int64)
+        return np.ones((1 if (x * n + y) % p == 0 else 0, n * n), dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    diff = eye[:-1] - eye[-1]
     if beta:
-        # sum g = 0 and h = 0, so w_j = g_0: rows e_i - e_(n-1), w = 1 on row 0.
-        v = eye[: n - 1].copy()
-        v[:, n - 1] = -1
-        v[0, n:] = 1
-        return v % p
+        # B = g u^T with sum g = 0.
+        return np.tile(diff, n) % p
     if alpha:
-        # g is constant; h is free for a = 0, else sum w = -g_0.
-        v = eye[n - 1 : 2 * n - 1 if a == 0 else 2 * n - 2].copy()
-        v[0, :n] = 1
-        if a:
-            v[:, -1] = -1
-        return v % p
-    # a = -1: the one constraint sum g + sum h = 0 is c.v = 0, c = (2 - n, 1, .., 1).
-    v = eye[:-1].copy()
-    v[:, -1] = -1
-    v[0, -1] = n - 2
-    return v % p
+        # B = u h^T, with sum h = 0 unless a = 0.
+        return np.repeat(eye if a == 0 else diff, n, axis=1) % p
+    # a = -1: sum g + sum h = 0.  Rows i < n have g = e_i, then g = 0; row 0's h
+    # is 0 at every other row's pivot, rows 1 .. n - 1 take h = -e_(n-1), the
+    # rest h = e_j - e_(n-1) for 0 < j < n - 1.
+    g = np.eye(2 * n - 2, n, dtype=np.int64)
+    h = np.concatenate([np.tile(-eye[-1], (n, 1)), diff[1:]])
+    h[0, 1:-1], h[0, -1] = -1, n - 3
+    return (np.tile(g, n) + np.repeat(h, n, axis=1)) % p
 
 
 def _sum_kernel(n: int, a: int, p: int) -> np.ndarray:

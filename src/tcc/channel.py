@@ -18,9 +18,9 @@ from .code import LinearCode, _message_block, _nearest
 from .linalg import GuardExceededError, count_text
 
 EXHAUSTIVE_LIMIT = 1 << 24
-# Cells of one (B, N) block of error patterns handed to the decoder.
+# Cells of one (B, N) block of exhaustive-sweep error patterns handed to the decoder.
 _BATCH_CELLS = 1 << 14
-# Cells of one (rows, N) chunk of Monte Carlo draws; fixed, so seeds do not follow _BATCH_CELLS.
+# Cells of one (rows, N) chunk of Monte Carlo draws, each decoded whole; fixed, so a seed's trials follow N alone.
 _DRAW_CELLS = 1 << 14
 
 
@@ -46,15 +46,24 @@ class ChannelStats:
         )
 
 
+def _draw(rng: np.random.Generator, rows: int, length: int, t: int, p: int) -> np.ndarray:
+    """A (rows, length) block of weight-t errors mod p in two generator calls, for both inject_errors and monte_carlo.
+
+    A row's positions are the indices of its t smallest uniform keys, a uniform t-subset, and
+    its t offsets in 1..p-1, uniform over the other symbols, go to them in index order.
+    """
+    errors = np.zeros((rows, length), dtype=np.int64)
+    if t:  # argpartition has no kth = -1
+        positions = np.sort(np.argpartition(rng.random((rows, length)), t - 1, axis=1)[:, :t], axis=1)
+        np.put_along_axis(errors, positions, rng.integers(1, p, size=(rows, t)), axis=1)
+    return errors
+
+
 def inject_errors(word: np.ndarray, p: int, t: int, rng: np.random.Generator) -> np.ndarray:
-    """Corrupt exactly t positions of a row of residues mod p, each to a uniformly chosen other symbol."""
-    if t > len(word):
+    """Corrupt exactly t positions of a row of residues mod p, each to a uniformly chosen other symbol, by _draw."""
+    if not 0 <= t <= len(word):
         raise ValueError(f"cannot corrupt {t} of {len(word)} positions")
-    out = word.copy()
-    positions = rng.choice(len(word), size=t, replace=False)
-    # Adding a uniform nonzero offset is uniform over the p - 1 other symbols.
-    out[positions] = (out[positions] + rng.integers(1, p, size=t)) % p
-    return out
+    return (word + _draw(rng, 1, len(word), t, p)[0]) % p
 
 
 def _tally(code: LinearCode, errors: np.ndarray) -> ChannelStats:
@@ -117,15 +126,12 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
 def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
     """Seeded random weight-t error trials, decoded in blocks over the zero codeword.
 
-    Trials are drawn in chunks of _DRAW_CELLS // N rows, two generator calls
-    a chunk: a row's positions are the indices of its t smallest uniform
-    keys, a uniform t-subset, and its t offsets in 1..p-1 go to them in
-    index order.  No message is drawn, as only the error is decoded.  The
-    decode block size never changes a seed's trials.  Reproducible for a
-    fixed seed within one build of this package, not across releases:
-    earlier ones drew each trial's message, positions and offsets as
-    inject_errors does, so their seeded counts differ.  The trial count
-    shares the exhaustive sweep's decode budget.
+    Trials are drawn by _draw in chunks of _DRAW_CELLS // N rows, each
+    decoded whole; no message is drawn, as only the error is decoded.
+    Reproducible for a fixed seed within one build of this package, not
+    across releases: earlier ones drew each trial's message, positions and
+    offsets in turn, so their seeded counts differ.  The trial count shares
+    the exhaustive sweep's decode budget.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -137,14 +143,8 @@ def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> Channel
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
     rng = np.random.default_rng(seed)
     p, length = code.prime.p, code.length
-    draw, step = max(1, _DRAW_CELLS // length), max(1, _BATCH_CELLS // length)
+    draw = max(1, _DRAW_CELLS // length)
     stats = ChannelStats(0, 0, 0, 0)
     for done in range(0, trials, draw):
-        rows = min(draw, trials - done)
-        errors = np.zeros((rows, length), dtype=np.int64)
-        if t:  # argpartition has no kth = -1
-            positions = np.sort(np.argpartition(rng.random((rows, length)), t - 1, axis=1)[:, :t], axis=1)
-            np.put_along_axis(errors, positions, rng.integers(1, p, size=(rows, t)), axis=1)
-        for lo in range(0, rows, step):
-            stats += _tally(code, errors[lo : lo + step])
+        stats += _tally(code, _draw(rng, min(draw, trials - done), length, t, p))
     return stats

@@ -17,9 +17,10 @@ as the oracle for the delayed reduction in tcc.linalg._rref_array.
 kronecker_code solves any A, comb or not, through the kernel of the
 twisted operator, kept as the oracle for the closed form that
 centralizer_code writes for a comb matrix.  eliminated_comb_kernel
-eliminates the (2n - 1)-square system of a comb solve with s != 0, and
-eliminated_sum_kernel the 2n - 1 sum constraints of one with s = 0 and
-x != 0, kept as the oracles for their closed-form kernels.
+eliminates the retired (2n - 1)-square system of a comb solve with
+s != 0 and expands its kernel into vec rows, and eliminated_sum_kernel
+the 2n - 1 sum constraints of one with s = 0 and x != 0, kept as the
+oracles for their closed-form generators.
 diagonalize builds an explicit eigenbasis of x*J + y*I, kept as the
 oracle for the diagonal that spectrum prints.  literal_eigen_scan solves one rank problem
 per field element, kept as the oracle for eigen_scan.  conjugation_transfer is the literal per-matrix
@@ -273,10 +274,12 @@ def literal_rref_array(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def eliminated_comb_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
-    """The kernel written in closed form for a comb matrix with s = (1 - a) y != 0, by elimination.
+    """The generator written in closed form for a comb matrix with s = (1 - a) y != 0, by elimination.
 
-    Unknowns v = (g_0 .. g_(n-1), g_0 + h_1 .. g_0 + h_(n-1)).  Rows i < n:
-    alpha g_i + x (sum g - a sum h) = 0; rows n - 1 + j: beta h_j = 0.
+    Every member is B[i, j] = g_i + h_j with h_0 = 0.  Unknowns
+    v = (g_0 .. g_(n-1), w_1 .. w_(n-1)) with w_j = B[0, j] = g_0 + h_j.
+    Rows i < n: alpha g_i + x (sum g - a sum h) = 0; rows n - 1 + j:
+    beta h_j = 0.  The RREF kernel in v is then expanded into vec rows.
     """
     s = (1 - a) * y % p
     alpha, beta = (s - a * x * n) % p, (s + x * n) % p
@@ -287,7 +290,12 @@ def eliminated_comb_kernel(n: int, x: int, y: int, a: int, p: int) -> np.ndarray
     eqs[np.arange(n, 2 * n - 1), np.arange(n, 2 * n - 1)] = beta
     # h_j = v_(n-1+j) - v_0 moves the weight of each h_j onto v_0 too.
     eqs[:, 0] -= eqs[:, n:].sum(axis=1)
-    return _rref_kernel(eqs % p, Prime(p))
+    v = _rref_kernel(eqs % p, Prime(p))
+    h = np.zeros((len(v), n), dtype=np.int64)
+    h[:, 1:] = v[:, n:] - v[:, :1]
+    # Column-stacked, entry j n + i is B[i, j] = g_i + h_j.  A row's first nonzero
+    # entry is its first nonzero in v, as B[:, 0] = g and B[0, j] = w_j, so RREF holds.
+    return (h[:, :, None] + v[:, None, :n]).reshape(len(v), n * n) % p
 
 
 def eliminated_sum_kernel(n: int, a: int, p: int) -> np.ndarray:

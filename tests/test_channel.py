@@ -93,6 +93,28 @@ class TestInjectErrors:
         with pytest.raises(ValueError):
             inject_errors(np.array([0, 0]), 3, 3, rng)
 
+    def test_negative_weight_rejected(self):
+        # argpartition would read a negative t as a kth counted from the end.
+        with pytest.raises(ValueError, match="cannot corrupt -1 of 2 positions"):
+            inject_errors(np.array([0, 0]), 3, -1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("t", [0, 3, 9])
+    def test_draws_the_monte_carlo_error(self, nine_one_nine, monkeypatch, seed, t):
+        # One channel: over 0, inject_errors is the error a one-trial monte_carlo run decodes.
+        handed = []
+        tally = tcc.channel._tally
+
+        def recording(code, errors):
+            handed.append(errors.copy())
+            return tally(code, errors)
+
+        monkeypatch.setattr(tcc.channel, "_tally", recording)
+        monte_carlo(nine_one_nine, t, 1, seed)
+        assert [errors.shape for errors in handed] == [(1, 9)]
+        zeros = np.zeros(9, dtype=np.int64)
+        assert np.array_equal(inject_errors(zeros, 5, t, np.random.default_rng(seed)), handed[0][0])
+
 
 class TestExhaustiveCorrection:
     def test_weight_one_always_corrected(self, four_one_four):

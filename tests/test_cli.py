@@ -225,6 +225,21 @@ class TestBuildCommand:
             main(["build", "--n", "3", "--p", "5", "--x", "1", "--y", "2", "--a", "2"])
         assert capsys.readouterr() == ("", "")
 
+    def test_malformed_generator_is_no_usage_error(self, capsys, monkeypatch):
+        # An entry outside [0, p) is a fault of the solve too, though LinearCode refuses it with ValueError.
+        original = tcc.centralizer._comb_generator
+
+        def unreduced(*args):
+            gen = original(*args)
+            row, col = np.argwhere(gen == 2)[0]
+            gen[row, col] += 1
+            return gen
+
+        monkeypatch.setattr(tcc.centralizer, "_comb_generator", unreduced)
+        with pytest.raises(RuntimeError, match=r"residues in \[0, 3\); the solve is broken"):
+            main(["build", "--n", "3", "--p", "3", "--x", "1", "--y", "1", "--a", "1"])
+        assert capsys.readouterr() == ("", "")
+
 
 class TestKroneckerGuard:
     @pytest.fixture

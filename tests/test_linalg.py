@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tcc import (
-    FieldMismatchError,
     LinearCode,
     Matrix,
     MatrixFormatError,
@@ -14,7 +13,7 @@ from tcc import (
     rref,
     twisted_operator,
 )
-from tcc.linalg import SingularMatrixError, _rref_array, inverse, kronecker, matmul_mod
+from tcc.linalg import FieldMismatchError, SingularMatrixError, _rref_array, inverse, kronecker, matmul_mod
 from helpers import GF3, GF5, identity, literal_rref_array, matmul, rand_matrix, unvec, vec, zeros
 
 
