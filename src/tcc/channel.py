@@ -3,9 +3,17 @@
 The error model corrupts exactly t positions, each to a uniformly chosen
 different symbol.  Worst-case weight-t guarantees are what the codes
 promise, so fixed-weight sweeps test them directly; an i.i.d. flip
-channel would not.  Both sweeps decode errors over the zero codeword:
+channel would not.  Both sweeps classify errors over the zero codeword:
 for a linear code, c + e decodes uniquely exactly when e does, and back
 to c exactly when e's unique nearest codeword is 0.
+
+That outcome depends only on e's weight and its coset e + C: whether the
+coset holds one word of least weight, and whether e has that weight.  So
+a k >= 2 code with fewer cosets than codewords classifies each error by
+one syndrome lookup in a coset table (a standard array) built once per
+sweep.  Other codes, and a table whose build would pass its pattern
+budget, go through code._nearest: a vote for k = 1, a score against every
+codeword otherwise.
 """
 
 import math
@@ -14,14 +22,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .code import LinearCode, _message_block, _nearest
-from .linalg import GuardExceededError, count_text
+from .code import ENUMERATION_LIMIT, LinearCode, _message_block, _nearest
+from .linalg import GuardExceededError, count_text, matmul_mod
 
 EXHAUSTIVE_LIMIT = 1 << 24
-# Cells of one (B, N) block of exhaustive-sweep error patterns handed to the decoder.
+# Cells of one (B, N) block of exhaustive-sweep error patterns handed to the classifier.
 _BATCH_CELLS = 1 << 14
-# Cells of one (rows, N) chunk of Monte Carlo draws, each decoded whole; fixed, so a seed's trials follow N alone.
+# Cells of one (rows, N) chunk of Monte Carlo draws, each classified whole; fixed, so a seed's trials follow N alone.
 _DRAW_CELLS = 1 << 14
+# Error patterns the coset table's build may enumerate before the sweep gives it up for code._scan.
+_TABLE_PATTERNS = EXHAUSTIVE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -97,13 +107,86 @@ def _pattern_blocks(length: int, t: int, p: int, step: int):
         yield errors[:rows]
 
 
+def _parity_check(code: LinearCode) -> np.ndarray:
+    """H^T as an (N, N-k) array: H is -P^T on the RREF generator's pivot columns and I on its free ones.
+
+    P is the generator's free columns, so G H^T = I (-P) + P I = 0.
+    """
+    p, g = code.prime.p, code.generator
+    pivots = (g != 0).argmax(axis=1)
+    free = np.setdiff1d(np.arange(code.length), pivots)
+    parity = np.zeros((code.length, len(free)), dtype=np.int64)
+    parity[pivots] = (p - g[:, free]) % p
+    parity[free, np.arange(len(free))] = 1
+    return parity
+
+
+def _coset_table(code: LinearCode):
+    """A k >= 2 code's standard array: (H^T, syndrome digit weights, least weight, count) per coset, or None.
+
+    An error e names its coset by sum_i s_i p^i, s = e H^T.  Patterns are
+    enumerated weight by weight until every coset is reached, at the
+    covering radius; each coset keeps the least weight that reaches it and
+    how many words of that weight do.  None, leaving the code to _nearest,
+    unless 2k > N (fewer cosets than codewords) and p^(N-k) <=
+    ENUMERATION_LIMIT, or when the build would pass _TABLE_PATTERNS.
+    """
+    p, length, k = code.prime.p, code.length, code.dim
+    if k < 2 or 2 * k <= length or p ** (length - k) > ENUMERATION_LIMIT:
+        return None
+    parity = _parity_check(code)
+    digits = p ** np.arange(length - k, dtype=np.int64)
+    cells = p ** (length - k)
+    least = np.full(cells, -1, dtype=np.int64)
+    count = np.zeros(cells, dtype=np.int64)
+    # A block of max(_BATCH_CELLS, cells) cells keeps each bincount's O(cells) pass below the block's own cost.
+    step = max(1, max(_BATCH_CELLS, cells) // length)
+    weight, enumerated = 0, 0
+    while (least < 0).any():
+        enumerated += math.comb(length, weight) * (p - 1) ** weight
+        if enumerated > _TABLE_PATTERNS:
+            return None
+        reached = np.zeros(cells, dtype=np.int64)
+        for errors in _pattern_blocks(length, weight, p, step):
+            reached += np.bincount(matmul_mod(errors, parity, p) @ digits, minlength=cells)
+        new = (least < 0) & (reached > 0)
+        least[new], count[new] = weight, reached[new]
+        weight += 1
+    return parity, digits, least, count
+
+
+def _classifier(code: LinearCode):
+    """The classification of (B, N) error blocks over the zero codeword used by one sweep.
+
+    With a coset table, an error is a success when its coset has one word of
+    least weight and the error has that weight, ambiguous when the coset has
+    more; else miscorrected.  That is _tally's rule with no minimiser index.
+    """
+    table = _coset_table(code)
+    if table is None:
+        return lambda errors: _tally(code, errors)
+    parity, digits, least, count = table
+    p = code.prime.p
+
+    def lookup(errors: np.ndarray) -> ChannelStats:
+        coset = matmul_mod(errors, parity, p) @ digits
+        unique = count[coset] == 1
+        trials = len(errors)
+        successes = int(np.count_nonzero(unique & (least[coset] == np.count_nonzero(errors, axis=1))))
+        ambiguous = trials - int(np.count_nonzero(unique))
+        return ChannelStats(trials, successes, ambiguous, trials - successes - ambiguous)
+
+    return lookup
+
+
 def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     """Decode every message under every weight-t error pattern.
 
     Guarded by the outcome count C(N, t) * (p-1)^t * p^k, so a sweep can
-    never silently explode.  Only the error patterns are decoded, in blocks
-    of at most _BATCH_CELLS cells; every message shares their outcomes, so
-    the counts scale by p^k.
+    never silently explode.  Only the error patterns are classified, in
+    blocks of at most _BATCH_CELLS cells, by the coset table when the code
+    has one (else decoded); every message shares their outcomes, so the
+    counts scale by p^k.
     """
     p = code.prime.p
     if not 0 <= t <= code.length:
@@ -117,17 +200,18 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
         )
     if code.dim == 0:  # 0 is the only codeword: every pattern decodes to it uniquely, with no offset table
         return ChannelStats(patterns, patterns, 0, 0)
-    stats = ChannelStats(0, 0, 0, 0)
+    classify, stats = _classifier(code), ChannelStats(0, 0, 0, 0)
     for errors in _pattern_blocks(code.length, t, p, max(1, _BATCH_CELLS // code.length)):
-        stats += _tally(code, errors)
+        stats += classify(errors)
     return ChannelStats(*(count * p**code.dim for count in astuple(stats)))
 
 
 def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
-    """Seeded random weight-t error trials, decoded in blocks over the zero codeword.
+    """Seeded random weight-t error trials, classified in blocks over the zero codeword.
 
     Trials are drawn by _draw in chunks of _DRAW_CELLS // N rows, each
-    decoded whole; no message is drawn, as only the error is decoded.
+    classified whole, by the coset table when the code has one (else
+    decoded); no message is drawn, as only the error is classified.
     Reproducible for a fixed seed within one build of this package, not
     across releases: earlier ones drew each trial's message, positions and
     offsets in turn, so their seeded counts differ.  The trial count shares
@@ -144,7 +228,7 @@ def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> Channel
     rng = np.random.default_rng(seed)
     p, length = code.prime.p, code.length
     draw = max(1, _DRAW_CELLS // length)
-    stats = ChannelStats(0, 0, 0, 0)
+    classify, stats = _classifier(code), ChannelStats(0, 0, 0, 0)
     for done in range(0, trials, draw):
-        stats += _tally(code, _draw(rng, min(draw, trials - done), length, t, p))
+        stats += classify(_draw(rng, min(draw, trials - done), length, t, p))
     return stats

@@ -9,11 +9,14 @@ it is MDS when d meets the Singleton bound N - k + 1 exactly.
 Nearest-codeword decoding classifies whole (B, N) blocks of received
 words at once.  A k = 1 code, the theorem's whole family, decodes by a
 plurality vote over the support of its generator at any prime; larger
-dimensions score every codeword behind a hard guard on p^k.  Minimum
-distance needs only one codeword per projective point, since scaling by a
-nonzero constant keeps the weight.  That is deliberate: the codes this
-toolkit produces have tiny dimension, where exhaustive search is exact and
-cheap, so no pruning machinery is warranted.
+dimensions score every codeword behind a hard guard on p^k, since a word
+decoded alone needs its first nearest codeword.  The channel sweeps need
+only each error's coset, so channel.py classifies a high-rate code's
+errors by syndrome instead.  Minimum distance needs only one codeword
+per projective point, since scaling by a nonzero constant keeps the
+weight.  That is deliberate: the codes this toolkit produces have tiny
+dimension, where exhaustive search is exact and cheap, so no pruning
+machinery is warranted.
 """
 
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ from .linalg import (
 
 ENUMERATION_LIMIT = 1 << 20
 _BLOCK = 1 << 14
-# Cells of one (received words x codewords) distance block of the table decoder.
+# Cells of one (received words x codewords) distance block of _scan.
 _SCORE_CELLS = 1 << 18
 
 UNIQUE = "unique"

@@ -58,7 +58,7 @@ from tcc import (
     twisted_operator,
 )
 from tcc.centralizer import _basis, _rref_kernel, is_member
-from tcc.channel import _DRAW_CELLS, EXHAUSTIVE_LIMIT
+from tcc.channel import EXHAUSTIVE_LIMIT
 from tcc.code import ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import SingularMatrixError, count_text, inverse, kronecker, matmul_mod
 
@@ -526,7 +526,8 @@ def literal_monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) ->
     """
     p, length = code.prime.p, code.length
     rng, messages = np.random.default_rng(seed), np.random.default_rng([seed, 1])
-    draw = max(1, _DRAW_CELLS // length)
+    # Read at call time, so a test that patches the chunk size patches the oracle too.
+    draw = max(1, tcc.channel._DRAW_CELLS // length)
     counts = {"success": 0, "ambiguous": 0, "miscorrected": 0}
     for done in range(0, trials, draw):
         rows = min(draw, trials - done)

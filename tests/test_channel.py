@@ -19,9 +19,10 @@ from tcc import (
     exhaustive_stats,
     monte_carlo,
 )
-from tcc.channel import inject_errors
+from tcc.channel import EXHAUSTIVE_LIMIT, inject_errors
 from tcc.cli import main
-from tcc.code import AMBIGUOUS, UNIQUE, decode_nearest, encode
+from tcc.code import AMBIGUOUS, ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
+from tcc.linalg import matmul_mod
 from helpers import (
     code_from_rows,
     exhaustive_correction_check,
@@ -209,13 +210,14 @@ class TestMonteCarlo:
             monte_carlo(four_one_four, -1, 10, seed=0)
 
     @pytest.mark.parametrize("t", [2, 5])
-    def test_seed_does_not_follow_the_decode_block(self, nine_one_nine, four_two, monkeypatch, t):
-        # 2,000 trials on the [9,1,9] code span two draw chunks of 1,820 rows.
+    def test_draw_chunk_matches_the_literal_oracle(self, nine_one_nine, four_two, monkeypatch, t):
+        # A seed's trials follow _DRAW_CELLS by design; at every chunk size the counts are the oracle's.
+        # 2,000 trials on the [9,1,9] code span two default chunks of 1,820 rows.
         for code, trials in ((nine_one_nine, 2000), (four_two, 300)):
-            default = monte_carlo(code, min(t, code.length), trials, seed=11)
-            for cells in (1, 3 * code.length):
-                monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", cells)
-                assert monte_carlo(code, min(t, code.length), trials, seed=11) == default
+            for cells in (1 << 14, 3 * code.length):
+                monkeypatch.setattr(tcc.channel, "_DRAW_CELLS", cells)
+                want = literal_monte_carlo(code, min(t, code.length), trials, seed=11)
+                assert monte_carlo(code, min(t, code.length), trials, seed=11) == want
             monkeypatch.undo()
 
     def test_draws_every_position_set_and_offset(self, monkeypatch):
@@ -282,8 +284,10 @@ class TestBatchedAgainstLiteral:
         assert stats == literal_monte_carlo(code, 2, 300, seed)
         assert stats.ambiguous > 0 and stats.miscorrected > 0
 
-    def test_monte_carlo_across_trial_blocks(self, four_two, monkeypatch):
-        monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", 3 * four_two.length)
+    @pytest.mark.parametrize("cells", [1 << 14, 12])
+    def test_monte_carlo_across_trial_blocks(self, four_two, monkeypatch, cells):
+        # 12 cells make draw chunks of 3 rows, so 50 trials take 17 of them.
+        monkeypatch.setattr(tcc.channel, "_DRAW_CELLS", cells)
         assert monte_carlo(four_two, 2, 50, 9) == literal_monte_carlo(four_two, 2, 50, 9)
 
     @pytest.mark.parametrize("t", [0, 4])
@@ -334,10 +338,10 @@ class TestErrorsOnly:
                 assert decoded_rows[:-1] == [step] * (len(decoded_rows) - 1)
 
     def test_exhaustive_decoder_calls_on_channel_sweeps(self, nine_one_nine, decoded_rows):
-        # 576 patterns fit one block of 1,820 rows; 32,256 patterns take 18 blocks.
+        # The [9,5,3] code's 625 cosets classify its 576 patterns with no decode; 32,256 patterns take 18 blocks.
         nine_five_three = comb_code(3, 1, 1, 5, 1)
         assert exhaustive_stats(nine_five_three, 2) == ChannelStats(1800000, 675000, 900000, 225000)
-        assert decoded_rows == [576]
+        assert decoded_rows == []
         decoded_rows.clear()
         exhaustive_stats(nine_one_nine, 4)
         assert decoded_rows == [1820] * 17 + [32256 - 17 * 1820]
@@ -373,14 +377,157 @@ class TestNineFiveThree:
         )
 
 
+def high_rate_comb_codes():
+    """Every distinct comb code with p <= 7 and n <= 4 that has k >= 2 and fewer cosets than codewords (2k > N)."""
+    codes = {}
+    for p in (2, 3, 5, 7):
+        for n, x, y, a in itertools.product(range(2, 5), range(p), range(p), range(p)):
+            code = comb_code(n, x, y, p, a)
+            if code.dim >= 2 and 2 * code.dim > code.length:
+                codes.setdefault((p, code.length, code.generator.tobytes()), code)
+    return list(codes.values())
+
+
+HIGH_RATE = high_rate_comb_codes()
+
+
+class TestCosetTable:
+    """k >= 2 codes with fewer cosets than codewords classify errors by syndrome; _scan checks the table."""
+
+    @pytest.mark.parametrize(
+        "code", HIGH_RATE, ids=[f"GF{c.prime.p}-N{c.length}-k{c.dim}-{i}" for i, c in enumerate(HIGH_RATE)]
+    )
+    def test_table_matches_scan_on_every_sweep(self, code, monkeypatch):
+        p, k, length = code.prime.p, code.dim, code.length
+        assert not matmul_mod(code.generator, tcc.channel._parity_check(code), p).any()
+        sweeps = [t for t in range(length + 1) if math.comb(length, t) * (p - 1) ** t * p**k <= EXHAUSTIVE_LIMIT]
+        if p**k > ENUMERATION_LIMIT and tcc.channel._coset_table(code) is None:
+            return  # beyond both routes: its sweeps exit 3, as they did before the table
+        table = [exhaustive_stats(code, t) for t in sweeps]
+        assert not sweeps or table[0] == ChannelStats(p**k, p**k, 0, 0)
+        # No build may run now: every sweep goes through _nearest, which scores every codeword.
+        monkeypatch.setattr(tcc.channel, "_TABLE_PATTERNS", 0)
+        if p**k <= ENUMERATION_LIMIT:
+            assert [exhaustive_stats(code, t) for t in sweeps] == table
+            return
+        # _scan refuses p^k codewords, so these sweeps answer only through the table.
+        for t in sweeps:
+            with pytest.raises(GuardExceededError, match="nearest-codeword decoding"):
+                exhaustive_stats(code, t)
+
+    def test_high_rate_family(self):
+        # 24 of these codes have 137 sweeps within the guard: _scan answers 134, the table alone 2
+        # ([9, 9] and [16, 10] over GF(5) at t = 0), and neither route the [16, 9] one's.
+        assert len(HIGH_RATE) == 32
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        calls = []
+        scan = tcc.code._scan
+
+        def recording(code, words):
+            calls.append(code)
+            return scan(code, words)
+
+        monkeypatch.setattr(tcc.code, "_scan", recording)
+        return calls
+
+    def test_nine_five_three_never_scans(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the coset table classifies this code")
+
+        monkeypatch.setattr(tcc.code, "_scan", refuse)
+        code = comb_code(3, 1, 1, 5, 1)
+        assert exhaustive_stats(code, 1) == ChannelStats(112500, 112500, 0, 0)
+        assert exhaustive_stats(code, 2) == ChannelStats(1800000, 675000, 900000, 225000)
+        assert monte_carlo(code, 2, 5000, 0) == ChannelStats(5000, 1886, 2497, 617)
+
+    def test_as_many_or_more_cosets_than_codewords_scan(self, four_two, scanned):
+        # [4, 2]: N - k = k.  The alpha = 0 family ([9, 2] here) has k = n - 1 and N - k = n^2 - n + 1.
+        low_rate = comb_code(3, 1, 4, 5, 2)
+        assert (low_rate.length, low_rate.dim) == (9, 2)
+        for code in (four_two, low_rate):
+            assert tcc.channel._coset_table(code) is None
+            scanned.clear()
+            exhaustive_stats(code, 2)
+            monte_carlo(code, 2, 50, 0)
+            assert scanned and all(seen is code for seen in scanned)
+
+    def test_dimension_one_votes(self, nine_one_nine, scanned, monkeypatch):
+        voted = []
+        vote = tcc.code._vote
+
+        def recording(code, words):
+            voted.append(len(words))
+            return vote(code, words)
+
+        monkeypatch.setattr(tcc.code, "_vote", recording)
+        assert tcc.channel._coset_table(nine_one_nine) is None
+        exhaustive_stats(nine_one_nine, 2)
+        monte_carlo(nine_one_nine, 5, 100, 0)
+        assert sum(voted) == math.comb(9, 2) * 16 + 100
+        assert scanned == []
+
+    def test_build_over_its_limit_falls_back_to_scan(self, scanned, monkeypatch):
+        code = comb_code(3, 1, 1, 5, 1)
+        want = [exhaustive_stats(code, 1), exhaustive_stats(code, 2), monte_carlo(code, 2, 300, 4)]
+        assert scanned == []
+        # Radius 3 takes 1 + 36 + 576 + 5,376 patterns; the cap stops the build before weight 2.
+        monkeypatch.setattr(tcc.channel, "_TABLE_PATTERNS", 600)
+        assert tcc.channel._coset_table(code) is None
+        assert [exhaustive_stats(code, 1), exhaustive_stats(code, 2), monte_carlo(code, 2, 300, 4)] == want
+        assert len(scanned) == 3
+
+    def test_build_stops_at_the_covering_radius(self, monkeypatch):
+        levels = []
+        blocks = tcc.channel._pattern_blocks
+
+        def recording(length, t, p, step):
+            levels.append(t)
+            return blocks(length, t, p, step)
+
+        monkeypatch.setattr(tcc.channel, "_pattern_blocks", recording)
+        _, _, least, count = tcc.channel._coset_table(comb_code(3, 1, 1, 5, 1))
+        assert levels == [0, 1, 2, 3]
+        assert (len(least), least.max()) == (625, 3)
+        assert (least[0], count[0]) == (0, 1)
+        # Every weight-1 error has its own coset: the code's distance is 3.
+        assert np.count_nonzero(least == 1) == 36 and (count[least == 1] == 1).all()
+
+    def test_answers_beyond_the_scan_guard(self):
+        # Every word of the full space [9, 9] is a codeword, so a nonzero error is always miscorrected.
+        # 5^9 codewords are beyond _scan's guard; one coset is not.
+        full = comb_code(3, 0, 1, 5, 1)
+        assert (full.length, full.dim) == (9, 9)
+        assert exhaustive_stats(full, 0) == ChannelStats(5**9, 5**9, 0, 0)
+        assert monte_carlo(full, 1, 100, 0) == ChannelStats(100, 0, 0, 100)
+        with pytest.raises(GuardExceededError, match="p\\^k = 1953125 codewords"):
+            decode_nearest(full, np.zeros(9, dtype=np.int64))
+
+    def test_largest_prime_is_refused_the_table(self, monkeypatch):
+        code = comb_code(3, 1, 1, BIG_PRIME, 1)
+        assert (code.length, code.dim) == (9, 5)
+
+        def refuse(*args):
+            raise AssertionError("p^(N - k) cosets exceed the table's bound; no pattern may be enumerated")
+
+        monkeypatch.setattr(tcc.channel, "_pattern_blocks", refuse)
+        assert tcc.channel._coset_table(code) is None
+        with pytest.raises(GuardExceededError) as refused:
+            monte_carlo(code, 1, 10, 0)
+        assert str(refused.value) == (
+            "nearest-codeword decoding would enumerate p^k = about 10^46 codewords, beyond the 1048576 guard"
+        )
+
+
 class TestVoteDecoder:
-    """k = 1 codes decode by plurality vote; the table decoder checks it."""
+    """k = 1 codes decode by plurality vote; _scan, which scores every codeword, checks it."""
 
     @staticmethod
     def assert_same(code, words):
         vote = tcc.code._vote(code, words)
-        table = tcc.code._scan(code, words)
-        for got, want in zip(vote, table):
+        scan = tcc.code._scan(code, words)
+        for got, want in zip(vote, scan):
             assert np.array_equal(got, want)
 
     def test_every_word_of_four_one_four(self, four_one_four):

@@ -596,9 +596,10 @@ def test_pinned_solve_output(capsys, tmp_path, argv, exit_code, stdout, stderr):
 # Exact exit code, stdout and stderr of the other commands: spectrum in the generic, defective
 # and p > 997 cases, over GF(2), merged (p | x*n) at n = 4 and 6, scalar (x = 0) below and
 # above the scan cap, and at the largest scanned size (n = 64, p = 997); simulate exhaustive,
-# in Monte Carlo within and beyond capacity, and on a zero code; and a --t out of range on a
-# code whose analysis would hit the distance guard, which must be refused first.  A verify
-# document or an n = 64 spectrum is long, so its stdout is pinned by sha256.
+# in Monte Carlo within and beyond capacity, on the k = 5 [9, 5, 3] code that the coset table
+# classifies (bench channel-sim's two argv lines at --seed 1), and on a zero code; and a --t out
+# of range on a code whose analysis would hit the distance guard, which must be refused first.
+# A verify document or an n = 64 spectrum is long, so its stdout is pinned by sha256.
 PINNED_COMMANDS = [
     ('spectrum --n 3 --p 5 --x 1 --y 1', 0, 'A = 1*J + 1*I over GF(5), n = 3\n[2 1 1]\n[1 2 1]\n[1 1 2]\nspectrum: eigenvalue 1 with multiplicity 2; eigenvalue 4 with multiplicity 1\neigen scan cross-check: agrees\ndiagonalizable: yes, D = diag(4, 1, 1)\n', ''),
     ('spectrum --n 3 --p 5 --x 1 --y 1 --json', 0, '{"p": 5, "n": 3, "x": 1, "y": 1, "eigenvalues": [[1, 2], [4, 1]], "diagonalizable": true, "diagonal": [4, 1, 1], "scan_agrees": true}\n', ''),
@@ -624,6 +625,8 @@ PINNED_COMMANDS = [
     ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 2 --trials 50 --seed 3 --json', 0, '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 2, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "monte-carlo", "seed": 3, "trials": 50, "successes": 50, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n', ''),
     ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 5 --trials 20', 2, 'code [9, 1, 9] over GF(5), correction capacity 4\nmode: monte-carlo (seed 0)\ntrials 20: 17 success, 3 ambiguous, 0 miscorrected\nFAIL: t=5 exceeds correction capacity 4 (3 failures)\n', ''),
     ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 5 --trials 20 --json', 2, '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 5, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 20, "successes": 17, "ambiguous": 3, "miscorrected": 0, "within_capacity": false, "verdict": "FAIL"}\n', ''),
+    ('simulate --n 3 --p 5 --x 1 --y 1 --a 1 --json --t 1 --trials 5000 --seed 1443403078', 0, '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 1, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 1443403078, "trials": 5000, "successes": 5000, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\n'),
+    ('simulate --n 3 --p 5 --x 1 --y 1 --a 1 --json --t 2 --trials 5000 --seed 1414445336', 2, '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 1414445336, "trials": 5000, "successes": 1822, "ambiguous": 2547, "miscorrected": 631, "within_capacity": false, "verdict": "FAIL"}\n', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\n'),
     ('simulate --n 2 --p 5 --x 1 --y 1 --a 0 --t 1', 1, '', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\ntcc: zero code: C(A, a) contains only the zero matrix, nothing to simulate\n'),
     ('simulate --n 2 --p 5 --x 1 --y 1 --a 0 --t 1 --json', 1, '', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\ntcc: zero code: C(A, a) contains only the zero matrix, nothing to simulate\n'),
     ('simulate --n 4 --p 7 --x 0 --y 1 --a 1 --t 17', 1, '', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\ntcc: error: --t must lie in [0, 16], got 17\n'),
