@@ -9,11 +9,16 @@ with every generator written directly as the RREF generator of the
 linear code of length n^2 spanned by the vec images, and no comb solve
 eliminates.  For s = (1 - a) y != 0 each row is the vec of a member
 g u^T + u h^T, g tiled and each h_j repeated, and the paper's case returns
-J or nothing.  Every other A takes the Kronecker kernel; its elimination
-runs with the columns reversed, so its kernel comes out in RREF too and no
-second reduction runs.  Either way centralizer_code returns the
-LinearCode itself, read-only and holding the array as it is, once every
-generator row has been checked against AB = aBA.
+J or nothing.  Every other A is first reduced to Hessenberg form
+H = S A S^-1, with b blocks.  When 2b <= n, C(A, a) is solved from
+H X = a X H column by column, as in Golub, Nash and Van Loan's Sylvester
+solver (IEEE Trans. Autom. Control 24(6), 1979): the recurrence
+eliminates an (n b)-square system, never T, and reduces its k members to
+RREF.  Otherwise, and for a = 0, A takes the Kronecker kernel; its
+elimination runs with the columns reversed, so its kernel comes out in
+RREF too and no second reduction runs.  Either way centralizer_code
+returns the LinearCode itself, read-only and holding the array as it is,
+once every generator row has been checked against AB = aBA.
 """
 
 from dataclasses import dataclass
@@ -27,12 +32,19 @@ from .linalg import (
     GuardExceededError,
     Matrix,
     Prime,
+    _hessenberg,
     kernel_basis,
     matmul_mod,
+    rref,
 )
 
 # Largest operator the Kronecker kernel builds: n = 32, a 1024 x 1024 T.
 KRONECKER_MAX_CELLS = 1 << 10
+# The recurrence is taken when _CROSSOVER * b <= n for b Hessenberg blocks.
+_CROSSOVER = 2
+# Most cells the recurrence's generator may have before its final RREF: at most
+# n b rows of n^2, so n = 64 with b <= 8.  Orders up to 32 stay below 2^19.
+_RECURRENCE_MAX_CELLS = 1 << 21
 # Membership checks run over stacks of at most this many matrix entries.
 _CHECK_CELLS = 1 << 15
 
@@ -112,15 +124,31 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
     row sum, and the dimension is n^2 - n for a = 0 (zero column sums),
     else (n - 1)^2 + [a = 1 or p | n].  Each is written in RREF directly.
 
-    Any other A, and every 1 x 1 A, takes the kernel of T, of dimension
-    n^2 - rank(T), from one elimination of T with its columns reversed;
-    at about n^6 that is refused beyond order 32, before T is built.
+    Any other A is reduced to H = S A S^-1, upper Hessenberg with b blocks
+    (b = n when a = 0).  The generator has k <= n b rows; the recurrence
+    (_recurrence_generator) costs about k^2 n^2 for its final RREF, and T's
+    elimination about (n^2 - k) n^4.  With a crossover fitted on both,
+    2b <= n takes the recurrence, refused past _RECURRENCE_MAX_CELLS cells
+    of n b rows of n^2, which only orders beyond 32 reach.  The rest, every
+    1 x 1 A among them, takes the kernel of T, of dimension n^2 - rank(T),
+    from one elimination of T with its columns reversed, refused beyond
+    order 32.  Both guards are decided after the O(n^3) reduction, before
+    any elimination.
     """
     n, p, flat = spec.n, spec.prime.p, spec.matrix.array.ravel().tolist()
     x, d = flat[n - 1], flat[0]
     # Row-major, the entries after A[0, 0] are n - 1 runs of n off-diagonal x's, each closed by a diagonal d.
     if n >= 2 and flat[1:] == ([x] * n + [d]) * (n - 1):
         return _basis(spec, _comb_generator(n, x, (d - x) % p, spec.twist, p))
+    h, s, s_inv = _hessenberg(spec.matrix.array, p)
+    blocks = n if spec.twist == 0 else n - np.count_nonzero(np.diagonal(h, -1))
+    if _CROSSOVER * blocks <= n:
+        if n * blocks * n * n > _RECURRENCE_MAX_CELLS:
+            raise GuardExceededError(
+                f"the recurrence for order {n} with {blocks} blocks may reduce a "
+                f"{n * blocks}x{n * n} generator, beyond the {_RECURRENCE_MAX_CELLS}-cell guard"
+            )
+        return _basis(spec, _recurrence_generator(spec, h, s, s_inv, blocks))
     cells = n * n
     if cells > KRONECKER_MAX_CELLS:
         raise GuardExceededError(
@@ -128,6 +156,57 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
             f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
         )
     return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
+
+
+def _recurrence_generator(
+    spec: TwistSpec, h: np.ndarray, s: np.ndarray, s_inv: np.ndarray, blocks: int
+) -> np.ndarray:
+    """The RREF generator of C(A, a) from H X = a X H, H = S A S^-1 with ``blocks`` blocks.
+
+    Column j of H X = a X H reads a h_(j+1, j) x_(j+1) = H x_j - a sum_(i <= j) h_ij x_i.
+    Each x_j is held as an n x (n b) matrix of coefficients in the n b unknowns:
+    x_0 is the first n of them.  Where a h_(j+1, j) != 0 the column fixes
+    x_(j+1); elsewhere, and at the last column, its n equations join the
+    system, and x_(j+1) is the next n unknowns.  Each kernel vector of the
+    (n b)-square system gives a member B = S^-1 X S, and the k vec(B) rows,
+    independent since X fixes its unknowns, are reduced to the canonical RREF.
+    """
+    n, prime, a = spec.n, spec.prime, spec.twist
+    p, width = prime.p, n * blocks
+    eye = np.eye(n, dtype=np.int64)
+    xs = np.zeros((n, n, width), dtype=np.int64)
+    eqs = np.zeros((width, width), dtype=np.int64)
+    xs[0, :, :n] = eye
+    block = 0
+    for j in range(n):
+        # Only the first (block + 1) n unknowns are in play up to column j.
+        live = (block + 1) * n
+        twisted = matmul_mod(h[: j + 1, j], xs[: j + 1, :, :live].reshape(j + 1, -1), p).reshape(n, live)
+        rhs = (matmul_mod(h, xs[j, :, :live], p) - a * twisted) % p
+        fixed = a * int(h[j + 1, j]) % p if j < n - 1 else 0
+        if fixed:
+            xs[j + 1, :, :live] = rhs * pow(fixed, -1, p) % p
+            continue
+        eqs[block * n : live, :live] = rhs
+        block += 1
+        if j < n - 1:
+            xs[j + 1, :, live : live + n] = eye
+    kernel = kernel_basis(Matrix(eqs, prime))
+    if not len(kernel):
+        return np.zeros((0, n * n), dtype=np.int64)
+    # Each kernel row is 1 on its free unknown, its last nonzero entry, and 0 on
+    # the other free unknowns, so X v needs a product over the pivot unknowns only.
+    free = width - 1 - np.argmax(kernel[:, ::-1] != 0, axis=1)
+    bound = np.ones(width, dtype=bool)
+    bound[free] = False
+    xs = xs.reshape(n * n, width)
+    xv = (xs[:, free] + matmul_mod(xs[:, bound], kernel[:, bound].T, p)) % p
+    # Column j of member X_v is x_j v, so (x_j v)^T stacked over j is X_v^T, and
+    # B^T = S^T X^T S^-T is vec(B) when read row-major.
+    xt = xv.T.reshape(-1, n, n)
+    vecs = matmul_mod(matmul_mod(s.T, xt, p), s_inv.T, p).reshape(-1, n * n)
+    reduced, rank, _ = rref(Matrix(vecs, prime))
+    return reduced.array[:rank]
 
 
 def _comb_generator(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:

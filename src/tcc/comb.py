@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MAX_ORDER, GuardExceededError, Matrix, Prime, matmul_mod, rank
+from .linalg import MAX_ORDER, GuardExceededError, Matrix, Prime, _hessenberg, matmul_mod, rank
 
 # The scan evaluates a degree-n polynomial at all p residues and solves one rank
 # problem per root.  That would stay cheap well past this cap; the cap is kept so
@@ -73,26 +73,14 @@ def comb_matrix(params: CombParams) -> Matrix:
 def _char_poly(m: Matrix) -> np.ndarray:
     """Coefficients of det(X*I - m) mod p, constant term first.
 
-    m is first reduced to upper Hessenberg form H by similarity: each
-    pivoted row operation below the subdiagonal is paired with its inverse
-    column operation.  The characteristic polynomials p_k of H's leading
-    k x k blocks then follow the Hessenberg recurrence (Cohen, GTM 138,
-    Algorithm 2.2.9), 0-indexed:
+    m is first reduced to upper Hessenberg form H by similarity (_hessenberg).
+    The characteristic polynomials p_k of H's leading k x k blocks then
+    follow the Hessenberg recurrence (Cohen, GTM 138, Algorithm 2.2.9),
+    0-indexed:
     p_{k+1} = (X - h_kk) p_k - sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_i.
     """
     p, n = m.prime.p, m.rows
-    h = m.array.copy()
-    for j in range(n - 2):
-        nz = h[j + 1 :, j].nonzero()[0]
-        if nz.size == 0:
-            continue
-        r = j + 1 + int(nz[0])
-        h[[j + 1, r]] = h[[r, j + 1]]
-        h[:, [j + 1, r]] = h[:, [r, j + 1]]
-        mult = h[j + 2 :, j] * pow(int(h[j + 1, j]), -1, p) % p
-        # Rows k > j+1 lose mult_k * row j+1; column j+1 gains sum_k mult_k * column k.
-        h[j + 2 :] = (h[j + 2 :] - mult[:, None] * h[j + 1]) % p
-        h[:, j + 1] = (h[:, j + 1] + matmul_mod(h[:, j + 2 :], mult, p)) % p
+    h = _hessenberg(m.array, p, mix=False)[0]
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
     # chain[i] = h_{i+1,i} ... h_{k,k-1}, the subdiagonal product from row i+1 down to row k.

@@ -2,8 +2,9 @@
 
 Matrices are values that carry their field with them, and every
 operation is a pure function on residues in [0, p): products (matmul_mod,
-on int64 arrays), Gauss-Jordan elimination, kernel bases, inverses and
-Kronecker products, the primitives of spectra, solves and codes.  Whatever
+on int64 arrays), Gauss-Jordan elimination, kernel bases, inverses,
+Kronecker products and the Hessenberg reduction, the primitives of
+spectra, solves and codes.  Whatever
 makes an array reduces it; a Matrix, like a code's generator, checks it
 once (_held_residues) and holds it read-only, with no copy.
 """
@@ -19,6 +20,8 @@ import numpy as np
 MAX_ORDER = 64
 MAX_DIM = MAX_ORDER**2
 MAX_PRIME = 2**31 - 1
+# Seed of the block-start similarities in _hessenberg; no result depends on it.
+_HESSENBERG_SEED = 0
 # A matrix file integer: int() alone would also read "1_0" and non-ASCII digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
@@ -165,7 +168,7 @@ class Matrix:
         return f"Matrix(GF({self.prime.p}), {self.rows}x{self.cols})"
 
     def __str__(self):
-        return "\n".join("[" + " ".join(str(int(v)) for v in r) + "]" for r in self._data)
+        return "\n".join("[" + " ".join(map(str, r)) + "]" for r in self._data.tolist())
 
 
 class RrefResult(NamedTuple):
@@ -239,6 +242,45 @@ def rref(m: Matrix) -> RrefResult:
     """
     a, pivots = _rref_array(m.array.copy(), m.prime.p)
     return RrefResult(Matrix(a, m.prime), len(pivots), tuple(pivots))
+
+
+def _hessenberg(m: np.ndarray, p: int, mix: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, S, S^-1) with H = S m S^-1 upper Hessenberg, for a square array of residues.
+
+    Each pivoted row operation below the subdiagonal is paired with its
+    inverse column operation.  They run on one array [[H, S], [S^-1, 0]]:
+    a row operation on its top n rows acts on H and S, a column operation on
+    its left n columns on H and S^-1, so nothing is inverted.  A column
+    already zero below its subdiagonal leaves h_(j+1, j) = 0, and a new
+    block starts at j + 1.  With ``mix``, before each block starts, at
+    column s, a seeded similarity adds random multiples of row s to the rows
+    below it, so the block grows from a random vector of the quotient by the
+    blocks before it.  Then the number of blocks is, in practice, the
+    largest geometric multiplicity of m's eigenvalues; for a diagonal m,
+    left unmixed, it would be n.
+    """
+    n = len(m)
+    w = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    w[:n, :n] = m
+    w[:n, n:] = w[n:, :n] = np.eye(n, dtype=np.int64)
+    rng = np.random.default_rng(_HESSENBERG_SEED)
+
+    def row_op(i: int, mult: np.ndarray):
+        # Rows i+1 .. n-1 gain mult * row i; column i loses columns i+1 .. n-1 weighted by mult.
+        w[i + 1 : n] = (w[i + 1 : n] + mult[:, None] * w[i]) % p
+        w[:, i] = (w[:, i] - matmul_mod(w[:, i + 1 : n], mult, p)) % p
+
+    for j in range(n - 1):
+        if mix and (j == 0 or w[j, j - 1] == 0):
+            row_op(j, rng.integers(0, p, n - j - 1))
+        nz = w[j + 1 : n, j].nonzero()[0]
+        if nz.size == 0:
+            continue
+        r = j + 1 + int(nz[0])
+        w[[j + 1, r]] = w[[r, j + 1]]
+        w[:, [j + 1, r]] = w[:, [r, j + 1]]
+        row_op(j + 1, (p - w[j + 2 : n, j]) * pow(int(w[j + 1, j]), -1, p) % p)
+    return w[:n, :n], w[:n, n:], w[n:, :n]
 
 
 def rank(m: Matrix) -> int:

@@ -16,8 +16,11 @@ is Gauss-Jordan reducing the whole block mod p after every pivot, kept
 as the oracle for the delayed reduction in tcc.linalg._rref_array.
 kronecker_code solves any A, comb or not, through the kernel of the
 twisted operator, kept as the oracle for the closed form that
-centralizer_code writes for a comb matrix.  eliminated_comb_kernel
-eliminates the retired (2n - 1)-square system of a comb solve with
+centralizer_code writes for a comb matrix and for its Hessenberg
+recurrence.  structured_matrices and similar_to_diagonal draw the
+recurrence's test inputs, diagonal_dim gives C(A, a)'s dimension for a
+diagonalizable A, and recurrence_calls records (or forces) that route.
+eliminated_comb_kernel eliminates the retired (2n - 1)-square system of a comb solve with
 s != 0 and expands its kernel into vec rows, and eliminated_sum_kernel
 the 2n - 1 sum constraints of one with s = 0 and x != 0, kept as the
 oracles for their closed-form generators.
@@ -172,6 +175,74 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
 def kronecker_code(spec: TwistSpec) -> LinearCode:
     """C(A, a) from the RREF kernel of the twisted operator, whatever A is."""
     return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
+
+
+# Kinds of fixed matrix whose Hessenberg forms need not be one block.
+MATRIX_KINDS = ("random", "diagonal", "block-diagonal", "nilpotent", "scalar-plus-rank-1")
+
+
+def structured_matrices(rng, n: int, prime: Prime):
+    """One seeded (kind, A) of each of MATRIX_KINDS, redrawn until A is no comb matrix.
+
+    Nilpotent means strictly upper triangular; block-diagonal has two random
+    diagonal blocks.  Each kind but the random one can have an eigenvalue of
+    geometric multiplicity above 1, so its Hessenberg form has several blocks.
+    """
+    p = prime.p
+
+    def draw(kind):
+        if kind == "random":
+            return rng.integers(0, p, size=(n, n))
+        if kind == "diagonal":
+            return np.diag(rng.integers(0, p, size=n))
+        if kind == "nilpotent":
+            return np.triu(rng.integers(0, p, size=(n, n)), 1)
+        if kind == "scalar-plus-rank-1":
+            rank_1 = np.outer(rng.integers(0, p, size=n), rng.integers(0, p, size=n)) % p
+            return (int(rng.integers(p)) * np.eye(n, dtype=np.int64) + rank_1) % p
+        cut = int(rng.integers(1, n)) if n > 1 else 1
+        m = np.zeros((n, n), dtype=np.int64)
+        m[:cut, :cut] = rng.integers(0, p, size=(cut, cut))
+        m[cut:, cut:] = rng.integers(0, p, size=(n - cut, n - cut))
+        return m
+
+    for kind in MATRIX_KINDS:
+        while True:
+            m = Matrix(draw(kind), prime)
+            x, d = int(m.array[0, -1]), int(m.array[0, 0])
+            if n == 1 or m != comb_matrix(CombParams(n, x, d - x, prime)):
+                break
+        yield kind, m
+
+
+def similar_to_diagonal(rng, diag, prime: Prime) -> Matrix:
+    """A seeded dense P D P^-1 for D = diag(diag)."""
+    transform = rand_invertible(rng, len(diag), prime)
+    scaled = Matrix(transform.array * np.asarray(diag, dtype=np.int64) % prime.p, prime)
+    return matmul(scaled, inverse(transform))
+
+
+def diagonal_dim(diag, a: int, p: int) -> int:
+    """#{(i, j) : d_i = a d_j}, the dimension of C(D, a) for D = diag(diag), so of C(P D P^-1, a)."""
+    return sum(int(di) % p == a * int(dj) % p for di in diag for dj in diag)
+
+
+def recurrence_calls(monkeypatch, force: bool = False) -> list:
+    """The specs that centralizer_code solves by the Hessenberg recurrence, recorded as it runs.
+
+    With force, the route is patched so that every non-comb solve takes the recurrence.
+    """
+    solved = []
+    original = tcc.centralizer._recurrence_generator
+
+    def recorded(spec, *args):
+        solved.append(spec)
+        return original(spec, *args)
+
+    monkeypatch.setattr(tcc.centralizer, "_recurrence_generator", recorded)
+    if force:
+        monkeypatch.setattr(tcc.centralizer, "_CROSSOVER", 0)
+    return solved
 
 
 def code_from_rows(rows: Matrix) -> LinearCode:

@@ -4,7 +4,8 @@ Here (p - 1)^2 is just under 2^62, so a dot product of two terms still
 fits one int64 product and one of three or more takes matmul_mod's
 16-bit limb split.
 Each primitive is checked against plain Python-int arithmetic, and the
-closed-form comb solve against the Kronecker kernel.
+closed-form comb solve and the Hessenberg recurrence against the
+Kronecker kernel.
 """
 
 import numpy as np
@@ -27,7 +28,16 @@ from tcc import (
     twisted_operator,
 )
 from tcc.linalg import MAX_DIM, inverse, kronecker, matmul_mod
-from helpers import code_from_rows, identity, kronecker_code, matmul
+from helpers import (
+    MATRIX_KINDS,
+    code_from_rows,
+    identity,
+    is_codeword,
+    kronecker_code,
+    matmul,
+    recurrence_calls,
+    structured_matrices,
+)
 
 P = 2**31 - 1
 BIG = Prime(P)
@@ -206,6 +216,35 @@ class TestCombSolve:
         # space (x = 0), the zero space, and x, y and a at the top of the field.
         spec = TwistSpec(comb_matrix(CombParams(n, x, y, BIG)), a)
         assert centralizer_code(spec) == kronecker_code(spec)
+
+
+class TestRecurrence:
+    def test_matches_kernel_on_structured_grid(self, monkeypatch):
+        # Every case is routed through the recurrence, whose sums run through the limb split.
+        forced = recurrence_calls(monkeypatch, force=True)
+        rng = np.random.default_rng(53)
+        kinds = 0
+        for n in range(1, 6):
+            for a in (1, 2, P - 1):
+                for kind, m in structured_matrices(rng, n, BIG):
+                    spec = TwistSpec(m, a)
+                    forced.clear()
+                    assert centralizer_code(spec) == kronecker_code(spec), (n, a, kind)
+                    assert forced == [spec], (n, a, kind)
+                    kinds += 1
+        assert kinds == 5 * 3 * len(MATRIX_KINDS)
+
+    def test_random_order_32_is_the_polynomials_in_a(self, monkeypatch):
+        # A random A has one Hessenberg block, so it takes the recurrence unforced.  Its
+        # untwisted centralizer is then the 32 polynomials in A, I and A among them.
+        solved = recurrence_calls(monkeypatch)
+        a = Matrix(rand_rows(np.random.default_rng(32), 32, 32), BIG)
+        spec = TwistSpec(a, 1)
+        code = centralizer_code(spec)
+        assert solved == [spec]
+        assert code.dim == 32
+        assert is_codeword(code, a.array.flatten(order="F"))
+        assert is_codeword(code, np.eye(32, dtype=np.int64).flatten(order="F"))
 
 
 class TestGuardMessages:

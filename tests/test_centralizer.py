@@ -20,16 +20,19 @@ from tcc import (
     twisted_operator,
 )
 from tcc.centralizer import _basis, _comb_generator, _sum_kernel, is_member
-from tcc.linalg import FieldMismatchError, matmul_mod
+from tcc.linalg import MAX_ORDER, FieldMismatchError, _hessenberg, matmul_mod
 from helpers import (
     GF2,
     GF3,
     GF5,
+    MATRIX_KINDS,
+    SMALL_PRIMES,
     all_ones,
     basis_matrices,
     brute_force_centralizer,
     code_from_rows,
     conjugation_transfer,
+    diagonal_dim,
     diagonalize,
     eliminated_comb_kernel,
     eliminated_sum_kernel,
@@ -37,6 +40,9 @@ from helpers import (
     kronecker_code,
     matmul,
     rand_matrix,
+    recurrence_calls,
+    similar_to_diagonal,
+    structured_matrices,
     unit_e11,
     vec,
     zeros,
@@ -138,9 +144,11 @@ class TestCentralizerCode:
         assert code.dim == 2210
         assert peak < 1.25 * code.generator.nbytes
 
-    def test_kronecker_route_holds_at_most_three_copies_of_t(self):
+    def test_kronecker_route_holds_at_most_three_copies_of_t(self, monkeypatch):
         # T of a dense A at n = 24 is 576 x 576 int64, 2.65 MB.  T itself, the
         # buffer rref eliminates in and one update's temporary: no reduced copies.
+        # A random A is one Hessenberg block, so the crossover is moved to keep it on this route.
+        monkeypatch.setattr(tcc.centralizer, "_CROSSOVER", MAX_ORDER + 1)
         n = 24
         spec = TwistSpec(rand_matrix(np.random.default_rng(5), n, n, Prime(7)), 1)
         tracemalloc.start()
@@ -185,7 +193,8 @@ class TestCentralizerCode:
             raise AssertionError("T must not be built past the guard")
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
-        # diag(2, 1, ..., 1) is no comb matrix, so only the Kronecker kernel could solve it.
+        # diag(2, 1, ..., 1) is no comb matrix, and its eigenvalue 1 of multiplicity 32
+        # makes b = 32 Hessenberg blocks, so 2b > n leaves only the Kronecker kernel.
         spec = TwistSpec(Matrix(np.diag([2] + [1] * 32), GF3), 1)
         with pytest.raises(GuardExceededError, match="1089x1089"):
             centralizer_code(spec)
@@ -226,13 +235,29 @@ class TestCentralizerCode:
             centralizer_code(comb_spec(3, 1, 2, 5, 2))
 
     def test_broken_kernel_row_is_a_fault(self, monkeypatch):
-        # C([[1, 2], [0, 1]], 1) over GF(3) is span(I, E12); E21 appended last is no member.
+        # diag(1, 1, 2) over GF(3) has 2 Hessenberg blocks, so 2b > n = 3 takes the
+        # Kronecker kernel.  C(A, 1) is the 5 block-diagonal units; E31 appended last is no member.
         original = tcc.centralizer._rref_kernel
 
         def appended(eqs, prime):
-            return np.vstack([original(eqs, prime), vec(Matrix([[0, 0], [1, 0]], GF3))])
+            return np.vstack([original(eqs, prime), vec(Matrix([[0, 0, 0], [0, 0, 0], [1, 0, 0]], GF3))])
 
         monkeypatch.setattr(tcc.centralizer, "_rref_kernel", appended)
+        spec = TwistSpec(Matrix(np.diag([1, 1, 2]), GF3), 1)
+        with pytest.raises(RuntimeError, match="twisted commutation"):
+            centralizer_code(spec)
+        monkeypatch.undo()
+        assert centralizer_code(spec).dim == 5
+
+    def test_broken_recurrence_row_is_a_fault(self, monkeypatch):
+        # C([[1, 2], [0, 1]], 1) over GF(3) is span(I, E12), solved by the recurrence
+        # (one Hessenberg block); E21 appended last is no member.
+        original = tcc.centralizer._recurrence_generator
+
+        def appended(*args):
+            return np.vstack([original(*args), vec(Matrix([[0, 0], [1, 0]], GF3))])
+
+        monkeypatch.setattr(tcc.centralizer, "_recurrence_generator", appended)
         spec = TwistSpec(Matrix([[1, 2], [0, 1]], GF3), 1)
         with pytest.raises(RuntimeError, match="twisted commutation"):
             centralizer_code(spec)
@@ -249,6 +274,8 @@ class TestCentralizerCode:
 
     def test_one_elimination_gives_the_reduced_kernel(self, monkeypatch):
         # Oracle: the kernel rows of T reduced a second time by code_from_rows.
+        # Most of these inputs have 2b <= n, so the crossover is moved to keep them on the Kronecker route.
+        monkeypatch.setattr(tcc.centralizer, "_CROSSOVER", MAX_ORDER + 1)
         rng = np.random.default_rng(43)
         shapes = []
         original = tcc.linalg._rref_array
@@ -270,9 +297,9 @@ class TestCentralizerCode:
                     spec = TwistSpec(m, a)
                     kernel = kernel_basis(twisted_operator(spec))
                     shapes.clear()
-                    monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
-                    code = centralizer_code(spec)
-                    monkeypatch.undo()
+                    with monkeypatch.context() as patch:
+                        patch.setattr(tcc.linalg, "_rref_array", recorded)
+                        code = centralizer_code(spec)
                     assert shapes == [(n * n, n * n)], (p, n, a)
                     if len(kernel):
                         assert code == code_from_rows(Matrix(kernel, prime)), (p, n, a)
@@ -546,8 +573,79 @@ class TestCombCentralizer:
             assert code.dim == dim, (n, p, x, y, a)
 
 
+class TestRecurrence:
+    """The Hessenberg recurrence against the Kronecker kernel, with the route patched so every case takes it."""
+
+    @pytest.fixture
+    def forced(self, monkeypatch):
+        return recurrence_calls(monkeypatch, force=True)
+
+    def test_matches_kronecker_kernel_on_small_grid(self, forced):
+        rng = np.random.default_rng(47)
+        kinds, blocks = Counter(), Counter()
+        for p in SMALL_PRIMES:
+            prime = Prime(p)
+            for n in range(1, 7):
+                # 2 = 0 at p = 2, where no column fixes the next.
+                for a in sorted({1, 2 % p, p - 1}):
+                    for kind, m in structured_matrices(rng, n, prime):
+                        spec = TwistSpec(m, a)
+                        forced.clear()
+                        assert centralizer_code(spec) == kronecker_code(spec), (p, n, a, kind)
+                        assert forced == [spec], (p, n, a, kind)
+                        kinds[kind] += 1
+                        blocks[hessenberg_blocks(spec) > 1] += 1
+        assert kinds == {kind: 6 * (2 + 2 + 3 + 3) for kind in MATRIX_KINDS}
+        # Many cases have zero subdiagonals, each a block of n fresh unknowns.
+        assert blocks[True] > blocks[False] // 2
+
+    @pytest.mark.parametrize("n, p, a", [(12, 5, 1), (16, 7, 3), (24, 7, 1), (32, 7, 1)])
+    def test_similar_to_diagonal_matches_kronecker_kernel(self, forced, n, p, a):
+        prime = Prime(p)
+        rng = np.random.default_rng(n)
+        diag = rng.integers(0, p, size=n)
+        spec = TwistSpec(similar_to_diagonal(rng, diag, prime), a)
+        code = centralizer_code(spec)
+        assert forced == [spec]
+        assert code.dim == diagonal_dim(diag, a, p)
+        assert code == kronecker_code(spec)
+
+    def test_eliminates_its_system_and_then_the_generator(self, monkeypatch):
+        # Two eliminations: the (n b)-square system, then the k vec(B) rows; never T.
+        shapes = []
+        original = tcc.linalg._rref_array
+
+        def recorded(a, p):
+            shapes.append(a.shape)
+            return original(a, p)
+
+        def no_operator(spec):
+            raise AssertionError("the recurrence must not build T")
+
+        # diag(1, 1, 1, 2, 3, 4) has b = 3 blocks: C(A, 1) is 3^2 + 3 = 12-dimensional.
+        diag = [1, 1, 1, 2, 3, 4]
+        spec = TwistSpec(similar_to_diagonal(np.random.default_rng(3), diag, GF5), 1)
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", no_operator)
+        monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
+        code = centralizer_code(spec)
+        assert hessenberg_blocks(spec) == 3
+        assert shapes == [(18, 18), (12, 36)]
+        assert code.dim == diagonal_dim(diag, 1, 5) == 12
+
+    def test_order_64_beyond_the_guard_refused_before_elimination(self, monkeypatch):
+        def refuse(a, p):
+            raise AssertionError("no elimination may start past the guard")
+
+        monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
+        monkeypatch.setattr(tcc.linalg, "inverse", refuse)
+        # 4 eigenvalues of multiplicity 16: b = 16, 2b <= 64, and up to 1024 rows of 4096 cells.
+        spec = TwistSpec(Matrix(np.diag(np.arange(64) // 16), GF5), 1)
+        with pytest.raises(GuardExceededError, match="order 64 with 16 blocks may reduce a 1024x4096 generator"):
+            centralizer_code(spec)
+
+
 class TestCombDetection:
-    """centralizer_code reads x*J + y*I from A itself; every other A takes the Kronecker kernel."""
+    """centralizer_code reads x*J + y*I from A itself; every other A takes the recurrence or the Kronecker kernel."""
 
     @pytest.fixture
     def operators(self, monkeypatch):
@@ -560,6 +658,10 @@ class TestCombDetection:
 
         monkeypatch.setattr(tcc.centralizer, "twisted_operator", recorded)
         return built
+
+    @pytest.fixture
+    def recurrences(self, monkeypatch):
+        return recurrence_calls(monkeypatch)
 
     def test_comb_matrices_built_directly_take_the_closed_form(self, operators, monkeypatch):
         def refuse(a, p):
@@ -576,10 +678,12 @@ class TestCombDetection:
             assert ones.dim == (n * n - n if a == 0 else (n - 1) ** 2 + (a == 1 or n % p == 0)), (n, p, a)
         assert operators == []
 
-    def test_one_changed_entry_takes_the_kronecker_route(self, operators):
+    def test_one_changed_entry_takes_the_route_its_blocks_pick(self, operators, recurrences):
         # Each comb matrix with one entry moved, at the corners that the
         # detection reads (A[0, n - 1] and A[0, 0]) and at their mirrors.
+        # It takes the recurrence when its b Hessenberg blocks have 2b <= n, else T.
         cases = 0
+        routes = Counter()
         for n, p in [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]:
             prime = Prime(p)
             for x, y in product(range(p), repeat=2):
@@ -589,11 +693,16 @@ class TestCombDetection:
                     data[i, j] = (data[i, j] + 1 + (x + k) % (p - 1)) % p
                     spec = TwistSpec(Matrix(data, prime), x + 2 * y + k)
                     operators.clear()
+                    recurrences.clear()
                     code = centralizer_code(spec)
-                    assert operators == [spec], (n, p, x, y, i, j)
+                    recurrence = 2 * hessenberg_blocks(spec) <= n
+                    routes[recurrence] += 1
+                    want = ([spec], []) if recurrence else ([], [spec])
+                    assert (recurrences, operators) == want, (n, p, x, y, i, j)
                     assert _matches_brute_force(spec, code), (n, p, x, y, i, j)
                     cases += 1
         assert cases == 4 * (4 + 9 + 25 + 49 + 4 + 9 + 4)
+        assert routes[True] and routes[False]
 
     def test_order_one_takes_the_kronecker_route(self, operators):
         # C([d], a) is everything when d (1 - a) = 0, else zero.
@@ -606,6 +715,12 @@ class TestCombDetection:
                 assert operators == [spec], (p, d, a)
                 assert code.dim == (d * (1 - a) % p == 0), (p, d, a)
                 assert _matches_brute_force(spec, code), (p, d, a)
+
+
+def hessenberg_blocks(spec: TwistSpec) -> int:
+    """b: the blocks of A's Hessenberg form, or n when a = 0, where no column fixes the next."""
+    h = _hessenberg(spec.matrix.array, spec.prime.p)[0]
+    return spec.n if spec.twist == 0 else spec.n - np.count_nonzero(np.diagonal(h, -1))
 
 
 def _matches_brute_force(spec: TwistSpec, code: LinearCode) -> bool:

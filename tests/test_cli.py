@@ -11,7 +11,14 @@ import tcc.cli
 import tcc.linalg
 from tcc import CombParams, Prime
 from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
-from helpers import DefectiveMatrixError, child_env, diagonalize
+from helpers import (
+    DefectiveMatrixError,
+    child_env,
+    diagonal_dim,
+    diagonalize,
+    recurrence_calls,
+    similar_to_diagonal,
+)
 
 
 def run_cli(capsys, *argv):
@@ -250,7 +257,8 @@ class TestKroneckerGuard:
         monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
 
     def test_order_33_matrix_file_refused(self, capsys, tmp_path, no_elimination):
-        # diag(2, 1, ..., 1) is no comb matrix, so only the Kronecker kernel could solve it.
+        # diag(2, 1, ..., 1) is no comb matrix, and its eigenvalue 1 of multiplicity 32
+        # makes b = 32 Hessenberg blocks, so 2b > n leaves only the Kronecker kernel.
         path = tmp_path / "big.mat"
         path.write_text(_matrix_file(3, np.diag([2] + [1] * 32)))
         code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "1", "--json")
@@ -283,6 +291,52 @@ class TestKroneckerGuard:
         code, out, err = run_cli(capsys, "analyze", "--n", "33", "--p", "3", "--x", "1", "--y", "1", "--a", "2")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "tcc: zero code: C(A, a) contains only the zero matrix, nothing to analyze\n"
+
+
+class TestBeyondOrder32:
+    """A non-comb --matrix-file past order 32 is solved by the Hessenberg recurrence when 2b <= n."""
+
+    @pytest.fixture
+    def no_operator(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("the recurrence must not build T")
+
+        monkeypatch.setattr(tcc.centralizer, "twisted_operator", refuse)
+
+    @pytest.mark.parametrize(
+        "n, p, a, diag",
+        [
+            # Random eigenvalues over GF(97), repeated at most a few times.
+            (48, 97, 2, np.random.default_rng(48).integers(1, 97, size=48)),
+            # 2^i for i < 64 are distinct mod 997, and d_i = 2 d_j exactly when i = j + 1.
+            (64, 997, 2, [pow(2, i, 997) for i in range(64)]),
+        ],
+    )
+    def test_similar_to_diagonal_builds(self, capsys, tmp_path, monkeypatch, no_operator, n, p, a, diag):
+        prime = Prime(p)
+        matrix = similar_to_diagonal(np.random.default_rng(n), diag, prime)
+        path = tmp_path / "big.mat"
+        path.write_text(_matrix_file(p, matrix.array))
+        solved = recurrence_calls(monkeypatch)
+        code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", str(a), "--json")
+        assert (code, err) == (EXIT_OK, "")
+        dim = diagonal_dim(diag, a, p)
+        assert json.loads(out) == {"p": p, "n": n, "a": a, "length": n * n, "dimension": dim}
+        assert len(solved) == 1
+        if n == 64:
+            assert dim == 63
+
+    def test_recurrence_beyond_its_guard_refused(self, capsys, tmp_path, monkeypatch):
+        def refuse(a, p):
+            raise AssertionError("no elimination may start past the guard")
+
+        monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
+        # 4 eigenvalues of multiplicity 16 give b = 16 blocks: 2b <= 64, but too many cells.
+        path = tmp_path / "big.mat"
+        path.write_text(_matrix_file(5, np.diag(np.arange(64) // 16)))
+        code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "1", "--json")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "guard exceeded" in err and "1024x4096 generator" in err
 
 
 class TestAnalyzeCommand:

@@ -13,7 +13,16 @@ from tcc import (
     rref,
     twisted_operator,
 )
-from tcc.linalg import FieldMismatchError, SingularMatrixError, _rref_array, inverse, kronecker, matmul_mod
+import tcc.linalg
+from tcc.linalg import (
+    FieldMismatchError,
+    SingularMatrixError,
+    _hessenberg,
+    _rref_array,
+    inverse,
+    kronecker,
+    matmul_mod,
+)
 from helpers import GF3, GF5, identity, literal_rref_array, matmul, rand_matrix, unvec, vec, zeros
 
 
@@ -87,6 +96,18 @@ class TestMatrixBasics:
         assert matmul(a, j) == zeros(2, 2, GF3)
         assert matmul(j, a) == zeros(2, 2, GF3)
 
+    def test_text_matches_the_per_entry_formatter(self):
+        # The rows print through tolist() and map(str); the pinned formatter took str(int(v)) per entry.
+        rng = np.random.default_rng(71)
+        big = Prime(2147483647)
+        top = Matrix([[big.p - 1, 0, big.p - 2], [1, 2**31 - 3, 65536]], big)
+        cases = [top, Matrix([[0]], GF3), Matrix(rng.integers(0, 7, size=(60, 400)), Prime(7))]
+        cases.append(Matrix(rng.integers(0, big.p, size=(9, 33)), big))
+        for m in cases:
+            pinned = "\n".join("[" + " ".join(str(int(v)) for v in r) + "]" for r in m.array)
+            assert str(m) == pinned
+        assert str(top) == "[2147483646 0 2147483645]\n[1 2147483645 65536]"
+
     def test_huge_prime_product_is_exact(self):
         # 3 * (p - 1)^2 overflows int64, forcing the 16-bit limb split.
         big = Prime(2147483647)
@@ -94,6 +115,42 @@ class TestMatrixBasics:
         b = Matrix([[big.p - 1], [big.p - 1], [5]], big)
         expected = ((big.p - 1) * (big.p - 1) + (big.p - 2) * (big.p - 1) + 5) % big.p
         assert matmul(a, b).array[0, 0] == expected
+
+
+class TestHessenberg:
+    @pytest.mark.parametrize("p", [2, 3, 7, 997, 2**31 - 1])
+    def test_similarity_to_upper_hessenberg(self, monkeypatch, p):
+        # S and S^-1 come from the elementary operations themselves: nothing is inverted or eliminated.
+        def refuse(*args):
+            raise AssertionError("_hessenberg must not invert or eliminate")
+
+        monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
+        monkeypatch.setattr(tcc.linalg, "inverse", refuse)
+        rng = np.random.default_rng(p % 1000)
+        for n in (1, 2, 3, 5, 9, 16):
+            for m in (rng.integers(0, p, size=(n, n)), np.diag(rng.integers(0, min(p, 3), size=n))):
+                h, s, s_inv = _hessenberg(m, p)
+                assert np.array_equal(matmul_mod(s, s_inv, p), np.eye(n, dtype=np.int64))
+                assert np.array_equal(matmul_mod(matmul_mod(s, m, p), s_inv, p), h)
+                assert not np.tril(h, -2).any()
+                assert h.max(initial=0) < p and h.min(initial=0) >= 0
+
+    @pytest.mark.parametrize(
+        "diag, p, blocks",
+        [
+            ([2] + [1] * 32, 3, 32),
+            (list(np.arange(64) // 16), 5, 16),
+            (list(range(1, 25)), 997, 1),
+            ([0, 0, 1, 1, 1, 2], 997, 3),
+            ([5] * 7 + [1], 7, 7),
+        ],
+    )
+    def test_blocks_of_a_diagonal_matrix_are_its_largest_multiplicity(self, diag, p, blocks):
+        # Unmixed, a diagonal matrix would be n blocks; the seeded similarities merge them.
+        # No similarity can go below the largest multiplicity; over a small field a
+        # random start can miss, so b may exceed it there: diag(0, 0, 1, 1, 1, 2) gives b = 4 at p = 3.
+        h = _hessenberg(np.diag(diag).astype(np.int64), p)[0]
+        assert len(diag) - np.count_nonzero(np.diagonal(h, -1)) == blocks
 
 
 class TestRref:
