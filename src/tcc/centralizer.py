@@ -3,24 +3,30 @@
 The membership condition is linear in B, so column-stacking turns it into
 an ordinary kernel problem: with T = (I (x) A) - a * (A^T (x) I) we have
 T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  That
-costs about n^6, so centralizer_code first reads A itself: a comb matrix
+costs about n^6, so centralizer_codes first reads A itself: a comb matrix
 x*J + y*I is solved from row and column sums instead, in closed form,
 with every generator written directly as the RREF generator of the
 linear code of length n^2 spanned by the vec images, and no comb solve
 eliminates.  For s = (1 - a) y != 0 each row is the vec of a member
 g u^T + u h^T, g tiled and each h_j repeated, and the paper's case returns
-J or nothing.  Every other A is first reduced to Hessenberg form
-H = S A S^-1, with b blocks.  When 2b <= n, C(A, a) is solved from
+J or nothing.  A batch of specs is solved at once: comb specs of one
+order and field in the same closed-form case share one generator, one
+batched membership check over each spec's own A and twist, and one code;
+centralizer_code is the batch of one.  Every other A is solved alone.
+For a = 0, C(A, 0) is the B whose columns lie in ker A, so its generator
+is n copies of ker A's RREF.  Otherwise A is first reduced to Hessenberg
+form H = S A S^-1, with b blocks.  When 2b <= n, C(A, a) is solved from
 H X = a X H column by column, as in Golub, Nash and Van Loan's Sylvester
 solver (IEEE Trans. Autom. Control 24(6), 1979): the recurrence
 eliminates an (n b)-square system, never T, and reduces its k members to
-RREF.  Otherwise, and for a = 0, A takes the Kronecker kernel; its
-elimination runs with the columns reversed, so its kernel comes out in
-RREF too and no second reduction runs.  Either way centralizer_code
-returns the LinearCode itself, read-only and holding the array as it is,
-once every generator row has been checked against AB = aBA.
+RREF.  Otherwise A takes the Kronecker kernel; its elimination runs with
+the columns reversed, so its kernel comes out in RREF too and no second
+reduction runs.  Every route returns the LinearCode itself, read-only and
+holding the array as it is, once every generator row has been checked
+against AB = aBA.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +50,9 @@ KRONECKER_MAX_CELLS = 1 << 10
 _CROSSOVER = 2
 # Most cells the recurrence's generator may have before its final RREF: at most
 # n b rows of n^2, so n = 64 with b <= 8.  Orders up to 32 stay below 2^19.
+# The a = 0 route's n nullity(A) rows of n^2 are held to it too.
 _RECURRENCE_MAX_CELLS = 1 << 21
-# Membership checks run over stacks of at most this many matrix entries.
+# Each membership product covers at most this many matrix entries, across specs and rows.
 _CHECK_CELLS = 1 << 15
 
 
@@ -82,33 +89,45 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
     return Matrix((np.kron(ident, a) - spec.twist * np.kron(a.T, ident)) % spec.prime.p, spec.prime)
 
 
-def _basis(spec: TwistSpec, gen: np.ndarray) -> LinearCode:
+def _basis(specs: TwistSpec | Sequence[TwistSpec], gen: np.ndarray) -> LinearCode:
     """The code with the RREF generator rows ``gen``, held without a copy; no rows is the zero code.
 
-    Every row is checked to be a residue row and the vec image of a member
-    before the code is returned.  One that is not is a fault of the solve,
-    never of its input, so RuntimeError.
+    ``specs`` is one spec, or several of one order and field that share the
+    generator.  Every row is checked to be a residue row and the vec image
+    of a member for every spec, with that spec's own A and twist, before the
+    code is returned.  One that is not is a fault of the solve, never of its
+    input, so RuntimeError.  Each batched product covers at most
+    _CHECK_CELLS entries, across specs and across rows.
     """
-    n = spec.n
+    if isinstance(specs, TwistSpec):
+        specs = [specs]
+    first = specs[0]
+    n, p = first.n, first.prime.p
     try:
-        code = LinearCode(spec.prime, n * n, gen)
+        code = LinearCode(first.prime, n * n, gen)
     except ValueError as err:
         raise RuntimeError(f"{err}; the solve is broken") from err
-    step = max(1, _CHECK_CELLS // (n * n))
-    for start in range(0, len(gen), step):
-        # A row is vec(B), column by column, so its row-major reshape is B^T.
-        stack = gen[start : start + step].reshape(-1, n, n).transpose(0, 2, 1)
-        if not _all_members(stack, spec):
-            raise RuntimeError("basis matrix fails the twisted commutation condition; the solve is broken")
+    rows = max(1, min(len(gen), _CHECK_CELLS // (n * n)))
+    width = max(1, _CHECK_CELLS // (n * n * rows))
+    mats = np.stack([spec.matrix.array for spec in specs])[:, None]
+    twists = np.array([spec.twist for spec in specs], dtype=np.int64)[:, None, None, None]
+    # A row is vec(B), column by column, so its row-major reshape is B^T.
+    members = gen.reshape(-1, n, n).transpose(0, 2, 1)
+    for start in range(0, len(gen), rows):
+        stack = members[None, start : start + rows]
+        for lo in range(0, len(specs), width):
+            if not _all_members(mats[lo : lo + width], twists[lo : lo + width], stack, p):
+                raise RuntimeError("basis matrix fails the twisted commutation condition; the solve is broken")
     return code
 
 
 def centralizer_code(spec: TwistSpec) -> LinearCode:
     """Solve AB = aBA in RREF, in closed form when A = x*J + y*I with n >= 2.
 
-    A is a comb matrix exactly when it equals x*J + (d - x)*I entrywise,
-    for x = A[0, n - 1] and d = A[0, 0].  Then, with u the all-ones vector,
-    c = B u and r = u^T B, we have AB - aBA = s*B + x*(u r - a c u^T) for
+    This is centralizer_codes on a batch of one.  A is a comb matrix
+    exactly when it equals x*J + (d - x)*I entrywise, for x = A[0, n - 1]
+    and d = A[0, 0].  Then, with u the all-ones vector, c = B u and
+    r = u^T B, we have AB - aBA = s*B + x*(u r - a c u^T) for
     s = (1 - a) y.  For s != 0 every member is B[i, j] = g_i + h_j with
     h_0 = 0, and AB = aBA reads alpha g_i + beta h_j + x (sum g - a sum h) = 0
     for alpha = s - a x n and beta = s + x n.  The dimension is then
@@ -124,24 +143,122 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
     row sum, and the dimension is n^2 - n for a = 0 (zero column sums),
     else (n - 1)^2 + [a = 1 or p | n].  Each is written in RREF directly.
 
-    Any other A is reduced to H = S A S^-1, upper Hessenberg with b blocks
-    (b = n when a = 0).  The generator has k <= n b rows; the recurrence
-    (_recurrence_generator) costs about k^2 n^2 for its final RREF, and T's
-    elimination about (n^2 - k) n^4.  With a crossover fitted on both,
-    2b <= n takes the recurrence, refused past _RECURRENCE_MAX_CELLS cells
-    of n b rows of n^2, which only orders beyond 32 reach.  The rest, every
-    1 x 1 A among them, takes the kernel of T, of dimension n^2 - rank(T),
-    from one elimination of T with its columns reversed, refused beyond
-    order 32.  Both guards are decided after the O(n^3) reduction, before
-    any elimination.
+    Any other A with a = 0 gives the B with A B = 0, whose columns lie in
+    ker A: the RREF generator is n copies of ker A's RREF, n nullity(A)
+    rows of n^2, refused past _RECURRENCE_MAX_CELLS cells, which only
+    orders beyond 32 reach.  For a != 0, A is reduced to H = S A S^-1,
+    upper Hessenberg with b blocks.  The generator has k <= n b rows; the
+    recurrence (_recurrence_generator) costs about k^2 n^2 for its final
+    RREF, and T's elimination about (n^2 - k) n^4.  With a crossover fitted
+    on both, 2b <= n takes the recurrence, under the same cell guard on
+    its n b rows.  The rest, every 1 x 1 A with a != 0 among them, takes
+    the kernel of T, of dimension n^2 - rank(T), from one elimination of T
+    with its columns reversed, refused beyond order 32.  Every guard is
+    decided after an O(n^3) reduction, before any larger elimination.
     """
-    n, p, flat = spec.n, spec.prime.p, spec.matrix.array.ravel().tolist()
+    return centralizer_codes([spec])[0]
+
+
+def centralizer_codes(specs: Sequence[TwistSpec]) -> list[LinearCode]:
+    """centralizer_code of every spec, in order, solving each closed form once.
+
+    Comb specs of one order and field in the same _comb_case have equal
+    generators, so each such group writes its rows once, checks them in one
+    batched pass against every member spec's own A and twist, and shares one
+    LinearCode.  Every other spec is solved alone.  Nothing outlives the call.
+    """
+    codes = [None] * len(specs)
+    groups = {}
+    # A matrix shared by several specs, as verify's twists share theirs, is read once.
+    combs = {}
+    for i, spec in enumerate(specs):
+        key = id(spec.matrix)
+        if key not in combs:
+            combs[key] = _comb_form(spec.matrix)
+        if combs[key] is None:
+            codes[i] = _general_code(spec)
+        else:
+            n, p, x, y = combs[key]
+            groups.setdefault((n, p, *_comb_case(n, x, y, spec.twist, p)), []).append(i)
+    for (n, p, *case), members in groups.items():
+        code = _basis([specs[i] for i in members], _comb_rows(n, p, *case))
+        for i in members:
+            codes[i] = code
+    return codes
+
+
+def _comb_form(matrix: Matrix) -> tuple[int, int, int, int] | None:
+    """(n, p, x, y) when ``matrix`` is x*J + y*I of order n >= 2 over GF(p), else None."""
+    n, p, flat = matrix.rows, matrix.prime.p, matrix.array.ravel().tolist()
     x, d = flat[n - 1], flat[0]
     # Row-major, the entries after A[0, 0] are n - 1 runs of n off-diagonal x's, each closed by a diagonal d.
-    if n >= 2 and flat[1:] == ([x] * n + [d]) * (n - 1):
-        return _basis(spec, _comb_generator(n, x, (d - x) % p, spec.twist, p))
-    h, s, s_inv = _hessenberg(spec.matrix.array, p)
-    blocks = n if spec.twist == 0 else n - np.count_nonzero(np.diagonal(h, -1))
+    if n < 2 or flat[1:] != ([x] * n + [d]) * (n - 1):
+        return None
+    return n, p, x, (d - x) % p
+
+
+def _comb_case(n: int, x: int, y: int, a: int, p: int) -> tuple:
+    """The closed-form case of C(x*J + y*I, a): a name, plus a for the one case whose rows need it.
+
+    Equal cases at one order and field have equal generators; centralizer_code has the table.
+    """
+    s = (1 - a) * y % p
+    if s == 0:
+        return ("sums", a) if x else ("full",)
+    alpha, beta = (s - a * x * n) % p, (s + x * n) % p
+    if alpha and beta:
+        # h = 0 and g is constant, which (1 - a)(x n + y) must annihilate.
+        return ("J",) if (x * n + y) % p == 0 else ("zero",)
+    if beta:
+        return ("g u^T",)
+    if alpha:
+        return ("u h^T",) if a == 0 else ("u h^T, sum h = 0",)
+    return ("g + h",)
+
+
+def _comb_rows(n: int, p: int, case: str, a: int = 0) -> np.ndarray:
+    """The RREF generator rows of a comb case from _comb_case, in closed form.
+
+    For s = (1 - a) y != 0 each row is vec(g u^T + u h^T), g tiled n times plus
+    each h_j repeated n times; the paper's case is J or nothing.  e_i is the i-th unit row.
+    """
+    if case == "full":
+        return np.eye(n * n, dtype=np.int64)
+    if case == "sums":
+        return _sum_kernel(n, a, p)
+    if case in ("J", "zero"):
+        return np.ones((int(case == "J"), n * n), dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    diff = eye[:-1] - eye[-1]
+    if case == "g u^T":
+        # B = g u^T with sum g = 0.
+        return np.tile(diff, n) % p
+    if case.startswith("u h^T"):
+        # B = u h^T, with sum h = 0 unless a = 0.
+        return np.repeat(eye if case == "u h^T" else diff, n, axis=1) % p
+    # "g + h", a = -1: sum g + sum h = 0.  Rows i < n have g = e_i, then g = 0; row 0's h
+    # is 0 at every other row's pivot, rows 1 .. n - 1 take h = -e_(n-1), the
+    # rest h = e_j - e_(n-1) for 0 < j < n - 1.
+    g = np.eye(2 * n - 2, n, dtype=np.int64)
+    h = np.concatenate([np.tile(-eye[-1], (n, 1)), diff[1:]])
+    h[0, 1:-1], h[0, -1] = -1, n - 3
+    return (np.tile(g, n) + np.repeat(h, n, axis=1)) % p
+
+
+def _general_code(spec: TwistSpec) -> LinearCode:
+    """C(A, a) for an A that is no comb matrix: from ker A when a = 0, else by the recurrence or T."""
+    n, prime = spec.n, spec.prime
+    if spec.twist == 0:
+        kernel = _rref_kernel(spec.matrix.array, prime)
+        if n * len(kernel) * n * n > _RECURRENCE_MAX_CELLS:
+            raise GuardExceededError(
+                f"C(A, 0) for order {n} with nullity {len(kernel)} has a "
+                f"{n * len(kernel)}x{n * n} generator, beyond the {_RECURRENCE_MAX_CELLS}-cell guard"
+            )
+        # Column j of B is any vector of ker A, so vec(B) is n such blocks: kron(I, K) is in RREF.
+        return _basis(spec, np.kron(np.eye(n, dtype=np.int64), kernel))
+    h, s, s_inv = _hessenberg(spec.matrix.array, prime.p)
+    blocks = n - np.count_nonzero(np.diagonal(h, -1))
     if _CROSSOVER * blocks <= n:
         if n * blocks * n * n > _RECURRENCE_MAX_CELLS:
             raise GuardExceededError(
@@ -155,7 +272,7 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
             f"the Kronecker kernel for order {n} needs T of {cells}x{cells}, "
             f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
         )
-    return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
+    return _basis(spec, _rref_kernel(twisted_operator(spec).array, prime))
 
 
 def _recurrence_generator(
@@ -209,38 +326,6 @@ def _recurrence_generator(
     return reduced.array[:rank]
 
 
-def _comb_generator(n: int, x: int, y: int, a: int, p: int) -> np.ndarray:
-    """The RREF generator rows of C(x*J + y*I, a), in closed form.
-
-    For s = (1 - a) y != 0 each row is vec(g u^T + u h^T), g tiled n times plus
-    each h_j repeated n times; the paper's case is J or nothing.  e_i is the i-th unit row.
-    """
-    s = (1 - a) * y % p
-    if s == 0 and x == 0:
-        return np.eye(n * n, dtype=np.int64)
-    if s == 0:
-        return _sum_kernel(n, a, p)
-    alpha, beta = (s - a * x * n) % p, (s + x * n) % p
-    if alpha and beta:
-        # h = 0 and g is constant, which (1 - a)(x n + y) must annihilate.
-        return np.ones((1 if (x * n + y) % p == 0 else 0, n * n), dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    diff = eye[:-1] - eye[-1]
-    if beta:
-        # B = g u^T with sum g = 0.
-        return np.tile(diff, n) % p
-    if alpha:
-        # B = u h^T, with sum h = 0 unless a = 0.
-        return np.repeat(eye if a == 0 else diff, n, axis=1) % p
-    # a = -1: sum g + sum h = 0.  Rows i < n have g = e_i, then g = 0; row 0's h
-    # is 0 at every other row's pivot, rows 1 .. n - 1 take h = -e_(n-1), the
-    # rest h = e_j - e_(n-1) for 0 < j < n - 1.
-    g = np.eye(2 * n - 2, n, dtype=np.int64)
-    h = np.concatenate([np.tile(-eye[-1], (n, 1)), diff[1:]])
-    h[0, 1:-1], h[0, -1] = -1, n - 3
-    return (np.tile(g, n) + np.repeat(h, n, axis=1)) % p
-
-
 def _sum_kernel(n: int, a: int, p: int) -> np.ndarray:
     """The RREF generator for s = 0 and x != 0: column sums r_j = a c_i for all row sums c_i.
 
@@ -280,11 +365,9 @@ def _rref_kernel(eqs: np.ndarray, prime: Prime) -> np.ndarray:
     return kernel_basis(Matrix(eqs[:, ::-1], prime))[::-1, ::-1]
 
 
-def _all_members(stack: np.ndarray, spec: TwistSpec) -> bool:
-    """Exact entrywise test of A @ B == a * (B @ A) for every B in a (k, n, n) stack."""
-    a = spec.matrix.array
-    p = spec.prime.p
-    return np.array_equal(matmul_mod(a, stack, p), (matmul_mod(stack, a, p) * spec.twist) % p)
+def _all_members(a: np.ndarray, twist, stack: np.ndarray, p: int) -> bool:
+    """Exact entrywise test of A @ B == a * (B @ A), broadcast over stacks of A's, twists and B's."""
+    return np.array_equal(matmul_mod(a, stack, p), matmul_mod(stack, a, p) * twist % p)
 
 
 def is_member(b: Matrix, spec: TwistSpec) -> bool:
@@ -293,4 +376,4 @@ def is_member(b: Matrix, spec: TwistSpec) -> bool:
         raise ValueError(f"expected a {spec.n}x{spec.n} matrix, got {b.rows}x{b.cols}")
     if b.prime != spec.prime:
         raise FieldMismatchError(f"matrix over GF({b.prime.p}) against a GF({spec.prime.p}) centralizer")
-    return _all_members(b.array[None], spec)
+    return _all_members(spec.matrix.array, spec.twist, b.array[None], spec.prime.p)

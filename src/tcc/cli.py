@@ -11,9 +11,10 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 
-from .centralizer import TwistSpec, centralizer_code
+from .centralizer import TwistSpec, centralizer_code, centralizer_codes
 from .channel import exhaustive_stats, monte_carlo
 from .code import LinearCode, analyze
 from .comb import (
@@ -222,16 +223,18 @@ def cmd_verify(args) -> tuple[int, dict]:
     for p in (q for q in range(2, args.p_max + 1) if is_prime(q)):
         prime = Prime(p)
         for n in range(2, args.n_max + 1):
-            for x in range(p):
-                for y in range(p):
-                    matrix = comb_matrix(CombParams(n, x, y, prime))
-                    for a in range(p):
-                        code = centralizer_code(TwistSpec(matrix, a))
-                        hyp = _hypotheses_met(p, n, x, y, a)
-                        row = {"p": p, "n": n, "x": x, "y": y, "a": a, "hypotheses_met": hyp, "dim": code.dim}
-                        if hyp:
-                            row.update(_theorem_check(n, code))
-                        rows.append(row)
+            # One batch per (p, n): tuples that share a closed form share one code and one theorem check.
+            matrices = [comb_matrix(CombParams(n, x, y, prime)) for x in range(p) for y in range(p)]
+            codes = centralizer_codes([TwistSpec(matrix, a) for matrix in matrices for a in range(p)])
+            checks = {}
+            for (x, y, a), code in zip(product(range(p), repeat=3), codes):
+                hyp = _hypotheses_met(p, n, x, y, a)
+                row = {"p": p, "n": n, "x": x, "y": y, "a": a, "hypotheses_met": hyp, "dim": code.dim}
+                if hyp:
+                    if id(code) not in checks:
+                        checks[id(code)] = _theorem_check(n, code)
+                    row.update(checks[id(code)])
+                rows.append(row)
 
     mismatches = [row for row in rows if row["hypotheses_met"] and not row["matches_theorem"]]
     out = {

@@ -230,7 +230,7 @@ def diagonal_dim(diag, a: int, p: int) -> int:
 def recurrence_calls(monkeypatch, force: bool = False) -> list:
     """The specs that centralizer_code solves by the Hessenberg recurrence, recorded as it runs.
 
-    With force, the route is patched so that every non-comb solve takes the recurrence.
+    With force, the route is patched so that every non-comb solve with a != 0 takes the recurrence.
     """
     solved = []
     original = tcc.centralizer._recurrence_generator

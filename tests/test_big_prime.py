@@ -234,6 +234,19 @@ class TestRecurrence:
                     kinds += 1
         assert kinds == 5 * 3 * len(MATRIX_KINDS)
 
+    def test_untwisted_is_n_copies_of_the_kernel(self):
+        # C(A, 0) = {B : A B = 0} is read off ker A: n nullity(A) dimensions, as T's kernel says.
+        rng = np.random.default_rng(59)
+        singular = 0
+        for n in range(1, 6):
+            for kind, m in structured_matrices(rng, n, BIG):
+                spec = TwistSpec(m, 0)
+                code = centralizer_code(spec)
+                assert code == kronecker_code(spec), (n, kind)
+                assert code.dim == n * (n - rank(m)), (n, kind)
+                singular += code.dim > 0
+        assert singular >= 5  # every nilpotent A at least
+
     def test_random_order_32_is_the_polynomials_in_a(self, monkeypatch):
         # A random A has one Hessenberg block, so it takes the recurrence unforced.  Its
         # untwisted centralizer is then the 32 polynomials in A, I and A among them.

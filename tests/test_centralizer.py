@@ -19,7 +19,7 @@ from tcc import (
     kernel_basis,
     twisted_operator,
 )
-from tcc.centralizer import _basis, _comb_generator, _sum_kernel, is_member
+from tcc.centralizer import _basis, _comb_case, _comb_rows, _sum_kernel, centralizer_codes, is_member
 from tcc.linalg import MAX_ORDER, FieldMismatchError, _hessenberg, matmul_mod
 from helpers import (
     GF2,
@@ -223,14 +223,14 @@ class TestCentralizerCode:
 
     def test_broken_closed_form_row_is_a_fault(self, monkeypatch):
         # C(J + 2I, 2) over GF(5) at n = 3 is span(J); one entry moved off J is no member.
-        original = tcc.centralizer._comb_generator
+        original = tcc.centralizer._comb_rows
 
         def perturbed(*args):
             gen = original(*args)
             gen[0, 4] = (gen[0, 4] + 1) % 5
             return gen
 
-        monkeypatch.setattr(tcc.centralizer, "_comb_generator", perturbed)
+        monkeypatch.setattr(tcc.centralizer, "_comb_rows", perturbed)
         with pytest.raises(RuntimeError, match="twisted commutation"):
             centralizer_code(comb_spec(3, 1, 2, 5, 2))
 
@@ -275,6 +275,7 @@ class TestCentralizerCode:
     def test_one_elimination_gives_the_reduced_kernel(self, monkeypatch):
         # Oracle: the kernel rows of T reduced a second time by code_from_rows.
         # Most of these inputs have 2b <= n, so the crossover is moved to keep them on the Kronecker route.
+        # With a = 0 the one elimination is of A itself, whose kernel gives C(A, 0).
         monkeypatch.setattr(tcc.centralizer, "_CROSSOVER", MAX_ORDER + 1)
         rng = np.random.default_rng(43)
         shapes = []
@@ -300,11 +301,131 @@ class TestCentralizerCode:
                     with monkeypatch.context() as patch:
                         patch.setattr(tcc.linalg, "_rref_array", recorded)
                         code = centralizer_code(spec)
-                    assert shapes == [(n * n, n * n)], (p, n, a)
+                    assert shapes == [(n, n) if a == 0 else (n * n, n * n)], (p, n, a)
                     if len(kernel):
                         assert code == code_from_rows(Matrix(kernel, prime)), (p, n, a)
                     else:
                         assert code.dim == 0, (p, n, a)
+
+
+class TestBatch:
+    """centralizer_codes: one generator, one batched check and one code per closed-form case."""
+
+    def test_batch_matches_single_solves_and_kronecker_kernel(self):
+        # Every closed-form case at every (n, p), repeated specs, zero codes and non-comb A.
+        rng = np.random.default_rng(53)
+        big = 2**31 - 1
+        specs = []
+        for p in (2, 3, 5, 7, big):
+            prime = Prime(p)
+            for n in range(2, 6):
+                half = pow(2, -1, p) if p > 2 else 1
+                tuples = [
+                    (0, 1, 1),  # full space
+                    (1, 0, 2),  # s = 0: column sums a times row sums
+                    (1, -n, 2),  # p | x n + y: span(J)
+                    (1, 1, 2),  # zero code unless p | n + 1
+                    (1, -2 * n, 2),  # alpha = 0
+                    (1, -n, 0),  # beta = 0, a = 0
+                    (1, n, 2),  # beta = 0, a != 0
+                    (1, -n * half, -1),  # alpha = beta = 0
+                ]
+                tuples += [tuple(int(v) for v in rng.integers(0, min(p, 50), 3)) for _ in range(6)]
+                for x, y, a in tuples:
+                    specs.append(comb_spec(n, x % p, y % p, p, a))
+                for _ in range(2):
+                    m = rand_matrix(rng, n, n, prime)
+                    specs += [TwistSpec(m, 0), TwistSpec(m, int(rng.integers(1, min(p, 50))))]
+        # The same spec object twice, and an equal spec built afresh.
+        specs += specs[:12] + [comb_spec(3, 1, 2, 5, 2)]
+        order = rng.permutation(len(specs))
+        specs = [specs[i] for i in order]
+
+        codes = centralizer_codes(specs)
+        assert codes == [centralizer_code(spec) for spec in specs]
+        assert codes == [kronecker_code(spec) for spec in specs]
+        cases = Counter()
+        for spec in specs:
+            flat = spec.matrix.array
+            n, p, x, d = spec.n, spec.prime.p, int(flat[0, -1]), int(flat[0, 0])
+            if spec.matrix == comb_matrix(CombParams(n, x, d - x, spec.prime)):
+                cases[_comb_case(n, x, (d - x) % p, spec.twist, p)[0], p] += 1
+        names = {"full", "sums", "J", "zero", "g u^T", "u h^T", "u h^T, sum h = 0", "g + h"}
+        assert {name for name, p in cases if p == big} == names
+        assert any(code.dim == 0 for code in codes)
+        assert sum(code.dim == 0 for code, spec in zip(codes, specs) if spec.twist == 0) > 0
+
+    def test_one_spec_that_misses_the_shared_rows_is_a_fault(self, monkeypatch):
+        # J spans C(J + 2I, a) over GF(5) at n = 3 for a = 2, 3, 4 (5 | 3 + 2); it is no
+        # member of C(J + I, 2), since 5 does not divide 3 + 1.  Checked alone, each
+        # of the three passes; in one group the odd spec fails it, wherever it sits.
+        good = [comb_spec(3, 1, 2, 5, a) for a in (2, 3, 4)]
+        odd = comb_spec(3, 1, 1, 5, 2)
+        ones = np.ones((1, 9), dtype=np.int64)
+        for spec in good:
+            assert _basis(spec, ones).dim == 1
+        for cells in (tcc.centralizer._CHECK_CELLS, 9):
+            monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", cells)
+            assert _basis(good, ones).dim == 1
+            for at in range(4):
+                with pytest.raises(RuntimeError, match="twisted commutation"):
+                    _basis(good[:at] + [odd] + good[at:], ones)
+
+    def test_misfiled_spec_fails_its_group_check(self, monkeypatch):
+        # Filed under span(J) with the three specs whose case it is, C(J + I, 2)
+        # over GF(5) shares their row, and the batch check refuses the group.
+        original = tcc.centralizer._comb_case
+
+        def misfiled(n, x, y, a, p):
+            return ("J",) if (n, x, y, a, p) == (3, 1, 1, 2, 5) else original(n, x, y, a, p)
+
+        specs = [comb_spec(3, 1, 2, 5, a) for a in (2, 3, 4)] + [comb_spec(3, 1, 1, 5, 2)]
+        assert [code.dim for code in centralizer_codes(specs)] == [1, 1, 1, 0]
+        monkeypatch.setattr(tcc.centralizer, "_comb_case", misfiled)
+        with pytest.raises(RuntimeError, match="twisted commutation"):
+            centralizer_codes(specs)
+
+    def test_a_group_shares_one_generator_one_check_and_one_code(self, monkeypatch):
+        # All p^3 comb specs at n = 3 over GF(5): one row writer call and one check per case.
+        written, checked = [], []
+        rows, basis = tcc.centralizer._comb_rows, tcc.centralizer._basis
+
+        def counted_rows(n, p, *case):
+            written.append(case)
+            return rows(n, p, *case)
+
+        def counted_basis(specs, gen):
+            checked.append(len(specs))
+            return basis(specs, gen)
+
+        monkeypatch.setattr(tcc.centralizer, "_comb_rows", counted_rows)
+        monkeypatch.setattr(tcc.centralizer, "_basis", counted_basis)
+        specs = [comb_spec(3, x, y, 5, a) for x, y, a in product(range(5), repeat=3)]
+        codes = centralizer_codes(specs)
+        assert len(written) == len(set(written)) == len(checked) == len({id(code) for code in codes})
+        assert sum(checked) == 125
+        for spec, code in zip(specs, codes):
+            assert code == kronecker_code(spec)
+
+
+    @pytest.mark.parametrize("cells", [16, 64, 1 << 15])
+    def test_group_products_stay_within_the_chunk_bound(self, monkeypatch, cells):
+        # Every product of the group checks covers at most _CHECK_CELLS entries, across specs and rows.
+        sizes = []
+        original = tcc.centralizer.matmul_mod
+
+        def recorded(a, b, p):
+            out = original(a, b, p)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", cells)
+        monkeypatch.setattr(tcc.centralizer, "matmul_mod", recorded)
+        specs = [comb_spec(4, x, y, 5, a) for x, y, a in product(range(5), repeat=3)]
+        codes = centralizer_codes(specs)
+        assert sizes and max(sizes) <= cells
+        monkeypatch.undo()
+        assert codes == [centralizer_code(spec) for spec in specs]
 
 
 class TestBruteForce:
@@ -513,7 +634,7 @@ class TestCombCentralizer:
         tally = Counter()
         for n, x, y, a, p in tuples:
             tally[case(n, x, y, a, p), n > 32] += 1
-            gen = _comb_generator(n, x, y, a, p)
+            gen = _comb_rows(n, p, *_comb_case(n, x, y, a, p))
             assert np.array_equal(gen, eliminated_comb_kernel(n, x, y, a, p)), (n, x, y, a, p)
         cases = {"span(J)", "zero", "alpha = 0", "beta = 0, a = 0", "beta = 0, a != 0", "alpha = beta = 0"}
         assert {c for c, _ in tally} == cases
@@ -574,7 +695,7 @@ class TestCombCentralizer:
 
 
 class TestRecurrence:
-    """The Hessenberg recurrence against the Kronecker kernel, with the route patched so every case takes it."""
+    """The Hessenberg recurrence against the Kronecker kernel, with the route patched so every case with a != 0 takes it."""
 
     @pytest.fixture
     def forced(self, monkeypatch):
@@ -586,15 +707,16 @@ class TestRecurrence:
         for p in SMALL_PRIMES:
             prime = Prime(p)
             for n in range(1, 7):
-                # 2 = 0 at p = 2, where no column fixes the next.
+                # 2 = 0 at p = 2: C(A, 0) is read off ker A before any route by blocks.
                 for a in sorted({1, 2 % p, p - 1}):
                     for kind, m in structured_matrices(rng, n, prime):
                         spec = TwistSpec(m, a)
                         forced.clear()
                         assert centralizer_code(spec) == kronecker_code(spec), (p, n, a, kind)
-                        assert forced == [spec], (p, n, a, kind)
+                        assert forced == ([spec] if a else []), (p, n, a, kind)
                         kinds[kind] += 1
-                        blocks[hessenberg_blocks(spec) > 1] += 1
+                        if a:
+                            blocks[hessenberg_blocks(spec) > 1] += 1
         assert kinds == {kind: 6 * (2 + 2 + 3 + 3) for kind in MATRIX_KINDS}
         # Many cases have zero subdiagonals, each a block of n fresh unknowns.
         assert blocks[True] > blocks[False] // 2
@@ -663,6 +785,18 @@ class TestCombDetection:
     def recurrences(self, monkeypatch):
         return recurrence_calls(monkeypatch)
 
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        shapes = []
+        original = tcc.centralizer._rref_kernel
+
+        def recorded(eqs, prime):
+            shapes.append(eqs.shape)
+            return original(eqs, prime)
+
+        monkeypatch.setattr(tcc.centralizer, "_rref_kernel", recorded)
+        return shapes
+
     def test_comb_matrices_built_directly_take_the_closed_form(self, operators, monkeypatch):
         def refuse(a, p):
             raise AssertionError("a comb matrix is solved in closed form")
@@ -678,10 +812,11 @@ class TestCombDetection:
             assert ones.dim == (n * n - n if a == 0 else (n - 1) ** 2 + (a == 1 or n % p == 0)), (n, p, a)
         assert operators == []
 
-    def test_one_changed_entry_takes_the_route_its_blocks_pick(self, operators, recurrences):
+    def test_one_changed_entry_takes_the_route_its_blocks_pick(self, operators, recurrences, kernels):
         # Each comb matrix with one entry moved, at the corners that the
         # detection reads (A[0, n - 1] and A[0, 0]) and at their mirrors.
-        # It takes the recurrence when its b Hessenberg blocks have 2b <= n, else T.
+        # With a = 0 it takes ker A; else the recurrence when its b Hessenberg
+        # blocks have 2b <= n, else T.
         cases = 0
         routes = Counter()
         for n, p in [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]:
@@ -694,33 +829,40 @@ class TestCombDetection:
                     spec = TwistSpec(Matrix(data, prime), x + 2 * y + k)
                     operators.clear()
                     recurrences.clear()
+                    kernels.clear()
                     code = centralizer_code(spec)
-                    recurrence = 2 * hessenberg_blocks(spec) <= n
-                    routes[recurrence] += 1
-                    want = ([spec], []) if recurrence else ([], [spec])
-                    assert (recurrences, operators) == want, (n, p, x, y, i, j)
+                    if spec.twist == 0:
+                        route, want = "ker A", ([], [], [(n, n)])
+                    elif 2 * hessenberg_blocks(spec) <= n:
+                        route, want = "recurrence", ([spec], [], [])
+                    else:
+                        route, want = "T", ([], [spec], [(n * n, n * n)])
+                    routes[route] += 1
+                    assert (recurrences, operators, kernels) == want, (n, p, x, y, i, j)
                     assert _matches_brute_force(spec, code), (n, p, x, y, i, j)
                     cases += 1
         assert cases == 4 * (4 + 9 + 25 + 49 + 4 + 9 + 4)
-        assert routes[True] and routes[False]
+        assert set(routes) == {"ker A", "recurrence", "T"}
 
-    def test_order_one_takes_the_kronecker_route(self, operators):
-        # C([d], a) is everything when d (1 - a) = 0, else zero.
+    def test_order_one_takes_the_kronecker_route(self, operators, kernels):
+        # C([d], a) is everything when d (1 - a) = 0, else zero.  For a != 0 it is
+        # the kernel of the 1 x 1 T; for a = 0 the kernel of A itself, with no T.
         for p in (2, 3, 5, 7):
             prime = Prime(p)
             for d, a in product(range(p), repeat=2):
                 spec = TwistSpec(Matrix([[d]], prime), a)
                 operators.clear()
+                kernels.clear()
                 code = centralizer_code(spec)
-                assert operators == [spec], (p, d, a)
+                assert (operators, kernels) == ([spec] if a else [], [(1, 1)]), (p, d, a)
                 assert code.dim == (d * (1 - a) % p == 0), (p, d, a)
                 assert _matches_brute_force(spec, code), (p, d, a)
 
 
 def hessenberg_blocks(spec: TwistSpec) -> int:
-    """b: the blocks of A's Hessenberg form, or n when a = 0, where no column fixes the next."""
+    """b: the blocks of A's Hessenberg form, which picks the route of a non-comb A when a != 0."""
     h = _hessenberg(spec.matrix.array, spec.prime.p)[0]
-    return spec.n if spec.twist == 0 else spec.n - np.count_nonzero(np.diagonal(h, -1))
+    return spec.n - np.count_nonzero(np.diagonal(h, -1))
 
 
 def _matches_brute_force(spec: TwistSpec, code: LinearCode) -> bool:

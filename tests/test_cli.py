@@ -220,21 +220,21 @@ class TestBuildCommand:
 
     def test_solver_fault_is_no_usage_error(self, capsys, monkeypatch):
         # A generator row outside C(A, a) is tcc's fault: it must not exit 1 as if the flags were wrong.
-        original = tcc.centralizer._comb_generator
+        original = tcc.centralizer._comb_rows
 
         def perturbed(*args):
             gen = original(*args)
             gen[0, 4] += 1
             return gen
 
-        monkeypatch.setattr(tcc.centralizer, "_comb_generator", perturbed)
+        monkeypatch.setattr(tcc.centralizer, "_comb_rows", perturbed)
         with pytest.raises(RuntimeError, match="twisted commutation"):
             main(["build", "--n", "3", "--p", "5", "--x", "1", "--y", "2", "--a", "2"])
         assert capsys.readouterr() == ("", "")
 
     def test_malformed_generator_is_no_usage_error(self, capsys, monkeypatch):
         # An entry outside [0, p) is a fault of the solve too, though LinearCode refuses it with ValueError.
-        original = tcc.centralizer._comb_generator
+        original = tcc.centralizer._comb_rows
 
         def unreduced(*args):
             gen = original(*args)
@@ -242,7 +242,7 @@ class TestBuildCommand:
             gen[row, col] += 1
             return gen
 
-        monkeypatch.setattr(tcc.centralizer, "_comb_generator", unreduced)
+        monkeypatch.setattr(tcc.centralizer, "_comb_rows", unreduced)
         with pytest.raises(RuntimeError, match=r"residues in \[0, 3\); the solve is broken"):
             main(["build", "--n", "3", "--p", "3", "--x", "1", "--y", "1", "--a", "1"])
         assert capsys.readouterr() == ("", "")
@@ -294,7 +294,7 @@ class TestKroneckerGuard:
 
 
 class TestBeyondOrder32:
-    """A non-comb --matrix-file past order 32 is solved by the Hessenberg recurrence when 2b <= n."""
+    """A non-comb --matrix-file past order 32 is solved from ker A when a = 0, else by the Hessenberg recurrence when 2b <= n."""
 
     @pytest.fixture
     def no_operator(self, monkeypatch):
@@ -337,6 +337,25 @@ class TestBeyondOrder32:
         code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "1", "--json")
         assert (code, out) == (EXIT_GUARD, "")
         assert "guard exceeded" in err and "1024x4096 generator" in err
+
+    def test_untwisted_order_40_builds_from_the_kernel_of_a(self, capsys, tmp_path, monkeypatch, no_operator):
+        # C(A, 0) = {B : A B = 0} is n copies of ker A: dimension n nullity(A) = 40 * 5.
+        diag = [0] * 5 + list(range(1, 36))
+        path = tmp_path / "big.mat"
+        path.write_text(_matrix_file(97, similar_to_diagonal(np.random.default_rng(40), diag, Prime(97)).array))
+        solved = recurrence_calls(monkeypatch)
+        code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "0", "--json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {"p": 97, "n": 40, "a": 0, "length": 1600, "dimension": 200}
+        assert diagonal_dim(diag, 0, 97) == 200 and solved == []
+
+    def test_untwisted_kernel_beyond_its_guard_refused(self, capsys, tmp_path, no_operator):
+        # Nullity 9 at order 64: 576 rows of 4096 cells pass 2^21, refused before the generator is written.
+        path = tmp_path / "big.mat"
+        path.write_text(_matrix_file(5, np.diag([0] * 9 + [1] * 55)))
+        code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "0", "--json")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "guard exceeded" in err and "nullity 9 has a 576x4096 generator" in err
 
 
 class TestAnalyzeCommand:
@@ -429,10 +448,17 @@ class TestVerifyCommand:
         # The largest sweep verify accepts: p <= 13 and n <= 6, 20,155 tuples.
         # Every comb generator is written in closed form, so nothing eliminates,
         # and each of the 1,885 matrices (p, n, x, y) is built once for all its twists.
+        # Each (p, n) slice is one batch: 371 closed-form groups, 30 of them zero
+        # codes.  Every hypothesis tuple of a slice shares span(J), so analyze runs once
+        # per slice that has any: p > 2, and p not dividing n, else p | x n + y forces p | y.
         eliminations = []
         original = tcc.linalg._rref_array
         matrices = []
         build = tcc.cli.comb_matrix
+        groups = []
+        basis = tcc.centralizer._basis
+        analyses = []
+        analyze = tcc.cli.analyze
 
         def counted(a, p):
             eliminations.append(a.shape)
@@ -442,13 +468,66 @@ class TestVerifyCommand:
             matrices.append(params)
             return build(params)
 
+        def checked(specs, gen):
+            groups.append((len(specs), len(gen)))
+            return basis(specs, gen)
+
+        def analyzed(code):
+            analyses.append(code)
+            return analyze(code)
+
         monkeypatch.setattr(tcc.linalg, "_rref_array", counted)
         monkeypatch.setattr(tcc.cli, "comb_matrix", built)
+        monkeypatch.setattr(tcc.centralizer, "_basis", checked)
+        monkeypatch.setattr(tcc.cli, "analyze", analyzed)
         code, out, _ = run_cli(capsys, "verify", "--p-max", "13", "--n-max", "6", "--json")
         assert code == EXIT_OK
         assert eliminations == []
         assert len(matrices) == len(set(matrices)) == 5 * (4 + 9 + 25 + 49 + 121 + 169) == 1885
+        assert sum(specs for specs, _ in groups) == 20155
+        assert (len(groups), sum(rows > 0 for _, rows in groups)) == (371, 341)
+        assert len(analyses) == 5 * 5 - len([(3, 3), (3, 6), (5, 5)]) == 22
         assert hashlib.sha256(out.encode()).hexdigest() == "fa09d78430516328b066f630a5f4ae17a13525054173e3daa4ff39d43fafaa15"
+
+    def test_repeated_sweep_repeats_its_checks(self, capsys, monkeypatch):
+        # Nothing outlives a solve: a second sweep in one process writes and checks every group again.
+        counts = []
+        basis = tcc.centralizer._basis
+        products = tcc.centralizer._all_members
+
+        def checked(specs, gen):
+            counts[-1]["groups"] += 1
+            return basis(specs, gen)
+
+        def multiplied(*args):
+            counts[-1]["products"] += 1
+            return products(*args)
+
+        monkeypatch.setattr(tcc.centralizer, "_basis", checked)
+        monkeypatch.setattr(tcc.centralizer, "_all_members", multiplied)
+        outs = []
+        for _ in range(2):
+            counts.append({"groups": 0, "products": 0})
+            code, out, _ = run_cli(capsys, "verify", "--p-max", "5", "--n-max", "3", "--json")
+            assert code == EXIT_OK
+            outs.append(out)
+        assert counts[0] == counts[1] and counts[0]["groups"] > 0 and counts[0]["products"] > 0
+        assert outs[0] == outs[1]
+
+    def test_broken_closed_form_case_fails_the_sweep(self, capsys, monkeypatch):
+        # One case's rows moved off C(A, a) make the whole sweep a fault, not a mismatch row.
+        original = tcc.centralizer._comb_rows
+
+        def perturbed(n, p, case, *args):
+            gen = original(n, p, case, *args)
+            if case == "g u^T":
+                gen[0, 0] = (gen[0, 0] + 1) % p
+            return gen
+
+        monkeypatch.setattr(tcc.centralizer, "_comb_rows", perturbed)
+        with pytest.raises(RuntimeError, match="twisted commutation"):
+            main(["verify", "--p-max", "5", "--n-max", "3"])
+        assert capsys.readouterr() == ("", "")
 
     def test_sweep_caps_enforced(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--p-max", "17")
