@@ -7,13 +7,20 @@ channel would not.  Both sweeps classify errors over the zero codeword:
 for a linear code, c + e decodes uniquely exactly when e does, and back
 to c exactly when e's unique nearest codeword is 0.
 
-That outcome depends only on e's weight and its coset e + C: whether the
-coset holds one word of least weight, and whether e has that weight.  So
-a k >= 2 code with fewer cosets than codewords classifies each error by
-one syndrome lookup in a coset table (a standard array) built once per
-sweep.  Other codes, and a table whose build would pass its pattern
-budget, go through code._nearest: a vote for k = 1, a score against every
-codeword otherwise.
+A k = 1 code decodes by code._vote's plurality vote, which depends only
+on how many errors fall on the generator's support and how often each
+value e_i / g_i repeats there.  So its exhaustive sweep is counted, not
+enumerated: exact sums of counts of words with bounded letter
+multiplicities, in Python ints, polynomial in t and free of p
+(MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 1).
+
+For any code the outcome depends only on e's weight and its coset
+e + C: whether the coset holds one word of least weight, and whether e
+has that weight.  So a k >= 2 code with fewer cosets than codewords
+classifies each error by one syndrome lookup in a coset table (a standard
+array) built once per sweep.  Other k >= 2 codes, a table whose build
+would pass its pattern budget, and Monte Carlo on a k = 1 code go through
+code._nearest: a vote for k = 1, a score against every codeword otherwise.
 """
 
 import math
@@ -26,6 +33,10 @@ from .code import ENUMERATION_LIMIT, LinearCode, _message_block, _nearest
 from .linalg import GuardExceededError, count_text, matmul_mod
 
 EXHAUSTIVE_LIMIT = 1 << 24
+# Largest weight a k = 1 sweep counts.  The slowest admitted count took 0.3 s on a 2-core VM (t = 128,
+# |supp g| = 144, p = 2^31 - 1), and for N <= 4096 every count has at most 1,450 digits, inside
+# Python's 4,300-digit int-to-str limit, so simulate can print it.
+COUNT_WEIGHT_LIMIT = 128
 # Cells of one (B, N) block of exhaustive-sweep error patterns handed to the classifier.
 _BATCH_CELLS = 1 << 14
 # Cells of one (rows, N) chunk of Monte Carlo draws, each classified whole; fixed, so a seed's trials follow N alone.
@@ -107,6 +118,57 @@ def _pattern_blocks(length: int, t: int, p: int, step: int):
         yield errors[:rows]
 
 
+def _capped_words(length: int, letters: int, cap: int) -> list[int]:
+    """W(m) for m = 0..length: the words of m symbols over `letters` letters using no letter more than cap times.
+
+    W(m) = m! [x^m] E^letters for E = sum_{i <= cap} x^i / i!.  As E F' = letters E' F
+    for F = E^letters, m W(m) = sum_{i=1}^{min(m, cap)} ((letters + 1) i - m) C(m, i) W(m - i),
+    an exact division: O(length * cap) steps, none depending on p.
+    """
+    words = [1]
+    for m in range(1, length + 1):
+        total, binomial = 0, 1
+        for i in range(1, min(m, cap) + 1):
+            binomial = binomial * (m - i + 1) // i
+            total += ((letters + 1) * i - m) * binomial * words[m - i]
+        words.append(total // m)
+    return words
+
+
+def _counted_stats(code: LinearCode, t: int) -> ChannelStats:
+    """A k = 1 code's exhaustive sweep, counted by code._vote's rule with no pattern enumerated.
+
+    Say j of the t errors fall on supp g (w places).  Value 0 keeps z = w - j
+    votes, and the j values e_i / g_i form a word over q = p - 1 letters with
+    largest multiplicity M, reached by r letters.  The error is a success when
+    z > M, miscorrected when M > z and r = 1, and ambiguous otherwise.  Each j
+    has C(w, j) C(N - w, t - j) q^(t - j) placements; of its q^j words, the
+    successes are those with no letter z or more times, and the miscorrections number
+    q C(j, M) W_{M-1}(j - M, q - 1) for each M > z (_capped_words).  When
+    2j < w, z > j >= M, so every word succeeds.
+    """
+    p, length = code.prime.p, code.length
+    q, support = p - 1, int(np.count_nonzero(code.generator[0]))
+    top = min(support, t)
+    tables = {}  # M -> W_{M-1}(m, q - 1) for m up to top - M, shared by every j
+    successes = ambiguous = miscorrected = 0
+    for j in range(max(0, t - (length - support)), top + 1):
+        placements = math.comb(support, j) * math.comb(length - support, t - j) * q ** (t - j)
+        zeros, words = support - j, q**j
+        right, wrong = words, 0
+        if 2 * j >= support:
+            right = _capped_words(j, q, zeros - 1)[j]
+            for most in range(zeros + 1, j + 1):
+                if most not in tables:
+                    tables[most] = _capped_words(top - most, q - 1, most - 1)
+                wrong += q * math.comb(j, most) * tables[most][j - most]
+        successes += placements * right
+        miscorrected += placements * wrong
+        ambiguous += placements * (words - right - wrong)
+    trials = successes + ambiguous + miscorrected
+    return ChannelStats(trials * p, successes * p, ambiguous * p, miscorrected * p)
+
+
 def _parity_check(code: LinearCode) -> np.ndarray:
     """H^T as an (N, N-k) array: H is -P^T on the RREF generator's pivot columns and I on its free ones.
 
@@ -182,15 +244,24 @@ def _classifier(code: LinearCode):
 def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     """Decode every message under every weight-t error pattern.
 
-    Guarded by the outcome count C(N, t) * (p-1)^t * p^k, so a sweep can
-    never silently explode.  Only the error patterns are classified, in
-    blocks of at most _BATCH_CELLS cells, by the coset table when the code
-    has one (else decoded); every message shares their outcomes, so the
-    counts scale by p^k.
+    Every message shares the error patterns' outcomes, so the counts are
+    the patterns' scaled by p^k.  A k = 1 code's are counted in closed form
+    (_counted_stats), guarded by t <= COUNT_WEIGHT_LIMIT whatever p is.
+    Other codes classify each pattern, in blocks of at most _BATCH_CELLS
+    cells, by the coset table when the code has one (else decoded), guarded
+    by the outcome count C(N, t) * (p-1)^t * p^k.  Either guard fires before
+    any work, so a sweep can never silently explode.
     """
     p = code.prime.p
     if not 0 <= t <= code.length:
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
+    if code.dim == 1:
+        if t > COUNT_WEIGHT_LIMIT:
+            raise GuardExceededError(
+                f"exhaustive count at weight t = {t}, beyond the t <= {COUNT_WEIGHT_LIMIT} guard; "
+                "use monte_carlo instead"
+            )
+        return _counted_stats(code, t)
     patterns = math.comb(code.length, t) * (p - 1) ** t
     work = patterns * p**code.dim
     if work > EXHAUSTIVE_LIMIT:

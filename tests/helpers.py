@@ -30,14 +30,16 @@ per field element, kept as the oracle for eigen_scan.  conjugation_transfer is t
 transfer of a centralizer code, kept as an oracle for the
 diagonalization claims.  The literal_* channel runs decode one word
 per (message, pattern) or per trial, kept as oracles for the batched
-sweeps in tcc.channel; the exhaustive_*_check functions are the
+sweeps in tcc.channel, and enumerated_exhaustive_stats decodes every
+weight-t pattern of a k = 1 code by the vote, kept as the oracle for the
+counted k = 1 sweep; the exhaustive_*_check functions are the
 acceptance gate's correction and detection sweeps.  child_env lets a
 subprocess import the same tcc as the tests, installed or not.
 """
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import combinations, product
 from pathlib import Path
 
@@ -61,7 +63,7 @@ from tcc import (
     twisted_operator,
 )
 from tcc.centralizer import _basis, _rref_kernel, is_member
-from tcc.channel import EXHAUSTIVE_LIMIT
+from tcc.channel import EXHAUSTIVE_LIMIT, _pattern_blocks, _tally
 from tcc.code import ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import SingularMatrixError, count_text, inverse, kronecker, matmul_mod
 
@@ -583,6 +585,21 @@ def literal_exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
             corrupted[positions] = (corrupted[positions] + offsets) % p
             counts[_classify(code, corrupted, message)] += 1
     return _stats(counts)
+
+
+def enumerated_exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
+    """exhaustive_stats by decoding every weight-t pattern over 0, scaled by p^k.
+
+    Each block of _pattern_blocks goes to _tally, which decodes a k = 1 code by
+    code._vote: the sweep a k = 1 code took before it was counted.
+    """
+    p = code.prime.p
+    # Read at call time, so a test that patches the block size patches the oracle too.
+    step = max(1, tcc.channel._BATCH_CELLS // code.length)
+    stats = ChannelStats(0, 0, 0, 0)
+    for errors in _pattern_blocks(code.length, t, p, step):
+        stats += _tally(code, errors)
+    return ChannelStats(*(count * p**code.dim for count in astuple(stats)))
 
 
 def literal_monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:

@@ -19,12 +19,13 @@ from tcc import (
     exhaustive_stats,
     monte_carlo,
 )
-from tcc.channel import EXHAUSTIVE_LIMIT, inject_errors
+from tcc.channel import COUNT_WEIGHT_LIMIT, EXHAUSTIVE_LIMIT, inject_errors
 from tcc.cli import main
 from tcc.code import AMBIGUOUS, ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import matmul_mod
 from helpers import (
     code_from_rows,
+    enumerated_exhaustive_stats,
     exhaustive_correction_check,
     exhaustive_detection_check,
     hamming_distance,
@@ -142,9 +143,12 @@ class TestExhaustiveCorrection:
         assert stats.ambiguous > 0
 
     def test_guard_suggests_monte_carlo(self):
-        code = comb_code(4, 1, 2, 3, 2)  # [16, 1, 16] over GF(3)
+        # [9, 5, 3] over GF(5) at t = 3 is past the outcome guard, a k = 1 code past t = COUNT_WEIGHT_LIMIT.
         with pytest.raises(GuardExceededError, match="monte_carlo"):
-            exhaustive_stats(code, 10)
+            exhaustive_stats(comb_code(3, 1, 1, 5, 1), 3)
+        long_row = code_from_rows(Matrix(np.ones((1, 200), dtype=np.int64), Prime(3)))
+        with pytest.raises(GuardExceededError, match="monte_carlo"):
+            exhaustive_stats(long_row, COUNT_WEIGHT_LIMIT + 1)
 
     def test_negative_weight_rejected(self, four_one_four):
         with pytest.raises(ValueError, match=r"weight -1 must lie in \[0, 4\]"):
@@ -264,11 +268,11 @@ class TestBatchedAgainstLiteral:
         stats = exhaustive_stats(four_two, 2)
         assert stats.ambiguous > 0 and stats.miscorrected > 0
 
-    def test_exhaustive_across_offset_blocks(self, four_one_four, monkeypatch):
+    def test_exhaustive_across_offset_blocks(self, four_two, monkeypatch):
         # One offset row per decoder call: the chunking must not change the counts.
         monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", 1)
         for t in range(5):
-            assert exhaustive_stats(four_one_four, t) == literal_exhaustive_stats(four_one_four, t)
+            assert exhaustive_stats(four_two, t) == literal_exhaustive_stats(four_two, t)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_monte_carlo_sixteen_one_sixteen(self, seed):
@@ -298,6 +302,85 @@ class TestBatchedAgainstLiteral:
             assert t or stats == ChannelStats(100, 100, 0, 0)
 
 
+def _oracle_weights(code):
+    """The weights whose outcome product C(N, t) (p-1)^t p stays within 2^22, where the enumeration oracle is quick."""
+    p = code.prime.p
+    return [t for t in range(code.length + 1) if math.comb(code.length, t) * (p - 1) ** t * p <= 1 << 22]
+
+
+class TestCountedSweep:
+    """A k = 1 sweep is counted in closed form; decoding every pattern by the vote checks it."""
+
+    def test_capped_words_count_words(self):
+        for letters, cap, length in itertools.product(range(4), range(4), range(6)):
+            brute = sum(
+                all(word.count(c) <= cap for c in range(letters))
+                for word in itertools.product(range(letters), repeat=length)
+            )
+            assert tcc.channel._capped_words(length, letters, cap)[length] == brute
+        # Errors on all of supp g leave 0 no vote, and no nonempty word keeps every letter below 0 uses.
+        assert tcc.channel._capped_words(4, 3, -1) == [1, 0, 0, 0, 0]
+
+    def test_every_comb_code_up_to_order_three(self):
+        codes = {}
+        for p in (2, 3, 5, 7):
+            for n, x, y, a in itertools.product(range(2, 4), range(p), range(p), range(p)):
+                code = comb_code(n, x, y, p, a)
+                if code.dim == 1:
+                    codes[p, code.generator.tobytes()] = code
+        assert len(codes) == 12  # full-support generators: the random rows below bring the zeros
+        for code in codes.values():
+            for t in _oracle_weights(code):
+                assert exhaustive_stats(code, t) == enumerated_exhaustive_stats(code, t)
+
+    def test_random_rows_with_zero_entries(self):
+        rng = np.random.default_rng(24)
+        for p, length in itertools.product((2, 3, 5, 7), range(2, 9)):
+            row = np.where(rng.random(length) < 0.6, rng.integers(1, p, size=length), 0)
+            row[rng.choice(length, 2, replace=False)] = [0, 1]  # at least one zero and one nonzero entry
+            code = code_from_rows(Matrix([row.tolist()], Prime(p)))
+            for t in _oracle_weights(code):
+                assert exhaustive_stats(code, t) == enumerated_exhaustive_stats(code, t)
+
+    def test_sixteen_one_sixteen_beyond_capacity(self):
+        # enumerated_exhaustive_stats decodes these 8,200,192 patterns in about 6 s (2-core VM),
+        # so its counts are pinned.
+        code = comb_code(4, 1, 2, 3, 2)
+        assert (code.length, code.dim) == (16, 1)
+        assert exhaustive_stats(code, 10) == ChannelStats(24600576, 6054048, 10090080, 8456448)
+
+    def test_enumerates_and_decodes_nothing(self, nine_one_nine, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a k = 1 sweep enumerates and decodes no pattern")
+
+        monkeypatch.setattr(tcc.channel, "_pattern_blocks", refuse)
+        monkeypatch.setattr(tcc.code, "_vote", refuse)
+        assert exhaustive_stats(nine_one_nine, 4) == ChannelStats(161280, 161280, 0, 0)
+        assert exhaustive_stats(comb_code(4, 1, 2, 3, 2), 10).trials == 24600576
+
+    @pytest.mark.parametrize("p", [2, BIG_PRIME])
+    def test_weight_guard_fires_before_counting(self, monkeypatch, p):
+        code = code_from_rows(Matrix(np.ones((1, 300), dtype=np.int64), Prime(p)))
+        assert exhaustive_stats(code, COUNT_WEIGHT_LIMIT).trials > 0
+
+        def refuse(*args):
+            raise AssertionError("no count may start past the guard")
+
+        monkeypatch.setattr(tcc.channel, "_counted_stats", refuse)
+        with pytest.raises(GuardExceededError) as refused:
+            exhaustive_stats(code, COUNT_WEIGHT_LIMIT + 1)
+        assert str(refused.value) == (
+            "exhaustive count at weight t = 129, beyond the t <= 128 guard; use monte_carlo instead"
+        )
+
+    def test_theorem_code_of_order_sixteen_at_largest_prime(self):
+        code = comb_code(16, 1, BIG_PRIME - 16, BIG_PRIME, 2)
+        assert (code.length, code.dim) == (256, 1)
+        for t in range(128):
+            stats = exhaustive_stats(code, t)
+            assert stats.successes == stats.trials == math.comb(256, t) * (BIG_PRIME - 1) ** t * BIG_PRIME
+
+
 class TestErrorsOnly:
     """By linearity both sweeps decode error patterns alone, over the zero codeword."""
 
@@ -315,36 +398,32 @@ class TestErrorsOnly:
 
     @pytest.mark.parametrize("t", range(5))
     def test_exhaustive_decodes_each_pattern_once(self, four_one_four, four_two, decoded_rows, t):
-        for code in (four_one_four, four_two):
+        # A k = 1 sweep is counted and decodes nothing; [4, 2] has no coset table and decodes every pattern.
+        for code, decoded in ((four_one_four, 0), (four_two, 1)):
             decoded_rows.clear()
             stats = exhaustive_stats(code, t)
             patterns = math.comb(code.length, t) * (code.prime.p - 1) ** t
-            assert sum(decoded_rows) == patterns
+            assert sum(decoded_rows) == decoded * patterns
             assert stats.trials == patterns * code.prime.p**code.dim
 
     @pytest.mark.parametrize("cells", [1, 9, 40, 1 << 14])
-    def test_exhaustive_blocks_fill_across_position_sets(
-        self, four_one_four, four_two, decoded_rows, monkeypatch, cells
-    ):
+    def test_exhaustive_blocks_fill_across_position_sets(self, four_two, decoded_rows, monkeypatch, cells):
         # Every block but the last is full, whatever the position sets hold.
         monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", cells)
-        for code in (four_one_four, four_two):
-            step = max(1, cells // code.length)
-            for t in range(5):
-                decoded_rows.clear()
-                exhaustive_stats(code, t)
-                patterns = math.comb(code.length, t) * (code.prime.p - 1) ** t
-                assert len(decoded_rows) == -(-patterns // step)
-                assert decoded_rows[:-1] == [step] * (len(decoded_rows) - 1)
+        step = max(1, cells // four_two.length)
+        for t in range(5):
+            decoded_rows.clear()
+            exhaustive_stats(four_two, t)
+            patterns = math.comb(4, t) * 2**t
+            assert len(decoded_rows) == -(-patterns // step)
+            assert decoded_rows[:-1] == [step] * (len(decoded_rows) - 1)
 
     def test_exhaustive_decoder_calls_on_channel_sweeps(self, nine_one_nine, decoded_rows):
-        # The [9,5,3] code's 625 cosets classify its 576 patterns with no decode; 32,256 patterns take 18 blocks.
+        # The [9,5,3] code's 625 cosets classify its 576 patterns with no decode; [9,1,9]'s 32,256 are counted.
         nine_five_three = comb_code(3, 1, 1, 5, 1)
         assert exhaustive_stats(nine_five_three, 2) == ChannelStats(1800000, 675000, 900000, 225000)
+        assert exhaustive_stats(nine_one_nine, 4) == ChannelStats(161280, 161280, 0, 0)
         assert decoded_rows == []
-        decoded_rows.clear()
-        exhaustive_stats(nine_one_nine, 4)
-        assert decoded_rows == [1820] * 17 + [32256 - 17 * 1820]
 
     def test_monte_carlo_encodes_no_message(self, nine_one_nine, monkeypatch):
         def refuse(*args):
@@ -463,9 +542,9 @@ class TestCosetTable:
 
         monkeypatch.setattr(tcc.code, "_vote", recording)
         assert tcc.channel._coset_table(nine_one_nine) is None
-        exhaustive_stats(nine_one_nine, 2)
+        exhaustive_stats(nine_one_nine, 2)  # counted: no vote
         monte_carlo(nine_one_nine, 5, 100, 0)
-        assert sum(voted) == math.comb(9, 2) * 16 + 100
+        assert sum(voted) == 100
         assert scanned == []
 
     def test_build_over_its_limit_falls_back_to_scan(self, scanned, monkeypatch):
@@ -583,8 +662,10 @@ class TestVoteDecoder:
         assert code.dim == 1
         stats = monte_carlo(code, 4, 200, seed=0)
         assert stats == ChannelStats(200, 200, 0, 0)
-        with pytest.raises(GuardExceededError, match="exhaustive sweep"):
-            exhaustive_stats(code, 4)
+        # The counted sweep passes up to capacity, with C(9, t) (p - 1)^t p outcomes.
+        for t in range(5):
+            outcomes = math.comb(9, t) * (BIG_PRIME - 1) ** t * BIG_PRIME
+            assert exhaustive_stats(code, t) == ChannelStats(outcomes, outcomes, 0, 0)
 
 
 # Seeded `simulate --json` stdout; each Monte Carlo count is literal_monte_carlo's for the same code, t, trials and seed.

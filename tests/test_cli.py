@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import tcc.centralizer
 import tcc.cli
 import tcc.linalg
 from tcc import CombParams, Prime
+from tcc.channel import COUNT_WEIGHT_LIMIT
 from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
 from helpers import (
     DefectiveMatrixError,
@@ -590,13 +592,50 @@ class TestSimulateCommand:
         assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
 
     def test_exhaustive_guard_exit_code(self, capsys):
+        # The [9, 5, 3] code over GF(5) at t = 3 is past the outcome guard.
         code, _, err = run_cli(
             capsys,
-            "simulate", "--n", "4", "--p", "3", "--x", "1", "--y", "2", "--a", "2",
-            "--t", "10", "--exhaustive",
+            "simulate", "--n", "3", "--p", "5", "--x", "1", "--y", "1", "--a", "1",
+            "--t", "3", "--exhaustive",
         )
         assert code == EXIT_GUARD
         assert "guard exceeded" in err
+
+    def test_exhaustive_beyond_capacity_is_counted(self, capsys):
+        # [16, 1, 16] over GF(3) at t = 10, once refused by the outcome guard; these are the counts
+        # of helpers.enumerated_exhaustive_stats, which test_channel.py pins to the same figures.
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--n", "4", "--p", "3", "--x", "1", "--y", "2", "--a", "2",
+            "--t", "10", "--exhaustive", "--json",
+        )
+        assert code == EXIT_FAILURE
+        doc = json.loads(out)
+        assert doc["verdict"] == "FAIL"
+        outcomes = {key: doc[key] for key in ("trials", "successes", "ambiguous", "miscorrected")}
+        assert outcomes == {"trials": 24600576, "successes": 6054048, "ambiguous": 10090080, "miscorrected": 8456448}
+
+    def test_largest_counted_weight_prints(self, capsys):
+        # The theorem code [4096, 1, 4096] at p = 2^31 - 1: its t = COUNT_WEIGHT_LIMIT count has 1,450
+        # digits, inside Python's 4,300-digit int-to-str limit; one weight more is refused.
+        p = 2**31 - 1
+        flags = ["simulate", "--n", "64", "--p", str(p), "--x", "1", "--y", str(p - 64), "--a", "2", "--exhaustive"]
+        t = str(COUNT_WEIGHT_LIMIT)
+        trials = math.comb(4096, COUNT_WEIGHT_LIMIT) * (p - 1) ** COUNT_WEIGHT_LIMIT * p
+        code, out, _ = run_cli(capsys, *flags, "--t", t, "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["trials"], doc["successes"]) == ("PASS", trials, trials)
+        assert len(str(trials)) == 1450
+        code, out, _ = run_cli(capsys, *flags, "--t", t)
+        assert code == EXIT_OK
+        assert f"trials {trials}: {trials} success, 0 ambiguous, 0 miscorrected\n" in out
+        code, out, err = run_cli(capsys, *flags, "--t", str(COUNT_WEIGHT_LIMIT + 1))
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err == (
+            "tcc: guard exceeded: exhaustive count at weight t = 129, beyond the t <= 128 guard; "
+            "use monte_carlo instead\n"
+        )
 
     def test_trials_guard_fires_before_any_trial(self, capsys, monkeypatch):
         def no_trial(*args):
@@ -645,10 +684,13 @@ class TestSimulateCommand:
         doc = json.loads(out)
         assert doc["verdict"] == "PASS"
         assert doc["trials"] == doc["successes"] == 1000
-        # The exhaustive sweep stays refused by its work guard.
-        code, _, err = run_cli(capsys, "simulate", *flags, "--exhaustive")
-        assert code == EXIT_GUARD
-        assert "exhaustive sweep means about 10^48 outcomes from about 10^39 decoded patterns" in err
+        # The exhaustive sweep is counted, so it passes at every t up to capacity.
+        for t in range(5):
+            code, out, _ = run_cli(capsys, "simulate", *flags[:-2], "--t", str(t), "--exhaustive", "--json")
+            assert code == EXIT_OK
+            doc = json.loads(out)
+            assert doc["verdict"] == "PASS"
+            assert doc["trials"] == doc["successes"] == math.comb(9, t) * (2**31 - 2) ** t * (2**31 - 1)
 
     def test_seed_repeatability(self, capsys):
         argv = [
