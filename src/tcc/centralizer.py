@@ -23,7 +23,9 @@ RREF.  Otherwise A takes the Kronecker kernel; its elimination runs with
 the columns reversed, so its kernel comes out in RREF too and no second
 reduction runs.  Every route returns the LinearCode itself, read-only and
 holding the array as it is, once every generator row has been checked
-against AB = aBA.
+against AB = aBA: for a comb A from the row's row and column sums, as
+AB - aBA = s B + x (u r^T - a c u^T), with no product; for any other A by
+two matmul_mod products.
 """
 
 from collections.abc import Sequence
@@ -67,11 +69,14 @@ class TwistSpec:
     twist: int
 
     def __post_init__(self):
-        if not self.matrix.is_square:
-            raise ValueError(f"the fixed matrix must be square, got {self.matrix.rows}x{self.matrix.cols}")
-        if self.matrix.rows > MAX_ORDER:
-            raise ValueError(f"order {self.matrix.rows} exceeds the cap {MAX_ORDER}")
-        object.__setattr__(self, "twist", self.matrix.prime.residue(self.twist, "twist"))
+        rows, cols = self.matrix.array.shape
+        if rows != cols:
+            raise ValueError(f"the fixed matrix must be square, got {rows}x{cols}")
+        if rows > MAX_ORDER:
+            raise ValueError(f"order {rows} exceeds the cap {MAX_ORDER}")
+        twist, prime = self.twist, self.matrix.prime
+        # A plain int, as verify passes, skips residue's type checks; bool is no int here.
+        object.__setattr__(self, "twist", twist % prime.p if type(twist) is int else prime.residue(twist, "twist"))
 
     @property
     def n(self) -> int:
@@ -95,9 +100,9 @@ def _basis(specs: TwistSpec | Sequence[TwistSpec], gen: np.ndarray) -> LinearCod
     ``specs`` is one spec, or several of one order and field that share the
     generator.  Every row is checked to be a residue row and the vec image
     of a member for every spec, with that spec's own A and twist, before the
-    code is returned.  One that is not is a fault of the solve, never of its
-    input, so RuntimeError.  Each batched product covers at most
-    _CHECK_CELLS entries, across specs and across rows.
+    code is returned: _residual must vanish.  One that is not is a fault of
+    the solve, never of its input, so RuntimeError.  Each residual covers at
+    most _CHECK_CELLS entries, across specs and across rows.
     """
     if isinstance(specs, TwistSpec):
         specs = [specs]
@@ -109,14 +114,17 @@ def _basis(specs: TwistSpec | Sequence[TwistSpec], gen: np.ndarray) -> LinearCod
         raise RuntimeError(f"{err}; the solve is broken") from err
     rows = max(1, min(len(gen), _CHECK_CELLS // (n * n)))
     width = max(1, _CHECK_CELLS // (n * n * rows))
-    mats = np.stack([spec.matrix.array for spec in specs])[:, None]
-    twists = np.array([spec.twist for spec in specs], dtype=np.int64)[:, None, None, None]
+    # A matrix shared by several specs is read once.
+    combs = {}
+    for spec in specs:
+        if id(spec.matrix) not in combs:
+            combs[id(spec.matrix)] = _comb_form(spec.matrix)
+    forms = [combs[id(spec.matrix)] for spec in specs]
     # A row is vec(B), column by column, so its row-major reshape is B^T.
-    members = gen.reshape(-1, n, n).transpose(0, 2, 1)
-    for start in range(0, len(gen), rows):
-        stack = members[None, start : start + rows]
-        for lo in range(0, len(specs), width):
-            if not _all_members(mats[lo : lo + width], twists[lo : lo + width], stack, p):
+    members = gen.reshape(-1, n, n)
+    for lo in range(0, len(specs), width):
+        for start in range(0, len(gen), rows):
+            if _residual(specs[lo : lo + width], forms[lo : lo + width], members[start : start + rows], p).any():
                 raise RuntimeError("basis matrix fails the twisted commutation condition; the solve is broken")
     return code
 
@@ -365,9 +373,28 @@ def _rref_kernel(eqs: np.ndarray, prime: Prime) -> np.ndarray:
     return kernel_basis(Matrix(eqs[:, ::-1], prime))[::-1, ::-1]
 
 
-def _all_members(a: np.ndarray, twist, stack: np.ndarray, p: int) -> bool:
-    """Exact entrywise test of A @ B == a * (B @ A), broadcast over stacks of A's, twists and B's."""
-    return np.array_equal(matmul_mod(a, stack, p), matmul_mod(stack, a, p) * twist % p)
+def _residual(specs: Sequence[TwistSpec], forms: list, members: np.ndarray, p: int) -> np.ndarray:
+    """(A B - a B A)^T mod p for each spec and each B^T in ``members``: an (S, rows, n, n) array.
+
+    ``forms`` holds each spec's _comb_form.  When every A is x J + y I, with
+    u the all-ones vector, the residual is s B + x (u r^T - a c u^T) for
+    s = (1 - a) y, B's column sums r = u^T B and row sums c = B u: no product
+    is taken.  The sums are reduced before they are scaled, so each entry
+    stays below (p - 1)^2 + 2p < 2^63 before its reduction.  Otherwise the
+    residual is B^T A^T - a A^T B^T, from two matmul_mod products.
+    """
+    if None in forms:
+        at = np.stack([spec.matrix.array.T for spec in specs])[:, None]
+        twists = np.array([spec.twist for spec in specs], dtype=np.int64)[:, None, None, None]
+        return (matmul_mod(members, at, p) - twists * matmul_mod(at, members, p)) % p
+    coefs = [((1 - spec.twist) * y % p, x, -spec.twist * x % p) for spec, (_, _, x, y) in zip(specs, forms)]
+    s, x, ax = np.array(coefs, dtype=np.int64).T[:, :, None, None]
+    # members[m, j, i] = B[i, j]: r runs along axis 2 of the residual, c along axis 3.
+    out = s[..., None] * members
+    out += (x * (members.sum(axis=2) % p) % p)[..., None]
+    out += (ax * (members.sum(axis=1) % p) % p)[:, :, None]
+    out %= p
+    return out
 
 
 def is_member(b: Matrix, spec: TwistSpec) -> bool:
@@ -376,4 +403,4 @@ def is_member(b: Matrix, spec: TwistSpec) -> bool:
         raise ValueError(f"expected a {spec.n}x{spec.n} matrix, got {b.rows}x{b.cols}")
     if b.prime != spec.prime:
         raise FieldMismatchError(f"matrix over GF({b.prime.p}) against a GF({spec.prime.p}) centralizer")
-    return _all_members(spec.matrix.array, spec.twist, b.array[None], spec.prime.p)
+    return not _residual([spec], [None], b.array.T[None], spec.prime.p).any()

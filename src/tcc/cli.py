@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -43,7 +44,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser of every command, built on first use and shared by later calls to main."""
     parser = _Parser(prog="tcc", description="Twisted centralizer codes over GF(p).")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 

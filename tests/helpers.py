@@ -17,7 +17,10 @@ as the oracle for the delayed reduction in tcc.linalg._rref_array.
 kronecker_code solves any A, comb or not, through the kernel of the
 twisted operator, kept as the oracle for the closed form that
 centralizer_code writes for a comb matrix and for its Hessenberg
-recurrence.  structured_matrices and similar_to_diagonal draw the
+recurrence.  product_verdicts tests each generator row by the two
+products A B and a B A themselves, kept as the oracle for the residual
+that centralizer._basis reads from a comb matrix's row and column sums.
+structured_matrices and similar_to_diagonal draw the
 recurrence's test inputs, diagonal_dim gives C(A, a)'s dimension for a
 diagonalizable A, and recurrence_calls records (or forces) that route.
 eliminated_comb_kernel eliminates the retired (2n - 1)-square system of a comb solve with
@@ -177,6 +180,13 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
 def kronecker_code(spec: TwistSpec) -> LinearCode:
     """C(A, a) from the RREF kernel of the twisted operator, whatever A is."""
     return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
+
+
+def product_verdicts(spec: TwistSpec, gen: np.ndarray) -> np.ndarray:
+    """For each row vec(B) of ``gen``, whether A B = a B A, from the two products themselves."""
+    n, p, a = spec.n, spec.prime.p, spec.matrix.array
+    bs = gen.reshape(-1, n, n).transpose(0, 2, 1)
+    return np.all(matmul_mod(a, bs, p) == matmul_mod(bs, a, p) * spec.twist % p, axis=(1, 2))
 
 
 # Kinds of fixed matrix whose Hessenberg forms need not be one block.

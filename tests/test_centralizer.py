@@ -19,7 +19,16 @@ from tcc import (
     kernel_basis,
     twisted_operator,
 )
-from tcc.centralizer import _basis, _comb_case, _comb_rows, _sum_kernel, centralizer_codes, is_member
+from tcc.centralizer import (
+    _basis,
+    _comb_case,
+    _comb_form,
+    _comb_rows,
+    _residual,
+    _sum_kernel,
+    centralizer_codes,
+    is_member,
+)
 from tcc.linalg import MAX_ORDER, FieldMismatchError, _hessenberg, matmul_mod
 from helpers import (
     GF2,
@@ -39,6 +48,7 @@ from helpers import (
     identity,
     kronecker_code,
     matmul,
+    product_verdicts,
     rand_matrix,
     recurrence_calls,
     similar_to_diagonal,
@@ -410,22 +420,169 @@ class TestBatch:
 
     @pytest.mark.parametrize("cells", [16, 64, 1 << 15])
     def test_group_products_stay_within_the_chunk_bound(self, monkeypatch, cells):
-        # Every product of the group checks covers at most _CHECK_CELLS entries, across specs and rows.
-        sizes = []
-        original = tcc.centralizer.matmul_mod
+        # Every residual of the group checks covers at most _CHECK_CELLS entries, across specs
+        # and rows.  A comb residual is its check's largest temporary and takes no product;
+        # each product of a non-comb check is as large as its residual.
+        residuals, products = [], []
+        residual, original = tcc.centralizer._residual, tcc.centralizer.matmul_mod
+
+        def recorded_residual(*args):
+            out = residual(*args)
+            residuals.append(out.size)
+            return out
 
         def recorded(a, b, p):
             out = original(a, b, p)
-            sizes.append(out.size)
+            products.append(out.size)
             return out
 
+        general = TwistSpec(Matrix(np.diag([1, 1, 2, 3]), GF5), 1)
+        gen = centralizer_code(general).generator
         monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", cells)
+        monkeypatch.setattr(tcc.centralizer, "_residual", recorded_residual)
         monkeypatch.setattr(tcc.centralizer, "matmul_mod", recorded)
         specs = [comb_spec(4, x, y, 5, a) for x, y, a in product(range(5), repeat=3)]
         codes = centralizer_codes(specs)
-        assert sizes and max(sizes) <= cells
+        assert residuals and max(residuals) <= cells and products == []
+        residuals.clear()
+        # Seven specs sharing C(diag(1, 1, 2, 3), 1)'s six rows: chunked across specs and rows.
+        assert _basis([general] * 7, gen).dim == 6
+        assert products and max(products) <= cells and len(products) == 2 * len(residuals)
+        assert sum(residuals) == 7 * 6 * 16
         monkeypatch.undo()
         assert codes == [centralizer_code(spec) for spec in specs]
+
+
+BIG = 2**31 - 1
+CASE_NAMES = {"full", "sums", "J", "zero", "g u^T", "u h^T", "u h^T, sum h = 0", "g + h"}
+
+
+def case_specs(n, p):
+    """One comb spec per closed-form case reachable at order n over GF(p), keyed by _comb_case.
+
+    A case is fixed by which of s = (1 - a) y, alpha = s - a x n, beta = s + x n
+    and x n + y vanish, so y runs over the values that zero one of them.
+    """
+    found = {}
+    for x, a in product((0, 1, 2, p - 1), repeat=2):
+        x, a = x % p, a % p
+        ys = {0, 1, -x * n % p}
+        if (1 - a) % p:
+            inv = pow(1 - a, -1, p)
+            ys |= {a * x * n * inv % p, -x * n * inv % p}
+        for y in sorted(ys):
+            found.setdefault(_comb_case(n, x, y, a, p), (x, y, a))
+    return {case: comb_spec(n, x, y, p, a) for case, (x, y, a) in found.items()}
+
+
+def case_groups(n, p):
+    """Every comb spec of order n over GF(p) by its _comb_case, or case_specs's one each for p > 7."""
+    if p > 7:
+        return {case: [spec] for case, spec in case_specs(n, p).items()}
+    groups = {}
+    for x, y, a in product(range(p), repeat=3):
+        groups.setdefault(_comb_case(n, x, y, a, p), []).append(comb_spec(n, x, y, p, a))
+    return groups
+
+
+def sums_verdicts(spec, gen):
+    """For each row of ``gen``, whether the residual _basis reads from A's comb form vanishes."""
+    n, p = spec.n, spec.prime.p
+    return ~_residual([spec], [_comb_form(spec.matrix)], gen.reshape(-1, n, n), p)[0].any(axis=(1, 2))
+
+
+def row_pool(rng, n, p, cases, few):
+    """The first ``few`` rows of each case's generator, each again with one entry moved, and four random rows.
+
+    At n = 64 the full space's rows are read off the identity, and the 3970 rows of
+    "sums" are left to the CLI's order-64 build, which checks them all.
+    """
+    blocks = []
+    for case in cases:
+        if n == 64 and case[0] in ("full", "sums"):
+            blocks.append(np.eye(few if case == ("full",) else 0, n * n, dtype=np.int64))
+        else:
+            blocks.append(_comb_rows(n, p, *case)[:few])
+    members = np.concatenate(blocks)
+    moved, rows = members.copy(), np.arange(len(members))
+    at = rng.integers(n * n, size=len(members))
+    moved[rows, at] = (moved[rows, at] + rng.integers(1, p, size=len(members))) % p
+    return np.concatenate([members, moved, rng.integers(0, p, size=(4, n * n))])
+
+
+class TestSumsResidual:
+    """A comb spec's residual from B's row and column sums against the two products it replaces."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, BIG])
+    def test_sums_residual_matches_the_products(self, p):
+        rng = np.random.default_rng(p % 1009)
+        names, verdicts = set(), set()
+        for n in (2, 3, 4, 5, 6, 32, 64):
+            specs = case_specs(n, p)
+            names |= {case[0] for case in specs}
+            pool = row_pool(rng, n, p, specs, None if n <= 6 else 3)
+            for case, spec in specs.items():
+                expected = product_verdicts(spec, pool)
+                assert np.array_equal(sums_verdicts(spec, pool), expected), (n, case)
+                verdicts |= set(expected.tolist())
+        assert verdicts == {True, False}
+        assert names == CASE_NAMES if p >= 5 else names < CASE_NAMES
+
+    @pytest.mark.parametrize("cells", [9, 64, 1 << 15])
+    def test_a_moved_entry_is_refused_at_every_chunk_size(self, monkeypatch, cells):
+        # One entry of one row moved keeps only the full space's rows in C(A, a); every other
+        # group refuses it, however its specs and rows are chunked.
+        monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        refused = 0
+        for p in (2, 3, 5, 7, BIG):
+            for n in (2, 3, 4):
+                for case, group in case_groups(n, p).items():
+                    gen = _comb_rows(n, p, *case)
+                    assert _basis(group, gen).dim == len(gen)
+                    if not len(gen):
+                        continue
+                    moved = gen.copy()
+                    i, j = rng.integers(len(gen)), rng.integers(n * n)
+                    moved[i, j] = (moved[i, j] + rng.integers(1, p)) % p
+                    if all(product_verdicts(spec, moved).all() for spec in group):
+                        assert case == ("full",) and _basis(group, moved).dim == len(gen)
+                        continue
+                    with pytest.raises(RuntimeError, match="twisted commutation"):
+                        _basis(group, moved)
+                    refused += 1
+        assert refused > 100
+
+    def test_largest_entries_at_the_largest_order_and_prime(self):
+        # Every entry p - 1 at p = 2^31 - 1 and n = 64, so each sum is 64 (p - 1) before it is
+        # reduced, against specs with x and a up to p - 1.  -J is a member exactly where J is:
+        # for a = 1, and where y = -x n, as for y = n and 2n here.
+        p, n = BIG, 64
+        edge = np.full((1, n * n), p - 1, dtype=np.int64)
+        moved = edge.copy()
+        moved[0, 1] = p - 2
+        pool = np.concatenate([edge, moved])
+        specs = list(case_specs(n, p).values())
+        specs += [comb_spec(n, x, y, p, a) for x, y, a in product((p - 2, p - 1), (p - 1, n, 2 * n), (1, p - 2, p - 1))]
+        verdicts = set()
+        for spec in specs:
+            expected = product_verdicts(spec, pool)
+            assert np.array_equal(sums_verdicts(spec, pool), expected)
+            verdicts.add(tuple(expected.tolist()))
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_comb_checks_take_no_product(self, monkeypatch):
+        specs = [
+            comb_spec(n, x, y, p, a) for n, p in [(2, 3), (3, 7), (5, 5)] for x, y, a in product(range(p), repeat=3)
+        ]
+        specs += list(case_specs(32, BIG).values())
+        codes = centralizer_codes(specs)
+
+        def refuse(*args):
+            raise AssertionError("a comb check takes no product")
+
+        monkeypatch.setattr(tcc.centralizer, "matmul_mod", refuse)
+        assert centralizer_codes(specs) == codes
 
 
 class TestBruteForce:

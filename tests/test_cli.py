@@ -12,7 +12,7 @@ import tcc.cli
 import tcc.linalg
 from tcc import CombParams, Prime
 from tcc.channel import COUNT_WEIGHT_LIMIT
-from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
+from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, build_parser, main
 from helpers import (
     DefectiveMatrixError,
     child_env,
@@ -131,6 +131,30 @@ class TestBuildCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc == {"p": 3, "n": 2, "x": 1, "y": 1, "a": 2, "length": 4, "dimension": 1}
+
+    @pytest.mark.parametrize(
+        "flags, out",
+        [
+            # (n - 1)^2 + 1 rows over GF(7), and the full space at the largest prime.
+            ("--p 7 --x 1 --y 1 --a 1", '{"p": 7, "n": 64, "x": 1, "y": 1, "a": 1, "length": 4096, "dimension": 3970}\n'),
+            (
+                "--p 2147483647 --x 0 --y 1 --a 1",
+                '{"p": 2147483647, "n": 64, "x": 0, "y": 1, "a": 1, "length": 4096, "dimension": 4096}\n',
+            ),
+        ],
+    )
+    def test_order_64_comb_builds_check_every_row(self, capsys, monkeypatch, flags, out):
+        cells = []
+        residual = tcc.centralizer._residual
+
+        def recorded(*args):
+            result = residual(*args)
+            cells.append(result.size)
+            return result
+
+        monkeypatch.setattr(tcc.centralizer, "_residual", recorded)
+        assert run_cli(capsys, "build", "--n", "64", *flags.split(), "--json") == (EXIT_OK, out, "")
+        assert sum(cells) == json.loads(out)["dimension"] * 4096
 
     def test_matrix_file_input(self, capsys, tmp_path):
         path = tmp_path / "a.mat"
@@ -495,25 +519,25 @@ class TestVerifyCommand:
         # Nothing outlives a solve: a second sweep in one process writes and checks every group again.
         counts = []
         basis = tcc.centralizer._basis
-        products = tcc.centralizer._all_members
+        residual = tcc.centralizer._residual
 
         def checked(specs, gen):
             counts[-1]["groups"] += 1
             return basis(specs, gen)
 
-        def multiplied(*args):
-            counts[-1]["products"] += 1
-            return products(*args)
+        def reduced(*args):
+            counts[-1]["residuals"] += 1
+            return residual(*args)
 
         monkeypatch.setattr(tcc.centralizer, "_basis", checked)
-        monkeypatch.setattr(tcc.centralizer, "_all_members", multiplied)
+        monkeypatch.setattr(tcc.centralizer, "_residual", reduced)
         outs = []
         for _ in range(2):
-            counts.append({"groups": 0, "products": 0})
+            counts.append({"groups": 0, "residuals": 0})
             code, out, _ = run_cli(capsys, "verify", "--p-max", "5", "--n-max", "3", "--json")
             assert code == EXIT_OK
             outs.append(out)
-        assert counts[0] == counts[1] and counts[0]["groups"] > 0 and counts[0]["products"] > 0
+        assert counts[0] == counts[1] and counts[0]["groups"] > 0 and counts[0]["residuals"] > 0
         assert outs[0] == outs[1]
 
     def test_broken_closed_form_case_fails_the_sweep(self, capsys, monkeypatch):
@@ -711,6 +735,25 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == EXIT_OK
+
+    def test_one_parser_serves_every_call_after_a_usage_error(self, capsys, monkeypatch):
+        # main reuses one parser: a usage error leaves it as it was, and it formats as a fresh one.
+        monkeypatch.setenv("COLUMNS", "80")
+        usage = (
+            "usage: tcc build [-h] [--n N] [--p P] [--x X] [--y Y] [--json]\n"
+            "                 [--matrix-file MATRIX_FILE] --a A\n"
+            "tcc build: error: the following arguments are required: --a\n"
+        )
+        doc = '{"p": 3, "n": 2, "x": 1, "y": 1, "a": 2, "length": 4, "dimension": 1}\n'
+        for _ in range(2):
+            assert run_cli(capsys, "build", "--n", "2", "--p", "3") == (EXIT_USAGE, "", usage)
+            assert run_cli(capsys, "build", "--n", "2", "--p", "3", "--x", "1", "--y", "1", "--a", "2", "--json") == (
+                EXIT_OK,
+                doc,
+                "",
+            )
+        assert build_parser() is build_parser()
+        assert build_parser().format_help() == build_parser.__wrapped__().format_help()
 
     def test_module_entry_point(self):
         proc = subprocess.run(
