@@ -3,16 +3,16 @@
 The membership condition is linear in B, so column-stacking turns it into
 an ordinary kernel problem: with T = (I (x) A) - a * (A^T (x) I) we have
 T vec(B) = vec(AB - aBA), and C(A, a) is exactly unvec of ker(T).  That
-costs about n^6, so centralizer_codes first reads A itself: a comb matrix
-x*J + y*I is solved from row and column sums instead, in closed form,
-with every generator written directly as the RREF generator of the
-linear code of length n^2 spanned by the vec images, and no comb solve
-eliminates.  For s = (1 - a) y != 0 each row is the vec of a member
+costs about n^6, so centralizer_code first reads A itself: a comb matrix
+x*J + y*I is solved by comb_codes from row and column sums instead, in
+closed form, with every generator written directly as the RREF generator
+of the linear code of length n^2 spanned by the vec images, and no comb
+solve eliminates.  For s = (1 - a) y != 0 each row is the vec of a member
 g u^T + u h^T, g tiled and each h_j repeated, and the paper's case returns
-J or nothing.  A batch of specs is solved at once: comb specs of one
-order and field in the same closed-form case share one generator, one
-batched membership check over each spec's own A and twist, and one code;
-centralizer_code is the batch of one.  Every other A is solved alone.
+J or nothing.  comb_codes takes a batch of residue triples (x, y, a) of
+one order and field, as verify sweeps them: triples in the same
+closed-form case share one generator, one membership check over their
+distinct coefficients, and one code.  Every other A is solved alone.
 For a = 0, C(A, 0) is the B whose columns lie in ker A, so its generator
 is n copies of ker A's RREF.  Otherwise A is first reduced to Hessenberg
 form H = S A S^-1, with b blocks.  When 2b <= n, C(A, a) is solved from
@@ -74,9 +74,7 @@ class TwistSpec:
             raise ValueError(f"the fixed matrix must be square, got {rows}x{cols}")
         if rows > MAX_ORDER:
             raise ValueError(f"order {rows} exceeds the cap {MAX_ORDER}")
-        twist, prime = self.twist, self.matrix.prime
-        # A plain int, as verify passes, skips residue's type checks; bool is no int here.
-        object.__setattr__(self, "twist", twist % prime.p if type(twist) is int else prime.residue(twist, "twist"))
+        object.__setattr__(self, "twist", self.matrix.prime.residue(self.twist, "twist"))
 
     @property
     def n(self) -> int:
@@ -94,37 +92,27 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
     return Matrix((np.kron(ident, a) - spec.twist * np.kron(a.T, ident)) % spec.prime.p, spec.prime)
 
 
-def _basis(specs: TwistSpec | Sequence[TwistSpec], gen: np.ndarray) -> LinearCode:
-    """The code with the RREF generator rows ``gen``, held without a copy; no rows is the zero code.
+def _basis(n: int, prime: Prime, gen: np.ndarray, residual, checks: int) -> LinearCode:
+    """The code of length n^2 with the RREF generator rows ``gen``, held without a copy; no rows is the zero code.
 
-    ``specs`` is one spec, or several of one order and field that share the
-    generator.  Every row is checked to be a residue row and the vec image
-    of a member for every spec, with that spec's own A and twist, before the
-    code is returned: _residual must vanish.  One that is not is a fault of
-    the solve, never of its input, so RuntimeError.  Each residual covers at
-    most _CHECK_CELLS entries, across specs and across rows.
+    Every row is checked to be a residue row, and by each of ``checks``
+    membership tests to be the vec image of a member, before the code is
+    returned: residual(lo, hi, members), the residual of tests lo .. hi - 1
+    on a stack of B^T, must vanish.  One that does not is a fault of the
+    solve, never of its input, so RuntimeError.  Each residual covers at
+    most _CHECK_CELLS entries, across tests and across rows.
     """
-    if isinstance(specs, TwistSpec):
-        specs = [specs]
-    first = specs[0]
-    n, p = first.n, first.prime.p
     try:
-        code = LinearCode(first.prime, n * n, gen)
+        code = LinearCode(prime, n * n, gen)
     except ValueError as err:
         raise RuntimeError(f"{err}; the solve is broken") from err
     rows = max(1, min(len(gen), _CHECK_CELLS // (n * n)))
     width = max(1, _CHECK_CELLS // (n * n * rows))
-    # A matrix shared by several specs is read once.
-    combs = {}
-    for spec in specs:
-        if id(spec.matrix) not in combs:
-            combs[id(spec.matrix)] = _comb_form(spec.matrix)
-    forms = [combs[id(spec.matrix)] for spec in specs]
     # A row is vec(B), column by column, so its row-major reshape is B^T.
     members = gen.reshape(-1, n, n)
-    for lo in range(0, len(specs), width):
+    for lo in range(0, checks, width):
         for start in range(0, len(gen), rows):
-            if _residual(specs[lo : lo + width], forms[lo : lo + width], members[start : start + rows], p).any():
+            if residual(lo, lo + width, members[start : start + rows]).any():
                 raise RuntimeError("basis matrix fails the twisted commutation condition; the solve is broken")
     return code
 
@@ -132,10 +120,9 @@ def _basis(specs: TwistSpec | Sequence[TwistSpec], gen: np.ndarray) -> LinearCod
 def centralizer_code(spec: TwistSpec) -> LinearCode:
     """Solve AB = aBA in RREF, in closed form when A = x*J + y*I with n >= 2.
 
-    This is centralizer_codes on a batch of one.  A is a comb matrix
-    exactly when it equals x*J + (d - x)*I entrywise, for x = A[0, n - 1]
-    and d = A[0, 0].  Then, with u the all-ones vector, c = B u and
-    r = u^T B, we have AB - aBA = s*B + x*(u r - a c u^T) for
+    A is a comb matrix exactly when it equals x*J + (d - x)*I entrywise,
+    for x = A[0, n - 1] and d = A[0, 0].  Then, with u the all-ones vector,
+    c = B u and r = u^T B, we have AB - aBA = s*B + x*(u r - a c u^T) for
     s = (1 - a) y.  For s != 0 every member is B[i, j] = g_i + h_j with
     h_0 = 0, and AB = aBA reads alpha g_i + beta h_j + x (sum g - a sum h) = 0
     for alpha = s - a x n and beta = s + x n.  The dimension is then
@@ -149,7 +136,8 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
     For s = 0 the code is the full space n^2 when x = 0.  Otherwise
     AB - aBA = x (u r - a c u^T), so every column sum equals a times every
     row sum, and the dimension is n^2 - n for a = 0 (zero column sums),
-    else (n - 1)^2 + [a = 1 or p | n].  Each is written in RREF directly.
+    else (n - 1)^2 + [a = 1 or p | n].  Each is written in RREF directly, by
+    comb_codes on the one triple (x, y, a).
 
     Any other A with a = 0 gives the B with A B = 0, whose columns lie in
     ker A: the RREF generator is n copies of ker A's RREF, n nullity(A)
@@ -164,45 +152,42 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
     with its columns reversed, refused beyond order 32.  Every guard is
     decided after an O(n^3) reduction, before any larger elimination.
     """
-    return centralizer_codes([spec])[0]
+    form = _comb_form(spec.matrix)
+    if form is None:
+        return _general_code(spec)
+    return comb_codes(spec.n, spec.prime, [(*form, spec.twist)])[0]
 
 
-def centralizer_codes(specs: Sequence[TwistSpec]) -> list[LinearCode]:
-    """centralizer_code of every spec, in order, solving each closed form once.
+def comb_codes(n: int, prime: Prime, triples: Sequence[tuple[int, int, int]]) -> list[LinearCode]:
+    """C(x*J + y*I, a) of order n >= 2 over ``prime`` for each residue triple (x, y, a), in order.
 
-    Comb specs of one order and field in the same _comb_case have equal
-    generators, so each such group writes its rows once, checks them in one
-    batched pass against every member spec's own A and twist, and shares one
-    LinearCode.  Every other spec is solved alone.  Nothing outlives the call.
+    Triples in the same _comb_case have equal generators, so each such group
+    writes its rows once, checks them against the group's distinct
+    coefficient triples (s, x, -a x) of _comb_residual, and shares one
+    LinearCode.  Nothing outlives the call.
     """
-    codes = [None] * len(specs)
+    p = prime.p
+    cases = [_comb_case(n, x, y, a, p) for x, y, a in triples]
     groups = {}
-    # A matrix shared by several specs, as verify's twists share theirs, is read once.
-    combs = {}
-    for i, spec in enumerate(specs):
-        key = id(spec.matrix)
-        if key not in combs:
-            combs[key] = _comb_form(spec.matrix)
-        if combs[key] is None:
-            codes[i] = _general_code(spec)
-        else:
-            n, p, x, y = combs[key]
-            groups.setdefault((n, p, *_comb_case(n, x, y, spec.twist, p)), []).append(i)
-    for (n, p, *case), members in groups.items():
-        code = _basis([specs[i] for i in members], _comb_rows(n, p, *case))
-        for i in members:
-            codes[i] = code
-    return codes
+    for case, (x, y, a) in zip(cases, triples):
+        groups.setdefault(case, {})[(1 - a) * y % p, x, -a * x % p] = None
+    codes = {}
+    for case, coefs in groups.items():
+        coefs = np.array(list(coefs), dtype=np.int64)
+        codes[case] = _basis(
+            n, prime, _comb_rows(n, p, *case), lambda lo, hi, bt: _comb_residual(coefs[lo:hi], bt, p), len(coefs)
+        )
+    return [codes[case] for case in cases]
 
 
-def _comb_form(matrix: Matrix) -> tuple[int, int, int, int] | None:
-    """(n, p, x, y) when ``matrix`` is x*J + y*I of order n >= 2 over GF(p), else None."""
+def _comb_form(matrix: Matrix) -> tuple[int, int] | None:
+    """(x, y) when ``matrix`` is x*J + y*I of order n >= 2 over GF(p), else None."""
     n, p, flat = matrix.rows, matrix.prime.p, matrix.array.ravel().tolist()
     x, d = flat[n - 1], flat[0]
     # Row-major, the entries after A[0, 0] are n - 1 runs of n off-diagonal x's, each closed by a diagonal d.
     if n < 2 or flat[1:] != ([x] * n + [d]) * (n - 1):
         return None
-    return n, p, x, (d - x) % p
+    return x, (d - x) % p
 
 
 def _comb_case(n: int, x: int, y: int, a: int, p: int) -> tuple:
@@ -264,23 +249,25 @@ def _general_code(spec: TwistSpec) -> LinearCode:
                 f"{n * len(kernel)}x{n * n} generator, beyond the {_RECURRENCE_MAX_CELLS}-cell guard"
             )
         # Column j of B is any vector of ker A, so vec(B) is n such blocks: kron(I, K) is in RREF.
-        return _basis(spec, np.kron(np.eye(n, dtype=np.int64), kernel))
-    h, s, s_inv = _hessenberg(spec.matrix.array, prime.p)
-    blocks = n - np.count_nonzero(np.diagonal(h, -1))
-    if _CROSSOVER * blocks <= n:
-        if n * blocks * n * n > _RECURRENCE_MAX_CELLS:
+        gen = np.kron(np.eye(n, dtype=np.int64), kernel)
+    else:
+        h, s, s_inv = _hessenberg(spec.matrix.array, prime.p)
+        blocks = n - np.count_nonzero(np.diagonal(h, -1))
+        if _CROSSOVER * blocks <= n:
+            if n * blocks * n * n > _RECURRENCE_MAX_CELLS:
+                raise GuardExceededError(
+                    f"the recurrence for order {n} with {blocks} blocks may reduce a "
+                    f"{n * blocks}x{n * n} generator, beyond the {_RECURRENCE_MAX_CELLS}-cell guard"
+                )
+            gen = _recurrence_generator(spec, h, s, s_inv, blocks)
+        elif n * n > KRONECKER_MAX_CELLS:
             raise GuardExceededError(
-                f"the recurrence for order {n} with {blocks} blocks may reduce a "
-                f"{n * blocks}x{n * n} generator, beyond the {_RECURRENCE_MAX_CELLS}-cell guard"
+                f"the Kronecker kernel for order {n} needs T of {n * n}x{n * n}, "
+                f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
             )
-        return _basis(spec, _recurrence_generator(spec, h, s, s_inv, blocks))
-    cells = n * n
-    if cells > KRONECKER_MAX_CELLS:
-        raise GuardExceededError(
-            f"the Kronecker kernel for order {n} needs T of {cells}x{cells}, "
-            f"beyond the {KRONECKER_MAX_CELLS}x{KRONECKER_MAX_CELLS} guard"
-        )
-    return _basis(spec, _rref_kernel(twisted_operator(spec).array, prime))
+        else:
+            gen = _rref_kernel(twisted_operator(spec).array, prime)
+    return _basis(n, prime, gen, lambda lo, hi, members: _product_residual(spec, members), 1)
 
 
 def _recurrence_generator(
@@ -373,22 +360,17 @@ def _rref_kernel(eqs: np.ndarray, prime: Prime) -> np.ndarray:
     return kernel_basis(Matrix(eqs[:, ::-1], prime))[::-1, ::-1]
 
 
-def _residual(specs: Sequence[TwistSpec], forms: list, members: np.ndarray, p: int) -> np.ndarray:
-    """(A B - a B A)^T mod p for each spec and each B^T in ``members``: an (S, rows, n, n) array.
+def _comb_residual(coefs: np.ndarray, members: np.ndarray, p: int) -> np.ndarray:
+    """(A B - a B A)^T mod p of each coefficient row (s, x, -a x) of ``coefs`` and each B^T in ``members``.
 
-    ``forms`` holds each spec's _comb_form.  When every A is x J + y I, with
-    u the all-ones vector, the residual is s B + x (u r^T - a c u^T) for
-    s = (1 - a) y, B's column sums r = u^T B and row sums c = B u: no product
-    is taken.  The sums are reduced before they are scaled, so each entry
-    stays below (p - 1)^2 + 2p < 2^63 before its reduction.  Otherwise the
-    residual is B^T A^T - a A^T B^T, from two matmul_mod products.
+    For A = x J + y I and u the all-ones vector the residual is
+    s B + x (u r^T - a c u^T), for s = (1 - a) y, B's column sums r = u^T B
+    and row sums c = B u: no product is taken, and the (S, rows, n, n)
+    result is read from the coefficients alone.  The sums are reduced before
+    they are scaled, so each entry stays below (p - 1)^2 + 2p < 2^63 before
+    its reduction.
     """
-    if None in forms:
-        at = np.stack([spec.matrix.array.T for spec in specs])[:, None]
-        twists = np.array([spec.twist for spec in specs], dtype=np.int64)[:, None, None, None]
-        return (matmul_mod(members, at, p) - twists * matmul_mod(at, members, p)) % p
-    coefs = [((1 - spec.twist) * y % p, x, -spec.twist * x % p) for spec, (_, _, x, y) in zip(specs, forms)]
-    s, x, ax = np.array(coefs, dtype=np.int64).T[:, :, None, None]
+    s, x, ax = coefs.T[:, :, None, None]
     # members[m, j, i] = B[i, j]: r runs along axis 2 of the residual, c along axis 3.
     out = s[..., None] * members
     out += (x * (members.sum(axis=2) % p) % p)[..., None]
@@ -397,10 +379,16 @@ def _residual(specs: Sequence[TwistSpec], forms: list, members: np.ndarray, p: i
     return out
 
 
+def _product_residual(spec: TwistSpec, members: np.ndarray) -> np.ndarray:
+    """(A B - a B A)^T mod p for each B^T in ``members``: B^T A^T - a A^T B^T, from two matmul_mod products."""
+    at, p = spec.matrix.array.T, spec.prime.p
+    return (matmul_mod(members, at, p) - spec.twist * matmul_mod(at, members, p)) % p
+
+
 def is_member(b: Matrix, spec: TwistSpec) -> bool:
     """Exact entrywise test of A @ B == a * (B @ A)."""
     if b.shape != spec.matrix.shape:
         raise ValueError(f"expected a {spec.n}x{spec.n} matrix, got {b.rows}x{b.cols}")
     if b.prime != spec.prime:
         raise FieldMismatchError(f"matrix over GF({b.prime.p}) against a GF({spec.prime.p}) centralizer")
-    return not _residual([spec], [None], b.array.T[None], spec.prime.p).any()
+    return not _product_residual(spec, b.array.T[None]).any()

@@ -15,7 +15,7 @@ from functools import cache
 from itertools import product
 from pathlib import Path
 
-from .centralizer import TwistSpec, centralizer_code, centralizer_codes
+from .centralizer import TwistSpec, centralizer_code, comb_codes
 from .channel import exhaustive_stats, monte_carlo
 from .code import LinearCode, analyze
 from .comb import (
@@ -224,13 +224,11 @@ def cmd_verify(args) -> tuple[int, dict]:
 
     rows = []
     for p in (q for q in range(2, args.p_max + 1) if is_prime(q)):
-        prime = Prime(p)
+        prime, triples = Prime(p), list(product(range(p), repeat=3))
         for n in range(2, args.n_max + 1):
             # One batch per (p, n): tuples that share a closed form share one code and one theorem check.
-            matrices = [comb_matrix(CombParams(n, x, y, prime)) for x in range(p) for y in range(p)]
-            codes = centralizer_codes([TwistSpec(matrix, a) for matrix in matrices for a in range(p)])
             checks = {}
-            for (x, y, a), code in zip(product(range(p), repeat=3), codes):
+            for (x, y, a), code in zip(triples, comb_codes(n, prime, triples)):
                 hyp = _hypotheses_met(p, n, x, y, a)
                 row = {"p": p, "n": n, "x": x, "y": y, "a": a, "hypotheses_met": hyp, "dim": code.dim}
                 if hyp:

@@ -16,10 +16,13 @@ is Gauss-Jordan reducing the whole block mod p after every pivot, kept
 as the oracle for the delayed reduction in tcc.linalg._rref_array.
 kronecker_code solves any A, comb or not, through the kernel of the
 twisted operator, kept as the oracle for the closed form that
-centralizer_code writes for a comb matrix and for its Hessenberg
-recurrence.  product_verdicts tests each generator row by the two
+comb_codes writes for a comb matrix and for centralizer_code's Hessenberg
+recurrence.  spec_basis and comb_basis run centralizer._basis with the
+product check of one spec and with the comb check of a list of residue
+triples (x, y, a), as centralizer_code and comb_codes do.
+product_verdicts tests each generator row by the two
 products A B and a B A themselves, kept as the oracle for the residual
-that centralizer._basis reads from a comb matrix's row and column sums.
+that centralizer._comb_residual reads from row and column sums.
 structured_matrices and similar_to_diagonal draw the
 recurrence's test inputs, diagonal_dim gives C(A, a)'s dimension for a
 diagonalizable A, and recurrence_calls records (or forces) that route.
@@ -65,7 +68,7 @@ from tcc import (
     rref,
     twisted_operator,
 )
-from tcc.centralizer import _basis, _rref_kernel, is_member
+from tcc.centralizer import _rref_kernel, is_member
 from tcc.channel import EXHAUSTIVE_LIMIT, _pattern_blocks, _tally
 from tcc.code import ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import SingularMatrixError, count_text, inverse, kronecker, matmul_mod
@@ -179,7 +182,22 @@ def brute_force_centralizer(spec: TwistSpec) -> list[Matrix]:
 
 def kronecker_code(spec: TwistSpec) -> LinearCode:
     """C(A, a) from the RREF kernel of the twisted operator, whatever A is."""
-    return _basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
+    return spec_basis(spec, _rref_kernel(twisted_operator(spec).array, spec.prime))
+
+
+def spec_basis(spec: TwistSpec, gen: np.ndarray) -> LinearCode:
+    """The code of ``gen`` once every row passes the product check of ``spec``."""
+    return tcc.centralizer._basis(
+        spec.n, spec.prime, gen, lambda lo, hi, members: tcc.centralizer._product_residual(spec, members), 1
+    )
+
+
+def comb_basis(n: int, p: int, triples, gen: np.ndarray) -> LinearCode:
+    """The code of ``gen`` once every row passes the comb check of each residue triple (x, y, a), in order."""
+    coefs = np.array([((1 - a) * y % p, x, -a * x % p) for x, y, a in triples], dtype=np.int64)
+    return tcc.centralizer._basis(
+        n, Prime(p), gen, lambda lo, hi, members: tcc.centralizer._comb_residual(coefs[lo:hi], members, p), len(coefs)
+    )
 
 
 def product_verdicts(spec: TwistSpec, gen: np.ndarray) -> np.ndarray:

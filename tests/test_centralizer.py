@@ -20,13 +20,12 @@ from tcc import (
     twisted_operator,
 )
 from tcc.centralizer import (
-    _basis,
     _comb_case,
     _comb_form,
+    _comb_residual,
     _comb_rows,
-    _residual,
     _sum_kernel,
-    centralizer_codes,
+    comb_codes,
     is_member,
 )
 from tcc.linalg import MAX_ORDER, FieldMismatchError, _hessenberg, matmul_mod
@@ -40,6 +39,7 @@ from helpers import (
     basis_matrices,
     brute_force_centralizer,
     code_from_rows,
+    comb_basis,
     conjugation_transfer,
     diagonal_dim,
     diagonalize,
@@ -52,6 +52,7 @@ from helpers import (
     rand_matrix,
     recurrence_calls,
     similar_to_diagonal,
+    spec_basis,
     structured_matrices,
     unit_e11,
     vec,
@@ -213,10 +214,10 @@ class TestCentralizerCode:
         # E11 is not in C(J + I, 2) over GF(3), nor in C of a non-comb matrix.
         e11 = code_of(unit_e11(2, GF3)).generator
         with pytest.raises(RuntimeError, match="twisted commutation"):
-            _basis(comb_spec(2, 1, 1, 3, 2), e11)
+            comb_basis(2, 3, [(1, 1, 2)], e11)
         general = TwistSpec(Matrix([[1, 2], [0, 1]], GF3), 2)
         with pytest.raises(RuntimeError, match="twisted commutation"):
-            _basis(general, e11)
+            spec_basis(general, e11)
 
     def test_basis_rejects_one_non_member_among_members(self, monkeypatch):
         # Two generator rows per checked stack.  C(E22, 0) = span(E11, E12),
@@ -224,12 +225,12 @@ class TestCentralizerCode:
         monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", 2 * 2 * 2)
         spec = TwistSpec(Matrix([[0, 0], [0, 1]], GF3), 0)
         e12, e22 = Matrix([[0, 1], [0, 0]], GF3), Matrix([[0, 0], [0, 1]], GF3)
-        assert _basis(spec, code_of(unit_e11(2, GF3), e12).generator) == centralizer_code(spec)
+        assert spec_basis(spec, code_of(unit_e11(2, GF3), e12).generator) == centralizer_code(spec)
         code = code_of(unit_e11(2, GF3), e12, e22)
         members = [unit_e11(2, GF3), e12]
         assert [vec(m).tolist() for m in members] == code.generator[:2].tolist()
         with pytest.raises(RuntimeError, match="twisted commutation"):
-            _basis(spec, code.generator)
+            spec_basis(spec, code.generator)
 
     def test_broken_closed_form_row_is_a_fault(self, monkeypatch):
         # C(J + 2I, 2) over GF(5) at n = 3 is span(J); one entry moved off J is no member.
@@ -319,84 +320,56 @@ class TestCentralizerCode:
 
 
 class TestBatch:
-    """centralizer_codes: one generator, one batched check and one code per closed-form case."""
+    """comb_codes: one generator, one batched check and one code per closed-form case."""
 
     def test_batch_matches_single_solves_and_kronecker_kernel(self):
-        # Every closed-form case at every (n, p), repeated specs, zero codes and non-comb A.
-        rng = np.random.default_rng(53)
-        big = 2**31 - 1
-        specs = []
-        for p in (2, 3, 5, 7, big):
-            prime = Prime(p)
-            for n in range(2, 6):
-                half = pow(2, -1, p) if p > 2 else 1
-                tuples = [
-                    (0, 1, 1),  # full space
-                    (1, 0, 2),  # s = 0: column sums a times row sums
-                    (1, -n, 2),  # p | x n + y: span(J)
-                    (1, 1, 2),  # zero code unless p | n + 1
-                    (1, -2 * n, 2),  # alpha = 0
-                    (1, -n, 0),  # beta = 0, a = 0
-                    (1, n, 2),  # beta = 0, a != 0
-                    (1, -n * half, -1),  # alpha = beta = 0
-                ]
-                tuples += [tuple(int(v) for v in rng.integers(0, min(p, 50), 3)) for _ in range(6)]
-                for x, y, a in tuples:
-                    specs.append(comb_spec(n, x % p, y % p, p, a))
-                for _ in range(2):
-                    m = rand_matrix(rng, n, n, prime)
-                    specs += [TwistSpec(m, 0), TwistSpec(m, int(rng.integers(1, min(p, 50))))]
-        # The same spec object twice, and an equal spec built afresh.
-        specs += specs[:12] + [comb_spec(3, 1, 2, 5, 2)]
-        order = rng.permutation(len(specs))
-        specs = [specs[i] for i in order]
+        # Every triple at each small (n, p) in one call, and one triple of each case at the largest prime.
+        names = set()
+        for p in (2, 3, 5, 7, BIG):
+            for n in (2, 3, 4):
+                triples = list(product(range(p), repeat=3)) if p < BIG else list(case_triples(n, p).values())
+                codes = comb_codes(n, Prime(p), triples)
+                specs = [comb_spec(n, x, y, p, a) for x, y, a in triples]
+                assert codes == [centralizer_code(spec) for spec in specs], (n, p)
+                assert codes == [kronecker_code(spec) for spec in specs], (n, p)
+                assert any(code.dim == 0 for code in codes)
+                if p == BIG:
+                    names |= {_comb_case(n, x, y, a, p)[0] for x, y, a in triples}
+        assert names == CASE_NAMES
 
-        codes = centralizer_codes(specs)
-        assert codes == [centralizer_code(spec) for spec in specs]
-        assert codes == [kronecker_code(spec) for spec in specs]
-        cases = Counter()
-        for spec in specs:
-            flat = spec.matrix.array
-            n, p, x, d = spec.n, spec.prime.p, int(flat[0, -1]), int(flat[0, 0])
-            if spec.matrix == comb_matrix(CombParams(n, x, d - x, spec.prime)):
-                cases[_comb_case(n, x, (d - x) % p, spec.twist, p)[0], p] += 1
-        names = {"full", "sums", "J", "zero", "g u^T", "u h^T", "u h^T, sum h = 0", "g + h"}
-        assert {name for name, p in cases if p == big} == names
-        assert any(code.dim == 0 for code in codes)
-        assert sum(code.dim == 0 for code, spec in zip(codes, specs) if spec.twist == 0) > 0
-
-    def test_one_spec_that_misses_the_shared_rows_is_a_fault(self, monkeypatch):
+    def test_one_triple_that_misses_the_shared_rows_is_a_fault(self, monkeypatch):
         # J spans C(J + 2I, a) over GF(5) at n = 3 for a = 2, 3, 4 (5 | 3 + 2); it is no
         # member of C(J + I, 2), since 5 does not divide 3 + 1.  Checked alone, each
-        # of the three passes; in one group the odd spec fails it, wherever it sits.
-        good = [comb_spec(3, 1, 2, 5, a) for a in (2, 3, 4)]
-        odd = comb_spec(3, 1, 1, 5, 2)
+        # of the three passes; in one group the odd triple fails it, wherever it sits.
+        good = [(1, 2, a) for a in (2, 3, 4)]
+        odd = (1, 1, 2)
         ones = np.ones((1, 9), dtype=np.int64)
-        for spec in good:
-            assert _basis(spec, ones).dim == 1
+        for triple in good:
+            assert comb_basis(3, 5, [triple], ones).dim == 1
         for cells in (tcc.centralizer._CHECK_CELLS, 9):
             monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", cells)
-            assert _basis(good, ones).dim == 1
+            assert comb_basis(3, 5, good, ones).dim == 1
             for at in range(4):
                 with pytest.raises(RuntimeError, match="twisted commutation"):
-                    _basis(good[:at] + [odd] + good[at:], ones)
+                    comb_basis(3, 5, good[:at] + [odd] + good[at:], ones)
 
-    def test_misfiled_spec_fails_its_group_check(self, monkeypatch):
-        # Filed under span(J) with the three specs whose case it is, C(J + I, 2)
+    def test_misfiled_triple_fails_its_group_check(self, monkeypatch):
+        # Filed under span(J) with the three triples whose case it is, C(J + I, 2)
         # over GF(5) shares their row, and the batch check refuses the group.
         original = tcc.centralizer._comb_case
 
         def misfiled(n, x, y, a, p):
             return ("J",) if (n, x, y, a, p) == (3, 1, 1, 2, 5) else original(n, x, y, a, p)
 
-        specs = [comb_spec(3, 1, 2, 5, a) for a in (2, 3, 4)] + [comb_spec(3, 1, 1, 5, 2)]
-        assert [code.dim for code in centralizer_codes(specs)] == [1, 1, 1, 0]
+        triples = [(1, 2, a) for a in (2, 3, 4)] + [(1, 1, 2)]
+        assert [code.dim for code in comb_codes(3, GF5, triples)] == [1, 1, 1, 0]
         monkeypatch.setattr(tcc.centralizer, "_comb_case", misfiled)
         with pytest.raises(RuntimeError, match="twisted commutation"):
-            centralizer_codes(specs)
+            comb_codes(3, GF5, triples)
 
     def test_a_group_shares_one_generator_one_check_and_one_code(self, monkeypatch):
-        # All p^3 comb specs at n = 3 over GF(5): one row writer call and one check per case.
+        # All p^3 triples at n = 3 over GF(5): one row writer call and one check per case,
+        # each against the case's distinct coefficient triples (s, x, -a x).
         written, checked = [], []
         rows, basis = tcc.centralizer._comb_rows, tcc.centralizer._basis
 
@@ -404,34 +377,39 @@ class TestBatch:
             written.append(case)
             return rows(n, p, *case)
 
-        def counted_basis(specs, gen):
-            checked.append(len(specs))
-            return basis(specs, gen)
+        def counted_basis(n, prime, gen, residual, checks):
+            checked.append(checks)
+            return basis(n, prime, gen, residual, checks)
 
         monkeypatch.setattr(tcc.centralizer, "_comb_rows", counted_rows)
         monkeypatch.setattr(tcc.centralizer, "_basis", counted_basis)
-        specs = [comb_spec(3, x, y, 5, a) for x, y, a in product(range(5), repeat=3)]
-        codes = centralizer_codes(specs)
+        triples = list(product(range(5), repeat=3))
+        codes = comb_codes(3, GF5, triples)
         assert len(written) == len(set(written)) == len(checked) == len({id(code) for code in codes})
-        assert sum(checked) == 125
-        for spec, code in zip(specs, codes):
-            assert code == kronecker_code(spec)
-
+        coefs = {(_comb_case(3, x, y, a, 5), ((1 - a) * y % 5, x, -a * x % 5)) for x, y, a in triples}
+        assert sum(checked) == len(coefs) < 125
+        for (x, y, a), code in zip(triples, codes):
+            assert code == kronecker_code(comb_spec(3, x, y, 5, a))
 
     @pytest.mark.parametrize("cells", [16, 64, 1 << 15])
     def test_group_products_stay_within_the_chunk_bound(self, monkeypatch, cells):
-        # Every residual of the group checks covers at most _CHECK_CELLS entries, across specs
-        # and rows.  A comb residual is its check's largest temporary and takes no product;
-        # each product of a non-comb check is as large as its residual.
+        # Every residual of a check covers at most _CHECK_CELLS entries, across coefficient
+        # triples and rows.  A comb residual is its check's largest temporary and takes no
+        # product; each product of a non-comb check is as large as its residual.
         residuals, products = [], []
-        residual, original = tcc.centralizer._residual, tcc.centralizer.matmul_mod
+        comb, spec_residual, original = (
+            tcc.centralizer._comb_residual, tcc.centralizer._product_residual, tcc.centralizer.matmul_mod
+        )
 
-        def recorded_residual(*args):
-            out = residual(*args)
-            residuals.append(out.size)
-            return out
+        def recorded(residual):
+            def call(*args):
+                out = residual(*args)
+                residuals.append(out.size)
+                return out
 
-        def recorded(a, b, p):
+            return call
+
+        def multiplied(a, b, p):
             out = original(a, b, p)
             products.append(out.size)
             return out
@@ -439,26 +417,27 @@ class TestBatch:
         general = TwistSpec(Matrix(np.diag([1, 1, 2, 3]), GF5), 1)
         gen = centralizer_code(general).generator
         monkeypatch.setattr(tcc.centralizer, "_CHECK_CELLS", cells)
-        monkeypatch.setattr(tcc.centralizer, "_residual", recorded_residual)
-        monkeypatch.setattr(tcc.centralizer, "matmul_mod", recorded)
-        specs = [comb_spec(4, x, y, 5, a) for x, y, a in product(range(5), repeat=3)]
-        codes = centralizer_codes(specs)
+        monkeypatch.setattr(tcc.centralizer, "_comb_residual", recorded(comb))
+        monkeypatch.setattr(tcc.centralizer, "_product_residual", recorded(spec_residual))
+        monkeypatch.setattr(tcc.centralizer, "matmul_mod", multiplied)
+        triples = list(product(range(5), repeat=3))
+        codes = comb_codes(4, GF5, triples)
         assert residuals and max(residuals) <= cells and products == []
         residuals.clear()
-        # Seven specs sharing C(diag(1, 1, 2, 3), 1)'s six rows: chunked across specs and rows.
-        assert _basis([general] * 7, gen).dim == 6
+        # C(diag(1, 1, 2, 3), 1)'s six rows, checked by products in row chunks.
+        assert spec_basis(general, gen).dim == 6
         assert products and max(products) <= cells and len(products) == 2 * len(residuals)
-        assert sum(residuals) == 7 * 6 * 16
+        assert sum(residuals) == 6 * 16
         monkeypatch.undo()
-        assert codes == [centralizer_code(spec) for spec in specs]
+        assert codes == [centralizer_code(comb_spec(4, x, y, 5, a)) for x, y, a in triples]
 
 
 BIG = 2**31 - 1
 CASE_NAMES = {"full", "sums", "J", "zero", "g u^T", "u h^T", "u h^T, sum h = 0", "g + h"}
 
 
-def case_specs(n, p):
-    """One comb spec per closed-form case reachable at order n over GF(p), keyed by _comb_case.
+def case_triples(n, p):
+    """One residue triple (x, y, a) per closed-form case reachable at order n over GF(p), keyed by _comb_case.
 
     A case is fixed by which of s = (1 - a) y, alpha = s - a x n, beta = s + x n
     and x n + y vanish, so y runs over the values that zero one of them.
@@ -472,23 +451,30 @@ def case_specs(n, p):
             ys |= {a * x * n * inv % p, -x * n * inv % p}
         for y in sorted(ys):
             found.setdefault(_comb_case(n, x, y, a, p), (x, y, a))
-    return {case: comb_spec(n, x, y, p, a) for case, (x, y, a) in found.items()}
+    return found
+
+
+def case_specs(n, p):
+    """case_triples's comb specs."""
+    return {case: comb_spec(n, x, y, p, a) for case, (x, y, a) in case_triples(n, p).items()}
 
 
 def case_groups(n, p):
-    """Every comb spec of order n over GF(p) by its _comb_case, or case_specs's one each for p > 7."""
+    """Every residue triple of order n over GF(p) by its _comb_case, or case_triples's one each for p > 7."""
     if p > 7:
-        return {case: [spec] for case, spec in case_specs(n, p).items()}
+        return {case: [triple] for case, triple in case_triples(n, p).items()}
     groups = {}
     for x, y, a in product(range(p), repeat=3):
-        groups.setdefault(_comb_case(n, x, y, a, p), []).append(comb_spec(n, x, y, p, a))
+        groups.setdefault(_comb_case(n, x, y, a, p), []).append((x, y, a))
     return groups
 
 
 def sums_verdicts(spec, gen):
-    """For each row of ``gen``, whether the residual _basis reads from A's comb form vanishes."""
-    n, p = spec.n, spec.prime.p
-    return ~_residual([spec], [_comb_form(spec.matrix)], gen.reshape(-1, n, n), p)[0].any(axis=(1, 2))
+    """For each row of ``gen``, whether the comb residual of A's comb form vanishes."""
+    n, p, a = spec.n, spec.prime.p, spec.twist
+    x, y = _comb_form(spec.matrix)
+    coefs = np.array([[(1 - a) * y % p, x, -a * x % p]], dtype=np.int64)
+    return ~_comb_residual(coefs, gen.reshape(-1, n, n), p)[0].any(axis=(1, 2))
 
 
 def row_pool(rng, n, p, cases, few):
@@ -539,17 +525,17 @@ class TestSumsResidual:
             for n in (2, 3, 4):
                 for case, group in case_groups(n, p).items():
                     gen = _comb_rows(n, p, *case)
-                    assert _basis(group, gen).dim == len(gen)
+                    assert comb_basis(n, p, group, gen).dim == len(gen)
                     if not len(gen):
                         continue
                     moved = gen.copy()
                     i, j = rng.integers(len(gen)), rng.integers(n * n)
                     moved[i, j] = (moved[i, j] + rng.integers(1, p)) % p
-                    if all(product_verdicts(spec, moved).all() for spec in group):
-                        assert case == ("full",) and _basis(group, moved).dim == len(gen)
+                    if all(product_verdicts(comb_spec(n, x, y, p, a), moved).all() for x, y, a in group):
+                        assert case == ("full",) and comb_basis(n, p, group, moved).dim == len(gen)
                         continue
                     with pytest.raises(RuntimeError, match="twisted commutation"):
-                        _basis(group, moved)
+                        comb_basis(n, p, group, moved)
                     refused += 1
         assert refused > 100
 
@@ -572,17 +558,15 @@ class TestSumsResidual:
         assert verdicts == {(True, True), (True, False), (False, False)}
 
     def test_comb_checks_take_no_product(self, monkeypatch):
-        specs = [
-            comb_spec(n, x, y, p, a) for n, p in [(2, 3), (3, 7), (5, 5)] for x, y, a in product(range(p), repeat=3)
-        ]
-        specs += list(case_specs(32, BIG).values())
-        codes = centralizer_codes(specs)
+        batches = [(n, p, list(product(range(p), repeat=3))) for n, p in [(2, 3), (3, 7), (5, 5)]]
+        batches.append((32, BIG, list(case_triples(32, BIG).values())))
+        codes = [comb_codes(n, Prime(p), triples) for n, p, triples in batches]
 
         def refuse(*args):
             raise AssertionError("a comb check takes no product")
 
         monkeypatch.setattr(tcc.centralizer, "matmul_mod", refuse)
-        assert centralizer_codes(specs) == codes
+        assert [comb_codes(n, Prime(p), triples) for n, p, triples in batches] == codes
 
 
 class TestBruteForce:

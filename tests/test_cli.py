@@ -9,6 +9,7 @@ import pytest
 
 import tcc.centralizer
 import tcc.cli
+import tcc.comb
 import tcc.linalg
 from tcc import CombParams, Prime
 from tcc.channel import COUNT_WEIGHT_LIMIT
@@ -145,14 +146,14 @@ class TestBuildCommand:
     )
     def test_order_64_comb_builds_check_every_row(self, capsys, monkeypatch, flags, out):
         cells = []
-        residual = tcc.centralizer._residual
+        residual = tcc.centralizer._comb_residual
 
         def recorded(*args):
             result = residual(*args)
             cells.append(result.size)
             return result
 
-        monkeypatch.setattr(tcc.centralizer, "_residual", recorded)
+        monkeypatch.setattr(tcc.centralizer, "_comb_residual", recorded)
         assert run_cli(capsys, "build", "--n", "64", *flags.split(), "--json") == (EXIT_OK, out, "")
         assert sum(cells) == json.loads(out)["dimension"] * 4096
 
@@ -472,15 +473,16 @@ class TestVerifyCommand:
 
     def test_full_json_sweep_pinned(self, capsys, monkeypatch):
         # The largest sweep verify accepts: p <= 13 and n <= 6, 20,155 tuples.
-        # Every comb generator is written in closed form, so nothing eliminates,
-        # and each of the 1,885 matrices (p, n, x, y) is built once for all its twists.
-        # Each (p, n) slice is one batch: 371 closed-form groups, 30 of them zero
-        # codes.  Every hypothesis tuple of a slice shares span(J), so analyze runs once
-        # per slice that has any: p > 2, and p not dividing n, else p | x n + y forces p | y.
+        # Every comb generator is written in closed form, so nothing eliminates, and
+        # each (p, n) slice hands its p^3 triples (x, y, a) to comb_codes: no matrix
+        # is built and none is read back.  Each slice is one batch: 371 closed-form
+        # groups, 30 of them zero codes.  Every hypothesis tuple of a slice shares
+        # span(J), so analyze runs once per slice that has any: p > 2, and p not
+        # dividing n, else p | x n + y forces p | y.
         eliminations = []
         original = tcc.linalg._rref_array
-        matrices = []
-        build = tcc.cli.comb_matrix
+        batches = []
+        batch = tcc.cli.comb_codes
         groups = []
         basis = tcc.centralizer._basis
         analyses = []
@@ -490,28 +492,33 @@ class TestVerifyCommand:
             eliminations.append(a.shape)
             return original(a, p)
 
-        def built(params):
-            matrices.append(params)
-            return build(params)
+        def refuse(*args):
+            raise AssertionError("verify builds no matrix and reads none back")
 
-        def checked(specs, gen):
-            groups.append((len(specs), len(gen)))
-            return basis(specs, gen)
+        def batched(n, prime, triples):
+            batches.append(len(triples))
+            return batch(n, prime, triples)
+
+        def checked(n, prime, gen, residual, checks):
+            groups.append(len(gen))
+            return basis(n, prime, gen, residual, checks)
 
         def analyzed(code):
             analyses.append(code)
             return analyze(code)
 
         monkeypatch.setattr(tcc.linalg, "_rref_array", counted)
-        monkeypatch.setattr(tcc.cli, "comb_matrix", built)
+        monkeypatch.setattr(tcc.cli, "comb_matrix", refuse)
+        monkeypatch.setattr(tcc.comb, "comb_matrix", refuse)
+        monkeypatch.setattr(tcc.centralizer, "_comb_form", refuse)
+        monkeypatch.setattr(tcc.cli, "comb_codes", batched)
         monkeypatch.setattr(tcc.centralizer, "_basis", checked)
         monkeypatch.setattr(tcc.cli, "analyze", analyzed)
         code, out, _ = run_cli(capsys, "verify", "--p-max", "13", "--n-max", "6", "--json")
         assert code == EXIT_OK
         assert eliminations == []
-        assert len(matrices) == len(set(matrices)) == 5 * (4 + 9 + 25 + 49 + 121 + 169) == 1885
-        assert sum(specs for specs, _ in groups) == 20155
-        assert (len(groups), sum(rows > 0 for _, rows in groups)) == (371, 341)
+        assert sum(batches) == 20155 and len(batches) == 5 * 6
+        assert (len(groups), sum(rows > 0 for rows in groups)) == (371, 341)
         assert len(analyses) == 5 * 5 - len([(3, 3), (3, 6), (5, 5)]) == 22
         assert hashlib.sha256(out.encode()).hexdigest() == "fa09d78430516328b066f630a5f4ae17a13525054173e3daa4ff39d43fafaa15"
 
@@ -519,18 +526,18 @@ class TestVerifyCommand:
         # Nothing outlives a solve: a second sweep in one process writes and checks every group again.
         counts = []
         basis = tcc.centralizer._basis
-        residual = tcc.centralizer._residual
+        residual = tcc.centralizer._comb_residual
 
-        def checked(specs, gen):
+        def checked(*args):
             counts[-1]["groups"] += 1
-            return basis(specs, gen)
+            return basis(*args)
 
         def reduced(*args):
             counts[-1]["residuals"] += 1
             return residual(*args)
 
         monkeypatch.setattr(tcc.centralizer, "_basis", checked)
-        monkeypatch.setattr(tcc.centralizer, "_residual", reduced)
+        monkeypatch.setattr(tcc.centralizer, "_comb_residual", reduced)
         outs = []
         for _ in range(2):
             counts.append({"groups": 0, "residuals": 0})

@@ -32,6 +32,15 @@ def test_one_solve_entry_for_every_matrix():
     assert not hasattr(tcc.centralizer, "comb_centralizer")
 
 
+def test_comb_batch_stays_a_module_name():
+    # verify hands its (x, y, a) triples to centralizer.comb_codes; the spec batch is gone.
+    assert not hasattr(tcc.centralizer, "centralizer_codes")
+    assert not hasattr(tcc, "centralizer_codes")
+    assert "comb_codes" not in tcc.__all__
+    assert inspect.isfunction(tcc.centralizer.comb_codes)
+    assert len(tcc.__all__) == 25
+
+
 def test_a_solve_returns_the_code_itself():
     # centralizer_code returns the checked LinearCode; no wrapper type holds it, and the
     # names no command reaches stay names of their modules only.
