@@ -13,18 +13,21 @@ value e_i / g_i repeats there.  So its exhaustive sweep is counted, not
 enumerated: exact sums of counts of words with bounded letter
 multiplicities, in Python ints, polynomial in t and free of p
 (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 1).
+Its Monte Carlo trials are classified from their t drawn positions and
+offsets alone (_vote_stats), with no N-wide error block.
 
 For any code the outcome depends only on e's weight and its coset
 e + C: whether the coset holds one word of least weight, and whether e
 has that weight.  So a k >= 2 code with fewer cosets than codewords
 classifies each error by one syndrome lookup in a coset table (a standard
-array) built once per sweep.  Other k >= 2 codes, a table whose build
-would pass its pattern budget, and Monte Carlo on a k = 1 code go through
-code._nearest: a vote for k = 1, a score against every codeword otherwise.
+array) built once per sweep.  Other k != 1 codes, and a table whose build
+would pass its pattern budget, go through code._nearest, which scores
+every codeword.
 """
 
 import math
 from dataclasses import astuple, dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -33,13 +36,14 @@ from .code import ENUMERATION_LIMIT, LinearCode, _message_block, _nearest
 from .linalg import GuardExceededError, count_text, matmul_mod
 
 EXHAUSTIVE_LIMIT = 1 << 24
-# Largest weight a k = 1 sweep counts.  The slowest admitted count took 0.3 s on a 2-core VM (t = 128,
-# |supp g| = 144, p = 2^31 - 1), and for N <= 4096 every count has at most 1,450 digits, inside
-# Python's 4,300-digit int-to-str limit, so simulate can print it.
-COUNT_WEIGHT_LIMIT = 128
+# Recurrence steps a k = 1 sweep may take (_count_steps): the most that any sweep at t <= 128 takes,
+# at t = 128, |supp g| = 146 and N >= 274.  That count took 0.26 s at p = 2^31 - 1 on a 2-core VM.
+COUNT_STEP_LIMIT = 341_797
+# Digits a k = 1 sweep's trial count may have: Python's default int-to-str limit, so simulate can print it.
+COUNT_DIGIT_LIMIT = 4300
 # Cells of one (B, N) block of exhaustive-sweep error patterns handed to the classifier.
 _BATCH_CELLS = 1 << 14
-# Cells of one (rows, N) chunk of Monte Carlo draws, each classified whole; fixed, so a seed's trials follow N alone.
+# Cells of one (rows, N) chunk of Monte Carlo keys, each chunk classified whole; fixed, so a seed's trials follow N alone.
 _DRAW_CELLS = 1 << 14
 # Error patterns the coset table's build may enumerate before the sweep gives it up for code._scan.
 _TABLE_PATTERNS = EXHAUSTIVE_LIMIT
@@ -67,16 +71,25 @@ class ChannelStats:
         )
 
 
-def _draw(rng: np.random.Generator, rows: int, length: int, t: int, p: int) -> np.ndarray:
-    """A (rows, length) block of weight-t errors mod p in two generator calls, for both inject_errors and monte_carlo.
+def _draw(rng: np.random.Generator, rows: int, length: int, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, offsets) of rows weight-t errors mod p, both (rows, t), in two generator calls.
 
-    A row's positions are the indices of its t smallest uniform keys, a uniform t-subset, and
-    its t offsets in 1..p-1, uniform over the other symbols, go to them in index order.
+    A row's positions are the indices of its t smallest uniform keys, a
+    uniform t-subset, sorted; its t offsets in 1..p-1, uniform over the
+    other symbols, go to them in that order.  At t = 0 nothing is drawn.
+    inject_errors and monte_carlo both draw here.
     """
-    errors = np.zeros((rows, length), dtype=np.int64)
-    if t:  # argpartition has no kth = -1
-        positions = np.sort(np.argpartition(rng.random((rows, length)), t - 1, axis=1)[:, :t], axis=1)
-        np.put_along_axis(errors, positions, rng.integers(1, p, size=(rows, t)), axis=1)
+    if not t:  # argpartition has no kth = -1
+        empty = np.zeros((rows, 0), dtype=np.int64)
+        return empty, empty
+    positions = np.sort(np.argpartition(rng.random((rows, length)), t - 1, axis=1)[:, :t], axis=1)
+    return positions, rng.integers(1, p, size=(rows, t))
+
+
+def _dense(positions: np.ndarray, offsets: np.ndarray, length: int) -> np.ndarray:
+    """The (rows, length) error block of _draw's positions and offsets."""
+    errors = np.zeros((len(positions), length), dtype=np.int64)
+    np.put_along_axis(errors, positions, offsets, axis=1)
     return errors
 
 
@@ -84,7 +97,7 @@ def inject_errors(word: np.ndarray, p: int, t: int, rng: np.random.Generator) ->
     """Corrupt exactly t positions of a row of residues mod p, each to a uniformly chosen other symbol, by _draw."""
     if not 0 <= t <= len(word):
         raise ValueError(f"cannot corrupt {t} of {len(word)} positions")
-    return (word + _draw(rng, 1, len(word), t, p)[0]) % p
+    return (word + _dense(*_draw(rng, 1, len(word), t, p), len(word))[0]) % p
 
 
 def _tally(code: LinearCode, errors: np.ndarray) -> ChannelStats:
@@ -94,6 +107,46 @@ def _tally(code: LinearCode, errors: np.ndarray) -> ChannelStats:
     trials, successes = len(errors), int(np.count_nonzero(unique & (first == 0)))
     ambiguous = trials - int(np.count_nonzero(unique))
     return ChannelStats(trials, successes, ambiguous, trials - successes - ambiguous)
+
+
+def _inverses(code: LinearCode) -> np.ndarray:
+    """A k = 1 code's g_i^-1 mod p at each position i of its generator g, and 0 off supp g."""
+    p = code.prime.p
+    # One inverse per distinct generator value, spread back over the positions.
+    values, where = np.unique(code.generator[0], return_inverse=True)
+    return np.array([pow(int(v), -1, p) if v else 0 for v in values], dtype=np.int64)[where]
+
+
+def _vote_stats(inverses: np.ndarray, support: int, p: int, positions: np.ndarray, offsets: np.ndarray) -> ChannelStats:
+    """Classify a k = 1 code's drawn errors, (rows, t) positions and offsets, by code._vote's rule.
+
+    An error e_i off supp g votes for no codeword; on it, for e_i / g_i,
+    never 0.  So 0 keeps z = w - #(positions on supp g) votes.  With M the
+    largest multiplicity of a nonzero vote, the error is a success when
+    z > M, miscorrected when M > z and one value reaches M, and ambiguous
+    otherwise.  Both factors of a vote are below 2^31, so each product
+    stays below 2^62.
+    """
+    rows, t = positions.shape
+    if not t:  # no errors: 0 keeps all w >= 1 votes
+        return ChannelStats(rows, rows, 0, 0)
+    votes = np.sort(inverses[positions] * offsets % p, axis=1).ravel()
+    # Runs of equal votes, each within one row; a row's 0 votes come first, as one run.
+    begins = np.empty(len(votes), dtype=bool)
+    np.not_equal(votes[1:], votes[:-1], out=begins[1:])
+    begins[::t] = True
+    begins = np.flatnonzero(begins)
+    lengths = np.diff(begins, append=len(votes))
+    firsts = np.searchsorted(begins, np.arange(0, len(votes), t))
+    off = votes[begins] == 0
+    zeros = support - t + np.where(off[firsts], lengths[firsts], 0)
+    lengths[off] = 0
+    most = np.maximum.reduceat(lengths, firsts)
+    row = begins // t
+    unique = np.bincount(row[lengths == most[row]], minlength=rows) == 1
+    successes = int(np.count_nonzero(zeros > most))
+    miscorrected = int(np.count_nonzero((most > zeros) & unique))
+    return ChannelStats(rows, successes, rows - successes - miscorrected, miscorrected)
 
 
 def _pattern_blocks(length: int, t: int, p: int, step: int):
@@ -167,6 +220,27 @@ def _counted_stats(code: LinearCode, t: int) -> ChannelStats:
         ambiguous += placements * (words - right - wrong)
     trials = successes + ambiguous + miscorrected
     return ChannelStats(trials * p, successes * p, ambiguous * p, miscorrected * p)
+
+
+def _capped_steps(length: int, cap: int) -> int:
+    """The steps _capped_words(length, _, cap) takes: length rows, and min(m, cap) terms in row m."""
+    cap = max(cap, 0)
+    low = min(length, cap)
+    return length + low * (low + 1) // 2 + cap * (length - low)
+
+
+def _count_steps(length: int, support: int, t: int) -> int:
+    """The recurrence steps _counted_stats takes, in O(t) Python-int operations.
+
+    Only the j with 2j >= w recur, each on its own _capped_words row; they
+    share one table for each multiplicity in w - top + 1 .. top.
+    """
+    top = min(support, t)
+    if 2 * top < support:
+        return 0
+    first = max(t - (length - support), (support + 1) // 2)
+    steps = sum(_capped_steps(j, support - j - 1) for j in range(first, top + 1))
+    return steps + sum(_capped_steps(top - most, most - 1) for most in range(support - top + 1, top + 1))
 
 
 def _parity_check(code: LinearCode) -> np.ndarray:
@@ -246,7 +320,8 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
 
     Every message shares the error patterns' outcomes, so the counts are
     the patterns' scaled by p^k.  A k = 1 code's are counted in closed form
-    (_counted_stats), guarded by t <= COUNT_WEIGHT_LIMIT whatever p is.
+    (_counted_stats), guarded by its recurrence steps (_count_steps, free
+    of p) and by the digits of its trial count, which simulate prints.
     Other codes classify each pattern, in blocks of at most _BATCH_CELLS
     cells, by the coset table when the code has one (else decoded), guarded
     by the outcome count C(N, t) * (p-1)^t * p^k.  Either guard fires before
@@ -256,10 +331,18 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     if not 0 <= t <= code.length:
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
     if code.dim == 1:
-        if t > COUNT_WEIGHT_LIMIT:
+        steps = _count_steps(code.length, int(np.count_nonzero(code.generator[0])), t)
+        if steps > COUNT_STEP_LIMIT:
             raise GuardExceededError(
-                f"exhaustive count at weight t = {t}, beyond the t <= {COUNT_WEIGHT_LIMIT} guard; "
-                "use monte_carlo instead"
+                f"exhaustive count at weight t = {t} takes {steps} recurrence steps, "
+                f"beyond the {COUNT_STEP_LIMIT} guard; use monte_carlo instead"
+            )
+        # An upper bound on the digits of C(N, t) (p-1)^t p, at most one above the true count.
+        digits = int((math.comb(code.length, t) * (p - 1) ** t * p).bit_length() * math.log10(2)) + 1
+        if digits > COUNT_DIGIT_LIMIT:
+            raise GuardExceededError(
+                f"exhaustive count at weight t = {t} has about {digits} digits, "
+                f"beyond Python's {COUNT_DIGIT_LIMIT}-digit int-to-str limit; use monte_carlo instead"
             )
         return _counted_stats(code, t)
     patterns = math.comb(code.length, t) * (p - 1) ** t
@@ -278,11 +361,13 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
 
 
 def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
-    """Seeded random weight-t error trials, classified in blocks over the zero codeword.
+    """Seeded random weight-t error trials, classified in chunks over the zero codeword.
 
     Trials are drawn by _draw in chunks of _DRAW_CELLS // N rows, each
-    classified whole, by the coset table when the code has one (else
-    decoded); no message is drawn, as only the error is classified.
+    classified whole: a k = 1 code's from its drawn positions and offsets
+    alone (_vote_stats, from one table of g_i^-1 per run), any other code's
+    as an (rows, N) error block, by the coset table when the code has one
+    (else decoded).  No message is drawn, as only the error is classified.
     Reproducible for a fixed seed within one build of this package, not
     across releases: earlier ones drew each trial's message, positions and
     offsets in turn, so their seeded counts differ.  The trial count shares
@@ -298,8 +383,17 @@ def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> Channel
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
     rng = np.random.default_rng(seed)
     p, length = code.prime.p, code.length
+    if code.dim == 1:
+        inverses = _inverses(code)
+        classify = partial(_vote_stats, inverses, int(np.count_nonzero(inverses)), p)
+    else:
+        dense = _classifier(code)
+
+        def classify(positions: np.ndarray, offsets: np.ndarray) -> ChannelStats:
+            return dense(_dense(positions, offsets, length))
+
     draw = max(1, _DRAW_CELLS // length)
-    classify, stats = _classifier(code), ChannelStats(0, 0, 0, 0)
+    stats = ChannelStats(0, 0, 0, 0)
     for done in range(0, trials, draw):
-        stats += classify(_draw(rng, min(draw, trials - done), length, t, p))
+        stats += classify(*_draw(rng, min(draw, trials - done), length, t, p))
     return stats

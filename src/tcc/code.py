@@ -12,7 +12,8 @@ plurality vote over the support of its generator at any prime; larger
 dimensions score every codeword behind a hard guard on p^k, since a word
 decoded alone needs its first nearest codeword.  The channel sweeps need
 only each error's coset, so channel.py classifies a high-rate code's
-errors by syndrome instead.  Minimum distance needs only one codeword
+errors by syndrome instead, and a k = 1 code's by counting or from its
+drawn error symbols: _vote serves decode_nearest.  Minimum distance needs only one codeword
 per projective point, since scaling by a nonzero constant keeps the
 weight.  That is deliberate: the codes this toolkit produces have tiny
 dimension, where exhaustive search is exact and cheap, so no pruning

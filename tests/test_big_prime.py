@@ -269,11 +269,11 @@ class TestGuardMessages:
             min_distance(code)
 
     def test_sweep_count_beyond_string_limit(self):
-        # A k = 1 sweep is counted under a guard on t, so a [1000, 2] code meets the outcome guard.
+        # A k = 1 sweep is counted under a guard on its count's digits, a [1000, 2] code under the outcome guard.
         rows = np.zeros((2, 1000), dtype=np.int64)
         rows[0, :500] = rows[1, 500:] = 1
         code = code_from_rows(Matrix(rows, BIG))
         with pytest.raises(GuardExceededError, match=r"about 10\^4984 outcomes from about 10\^4965 decoded patterns"):
             exhaustive_stats(code, 500)
-        with pytest.raises(GuardExceededError, match=r"^exhaustive count at weight t = 500, beyond the t <= 128 guard"):
+        with pytest.raises(GuardExceededError, match=r"^exhaustive count at weight t = 500 has about 4975 digits"):
             exhaustive_stats(code_from_rows(Matrix(np.ones((1, 1000), dtype=np.int64), BIG)), 500)

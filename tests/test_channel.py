@@ -19,7 +19,7 @@ from tcc import (
     exhaustive_stats,
     monte_carlo,
 )
-from tcc.channel import COUNT_WEIGHT_LIMIT, EXHAUSTIVE_LIMIT, inject_errors
+from tcc.channel import COUNT_DIGIT_LIMIT, COUNT_STEP_LIMIT, EXHAUSTIVE_LIMIT, inject_errors
 from tcc.cli import main
 from tcc.code import AMBIGUOUS, ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import matmul_mod
@@ -57,6 +57,20 @@ def nine_one_nine():
 def four_two():
     # [4, 2] over GF(3), off the theorem's hypotheses (a = 1).
     return comb_code(2, 1, 1, 3, 1)
+
+
+@pytest.fixture
+def drawn_votes(monkeypatch):
+    """Every (positions, offsets) chunk that monte_carlo hands to _vote_stats, recorded as it is classified."""
+    chunks = []
+    vote_stats = tcc.channel._vote_stats
+
+    def recording(inverses, support, p, positions, offsets):
+        chunks.append((positions.copy(), offsets.copy()))
+        return vote_stats(inverses, support, p, positions, offsets)
+
+    monkeypatch.setattr(tcc.channel, "_vote_stats", recording)
+    return chunks
 
 
 class TestChannelStats:
@@ -102,20 +116,15 @@ class TestInjectErrors:
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("t", [0, 3, 9])
-    def test_draws_the_monte_carlo_error(self, nine_one_nine, monkeypatch, seed, t):
-        # One channel: over 0, inject_errors is the error a one-trial monte_carlo run decodes.
-        handed = []
-        tally = tcc.channel._tally
-
-        def recording(code, errors):
-            handed.append(errors.copy())
-            return tally(code, errors)
-
-        monkeypatch.setattr(tcc.channel, "_tally", recording)
+    def test_draws_the_monte_carlo_error(self, nine_one_nine, drawn_votes, seed, t):
+        # One channel: over 0, inject_errors is the error a one-trial monte_carlo run classifies.
         monte_carlo(nine_one_nine, t, 1, seed)
-        assert [errors.shape for errors in handed] == [(1, 9)]
+        assert [(positions.shape, offsets.shape) for positions, offsets in drawn_votes] == [((1, t), (1, t))]
+        positions, offsets = drawn_votes[0]
+        error = np.zeros(9, dtype=np.int64)
+        error[positions[0]] = offsets[0]
         zeros = np.zeros(9, dtype=np.int64)
-        assert np.array_equal(inject_errors(zeros, 5, t, np.random.default_rng(seed)), handed[0][0])
+        assert np.array_equal(inject_errors(zeros, 5, t, np.random.default_rng(seed)), error)
 
 
 class TestExhaustiveCorrection:
@@ -143,12 +152,12 @@ class TestExhaustiveCorrection:
         assert stats.ambiguous > 0
 
     def test_guard_suggests_monte_carlo(self):
-        # [9, 5, 3] over GF(5) at t = 3 is past the outcome guard, a k = 1 code past t = COUNT_WEIGHT_LIMIT.
+        # [9, 5, 3] over GF(5) at t = 3 is past the outcome guard, a k = 1 code past COUNT_STEP_LIMIT.
         with pytest.raises(GuardExceededError, match="monte_carlo"):
             exhaustive_stats(comb_code(3, 1, 1, 5, 1), 3)
-        long_row = code_from_rows(Matrix(np.ones((1, 200), dtype=np.int64), Prime(3)))
+        long_row = code_from_rows(Matrix(np.ones((1, 300), dtype=np.int64), Prime(3)))
         with pytest.raises(GuardExceededError, match="monte_carlo"):
-            exhaustive_stats(long_row, COUNT_WEIGHT_LIMIT + 1)
+            exhaustive_stats(long_row, 300)
 
     def test_negative_weight_rejected(self, four_one_four):
         with pytest.raises(ValueError, match=r"weight -1 must lie in \[0, 4\]"):
@@ -224,19 +233,15 @@ class TestMonteCarlo:
                 assert monte_carlo(code, min(t, code.length), trials, seed=11) == want
             monkeypatch.undo()
 
-    def test_draws_every_position_set_and_offset(self, monkeypatch):
-        blocks = []
-        tally = tcc.channel._tally
-
-        def recording(code, errors):
-            blocks.append(errors.copy())
-            return tally(code, errors)
-
-        monkeypatch.setattr(tcc.channel, "_tally", recording)
+    def test_draws_every_position_set_and_offset(self, drawn_votes):
         repetition = LinearCode(Prime(5), 4, np.ones((1, 4), dtype=np.int64))
         assert monte_carlo(repetition, 2, 300, seed=3).trials == 300
-        errors = np.concatenate(blocks)
-        assert len(errors) == 300
+        positions = np.concatenate([positions for positions, _ in drawn_votes])
+        offsets = np.concatenate([offsets for _, offsets in drawn_votes])
+        assert positions.shape == offsets.shape == (300, 2)
+        errors = np.zeros((300, 4), dtype=np.int64)
+        for error, where, values in zip(errors, positions, offsets):
+            error[where] = values
         assert (np.count_nonzero(errors, axis=1) == 2).all()
         assert {tuple(np.flatnonzero(row)) for row in errors} == set(itertools.combinations(range(4), 2))
         for column in errors.T:
@@ -302,6 +307,70 @@ class TestBatchedAgainstLiteral:
             assert t or stats == ChannelStats(100, 100, 0, 0)
 
 
+def dense_monte_carlo(code, t, trials, seed, decode):
+    """monte_carlo's draws as dense (rows, N) error blocks, each decoded whole by decode (code._scan or code._vote)."""
+    p, length = code.prime.p, code.length
+    rng = np.random.default_rng(seed)
+    draw = max(1, tcc.channel._DRAW_CELLS // length)
+    stats = ChannelStats(0, 0, 0, 0)
+    for done in range(0, trials, draw):
+        positions, offsets = tcc.channel._draw(rng, min(draw, trials - done), length, t, p)
+        errors = np.zeros((len(positions), length), dtype=np.int64)
+        for error, where, values in zip(errors, positions, offsets):
+            error[where] = values
+        _, first, ties = decode(code, errors)
+        rows, unique = len(errors), ties == 1
+        successes, ambiguous = int(np.count_nonzero(unique & (first == 0))), rows - int(np.count_nonzero(unique))
+        stats += ChannelStats(rows, successes, ambiguous, rows - successes - ambiguous)
+    return stats
+
+
+class TestDrawnVote:
+    """k = 1 Monte Carlo classifies each trial from its t drawn symbols; the dense decoders check it."""
+
+    @staticmethod
+    def row_with_zeros(p, length, support, seed):
+        rng = np.random.default_rng(seed)
+        row = np.zeros(length, dtype=np.int64)
+        row[rng.choice(length, support, replace=False)] = rng.integers(1, p, size=support)
+        code = code_from_rows(Matrix([row.tolist()], Prime(p)))
+        assert (code.dim, int(np.count_nonzero(code.generator))) == (1, support)
+        return code
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 997, BIG_PRIME])
+    def test_oracle_grid(self, p):
+        # 24 positions, 17 on supp g: 700 trials span two default chunks of 682 rows.
+        code = self.row_with_zeros(p, 24, 17, p % 1000)
+        for t in (0, 1, 17, 18, 24):
+            stats = monte_carlo(code, t, 700, seed=t)
+            assert stats == literal_monte_carlo(code, t, 700, seed=t), t
+            if p <= ENUMERATION_LIMIT:
+                assert stats == dense_monte_carlo(code, t, 700, t, tcc.code._scan), t
+            assert t or stats == ChannelStats(700, 700, 0, 0)
+
+    @pytest.mark.parametrize("t", [0, 1, 5, 6, 8])
+    def test_small_chunks(self, monkeypatch, t):
+        # 3 rows a chunk: 50 trials take 17 of them.
+        monkeypatch.setattr(tcc.channel, "_DRAW_CELLS", 24)
+        code = self.row_with_zeros(7, 8, 5, 8)
+        stats = monte_carlo(code, t, 50, seed=2)
+        assert stats == literal_monte_carlo(code, t, 50, seed=2) == dense_monte_carlo(code, t, 50, 2, tcc.code._scan)
+
+    def test_random_codes_match_the_dense_vote(self):
+        # Every outcome occurs; each run is checked against code._vote on the same drawn blocks.
+        rng = np.random.default_rng(27)
+        seen = ChannelStats(0, 0, 0, 0)
+        for case in range(300):
+            p = int(rng.choice([2, 3, 5, 7, 13, 997, BIG_PRIME]))
+            length = int(rng.integers(1, 65))
+            code = self.row_with_zeros(p, length, int(rng.integers(1, length + 1)), case)
+            t = int(rng.integers(0, length + 1))
+            stats = monte_carlo(code, t, 200, seed=case)
+            assert stats == dense_monte_carlo(code, t, 200, case, tcc.code._vote), (p, length, t)
+            seen += stats
+        assert min(seen.successes, seen.ambiguous, seen.miscorrected) > 0
+
+
 def _oracle_weights(code):
     """The weights whose outcome product C(N, t) (p-1)^t p stays within 2^22, where the enumeration oracle is quick."""
     p = code.prime.p
@@ -359,19 +428,78 @@ class TestCountedSweep:
         assert exhaustive_stats(comb_code(4, 1, 2, 3, 2), 10).trials == 24600576
 
     @pytest.mark.parametrize("p", [2, BIG_PRIME])
-    def test_weight_guard_fires_before_counting(self, monkeypatch, p):
+    def test_step_guard_fires_before_counting(self, monkeypatch, p):
+        # [300, 1, 300]: t = 212 takes 336,244 recurrence steps, t = 213 takes 350,996.
         code = code_from_rows(Matrix(np.ones((1, 300), dtype=np.int64), Prime(p)))
-        assert exhaustive_stats(code, COUNT_WEIGHT_LIMIT).trials > 0
+        assert exhaustive_stats(code, 212).trials > 0
 
         def refuse(*args):
             raise AssertionError("no count may start past the guard")
 
         monkeypatch.setattr(tcc.channel, "_counted_stats", refuse)
         with pytest.raises(GuardExceededError) as refused:
-            exhaustive_stats(code, COUNT_WEIGHT_LIMIT + 1)
+            exhaustive_stats(code, 213)
         assert str(refused.value) == (
-            "exhaustive count at weight t = 129, beyond the t <= 128 guard; use monte_carlo instead"
+            "exhaustive count at weight t = 213 takes 350996 recurrence steps, beyond the 341797 guard; "
+            "use monte_carlo instead"
         )
+
+    def test_step_count_is_the_recurrence_it_guards(self, monkeypatch):
+        steps = []
+        capped = tcc.channel._capped_words
+
+        def counting(length, letters, cap):
+            steps.append(sum(1 + max(0, min(m, cap)) for m in range(1, length + 1)))
+            return capped(length, letters, cap)
+
+        monkeypatch.setattr(tcc.channel, "_capped_words", counting)
+        for length, support in ((9, 9), (12, 7), (16, 16), (20, 5), (40, 31)):
+            row = np.zeros(length, dtype=np.int64)
+            row[np.random.default_rng(length).choice(length, support, replace=False)] = 1
+            code = code_from_rows(Matrix([row.tolist()], Prime(5)))
+            for t in range(length + 1):
+                steps.clear()
+                exhaustive_stats(code, t)
+                assert sum(steps) == tcc.channel._count_steps(length, support, t), (length, support, t)
+
+    def test_step_limit_admits_every_sweep_the_weight_bound_did(self):
+        # The limit is the costliest sweep at t <= 128, where the last bound stood, so none of them is refused.
+        # Steps grow with N until N = w + t and vanish once w > 2t.
+        costliest = max(tcc.channel._count_steps(w + t, w, t) for t in range(129) for w in range(1, 2 * t + 1))
+        assert costliest == COUNT_STEP_LIMIT == tcc.channel._count_steps(274, 146, 128)
+
+    def test_digit_guard_fires_before_counting(self, monkeypatch):
+        # [4096, 1, 4096] over GF(2^31 - 1): t = 399's count has 4,300 digits, the most Python prints by default.
+        code = code_from_rows(Matrix(np.ones((1, 4096), dtype=np.int64), Prime(BIG_PRIME)))
+        stats = exhaustive_stats(code, 399)
+        assert len(str(stats.trials)) == COUNT_DIGIT_LIMIT and stats.successes == stats.trials
+
+        def refuse(*args):
+            raise AssertionError("no count may start past the guard")
+
+        monkeypatch.setattr(tcc.channel, "_counted_stats", refuse)
+        with pytest.raises(GuardExceededError) as refused:
+            exhaustive_stats(code, 400)
+        assert str(refused.value) == (
+            "exhaustive count at weight t = 400 has about 4310 digits, "
+            "beyond Python's 4300-digit int-to-str limit; use monte_carlo instead"
+        )
+
+    def test_theorem_code_of_order_sixty_four_up_to_capacity(self, monkeypatch):
+        # Within capacity every count is C(N, t) (p-1)^t p successes and takes no recurrence step.
+        code = comb_code(64, 1, 6, 7, 2)
+        assert (code.length, code.dim) == (4096, 1)
+        for t in [*range(0, 2048, 89), 2047]:
+            stats = exhaustive_stats(code, t)
+            assert stats.successes == stats.trials == math.comb(4096, t) * 6**t * 7
+        with pytest.raises(GuardExceededError, match="t = 2048 takes 2100223 recurrence steps"):
+            exhaustive_stats(code, 2048)
+        # The guards admit every weight up to capacity.
+        counted = []
+        monkeypatch.setattr(tcc.channel, "_counted_stats", lambda code, t: counted.append(t))
+        for t in range(2048):
+            exhaustive_stats(code, t)
+        assert counted == list(range(2048))
 
     def test_theorem_code_of_order_sixteen_at_largest_prime(self):
         code = comb_code(16, 1, BIG_PRIME - 16, BIG_PRIME, 2)
@@ -532,19 +660,15 @@ class TestCosetTable:
             monte_carlo(code, 2, 50, 0)
             assert scanned and all(seen is code for seen in scanned)
 
-    def test_dimension_one_votes(self, nine_one_nine, scanned, monkeypatch):
-        voted = []
-        vote = tcc.code._vote
+    def test_dimension_one_votes(self, nine_one_nine, scanned, drawn_votes, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the channel classifies a k = 1 code from its drawn symbols, with no dense vote")
 
-        def recording(code, words):
-            voted.append(len(words))
-            return vote(code, words)
-
-        monkeypatch.setattr(tcc.code, "_vote", recording)
+        monkeypatch.setattr(tcc.code, "_vote", refuse)
         assert tcc.channel._coset_table(nine_one_nine) is None
         exhaustive_stats(nine_one_nine, 2)  # counted: no vote
         monte_carlo(nine_one_nine, 5, 100, 0)
-        assert sum(voted) == 100
+        assert sum(len(positions) for positions, _ in drawn_votes) == 100
         assert scanned == []
 
     def test_build_over_its_limit_falls_back_to_scan(self, scanned, monkeypatch):

@@ -12,7 +12,7 @@ import tcc.cli
 import tcc.comb
 import tcc.linalg
 from tcc import CombParams, Prime
-from tcc.channel import COUNT_WEIGHT_LIMIT
+from tcc.channel import COUNT_DIGIT_LIMIT
 from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, build_parser, main
 from helpers import (
     DefectiveMatrixError,
@@ -647,26 +647,46 @@ class TestSimulateCommand:
         assert outcomes == {"trials": 24600576, "successes": 6054048, "ambiguous": 10090080, "miscorrected": 8456448}
 
     def test_largest_counted_weight_prints(self, capsys):
-        # The theorem code [4096, 1, 4096] at p = 2^31 - 1: its t = COUNT_WEIGHT_LIMIT count has 1,450
-        # digits, inside Python's 4,300-digit int-to-str limit; one weight more is refused.
+        # The theorem code [4096, 1, 4096] at p = 2^31 - 1: its t = 399 count has 4,300 digits, the most
+        # Python's int-to-str limit prints; one weight more is refused by its digit count.
         p = 2**31 - 1
         flags = ["simulate", "--n", "64", "--p", str(p), "--x", "1", "--y", str(p - 64), "--a", "2", "--exhaustive"]
-        t = str(COUNT_WEIGHT_LIMIT)
-        trials = math.comb(4096, COUNT_WEIGHT_LIMIT) * (p - 1) ** COUNT_WEIGHT_LIMIT * p
-        code, out, _ = run_cli(capsys, *flags, "--t", t, "--json")
+        trials = math.comb(4096, 399) * (p - 1) ** 399 * p
+        code, out, _ = run_cli(capsys, *flags, "--t", "399", "--json")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert (doc["verdict"], doc["trials"], doc["successes"]) == ("PASS", trials, trials)
-        assert len(str(trials)) == 1450
-        code, out, _ = run_cli(capsys, *flags, "--t", t)
+        assert len(str(trials)) == COUNT_DIGIT_LIMIT == 4300
+        code, out, _ = run_cli(capsys, *flags, "--t", "399")
         assert code == EXIT_OK
         assert f"trials {trials}: {trials} success, 0 ambiguous, 0 miscorrected\n" in out
-        code, out, err = run_cli(capsys, *flags, "--t", str(COUNT_WEIGHT_LIMIT + 1))
+        code, out, err = run_cli(capsys, *flags, "--t", "400")
         assert (code, out) == (EXIT_GUARD, "")
         assert err == (
-            "tcc: guard exceeded: exhaustive count at weight t = 129, beyond the t <= 128 guard; "
-            "use monte_carlo instead\n"
+            "tcc: guard exceeded: exhaustive count at weight t = 400 has about 4310 digits, "
+            "beyond Python's 4300-digit int-to-str limit; use monte_carlo instead\n"
         )
+
+    def test_counted_weights_past_128(self, capsys):
+        # Within capacity a k = 1 count takes no recurrence step, so weights past the old t <= 128 bound answer.
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--n", "64", "--p", "7", "--x", "1", "--y", "6", "--a", "2",
+            "--t", "2047", "--exhaustive", "--json",
+        )
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        trials = math.comb(4096, 2047) * 6**2047 * 7
+        assert (doc["verdict"], doc["capacity"], doc["trials"], doc["successes"]) == ("PASS", 2047, trials, trials)
+        p = 2**31 - 1
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--n", "17", "--p", str(p), "--x", "1", "--y", str(p - 17), "--a", "2",
+            "--t", "129", "--exhaustive",
+        )
+        assert code == EXIT_OK
+        trials = math.comb(289, 129) * (p - 1) ** 129 * p
+        assert f"trials {trials}: {trials} success, 0 ambiguous, 0 miscorrected\n" in out
 
     def test_trials_guard_fires_before_any_trial(self, capsys, monkeypatch):
         def no_trial(*args):
