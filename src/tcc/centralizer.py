@@ -18,14 +18,15 @@ is n copies of ker A's RREF.  Otherwise A is first reduced to Hessenberg
 form H = S A S^-1, with b blocks.  When 2b <= n, C(A, a) is solved from
 H X = a X H column by column, as in Golub, Nash and Van Loan's Sylvester
 solver (IEEE Trans. Autom. Control 24(6), 1979): the recurrence
-eliminates an (n b)-square system, never T, and reduces its k members to
-RREF.  Otherwise A takes the Kronecker kernel; its elimination runs with
-the columns reversed, so its kernel comes out in RREF too and no second
-reduction runs.  Every route returns the LinearCode itself, read-only and
-holding the array as it is, once every generator row has been checked
-against AB = aBA: for a comb A from the row's row and column sums, as
-AB - aBA = s B + x (u r^T - a c u^T), with no product; for any other A by
-two matmul_mod products.
+eliminates an (n b)-square system, never T, and hands over its k
+independent members unreduced; the LinearCode reduces them to RREF only
+when its generator is read.  Otherwise A takes the Kronecker kernel; its
+elimination runs with the columns reversed, so its kernel comes out in
+RREF too and no second reduction runs.  Every route returns the
+LinearCode itself, read-only and holding the array as it is, once every
+row has been checked against AB = aBA: for a comb A from the row's row
+and column sums, as AB - aBA = s B + x (u r^T - a c u^T), with no product;
+for any other A by two matmul_mod products.
 """
 
 from collections.abc import Sequence
@@ -43,15 +44,14 @@ from .linalg import (
     _hessenberg,
     kernel_basis,
     matmul_mod,
-    rref,
 )
 
 # Largest operator the Kronecker kernel builds: n = 32, a 1024 x 1024 T.
 KRONECKER_MAX_CELLS = 1 << 10
 # The recurrence is taken when _CROSSOVER * b <= n for b Hessenberg blocks.
 _CROSSOVER = 2
-# Most cells the recurrence's generator may have before its final RREF: at most
-# n b rows of n^2, so n = 64 with b <= 8.  Orders up to 32 stay below 2^19.
+# Most cells the recurrence's basis may have, reduced to RREF when its generator
+# is read: at most n b rows of n^2, so n = 64 with b <= 8.  Orders up to 32 stay below 2^19.
 # The a = 0 route's n nullity(A) rows of n^2 are held to it too.
 _RECURRENCE_MAX_CELLS = 1 << 21
 # Each membership product covers at most this many matrix entries, across specs and rows.
@@ -92,8 +92,11 @@ def twisted_operator(spec: TwistSpec) -> Matrix:
     return Matrix((np.kron(ident, a) - spec.twist * np.kron(a.T, ident)) % spec.prime.p, spec.prime)
 
 
-def _basis(n: int, prime: Prime, gen: np.ndarray, residual, checks: int) -> LinearCode:
+def _basis(n: int, prime: Prime, gen: np.ndarray, residual, checks: int, reduced: bool = True) -> LinearCode:
     """The code of length n^2 with the RREF generator rows ``gen``, held without a copy; no rows is the zero code.
+
+    With reduced=False the rows are independent but not in RREF, and the
+    code reduces them when its generator is first read.
 
     Every row is checked to be a residue row, and by each of ``checks``
     membership tests to be the vec image of a member, before the code is
@@ -103,7 +106,7 @@ def _basis(n: int, prime: Prime, gen: np.ndarray, residual, checks: int) -> Line
     most _CHECK_CELLS entries, across tests and across rows.
     """
     try:
-        code = LinearCode(prime, n * n, gen)
+        code = LinearCode(prime, n * n, gen, reduced=reduced)
     except ValueError as err:
         raise RuntimeError(f"{err}; the solve is broken") from err
     rows = max(1, min(len(gen), _CHECK_CELLS // (n * n)))
@@ -144,12 +147,14 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
     rows of n^2, refused past _RECURRENCE_MAX_CELLS cells, which only
     orders beyond 32 reach.  For a != 0, A is reduced to H = S A S^-1,
     upper Hessenberg with b blocks.  The generator has k <= n b rows; the
-    recurrence (_recurrence_generator) costs about k^2 n^2 for its final
-    RREF, and T's elimination about (n^2 - k) n^4.  With a crossover fitted
-    on both, 2b <= n takes the recurrence, under the same cell guard on
-    its n b rows.  The rest, every 1 x 1 A with a != 0 among them, takes
-    the kernel of T, of dimension n^2 - rank(T), from one elimination of T
-    with its columns reversed, refused beyond order 32.  Every guard is
+    recurrence (_recurrence_generator) costs about (n b)^3 for its system
+    and k n^3 for its conjugation, plus about k^2 n^2 for the RREF that
+    reading its generator costs, and T's elimination about (n^2 - k) n^4.
+    With a crossover fitted on both, 2b <= n takes the recurrence, under
+    the same cell guard on its n b rows.  The rest, every 1 x 1 A with
+    a != 0 among them, takes the kernel of T, of dimension n^2 - rank(T),
+    from one elimination of T with its columns reversed, refused beyond
+    order 32.  Every guard is
     decided after an O(n^3) reduction, before any larger elimination.
     """
     form = _comb_form(spec.matrix)
@@ -240,7 +245,7 @@ def _comb_rows(n: int, p: int, case: str, a: int = 0) -> np.ndarray:
 
 def _general_code(spec: TwistSpec) -> LinearCode:
     """C(A, a) for an A that is no comb matrix: from ker A when a = 0, else by the recurrence or T."""
-    n, prime = spec.n, spec.prime
+    n, prime, reduced = spec.n, spec.prime, True
     if spec.twist == 0:
         kernel = _rref_kernel(spec.matrix.array, prime)
         if n * len(kernel) * n * n > _RECURRENCE_MAX_CELLS:
@@ -259,7 +264,7 @@ def _general_code(spec: TwistSpec) -> LinearCode:
                     f"the recurrence for order {n} with {blocks} blocks may reduce a "
                     f"{n * blocks}x{n * n} generator, beyond the {_RECURRENCE_MAX_CELLS}-cell guard"
                 )
-            gen = _recurrence_generator(spec, h, s, s_inv, blocks)
+            gen, reduced = _recurrence_generator(spec, h, s, s_inv, blocks), False
         elif n * n > KRONECKER_MAX_CELLS:
             raise GuardExceededError(
                 f"the Kronecker kernel for order {n} needs T of {n * n}x{n * n}, "
@@ -267,21 +272,22 @@ def _general_code(spec: TwistSpec) -> LinearCode:
             )
         else:
             gen = _rref_kernel(twisted_operator(spec).array, prime)
-    return _basis(n, prime, gen, lambda lo, hi, members: _product_residual(spec, members), 1)
+    return _basis(n, prime, gen, lambda lo, hi, members: _product_residual(spec, members), 1, reduced)
 
 
 def _recurrence_generator(
     spec: TwistSpec, h: np.ndarray, s: np.ndarray, s_inv: np.ndarray, blocks: int
 ) -> np.ndarray:
-    """The RREF generator of C(A, a) from H X = a X H, H = S A S^-1 with ``blocks`` blocks.
+    """k independent vec(B) rows spanning C(A, a), from H X = a X H, H = S A S^-1 with ``blocks`` blocks.
 
     Column j of H X = a X H reads a h_(j+1, j) x_(j+1) = H x_j - a sum_(i <= j) h_ij x_i.
     Each x_j is held as an n x (n b) matrix of coefficients in the n b unknowns:
     x_0 is the first n of them.  Where a h_(j+1, j) != 0 the column fixes
     x_(j+1); elsewhere, and at the last column, its n equations join the
     system, and x_(j+1) is the next n unknowns.  Each kernel vector of the
-    (n b)-square system gives a member B = S^-1 X S, and the k vec(B) rows,
-    independent since X fixes its unknowns, are reduced to the canonical RREF.
+    (n b)-square system gives a member B = S^-1 X S.  The k vec(B) rows are
+    independent, since X fixes its unknowns, and are returned unreduced:
+    LinearCode reduces them to RREF only when its generator is read.
     """
     n, prime, a = spec.n, spec.prime, spec.twist
     p, width = prime.p, n * blocks
@@ -314,11 +320,10 @@ def _recurrence_generator(
     xs = xs.reshape(n * n, width)
     xv = (xs[:, free] + matmul_mod(xs[:, bound], kernel[:, bound].T, p)) % p
     # Column j of member X_v is x_j v, so (x_j v)^T stacked over j is X_v^T, and
-    # B^T = S^T X^T S^-T is vec(B) when read row-major.
-    xt = xv.T.reshape(-1, n, n)
-    vecs = matmul_mod(matmul_mod(s.T, xt, p), s_inv.T, p).reshape(-1, n * n)
-    reduced, rank, _ = rref(Matrix(vecs, prime))
-    return reduced.array[:rank]
+    # B^T = S^T X^T S^-T is vec(B) when read row-major.  The batched product
+    # is several times faster on a contiguous copy than on the strided xv.T.
+    xt = np.ascontiguousarray(xv.T).reshape(-1, n, n)
+    return matmul_mod(matmul_mod(s.T, xt, p), s_inv.T, p).reshape(-1, n * n)
 
 
 def _sum_kernel(n: int, a: int, p: int) -> np.ndarray:

@@ -185,13 +185,16 @@ def cmd_build(args) -> tuple[int, dict]:
     code, header = _solve(args)
     out = {**header, "length": code.length, "dimension": code.dim}
     if not args.json:
+        # Read before anything prints: a solve that left its rows unreduced reduces them
+        # here, and raises here if they are dependent.  --json never reads it.
+        generator = Matrix(code.generator, code.prime) if code.dim else None
         print(f"C(A, {out['a']}) over GF({out['p']}), n = {out['n']}")
         print(f"dim = {out['dimension']}")
-        if code.dim:
-            print("generator (RREF):")
-            print(Matrix(code.generator, code.prime))
-        else:
+        if generator is None:
             print("generator: (zero code)")
+        else:
+            print("generator (RREF):")
+            print(generator)
     return EXIT_OK, out
 
 

@@ -1,10 +1,13 @@
 """Linear codes over GF(p): the codes C(A, a) and their parameters.
 
-A solved centralizer is a [n^2, k] code whose generator rows, a (k, n^2)
-int64 array of residues like every word, are the column-stacked members of
-a basis.  Parameters follow the standard rules: a code of minimum distance
-d detects up to d - 1 symbol errors and corrects up to floor((d - 1) / 2);
-it is MDS when d meets the Singleton bound N - k + 1 exactly.
+A solved centralizer is a [n^2, k] code whose rows, a (k, n^2) int64
+array of residues like every word, are the column-stacked members of a
+basis: its RREF generator, or rows it reduces to one only when the
+generator is read.  Encoding and decoding read the generator; minimum
+distance enumerates the rows held.  Parameters follow the standard
+rules: a code of minimum distance d detects up to d - 1 symbol errors and
+corrects up to floor((d - 1) / 2); it is MDS when d meets the Singleton
+bound N - k + 1 exactly.
 
 Nearest-codeword decoding classifies whole (B, N) blocks of received
 words at once.  A k = 1 code, the theorem's whole family, decodes by a
@@ -26,10 +29,12 @@ import numpy as np
 
 from .linalg import (
     GuardExceededError,
+    Matrix,
     Prime,
     _held_residues,
     count_text,
     matmul_mod,
+    rref,
 )
 
 ENUMERATION_LIMIT = 1 << 20
@@ -41,24 +46,26 @@ UNIQUE = "unique"
 AMBIGUOUS = "ambiguous"
 
 
-@dataclass(frozen=True, eq=False)
 class LinearCode:
     """[N, k] linear code over GF(p) with a canonical (RREF) generator.
 
-    The generator is a (k, N) int64 array of residues, held read-only with no
-    copy after the check a Matrix makes (_held_residues); the zero code's is
-    (0, N).  Equal codes have equal generators.
+    Built from its RREF generator, a (k, N) int64 array of residues held
+    read-only with no copy after the check a Matrix makes (_held_residues);
+    the zero code's is (0, N).  Built with reduced=False from k independent
+    rows that a solve has checked instead, dim is their count, and the RREF
+    generator is computed on the first read of ``generator`` and replaces
+    them, so one array is held either way.  Equal codes have equal generators.
     """
 
-    prime: Prime
-    length: int
-    generator: np.ndarray
+    __slots__ = ("prime", "length", "_rows", "_reduced")
 
-    def __post_init__(self):
-        g = self.generator
-        if not isinstance(g, np.ndarray) or g.dtype != np.int64 or g.ndim != 2 or g.shape[1] != self.length:
+    def __init__(self, prime: Prime, length: int, generator: np.ndarray, *, reduced: bool = True):
+        g = generator
+        if not isinstance(g, np.ndarray) or g.dtype != np.int64 or g.ndim != 2 or g.shape[1] != length:
             raise ValueError("generator does not match the declared code")
-        _held_residues(g, self.prime.p, "generator")
+        self.prime, self.length = prime, length
+        self._rows = _held_residues(g, prime.p, "generator")
+        self._reduced = reduced or not len(g)
 
     def __eq__(self, other):
         if not isinstance(other, LinearCode):
@@ -66,8 +73,27 @@ class LinearCode:
         return self.prime == other.prime and np.array_equal(self.generator, other.generator)
 
     @property
+    def basis(self) -> np.ndarray:
+        """The rows held: the RREF generator once it is known, else the rows the code was built from."""
+        return self._rows
+
+    @property
+    def generator(self) -> np.ndarray:
+        """The RREF generator, reduced from the held rows on the first read.
+
+        Rows of rank below their count were never independent, a fault of
+        the solve that made them, so RuntimeError.
+        """
+        if not self._reduced:
+            reduced, rank, _ = rref(Matrix(self._rows, self.prime))
+            if rank < len(self._rows):
+                raise RuntimeError(f"{len(self._rows)} basis rows have rank {rank}; the solve is broken")
+            self._rows, self._reduced = reduced.array, True
+        return self._rows
+
+    @property
     def dim(self) -> int:
-        return len(self.generator)
+        return len(self._rows)
 
     def __repr__(self):
         return f"LinearCode([{self.length}, {self.dim}] over GF({self.prime.p}))"
@@ -95,7 +121,7 @@ class DecodeResult:
 
 
 def code_from_basis(code: LinearCode) -> LinearCode:
-    """``code`` itself: centralizer_code already returns the checked RREF code.
+    """``code`` itself: centralizer_code already returns the checked code.
 
     Nothing calls it.  It stays only because the benchmark trace wraps it,
     until ROADMAP items 1 and 5 retire it.
@@ -118,10 +144,11 @@ def _encode_rows(code: LinearCode, msgs: np.ndarray) -> np.ndarray:
 def min_distance(code: LinearCode) -> int:
     """Minimum Hamming weight over all nonzero codewords, by enumeration.
 
-    Every nonzero codeword is a nonzero multiple of exactly one codeword
-    whose message has 1 as its first nonzero digit, so only those
-    (p^k - 1) / (p - 1) codewords are scored; for k = 1 that is the
-    generator row alone.
+    The messages run over the basis the code holds, so a code built from
+    unreduced rows is never reduced here.  For any basis, every nonzero
+    codeword is a nonzero multiple of exactly one codeword whose message
+    has 1 as its first nonzero digit, so only those (p^k - 1) / (p - 1)
+    codewords are scored; for k = 1 that is the basis row alone.
     """
     if code.dim == 0:
         raise ValueError("zero code has no minimum distance")
@@ -133,14 +160,14 @@ def min_distance(code: LinearCode) -> int:
             f"minimum distance would enumerate (p^k - 1)/(p - 1) = {count_text(count)} codewords, "
             f"beyond the {ENUMERATION_LIMIT} guard"
         )
-    best = code.length + 1
+    rows, best = code.basis, code.length + 1
     for lead in range(k):
         # Messages (0, ..., 0, 1, free digits): the lead row plus any
         # combination of the rows after it.
         free = k - 1 - lead
         for start in range(0, p**free, _BLOCK):
             msgs = _message_block(p, free, start, min(start + _BLOCK, p**free))
-            words = (code.generator[lead] + matmul_mod(msgs, code.generator[lead + 1 :], p)) % p
+            words = (rows[lead] + matmul_mod(msgs, rows[lead + 1 :], p)) % p
             best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 

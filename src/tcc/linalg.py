@@ -57,18 +57,32 @@ class MatrixFormatError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; fine for moduli up to 2**31."""
-    if n < 2:
+    """Deterministic Miller-Rabin primality test for n below 3,215,031,751.
+
+    The witnesses 2, 3, 5 and 7 decide every n below that bound exactly
+    (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980), and it
+    exceeds MAX_PRIME; past it the answer is not exact, so ValueError.
+    """
+    if n >= 3_215_031_751:
+        raise ValueError(f"is_prime is exact only below 3215031751, got {n}")
+    bases = (2, 3, 5, 7)
+    if n < 2 or n in bases:
+        return n in bases
+    if any(n % q == 0 for q in bases):
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    # n - 1 = d 2^s with d odd.
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for q in bases:
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

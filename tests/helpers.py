@@ -26,6 +26,10 @@ that centralizer._comb_residual reads from row and column sums.
 structured_matrices and similar_to_diagonal draw the
 recurrence's test inputs, diagonal_dim gives C(A, a)'s dimension for a
 diagonalizable A, and recurrence_calls records (or forces) that route.
+generator_read_twice reads a code's generator twice and records the
+eliminations each read runs, for the codes the recurrence leaves unreduced.
+trial_division_is_prime is the trial-division test, kept as the oracle for
+is_prime's Miller-Rabin test.
 eliminated_comb_kernel eliminates the retired (2n - 1)-square system of a comb solve with
 s != 0 and expands its kernel into vec rows, and eliminated_sum_kernel
 the 2n - 1 sum constraints of one with s = 0 and x != 0, kept as the
@@ -273,6 +277,38 @@ def recurrence_calls(monkeypatch, force: bool = False) -> list:
     if force:
         monkeypatch.setattr(tcc.centralizer, "_CROSSOVER", 0)
     return solved
+
+
+def generator_read_twice(monkeypatch, code: LinearCode) -> tuple[np.ndarray, list]:
+    """code.generator, read twice to the same array, and the shapes that tcc.linalg._rref_array eliminated meanwhile."""
+    shapes = []
+    original = tcc.linalg._rref_array
+
+    def recorded(a, p):
+        shapes.append(a.shape)
+        return original(a, p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tcc.linalg, "_rref_array", recorded)
+        generator = code.generator
+        assert code.generator is generator is code.basis
+    return generator, shapes
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def code_from_rows(rows: Matrix) -> LinearCode:

@@ -31,6 +31,7 @@ from tcc.linalg import MAX_DIM, inverse, kronecker, matmul_mod
 from helpers import (
     MATRIX_KINDS,
     code_from_rows,
+    generator_read_twice,
     identity,
     is_codeword,
     kronecker_code,
@@ -220,7 +221,8 @@ class TestCombSolve:
 
 class TestRecurrence:
     def test_matches_kernel_on_structured_grid(self, monkeypatch):
-        # Every case is routed through the recurrence, whose sums run through the limb split.
+        # Every case is routed through the recurrence, whose sums run through the limb split,
+        # and its rows are reduced on the first read of the generator, and only then.
         forced = recurrence_calls(monkeypatch, force=True)
         rng = np.random.default_rng(53)
         kinds = 0
@@ -229,7 +231,10 @@ class TestRecurrence:
                 for kind, m in structured_matrices(rng, n, BIG):
                     spec = TwistSpec(m, a)
                     forced.clear()
-                    assert centralizer_code(spec) == kronecker_code(spec), (n, a, kind)
+                    code = centralizer_code(spec)
+                    generator, shapes = generator_read_twice(monkeypatch, code)
+                    assert np.array_equal(generator, kronecker_code(spec).generator), (n, a, kind)
+                    assert shapes == ([(code.dim, n * n)] if code.dim else []), (n, a, kind)
                     assert forced == [spec], (n, a, kind)
                     kinds += 1
         assert kinds == 5 * 3 * len(MATRIX_KINDS)

@@ -45,6 +45,7 @@ from helpers import (
     diagonalize,
     eliminated_comb_kernel,
     eliminated_sum_kernel,
+    generator_read_twice,
     identity,
     kronecker_code,
     matmul,
@@ -842,7 +843,8 @@ class TestRecurrence:
     def forced(self, monkeypatch):
         return recurrence_calls(monkeypatch, force=True)
 
-    def test_matches_kronecker_kernel_on_small_grid(self, forced):
+    def test_matches_kronecker_kernel_on_small_grid(self, forced, monkeypatch):
+        # The recurrence's rows are reduced on the first read of the generator, and only then.
         rng = np.random.default_rng(47)
         kinds, blocks = Counter(), Counter()
         for p in SMALL_PRIMES:
@@ -853,7 +855,10 @@ class TestRecurrence:
                     for kind, m in structured_matrices(rng, n, prime):
                         spec = TwistSpec(m, a)
                         forced.clear()
-                        assert centralizer_code(spec) == kronecker_code(spec), (p, n, a, kind)
+                        code = centralizer_code(spec)
+                        generator, shapes = generator_read_twice(monkeypatch, code)
+                        assert np.array_equal(generator, kronecker_code(spec).generator), (p, n, a, kind)
+                        assert shapes == ([(code.dim, n * n)] if a and code.dim else []), (p, n, a, kind)
                         assert forced == ([spec] if a else []), (p, n, a, kind)
                         kinds[kind] += 1
                         if a:
@@ -874,7 +879,8 @@ class TestRecurrence:
         assert code == kronecker_code(spec)
 
     def test_eliminates_its_system_and_then_the_generator(self, monkeypatch):
-        # Two eliminations: the (n b)-square system, then the k vec(B) rows; never T.
+        # Two eliminations: the (n b)-square system in the solve, then the k vec(B)
+        # rows when the generator is first read; never T.
         shapes = []
         original = tcc.linalg._rref_array
 
@@ -892,8 +898,48 @@ class TestRecurrence:
         monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
         code = centralizer_code(spec)
         assert hessenberg_blocks(spec) == 3
-        assert shapes == [(18, 18), (12, 36)]
+        assert shapes == [(18, 18)]
         assert code.dim == diagonal_dim(diag, 1, 5) == 12
+        assert code.generator.shape == (12, 36)
+        assert shapes == [(18, 18), (12, 36)]
+
+    def test_a_dependent_member_row_fails_the_generator_read(self, monkeypatch):
+        # A repeated member passes every membership check, so the solve returns; the rank
+        # found when the generator is first read is the fault, raised as RuntimeError.
+        original = tcc.centralizer._recurrence_generator
+
+        def repeated(*args):
+            gen = original(*args)
+            return np.vstack([gen, gen[-1:]])
+
+        monkeypatch.setattr(tcc.centralizer, "_recurrence_generator", repeated)
+        spec = TwistSpec(similar_to_diagonal(np.random.default_rng(3), [1, 1, 1, 2, 3, 4], GF5), 1)
+        code = centralizer_code(spec)
+        assert code.dim == 13
+        with pytest.raises(RuntimeError, match=r"^13 basis rows have rank 12; the solve is broken$"):
+            code.generator
+        monkeypatch.undo()
+        assert centralizer_code(spec).generator.shape == (12, 36)
+
+    def test_other_routes_hand_over_their_rref(self, monkeypatch):
+        # The comb closed form, ker A for a = 0 and the Kronecker kernel give RREF rows,
+        # which no later read reduces again.
+        specs = [
+            comb_spec(4, 1, 1, 5, 3),
+            comb_spec(3, 1, 1, 3, 1),
+            TwistSpec(similar_to_diagonal(np.random.default_rng(5), [0, 0, 1, 2, 3], GF5), 0),
+            TwistSpec(Matrix(np.diag([1, 1, 2]), GF3), 1),
+        ]
+        codes = [centralizer_code(spec) for spec in specs]
+        oracles = [kronecker_code(spec).generator for spec in specs]
+
+        def refuse(a, p):
+            raise AssertionError("an RREF generator is never reduced again")
+
+        monkeypatch.setattr(tcc.linalg, "_rref_array", refuse)
+        for spec, code, oracle in zip(specs, codes, oracles):
+            assert code.generator is code.basis, spec
+            assert code.dim and np.array_equal(code.generator, oracle), spec
 
     def test_order_64_beyond_the_guard_refused_before_elimination(self, monkeypatch):
         def refuse(a, p):

@@ -11,7 +11,7 @@ import tcc.centralizer
 import tcc.cli
 import tcc.comb
 import tcc.linalg
-from tcc import CombParams, Prime
+from tcc import CombParams, Matrix, Prime, TwistSpec, analyze
 from tcc.channel import COUNT_DIGIT_LIMIT
 from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, build_parser, main
 from helpers import (
@@ -19,6 +19,7 @@ from helpers import (
     child_env,
     diagonal_dim,
     diagonalize,
+    kronecker_code,
     recurrence_calls,
     similar_to_diagonal,
 )
@@ -383,6 +384,69 @@ class TestBeyondOrder32:
         code, out, err = run_cli(capsys, "build", "--matrix-file", str(path), "--a", "0", "--json")
         assert (code, out) == (EXIT_GUARD, "")
         assert "guard exceeded" in err and "nullity 9 has a 576x4096 generator" in err
+
+
+class TestRecurrenceReads:
+    """A recurrence code's rows are reduced to RREF only when a command prints its generator."""
+
+    # This A similar to diag(1, 1, 2, 3, 4, 0) over GF(5) has b = 3 Hessenberg blocks, so C(A, 1),
+    # of dimension 4 + 4, takes the recurrence, whose system is 18-square.
+    DIAG = [1, 1, 2, 3, 4, 0]
+
+    @pytest.fixture
+    def spec(self):
+        return TwistSpec(similar_to_diagonal(np.random.default_rng(6), self.DIAG, Prime(5)), 1)
+
+    @pytest.fixture
+    def path(self, tmp_path, spec):
+        path = tmp_path / "a.mat"
+        path.write_text(_matrix_file(5, spec.matrix.array))
+        return str(path)
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        shapes = []
+        original = tcc.linalg._rref_array
+
+        def recorded(a, p):
+            shapes.append(a.shape)
+            return original(a, p)
+
+        monkeypatch.setattr(tcc.linalg, "_rref_array", recorded)
+        return shapes
+
+    def test_json_commands_run_no_n_squared_elimination(self, capsys, monkeypatch, spec, path, shapes):
+        solved = recurrence_calls(monkeypatch)
+        oracle = analyze(kronecker_code(spec))
+        for command in ("build", "analyze"):
+            shapes.clear()
+            code, out, err = run_cli(capsys, command, "--matrix-file", path, "--a", "1", "--json")
+            assert (code, err) == (EXIT_OK, ""), command
+            assert json.loads(out)["dimension"] == diagonal_dim(self.DIAG, 1, 5) == 8
+            assert shapes == [(18, 18)], command
+        assert json.loads(out)["min_distance"] == oracle.min_distance
+        assert len(solved) == 2
+
+    def test_human_build_prints_the_reduced_generator(self, capsys, spec, path, shapes):
+        code, out, err = run_cli(capsys, "build", "--matrix-file", path, "--a", "1")
+        assert (code, err) == (EXIT_OK, "")
+        assert shapes == [(18, 18), (8, 36)]
+        generator = Matrix(kronecker_code(spec).generator, Prime(5))
+        assert out == f"C(A, 1) over GF(5), n = 6\ndim = 8\ngenerator (RREF):\n{generator}\n"
+
+    def test_dependent_rows_fail_before_anything_prints(self, capsys, monkeypatch, path):
+        # A repeated member passes every membership check, and --json never reads the generator;
+        # the human build reads it first, so the fault raises before any output.
+        original = tcc.centralizer._recurrence_generator
+
+        def repeated(*args):
+            gen = original(*args)
+            return np.vstack([gen, gen[:1]])
+
+        monkeypatch.setattr(tcc.centralizer, "_recurrence_generator", repeated)
+        with pytest.raises(RuntimeError, match="9 basis rows have rank 8; the solve is broken"):
+            main(["build", "--matrix-file", path, "--a", "1"])
+        assert capsys.readouterr() == ("", "")
 
 
 class TestAnalyzeCommand:

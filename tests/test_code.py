@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tcc.code
+import tcc.linalg
 from tcc import (
     CombParams,
     GuardExceededError,
@@ -17,7 +18,18 @@ from tcc import (
     min_distance,
 )
 from tcc.code import AMBIGUOUS, UNIQUE, decode_nearest, encode
-from helpers import GF2, GF3, GF5, code_from_rows, hamming_distance, identity, is_codeword, rand_matrix, zeros
+from helpers import (
+    GF2,
+    GF3,
+    GF5,
+    code_from_rows,
+    generator_read_twice,
+    hamming_distance,
+    identity,
+    is_codeword,
+    rand_matrix,
+    zeros,
+)
 
 
 def repetition_code(p=3):
@@ -86,6 +98,25 @@ class TestGenerator:
             LinearCode(GF3, 3, gen)
         assert gen.flags.writeable
 
+    def test_unreduced_rows_are_reduced_once_on_read(self, monkeypatch):
+        # Held as given until the generator is read, then replaced by their RREF.
+        rows = np.array([[2, 2, 0, 1], [1, 0, 1, 1]], dtype=np.int64)
+        code = LinearCode(GF3, 4, rows, reduced=False)
+        assert code.basis is rows and code.dim == 2 and not rows.flags.writeable
+        generator, shapes = generator_read_twice(monkeypatch, code)
+        assert shapes == [(2, 4)]
+        assert generator.tolist() == [[1, 0, 1, 1], [0, 1, 2, 1]]
+        assert not generator.flags.writeable
+        assert code == code_from_rows(Matrix(rows, GF3))
+        empty = LinearCode(GF3, 4, np.zeros((0, 4), dtype=np.int64), reduced=False)
+        assert generator_read_twice(monkeypatch, empty)[1] == []
+
+    def test_dependent_rows_fail_on_read(self):
+        code = LinearCode(GF3, 3, np.array([[1, 2, 0], [2, 1, 0]], dtype=np.int64), reduced=False)
+        assert code.dim == 2
+        with pytest.raises(RuntimeError, match=r"^2 basis rows have rank 1; the solve is broken$"):
+            code.generator
+
     def test_equal_codes_have_equal_generators(self):
         code = repetition_code()
         assert code == code_from_rows(Matrix([[2, 2, 2, 2], [1, 1, 1, 1]], GF3))
@@ -144,6 +175,27 @@ class TestMinDistance:
         big = Prime(2147483647)
         code = code_from_rows(Matrix([[3, 0, 5, 1, 0, 2]], big))
         assert min_distance(code) == 4
+
+    def test_enumerates_the_rows_held(self, monkeypatch):
+        # Any basis gives one codeword per projective point, so unreduced rows are never reduced here.
+        rng = np.random.default_rng(59)
+
+        def refuse(a, p):
+            raise AssertionError("min_distance must not reduce the rows it holds")
+
+        for p, k, length in [(2, 4, 7), (3, 3, 6), (5, 2, 5), (7, 3, 5), (997, 2, 5), (2**31 - 1, 1, 6)]:
+            prime = Prime(p)
+            for _ in range(5):
+                rows = rand_matrix(rng, k, length, prime)
+                reduced = code_from_rows(rows)
+                if reduced.dim < k:
+                    continue
+                code = LinearCode(prime, length, rows.array, reduced=False)
+                with monkeypatch.context() as patch:
+                    patch.setattr(tcc.linalg, "_rref_array", refuse)
+                    distance = min_distance(code)
+                assert distance == min_distance(reduced), (p, k, length)
+                assert code.basis is rows.array
 
     def test_matches_every_message_enumeration(self):
         # Oracle: the literal minimum over all p^k - 1 nonzero messages.

@@ -7,6 +7,7 @@ from tcc import (
     MatrixFormatError,
     Prime,
     TwistSpec,
+    is_prime,
     kernel_basis,
     parse_matrix_text,
     rank,
@@ -23,7 +24,18 @@ from tcc.linalg import (
     kronecker,
     matmul_mod,
 )
-from helpers import GF3, GF5, identity, literal_rref_array, matmul, rand_matrix, unvec, vec, zeros
+from helpers import (
+    GF3,
+    GF5,
+    identity,
+    literal_rref_array,
+    matmul,
+    rand_matrix,
+    trial_division_is_prime,
+    unvec,
+    vec,
+    zeros,
+)
 
 
 class TestPrime:
@@ -39,6 +51,28 @@ class TestPrime:
     def test_rejects_non_int(self):
         with pytest.raises(TypeError):
             Prime(3.0)
+
+
+class TestIsPrime:
+    """Miller-Rabin with the witnesses 2, 3, 5 and 7 against trial division."""
+
+    def test_matches_trial_division_below_200000(self):
+        assert [n for n in range(-3, 200_000) if is_prime(n) != trial_division_is_prime(n)] == []
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 2**31 - 3, 2**31 - 19, 2**31 + 11, 3_215_031_749])
+    def test_matches_trial_division_near_the_largest_prime(self, n):
+        assert is_prime(n) == trial_division_is_prime(n)
+
+    @pytest.mark.parametrize("n", [2047, 3277, 1_373_653, 25_326_001])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # Strong pseudoprimes to base 2, 2, {2, 3} and {2, 3, 5}: fewer witnesses would call them prime.
+        assert not trial_division_is_prime(n)
+        assert not is_prime(n)
+
+    def test_refuses_past_its_exact_bound(self):
+        # 3,215,031,751 is the least strong pseudoprime to all of 2, 3, 5 and 7.
+        with pytest.raises(ValueError, match="exact only below 3215031751"):
+            is_prime(3_215_031_751)
 
 
 class TestMatrixBasics:
