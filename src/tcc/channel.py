@@ -7,6 +7,11 @@ channel would not.  Both sweeps classify errors over the zero codeword:
 for a linear code, c + e decodes uniquely exactly when e does, and back
 to c exactly when e's unique nearest codeword is 0.
 
+Errors have one format, (positions, offsets), both (rows, t): each row's
+sorted positions and the nonzero symbols added there.  Monte Carlo draws
+them (_draw), the exhaustive sweep enumerates them (_pattern_blocks), and
+both hand each block to the classifier that _classifier(code) picks.
+
 A k = 1 code decodes by code._vote's plurality vote, which depends only
 on how many errors fall on the generator's support and how often each
 value e_i / g_i repeats there.  So its exhaustive sweep is counted, not
@@ -20,20 +25,21 @@ For any code the outcome depends only on e's weight and its coset
 e + C: whether the coset holds one word of least weight, and whether e
 has that weight.  So a k >= 2 code with fewer cosets than codewords
 classifies each error by one syndrome lookup in a coset table (a standard
-array) built once per sweep.  Other k != 1 codes, and a table whose build
-would pass its pattern budget, go through code._nearest, which scores
-every codeword.
+array) built once per sweep, summing the t rows of H^T the error hits.
+Other k != 1 codes, and a table whose build would pass its pattern budget,
+go through _tally, the one place an error becomes a dense word: for
+code._nearest, which scores every codeword.
 """
 
 import math
 from dataclasses import astuple, dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .code import ENUMERATION_LIMIT, LinearCode, _message_block, _nearest
-from .linalg import GuardExceededError, count_text, matmul_mod
+from .code import ENUMERATION_LIMIT, LinearCode, _inverses, _message_block, _nearest
+from .linalg import GuardExceededError, count_text
 
 EXHAUSTIVE_LIMIT = 1 << 24
 # Recurrence steps a k = 1 sweep may take (_count_steps): the most that any sweep at t <= 128 takes,
@@ -41,7 +47,7 @@ EXHAUSTIVE_LIMIT = 1 << 24
 COUNT_STEP_LIMIT = 341_797
 # Digits a k = 1 sweep's trial count may have: Python's default int-to-str limit, so simulate can print it.
 COUNT_DIGIT_LIMIT = 4300
-# Cells of one (B, N) block of exhaustive-sweep error patterns handed to the classifier.
+# Exhaustive-sweep error patterns reach the classifier in blocks of B = _BATCH_CELLS // N, B * N cells as words.
 _BATCH_CELLS = 1 << 14
 # Cells of one (rows, N) chunk of Monte Carlo keys, each chunk classified whole; fixed, so a seed's trials follow N alone.
 _DRAW_CELLS = 1 << 14
@@ -100,21 +106,17 @@ def inject_errors(word: np.ndarray, p: int, t: int, rng: np.random.Generator) ->
     return (word + _dense(*_draw(rng, 1, len(word), t, p), len(word))[0]) % p
 
 
-def _tally(code: LinearCode, errors: np.ndarray) -> ChannelStats:
-    """Decode a (B, N) block of errors over the zero codeword and classify each row."""
-    _, first, ties = _nearest(code, errors)
-    unique = ties == 1
-    trials, successes = len(errors), int(np.count_nonzero(unique & (first == 0)))
+def _outcomes(unique: np.ndarray, right: np.ndarray) -> ChannelStats:
+    """Per error: a success when its nearest codeword is unique and 0 (right), ambiguous when not unique."""
+    trials, successes = len(unique), int(np.count_nonzero(unique & right))
     ambiguous = trials - int(np.count_nonzero(unique))
     return ChannelStats(trials, successes, ambiguous, trials - successes - ambiguous)
 
 
-def _inverses(code: LinearCode) -> np.ndarray:
-    """A k = 1 code's g_i^-1 mod p at each position i of its generator g, and 0 off supp g."""
-    p = code.prime.p
-    # One inverse per distinct generator value, spread back over the positions.
-    values, where = np.unique(code.generator[0], return_inverse=True)
-    return np.array([pow(int(v), -1, p) if v else 0 for v in values], dtype=np.int64)[where]
+def _tally(code: LinearCode, positions: np.ndarray, offsets: np.ndarray) -> ChannelStats:
+    """Decode errors over the zero codeword as one dense (rows, N) block and classify each row."""
+    _, first, ties = _nearest(code, _dense(positions, offsets, code.length))
+    return _outcomes(ties == 1, first == 0)
 
 
 def _vote_stats(inverses: np.ndarray, support: int, p: int, positions: np.ndarray, offsets: np.ndarray) -> ChannelStats:
@@ -150,25 +152,24 @@ def _vote_stats(inverses: np.ndarray, support: int, p: int, positions: np.ndarra
 
 
 def _pattern_blocks(length: int, t: int, p: int, step: int):
-    """Every weight-t error pattern, position set by position set, in blocks of step rows.
+    """Every weight-t error pattern as (positions, offsets) blocks of step rows, both (rows, t).
 
-    Each position set runs through one (p-1)^t-row offset table in product
-    order (base-(p-1) digits in 1..p-1); a nonzero code's is 19 MB at most under
-    the sweep guard ([9,1,9], GF(5), t = 9).  Blocks span sets; only the last is short.
+    Pattern r takes position set r // (p-1)^t, in combinations order, and
+    row r % (p-1)^t of one offset table, in product order (base-(p-1) digits
+    in 1..p-1).  Each block gathers both by index.  Position sets are drawn
+    from combinations only as blocks reach them, so at most step are held.
+    Blocks span sets; only the last is short.
     """
-    offsets = _message_block(p - 1, t, 0, (p - 1) ** t) + 1
-    errors, rows = np.zeros((step, length), dtype=np.int64), 0
-    for positions in combinations(range(length), t):
-        lo = 0
-        while lo < len(offsets):
-            hi = min(len(offsets), lo + step - rows)
-            errors[rows : rows + hi - lo, list(positions)] = offsets[lo:hi]
-            rows, lo = rows + hi - lo, hi
-            if rows == step:
-                yield errors
-                errors, rows = np.zeros((step, length), dtype=np.int64), 0
-    if rows:
-        yield errors[:rows]
+    table = _message_block(p - 1, t, 0, (p - 1) ** t) + 1
+    total = math.comb(length, t) * len(table)
+    sets = combinations(range(length), t)
+    held, first = np.zeros((0, t), dtype=np.int64), 0  # the position sets drawn and not yet passed, from set `first`
+    for lo in range(0, total, step):
+        which, digit = np.divmod(np.arange(lo, min(lo + step, total), dtype=np.int64), len(table))
+        held, first = held[which[0] - first :], int(which[0])
+        more = list(islice(sets, int(which[-1]) + 1 - first - len(held)))
+        held = np.concatenate([held, np.array(more, dtype=np.int64).reshape(len(more), t)])
+        yield held[which - first], table[digit]
 
 
 def _capped_words(length: int, letters: int, cap: int) -> list[int]:
@@ -188,7 +189,7 @@ def _capped_words(length: int, letters: int, cap: int) -> list[int]:
     return words
 
 
-def _counted_stats(code: LinearCode, t: int) -> ChannelStats:
+def _counted_stats(code: LinearCode, t: int, patterns: int) -> ChannelStats:
     """A k = 1 code's exhaustive sweep, counted by code._vote's rule with no pattern enumerated.
 
     Say j of the t errors fall on supp g (w places).  Value 0 keeps z = w - j
@@ -198,28 +199,25 @@ def _counted_stats(code: LinearCode, t: int) -> ChannelStats:
     has C(w, j) C(N - w, t - j) q^(t - j) placements; of its q^j words, the
     successes are those with no letter z or more times, and the miscorrections number
     q C(j, M) W_{M-1}(j - M, q - 1) for each M > z (_capped_words).  When
-    2j < w, z > j >= M, so every word succeeds.
+    2j < w, z > j >= M, so every word succeeds: only the j with 2j >= w are
+    visited, and the successes are the rest of the C(N, t) q^t patterns (Vandermonde's identity).
     """
     p, length = code.prime.p, code.length
     q, support = p - 1, int(np.count_nonzero(code.generator[0]))
     top = min(support, t)
     tables = {}  # M -> W_{M-1}(m, q - 1) for m up to top - M, shared by every j
-    successes = ambiguous = miscorrected = 0
-    for j in range(max(0, t - (length - support)), top + 1):
+    ambiguous = miscorrected = 0
+    for j in range(max(t - (length - support), (support + 1) // 2), top + 1):
         placements = math.comb(support, j) * math.comb(length - support, t - j) * q ** (t - j)
-        zeros, words = support - j, q**j
-        right, wrong = words, 0
-        if 2 * j >= support:
-            right = _capped_words(j, q, zeros - 1)[j]
-            for most in range(zeros + 1, j + 1):
-                if most not in tables:
-                    tables[most] = _capped_words(top - most, q - 1, most - 1)
-                wrong += q * math.comb(j, most) * tables[most][j - most]
-        successes += placements * right
+        zeros, right, wrong = support - j, _capped_words(j, q, support - j - 1)[j], 0
+        for most in range(zeros + 1, j + 1):
+            if most not in tables:
+                tables[most] = _capped_words(top - most, q - 1, most - 1)
+            wrong += q * math.comb(j, most) * tables[most][j - most]
         miscorrected += placements * wrong
-        ambiguous += placements * (words - right - wrong)
-    trials = successes + ambiguous + miscorrected
-    return ChannelStats(trials * p, successes * p, ambiguous * p, miscorrected * p)
+        ambiguous += placements * (q**j - right - wrong)
+    successes = patterns - ambiguous - miscorrected
+    return ChannelStats(patterns * p, successes * p, ambiguous * p, miscorrected * p)
 
 
 def _capped_steps(length: int, cap: int) -> int:
@@ -257,24 +255,32 @@ def _parity_check(code: LinearCode) -> np.ndarray:
     return parity
 
 
+def _cosets(parity: np.ndarray, digits: np.ndarray, p: int, positions: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each error's coset sum_i s_i p^i, its syndrome s = e H^T summed from the t rows of H^T it hits.
+
+    A table has p^(N-k) <= 2^20, so when N > k each term is below 2^40; when N = k there are none.
+    """
+    syndromes = np.zeros((len(positions), parity.shape[1]), dtype=np.int64)
+    for where, values in zip(positions.T, offsets.T):
+        syndromes += parity[where] * values[:, None]
+    return syndromes % p @ digits
+
+
 def _coset_table(code: LinearCode):
     """A k >= 2 code's standard array: (H^T, syndrome digit weights, least weight, count) per coset, or None.
 
     An error e names its coset by sum_i s_i p^i, s = e H^T.  Patterns are
     enumerated weight by weight until every coset is reached, at the
     covering radius; each coset keeps the least weight that reaches it and
-    how many words of that weight do.  None, leaving the code to _nearest,
+    how many words of that weight do.  None, leaving the code to _tally,
     unless 2k > N (fewer cosets than codewords) and p^(N-k) <=
     ENUMERATION_LIMIT, or when the build would pass _TABLE_PATTERNS.
     """
     p, length, k = code.prime.p, code.length, code.dim
     if k < 2 or 2 * k <= length or p ** (length - k) > ENUMERATION_LIMIT:
         return None
-    parity = _parity_check(code)
-    digits = p ** np.arange(length - k, dtype=np.int64)
-    cells = p ** (length - k)
-    least = np.full(cells, -1, dtype=np.int64)
-    count = np.zeros(cells, dtype=np.int64)
+    parity, digits, cells = _parity_check(code), p ** np.arange(length - k, dtype=np.int64), p ** (length - k)
+    least, count = np.full(cells, -1, dtype=np.int64), np.zeros(cells, dtype=np.int64)
     # A block of max(_BATCH_CELLS, cells) cells keeps each bincount's O(cells) pass below the block's own cost.
     step = max(1, max(_BATCH_CELLS, cells) // length)
     weight, enumerated = 0, 0
@@ -283,8 +289,8 @@ def _coset_table(code: LinearCode):
         if enumerated > _TABLE_PATTERNS:
             return None
         reached = np.zeros(cells, dtype=np.int64)
-        for errors in _pattern_blocks(length, weight, p, step):
-            reached += np.bincount(matmul_mod(errors, parity, p) @ digits, minlength=cells)
+        for positions, offsets in _pattern_blocks(length, weight, p, step):
+            reached += np.bincount(_cosets(parity, digits, p, positions, offsets), minlength=cells)
         new = (least < 0) & (reached > 0)
         least[new], count[new] = weight, reached[new]
         weight += 1
@@ -292,25 +298,25 @@ def _coset_table(code: LinearCode):
 
 
 def _classifier(code: LinearCode):
-    """The classification of (B, N) error blocks over the zero codeword used by one sweep.
+    """The one classifier of a run's (positions, offsets) error blocks over the zero codeword.
 
-    With a coset table, an error is a success when its coset has one word of
-    least weight and the error has that weight, ambiguous when the coset has
-    more; else miscorrected.  That is _tally's rule with no minimiser index.
+    A k = 1 code's is _vote_stats, from one table of g_i^-1.  With a coset
+    table, an error is unique when its coset has one word of least weight,
+    and right when t is that weight: _tally's rule (_outcomes) with no
+    minimiser index.  Any other code's is _tally.
     """
+    p = code.prime.p
+    if code.dim == 1:
+        inverses = _inverses(code)
+        return partial(_vote_stats, inverses, int(np.count_nonzero(inverses)), p)
     table = _coset_table(code)
     if table is None:
-        return lambda errors: _tally(code, errors)
+        return partial(_tally, code)
     parity, digits, least, count = table
-    p = code.prime.p
 
-    def lookup(errors: np.ndarray) -> ChannelStats:
-        coset = matmul_mod(errors, parity, p) @ digits
-        unique = count[coset] == 1
-        trials = len(errors)
-        successes = int(np.count_nonzero(unique & (least[coset] == np.count_nonzero(errors, axis=1))))
-        ambiguous = trials - int(np.count_nonzero(unique))
-        return ChannelStats(trials, successes, ambiguous, trials - successes - ambiguous)
+    def lookup(positions: np.ndarray, offsets: np.ndarray) -> ChannelStats:
+        coset = _cosets(parity, digits, p, positions, offsets)
+        return _outcomes(count[coset] == 1, least[coset] == positions.shape[1])
 
     return lookup
 
@@ -319,17 +325,18 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     """Decode every message under every weight-t error pattern.
 
     Every message shares the error patterns' outcomes, so the counts are
-    the patterns' scaled by p^k.  A k = 1 code's are counted in closed form
-    (_counted_stats), guarded by its recurrence steps (_count_steps, free
-    of p) and by the digits of its trial count, which simulate prints.
-    Other codes classify each pattern, in blocks of at most _BATCH_CELLS
-    cells, by the coset table when the code has one (else decoded), guarded
-    by the outcome count C(N, t) * (p-1)^t * p^k.  Either guard fires before
-    any work, so a sweep can never silently explode.
+    the C(N, t) (p-1)^t patterns' (computed once) scaled by p^k.  A k = 1
+    code's are counted in closed form (_counted_stats), guarded by its
+    recurrence steps (_count_steps, free of p) and by the digits of its
+    trial count, which simulate prints.  Other codes hand every pattern, in
+    _pattern_blocks, to _classifier's one classifier, guarded by the outcome
+    count C(N, t) * (p-1)^t * p^k.  Either guard fires before any work, so
+    a sweep can never silently explode.
     """
     p = code.prime.p
     if not 0 <= t <= code.length:
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
+    patterns = math.comb(code.length, t) * (p - 1) ** t
     if code.dim == 1:
         steps = _count_steps(code.length, int(np.count_nonzero(code.generator[0])), t)
         if steps > COUNT_STEP_LIMIT:
@@ -338,14 +345,13 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
                 f"beyond the {COUNT_STEP_LIMIT} guard; use monte_carlo instead"
             )
         # An upper bound on the digits of C(N, t) (p-1)^t p, at most one above the true count.
-        digits = int((math.comb(code.length, t) * (p - 1) ** t * p).bit_length() * math.log10(2)) + 1
+        digits = int((patterns * p).bit_length() * math.log10(2)) + 1
         if digits > COUNT_DIGIT_LIMIT:
             raise GuardExceededError(
                 f"exhaustive count at weight t = {t} has about {digits} digits, "
                 f"beyond Python's {COUNT_DIGIT_LIMIT}-digit int-to-str limit; use monte_carlo instead"
             )
-        return _counted_stats(code, t)
-    patterns = math.comb(code.length, t) * (p - 1) ** t
+        return _counted_stats(code, t, patterns)
     work = patterns * p**code.dim
     if work > EXHAUSTIVE_LIMIT:
         raise GuardExceededError(
@@ -355,19 +361,17 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     if code.dim == 0:  # 0 is the only codeword: every pattern decodes to it uniquely, with no offset table
         return ChannelStats(patterns, patterns, 0, 0)
     classify, stats = _classifier(code), ChannelStats(0, 0, 0, 0)
-    for errors in _pattern_blocks(code.length, t, p, max(1, _BATCH_CELLS // code.length)):
-        stats += classify(errors)
+    for block in _pattern_blocks(code.length, t, p, max(1, _BATCH_CELLS // code.length)):
+        stats += classify(*block)
     return ChannelStats(*(count * p**code.dim for count in astuple(stats)))
 
 
 def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
     """Seeded random weight-t error trials, classified in chunks over the zero codeword.
 
-    Trials are drawn by _draw in chunks of _DRAW_CELLS // N rows, each
-    classified whole: a k = 1 code's from its drawn positions and offsets
-    alone (_vote_stats, from one table of g_i^-1 per run), any other code's
-    as an (rows, N) error block, by the coset table when the code has one
-    (else decoded).  No message is drawn, as only the error is classified.
+    Trials are drawn by _draw in chunks of _DRAW_CELLS // N rows, and each
+    chunk's (positions, offsets) goes whole to _classifier's one classifier
+    for the run.  No message is drawn, as only the error is classified.
     Reproducible for a fixed seed within one build of this package, not
     across releases: earlier ones drew each trial's message, positions and
     offsets in turn, so their seeded counts differ.  The trial count shares
@@ -381,19 +385,8 @@ def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> Channel
         )
     if not 0 <= t <= code.length:
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
-    rng = np.random.default_rng(seed)
-    p, length = code.prime.p, code.length
-    if code.dim == 1:
-        inverses = _inverses(code)
-        classify = partial(_vote_stats, inverses, int(np.count_nonzero(inverses)), p)
-    else:
-        dense = _classifier(code)
-
-        def classify(positions: np.ndarray, offsets: np.ndarray) -> ChannelStats:
-            return dense(_dense(positions, offsets, length))
-
-    draw = max(1, _DRAW_CELLS // length)
-    stats = ChannelStats(0, 0, 0, 0)
+    rng, p, length = np.random.default_rng(seed), code.prime.p, code.length
+    classify, stats, draw = _classifier(code), ChannelStats(0, 0, 0, 0), max(1, _DRAW_CELLS // length)
     for done in range(0, trials, draw):
         stats += classify(*_draw(rng, min(draw, trials - done), length, t, p))
     return stats

@@ -199,6 +199,14 @@ def encode(code: LinearCode, msg: np.ndarray) -> np.ndarray:
     return _encode_rows(code, msg[None, :])[0]
 
 
+def _inverses(code: LinearCode) -> np.ndarray:
+    """A k = 1 code's g_i^-1 mod p at each position i of its generator g, and 0 off supp g."""
+    p = code.prime.p
+    # One inverse per distinct generator value, spread back over the positions.
+    values, where = np.unique(code.generator[0], return_inverse=True)
+    return np.array([pow(int(v), -1, p) if v else 0 for v in values], dtype=np.int64)[where]
+
+
 def _vote(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest codewords of a k = 1 code by plurality vote.
 
@@ -211,9 +219,7 @@ def _vote(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     g = code.generator[0]
     support = np.flatnonzero(g)
     outside = np.flatnonzero(g == 0)
-    # One inverse per distinct generator value, spread back over the support.
-    values, where = np.unique(g[support], return_inverse=True)
-    inverses = np.array([pow(int(v), -1, p) for v in values], dtype=np.int64)[where]
+    inverses = _inverses(code)[support]
     # Both factors are below 2^31, so each product stays below 2^62.
     votes = np.sort(words[:, support] * inverses % p, axis=1)
     place = np.arange(len(support))

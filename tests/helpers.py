@@ -654,15 +654,16 @@ def literal_exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
 def enumerated_exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     """exhaustive_stats by decoding every weight-t pattern over 0, scaled by p^k.
 
-    Each block of _pattern_blocks goes to _tally, which decodes a k = 1 code by
-    code._vote: the sweep a k = 1 code took before it was counted.
+    Each (positions, offsets) block of _pattern_blocks goes to _tally, which
+    decodes a k = 1 code by code._vote: the sweep a k = 1 code took before it
+    was counted.
     """
     p = code.prime.p
     # Read at call time, so a test that patches the block size patches the oracle too.
     step = max(1, tcc.channel._BATCH_CELLS // code.length)
     stats = ChannelStats(0, 0, 0, 0)
-    for errors in _pattern_blocks(code.length, t, p, step):
-        stats += _tally(code, errors)
+    for positions, offsets in _pattern_blocks(code.length, t, p, step):
+        stats += _tally(code, positions, offsets)
     return ChannelStats(*(count * p**code.dim for count in astuple(stats)))
 
 

@@ -24,6 +24,7 @@ from tcc.cli import main
 from tcc.code import AMBIGUOUS, ENUMERATION_LIMIT, UNIQUE, decode_nearest, encode
 from tcc.linalg import matmul_mod
 from helpers import (
+    _weight_patterns,
     code_from_rows,
     enumerated_exhaustive_stats,
     exhaustive_correction_check,
@@ -246,6 +247,75 @@ class TestMonteCarlo:
         assert {tuple(np.flatnonzero(row)) for row in errors} == set(itertools.combinations(range(4), 2))
         for column in errors.T:
             assert set(column[column != 0]) == {1, 2, 3, 4}
+
+
+class TestPatternBlocks:
+    """The exhaustive sweep's (positions, offsets) blocks hold every weight-t pattern once, in the oracle's order."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("step", [1, 7, 4096])
+    def test_every_pattern_once_in_order(self, p, step):
+        for length in range(1, 7):
+            for t in range(length + 1):
+                blocks = list(tcc.channel._pattern_blocks(length, t, p, step))
+                rows = [len(positions) for positions, _ in blocks]
+                assert all(positions.shape == offsets.shape == (len(positions), t) for positions, offsets in blocks)
+                assert rows[:-1] == [step] * (len(rows) - 1) and 0 < rows[-1] <= step, (length, t)
+                got = [(where.tolist(), tuple(values.tolist())) for block in blocks for where, values in zip(*block)]
+                assert got == list(_weight_patterns(length, t, p)), (length, t)
+
+    def test_draws_position_sets_only_as_blocks_reach_them(self):
+        # C(64, 32) is about 1.8 * 10^18 position sets: the first block needs the first 7 of them.
+        first = next(tcc.channel._pattern_blocks(64, 32, 2, 7))
+        want = list(itertools.islice(_weight_patterns(64, 32, 2), 7))
+        assert [(where.tolist(), tuple(values.tolist())) for where, values in zip(*first)] == want
+
+
+class TestOneClassifier:
+    """Every Monte Carlo run and every enumerated sweep classifies all its blocks through one _classifier call."""
+
+    @pytest.fixture
+    def picked(self, monkeypatch):
+        """Per _classifier call: the classifier it returned and the shape of each (positions, offsets) block handed to it."""
+        calls = []
+        pick = tcc.channel._classifier
+
+        def recording(code):
+            classify, rows = pick(code), []
+            calls.append((classify, rows))
+
+            def counting(positions, offsets):
+                assert positions.shape == offsets.shape
+                rows.append(positions.shape)
+                return classify(positions, offsets)
+
+            return counting
+
+        monkeypatch.setattr(tcc.channel, "_classifier", recording)
+        return calls
+
+    def test_one_classifier_per_run(self, nine_one_nine, four_two, picked, monkeypatch):
+        # Small chunks and blocks, so each run hands its classifier many of them.
+        monkeypatch.setattr(tcc.channel, "_DRAW_CELLS", 27)
+        monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", 40)
+        nine_five_three = comb_code(3, 1, 1, 5, 1)
+        for code, kind in ((nine_one_nine, "vote"), (nine_five_three, "table"), (four_two, "tally")):
+            picked.clear()
+            assert monte_carlo(code, 2, 50, seed=1).trials == 50
+            assert len(picked) == 1 and len(picked[0][1]) > 1
+            assert sum(rows for rows, _ in picked[0][1]) == 50 and {t for _, t in picked[0][1]} == {2}
+            classify = picked[0][0]
+            func = getattr(classify, "func", None)
+            assert {"vote": tcc.channel._vote_stats, "table": None, "tally": tcc.channel._tally}[kind] is func
+            picked.clear()
+            stats = exhaustive_stats(code, 2)
+            if kind == "vote":  # counted: no pattern is classified
+                assert picked == []
+                continue
+            patterns = math.comb(code.length, 2) * (code.prime.p - 1) ** 2
+            assert stats.trials == patterns * code.prime.p**code.dim
+            assert len(picked) == 1 and len(picked[0][1]) > 1
+            assert sum(rows for rows, _ in picked[0][1]) == patterns and {t for _, t in picked[0][1]} == {2}
 
 
 class TestBatchedAgainstLiteral:
@@ -496,10 +566,31 @@ class TestCountedSweep:
             exhaustive_stats(code, 2048)
         # The guards admit every weight up to capacity.
         counted = []
-        monkeypatch.setattr(tcc.channel, "_counted_stats", lambda code, t: counted.append(t))
+        monkeypatch.setattr(tcc.channel, "_counted_stats", lambda code, t, patterns: counted.append(t))
         for t in range(2048):
             exhaustive_stats(code, t)
         assert counted == list(range(2048))
+
+    def test_counts_the_patterns_once(self, monkeypatch):
+        # The n = 16 theorem code has w = N = 256, so no j recurs below t = 128 and C(N, t) is the only binomial.
+        code = comb_code(16, 1, 1, 17, 2)
+        assert (code.length, code.dim, int(np.count_nonzero(code.generator))) == (256, 1, 256)
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def comb(self, *args):
+                calls.append(args)
+                return math.comb(*args)
+
+        monkeypatch.setattr(tcc.channel, "math", CountingMath())
+        for t in (0, 1, 64, 127):
+            calls.clear()
+            stats = exhaustive_stats(code, t)
+            assert calls == [(256, t)]
+            assert stats.successes == stats.trials == math.comb(256, t) * 16**t * 17
 
     def test_theorem_code_of_order_sixteen_at_largest_prime(self):
         code = comb_code(16, 1, BIG_PRIME - 16, BIG_PRIME, 2)
@@ -621,6 +712,21 @@ class TestCosetTable:
         for t in sweeps:
             with pytest.raises(GuardExceededError, match="nearest-codeword decoding"):
                 exhaustive_stats(code, t)
+
+    @pytest.mark.parametrize(
+        "code", HIGH_RATE, ids=[f"GF{c.prime.p}-N{c.length}-k{c.dim}-{i}" for i, c in enumerate(HIGH_RATE)]
+    )
+    def test_cosets_are_the_dense_syndrome_product(self, code):
+        # One helper sums the syndromes for the table's build and its lookup; a dense product checks it.
+        table = tcc.channel._coset_table(code)
+        if table is None:
+            return
+        parity, digits, p, length = table[0], table[1], code.prime.p, code.length
+        rng = np.random.default_rng(length * p + code.dim)
+        for t in sorted({0, 1, 2, length // 2, length - 1, length}):
+            positions, offsets = tcc.channel._draw(rng, 60, length, t, p)
+            dense = matmul_mod(tcc.channel._dense(positions, offsets, length), parity, p) @ digits
+            assert np.array_equal(tcc.channel._cosets(parity, digits, p, positions, offsets), dense), t
 
     def test_high_rate_family(self):
         # 24 of these codes have 137 sweeps within the guard: _scan answers 134, the table alone 2
