@@ -9,10 +9,12 @@ closed form, with every generator written directly as the RREF generator
 of the linear code of length n^2 spanned by the vec images, and no comb
 solve eliminates.  For s = (1 - a) y != 0 each row is the vec of a member
 g u^T + u h^T, g tiled and each h_j repeated, and the paper's case returns
-J or nothing.  comb_codes takes a batch of residue triples (x, y, a) of
-one order and field, as verify sweeps them: triples in the same
-closed-form case share one generator, one membership check over their
-distinct coefficients, and one code.  Every other A is solved alone.
+J or nothing.  comb_codes takes a whole (p, n) slice as int64 arrays of
+residues x, y and a, as verify sweeps them.  _comb_case classifies them
+all at once, and the triples with one generator share one code, checked
+once per projective direction of their coefficient triples.  A single
+solve takes the same classifier and the same per-group write and check,
+with nothing to group.  Every other A is solved alone.
 For a = 0, C(A, 0) is the B whose columns lie in ker A, so its generator
 is n copies of ker A's RREF.  Otherwise A is first reduced to Hessenberg
 form H = S A S^-1, with b blocks.  When 2b <= n, C(A, a) is solved from
@@ -25,11 +27,11 @@ elimination runs with the columns reversed, so its kernel comes out in
 RREF too and no second reduction runs.  Every route returns the
 LinearCode itself, read-only and holding the array as it is, once every
 row has been checked against AB = aBA: for a comb A from the row's row
-and column sums, as AB - aBA = s B + x (u r^T - a c u^T), with no product;
-for any other A by two matmul_mod products.
+and column sums, as AB - aBA = s B + x (u r^T - a c u^T), with no product,
+and for s = 0 from that residual's first row and column alone; for any
+other A by two matmul_mod products.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +141,8 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
     For s = 0 the code is the full space n^2 when x = 0.  Otherwise
     AB - aBA = x (u r - a c u^T), so every column sum equals a times every
     row sum, and the dimension is n^2 - n for a = 0 (zero column sums),
-    else (n - 1)^2 + [a = 1 or p | n].  Each is written in RREF directly, by
-    comb_codes on the one triple (x, y, a).
+    else (n - 1)^2 + [a = 1 or p | n].  Each is written in RREF directly:
+    _comb_case names the case and _comb_code writes and checks its rows.
 
     Any other A with a = 0 gives the B with A B = 0, whose columns lie in
     ker A: the RREF generator is n copies of ker A's RREF, n nullity(A)
@@ -160,29 +162,60 @@ def centralizer_code(spec: TwistSpec) -> LinearCode:
     form = _comb_form(spec.matrix)
     if form is None:
         return _general_code(spec)
-    return comb_codes(spec.n, spec.prime, [(*form, spec.twist)])[0]
+    (x, y), n, p, a = form, spec.n, spec.prime.p, spec.twist
+    coefs = np.array([[(1 - a) * y % p, x, -a * x % p]], dtype=np.int64)
+    return _comb_code(n, spec.prime, _comb_case(n, x, y, a, p), a, coefs)
 
 
-def comb_codes(n: int, prime: Prime, triples: Sequence[tuple[int, int, int]]) -> list[LinearCode]:
-    """C(x*J + y*I, a) of order n >= 2 over ``prime`` for each residue triple (x, y, a), in order.
+def comb_codes(
+    n: int, prime: Prime, x: np.ndarray, y: np.ndarray, a: np.ndarray
+) -> tuple[list[LinearCode], np.ndarray]:
+    """C(x*J + y*I, a) of order n >= 2 over ``prime`` for int64 arrays of residues x, y, a.
 
-    Triples in the same _comb_case have equal generators, so each such group
-    writes its rows once, checks them against the group's distinct
-    coefficient triples (s, x, -a x) of _comb_residual, and shares one
-    LinearCode.  Nothing outlives the call.
+    Returns the distinct codes and, for each triple, the index of its code.
+    Triples whose _comb_case and rows agree share one code: only "sums" rows
+    read a, and for a outside {0, 1} they are the same for every a unless
+    p | n.  Each code's rows are written once and checked once per projective
+    direction of the group's coefficient triples (s, x, -a x): _comb_residual
+    is linear in the triple mod p, so c and lambda c (lambda != 0) pass or fail
+    together.  Nothing outlives the call.
     """
     p = prime.p
-    cases = [_comb_case(n, x, y, a, p) for x, y, a in triples]
-    groups = {}
-    for case, (x, y, a) in zip(cases, triples):
-        groups.setdefault(case, {})[(1 - a) * y % p, x, -a * x % p] = None
-    codes = {}
-    for case, coefs in groups.items():
-        coefs = np.array(list(coefs), dtype=np.int64)
-        codes[case] = _basis(
-            n, prime, _comb_rows(n, p, *case), lambda lo, hi, bt: _comb_residual(coefs[lo:hi], bt, p), len(coefs)
-        )
-    return [codes[case] for case in cases]
+    case = _comb_case(n, x, y, a, p)
+    # The a whose rows each triple reads, 0 but for "sums": 2 stands for every a outside {0, 1} unless p | n.
+    rows_a = (case == _CASES.index("sums")) * (np.minimum(a, 2) if n % p else a)
+    # Each triple (s, x, -a x) is scaled by 1/lead = lead^(p - 2) for its first nonzero entry, lead = s
+    # or x; only the full space's triple is all zero.  The scaled s is 1 exactly when s != 0, which the
+    # case fixes, so the scaled x and -a x decide the direction within a group.
+    s, minus_ax = (1 - a) % p * y % p, (p - a) % p * x % p
+    lead, inv, e = s + (s == 0) * x, 1, p - 2
+    while e:
+        if e & 1:
+            inv = inv * lead % p
+        lead, e = lead * lead % p, e >> 1
+    # Sorted by group, then by direction; both keys stay below p^2 < 2^62.
+    keys = (case * p + rows_a, x * inv % p * p + minus_ax * inv % p)
+    order = np.lexsort(keys[::-1])
+    group_key, dir_key = (key[order] for key in keys)
+    new_group = np.diff(group_key, prepend=-1) != 0
+    new_dir = new_group | (np.diff(dir_key, prepend=-1) != 0)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new_group) - 1
+    coefs = np.stack([(s != 0)[order], dir_key // p, dir_key % p], axis=1)[new_dir]
+    bounds = [*np.flatnonzero(new_group[new_dir]).tolist(), len(coefs)]
+    first = order[new_group]
+    codes = [
+        _comb_code(n, prime, kind, twist, coefs[lo:hi])
+        for kind, twist, lo, hi in zip(case[first].tolist(), rows_a[first].tolist(), bounds, bounds[1:])
+    ]
+    return codes, group
+
+
+def _comb_code(n: int, prime: Prime, case: int, a: int, coefs: np.ndarray) -> LinearCode:
+    """The code of one comb group: its case's rows for twist ``a``, checked against each coefficient row of ``coefs``."""
+    p = prime.p
+    gen = _comb_rows(n, p, _CASES[case], a)
+    return _basis(n, prime, gen, lambda lo, hi, members: _comb_residual(coefs[lo:hi], members, p), len(coefs))
 
 
 def _comb_form(matrix: Matrix) -> tuple[int, int] | None:
@@ -195,27 +228,44 @@ def _comb_form(matrix: Matrix) -> tuple[int, int] | None:
     return x, (d - x) % p
 
 
-def _comb_case(n: int, x: int, y: int, a: int, p: int) -> tuple:
-    """The closed-form case of C(x*J + y*I, a): a name, plus a for the one case whose rows need it.
+# The closed-form cases of a comb solve; _comb_case gives an index into them.
+_CASES = ("full", "sums", "J", "zero", "g u^T", "u h^T", "u h^T, sum h = 0", "g + h")
 
-    Equal cases at one order and field have equal generators; centralizer_code has the table.
-    """
-    s = (1 - a) * y % p
-    if s == 0:
-        return ("sums", a) if x else ("full",)
-    alpha, beta = (s - a * x * n) % p, (s + x * n) % p
+
+def _case_name(s: bool, alpha: bool, beta: bool, off: bool, x: bool, a: bool) -> str:
+    """The case from which of s, alpha, beta, x n + y, x and a are nonzero; centralizer_code has the table."""
+    if not s:
+        return "sums" if x else "full"
     if alpha and beta:
         # h = 0 and g is constant, which (1 - a)(x n + y) must annihilate.
-        return ("J",) if (x * n + y) % p == 0 else ("zero",)
+        return "zero" if off else "J"
     if beta:
-        return ("g u^T",)
+        return "g u^T"
     if alpha:
-        return ("u h^T",) if a == 0 else ("u h^T, sum h = 0",)
-    return ("g + h",)
+        return "u h^T, sum h = 0" if a else "u h^T"
+    return "g + h"
+
+
+# _case_name's index in _CASES for each bit pattern of its six truth values, bit i for argument i.
+_CASE_OF_BITS = np.array([_CASES.index(_case_name(*(bits >> i & 1 for i in range(6)))) for bits in range(64)])
+
+
+def _comb_case(n: int, x, y, a, p: int):
+    """The index in _CASES of C(x*J + y*I, a)'s closed-form case, for residues x, y, a: ints or int64 arrays alike.
+
+    Triples with equal cases at one order and field have equal generators,
+    except that "sums" rows also read a.  No product exceeds (p - 1)^2 or 64 p,
+    so int64 arrays hold every step at p = 2^31 - 1.
+    """
+    s = (1 - a) % p * y % p
+    alpha, beta = (s - a * x % p * n) % p, (s + x * n) % p
+    # 1 * (v != 0) is 0 or 1 whether v is an int or an array.
+    bits = sum(1 * (v != 0) << i for i, v in enumerate((s, alpha, beta, (x * n + y) % p, x, a)))
+    return _CASE_OF_BITS[bits]
 
 
 def _comb_rows(n: int, p: int, case: str, a: int = 0) -> np.ndarray:
-    """The RREF generator rows of a comb case from _comb_case, in closed form.
+    """The RREF generator rows of a comb case named in _CASES, in closed form.
 
     For s = (1 - a) y != 0 each row is vec(g u^T + u h^T), g tiled n times plus
     each h_j repeated n times; the paper's case is J or nothing.  e_i is the i-th unit row.
@@ -371,15 +421,22 @@ def _comb_residual(coefs: np.ndarray, members: np.ndarray, p: int) -> np.ndarray
     For A = x J + y I and u the all-ones vector the residual is
     s B + x (u r^T - a c u^T), for s = (1 - a) y, B's column sums r = u^T B
     and row sums c = B u: no product is taken, and the (S, rows, n, n)
-    result is read from the coefficients alone.  The sums are reduced before
+    result is read from the coefficients alone.  When every s is 0 the
+    residual R_ij = x r_j - a x c_i equals R_0j + R_i0 - R_00, so it vanishes
+    exactly where its first row and first column do, and only those 2n - 1
+    entries are returned, as (S, rows, 2n - 1).  The sums are reduced before
     they are scaled, so each entry stays below (p - 1)^2 + 2p < 2^63 before
-    its reduction.
+    its reduction.  The residual is linear in the coefficient row mod p.
     """
     s, x, ax = coefs.T[:, :, None, None]
     # members[m, j, i] = B[i, j]: r runs along axis 2 of the residual, c along axis 3.
+    xr = x * (members.sum(axis=2) % p) % p
+    axc = ax * (members.sum(axis=1) % p) % p
+    if not coefs[:, 0].any():
+        return np.concatenate([xr + axc[..., :1], xr[..., :1] + axc[..., 1:]], axis=-1) % p
     out = s[..., None] * members
-    out += (x * (members.sum(axis=2) % p) % p)[..., None]
-    out += (ax * (members.sum(axis=1) % p) % p)[:, :, None]
+    out += xr[..., None]
+    out += axc[:, :, None]
     out %= p
     return out
 

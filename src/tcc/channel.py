@@ -77,7 +77,7 @@ class ChannelStats:
         )
 
 
-def _draw(rng: np.random.Generator, rows: int, length: int, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _draw(rng: "np.random.Generator", rows: int, length: int, t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(positions, offsets) of rows weight-t errors mod p, both (rows, t), in two generator calls.
 
     A row's positions are the indices of its t smallest uniform keys, a
@@ -99,7 +99,7 @@ def _dense(positions: np.ndarray, offsets: np.ndarray, length: int) -> np.ndarra
     return errors
 
 
-def inject_errors(word: np.ndarray, p: int, t: int, rng: np.random.Generator) -> np.ndarray:
+def inject_errors(word: np.ndarray, p: int, t: int, rng: "np.random.Generator") -> np.ndarray:
     """Corrupt exactly t positions of a row of residues mod p, each to a uniformly chosen other symbol, by _draw."""
     if not 0 <= t <= len(word):
         raise ValueError(f"cannot corrupt {t} of {len(word)} positions")

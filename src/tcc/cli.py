@@ -12,8 +12,9 @@ import json
 import sys
 from dataclasses import asdict
 from functools import cache
-from itertools import product
 from pathlib import Path
+
+import numpy as np
 
 from .centralizer import TwistSpec, centralizer_code, comb_codes
 from .channel import exhaustive_stats, monte_carlo
@@ -138,9 +139,13 @@ def _nonzero_code(args) -> tuple[LinearCode, dict]:
     return code, header
 
 
-def _hypotheses_met(p: int, n: int, x: int, y: int, a: int) -> bool:
-    """The MDS construction needs p | x n + y, x != 0, y != 0 and a outside {0, 1}."""
-    return (x * n + y) % p == 0 and x % p != 0 and y % p != 0 and a % p not in (0, 1)
+def _hypotheses_met(p: int, n: int, x, y, a):
+    """The MDS construction needs p | x n + y, x != 0, y != 0 and a outside {0, 1}.
+
+    x, y and a are ints, giving a bool, or int64 arrays, giving one bool per
+    entry; the arrays' products must fit int64.
+    """
+    return ((x * n + y) % p == 0) & (x % p != 0) & (y % p != 0) & (a % p > 1)
 
 
 def cmd_spectrum(args) -> tuple[int, dict]:
@@ -227,17 +232,20 @@ def cmd_verify(args) -> tuple[int, dict]:
 
     rows = []
     for p in (q for q in range(2, args.p_max + 1) if is_prime(q)):
-        prime, triples = Prime(p), list(product(range(p), repeat=3))
+        prime = Prime(p)
+        # Every (x, y, a) of the slice, in product order; x, y and a are columns.
+        x, y, a = np.indices((p, p, p)).reshape(3, -1)
+        columns = [col.tolist() for col in (x, y, a)]
         for n in range(2, args.n_max + 1):
             # One batch per (p, n): tuples that share a closed form share one code and one theorem check.
-            checks = {}
-            for (x, y, a), code in zip(triples, comb_codes(n, prime, triples)):
-                hyp = _hypotheses_met(p, n, x, y, a)
-                row = {"p": p, "n": n, "x": x, "y": y, "a": a, "hypotheses_met": hyp, "dim": code.dim}
-                if hyp:
-                    if id(code) not in checks:
-                        checks[id(code)] = _theorem_check(n, code)
-                    row.update(checks[id(code)])
+            codes, group = comb_codes(n, prime, x, y, a)
+            hyp = _hypotheses_met(p, n, x, y, a)
+            checks = {g: _theorem_check(n, codes[g]) for g in set(group[hyp].tolist())}
+            dims = np.array([code.dim for code in codes])[group]
+            for xi, yi, ai, met, dim, g in zip(*columns, hyp.tolist(), dims.tolist(), group.tolist()):
+                row = {"p": p, "n": n, "x": xi, "y": yi, "a": ai, "hypotheses_met": met, "dim": dim}
+                if met:
+                    row.update(checks[g])
                 rows.append(row)
 
     mismatches = [row for row in rows if row["hypotheses_met"] and not row["matches_theorem"]]
@@ -366,7 +374,7 @@ def main(argv=None) -> int:
         print(f"tcc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
-        print(json.dumps(out))
+        print(json.dumps(out, check_circular=False))
     return status
 
 

@@ -19,7 +19,8 @@ twisted operator, kept as the oracle for the closed form that
 comb_codes writes for a comb matrix and for centralizer_code's Hessenberg
 recurrence.  spec_basis and comb_basis run centralizer._basis with the
 product check of one spec and with the comb check of a list of residue
-triples (x, y, a), as centralizer_code and comb_codes do.
+triples (x, y, a), as centralizer_code and comb_codes do; batch_codes
+lists comb_codes's code for each triple of such a list.
 product_verdicts tests each generator row by the two
 products A B and a B A themselves, kept as the oracle for the residual
 that centralizer._comb_residual reads from row and column sums.
@@ -202,6 +203,13 @@ def comb_basis(n: int, p: int, triples, gen: np.ndarray) -> LinearCode:
     return tcc.centralizer._basis(
         n, Prime(p), gen, lambda lo, hi, members: tcc.centralizer._comb_residual(coefs[lo:hi], members, p), len(coefs)
     )
+
+
+def batch_codes(n: int, p: int, triples) -> list[LinearCode]:
+    """comb_codes's code for each residue triple (x, y, a) of ``triples``, in order."""
+    x, y, a = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    codes, group = tcc.centralizer.comb_codes(n, Prime(p), x, y, a)
+    return [codes[g] for g in group]
 
 
 def product_verdicts(spec: TwistSpec, gen: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from tcc import (
     twisted_operator,
 )
 from tcc.centralizer import (
+    _CASES,
     _comb_case,
     _comb_form,
     _comb_residual,
@@ -37,6 +38,7 @@ from helpers import (
     SMALL_PRIMES,
     all_ones,
     basis_matrices,
+    batch_codes,
     brute_force_centralizer,
     code_from_rows,
     comb_basis,
@@ -65,6 +67,12 @@ def comb_spec(n, x, y, p, a):
     prime = Prime(p)
     matrix = comb_matrix(CombParams(n, x, y, prime))
     return TwistSpec(matrix, a)
+
+
+def case_key(n, x, y, a, p):
+    """_comb_case's case name for one residue triple, plus a for "sums", whose rows read it."""
+    name = _CASES[_comb_case(n, x, y, a, p)]
+    return (name, a) if name == "sums" else (name,)
 
 
 def code_of(*members: Matrix) -> LinearCode:
@@ -321,7 +329,7 @@ class TestCentralizerCode:
 
 
 class TestBatch:
-    """comb_codes: one generator, one batched check and one code per closed-form case."""
+    """comb_codes: one generator and one code per group, checked once per coefficient direction."""
 
     def test_batch_matches_single_solves_and_kronecker_kernel(self):
         # Every triple at each small (n, p) in one call, and one triple of each case at the largest prime.
@@ -329,14 +337,24 @@ class TestBatch:
         for p in (2, 3, 5, 7, BIG):
             for n in (2, 3, 4):
                 triples = list(product(range(p), repeat=3)) if p < BIG else list(case_triples(n, p).values())
-                codes = comb_codes(n, Prime(p), triples)
+                codes = batch_codes(n, p, triples)
                 specs = [comb_spec(n, x, y, p, a) for x, y, a in triples]
                 assert codes == [centralizer_code(spec) for spec in specs], (n, p)
                 assert codes == [kronecker_code(spec) for spec in specs], (n, p)
                 assert any(code.dim == 0 for code in codes)
                 if p == BIG:
-                    names |= {_comb_case(n, x, y, a, p)[0] for x, y, a in triples}
+                    names |= {case_key(n, x, y, a, p)[0] for x, y, a in triples}
         assert names == CASE_NAMES
+
+    def test_array_classifier_matches_the_scalar_one(self):
+        # One classifier serves centralizer_code's ints and comb_codes's arrays, at p = 2^31 - 1 too.
+        for p in (2, 3, 5, 7, BIG):
+            for n in (2, 3, 4, 64):
+                triples = list(product(range(p), repeat=3)) if p < BIG else list(case_triples(n, p).values())
+                triples += [(p - 1, p - 1, p - 1), (p - 1, 1, p - 2)]
+                x, y, a = np.array(triples, dtype=np.int64).T
+                cases = _comb_case(n, x, y, a, p)
+                assert cases.tolist() == [_comb_case(n, *triple, p) for triple in triples], (n, p)
 
     def test_one_triple_that_misses_the_shared_rows_is_a_fault(self, monkeypatch):
         # J spans C(J + 2I, a) over GF(5) at n = 3 for a = 2, 3, 4 (5 | 3 + 2); it is no
@@ -360,17 +378,21 @@ class TestBatch:
         original = tcc.centralizer._comb_case
 
         def misfiled(n, x, y, a, p):
-            return ("J",) if (n, x, y, a, p) == (3, 1, 1, 2, 5) else original(n, x, y, a, p)
+            odd = (n == 3) & (x == 1) & (y == 1) & (a == 2) & (p == 5)
+            return np.where(odd, _CASES.index("J"), original(n, x, y, a, p))
 
         triples = [(1, 2, a) for a in (2, 3, 4)] + [(1, 1, 2)]
-        assert [code.dim for code in comb_codes(3, GF5, triples)] == [1, 1, 1, 0]
+        assert [code.dim for code in batch_codes(3, 5, triples)] == [1, 1, 1, 0]
         monkeypatch.setattr(tcc.centralizer, "_comb_case", misfiled)
         with pytest.raises(RuntimeError, match="twisted commutation"):
-            comb_codes(3, GF5, triples)
+            batch_codes(3, 5, triples)
 
-    def test_a_group_shares_one_generator_one_check_and_one_code(self, monkeypatch):
-        # All p^3 triples at n = 3 over GF(5): one row writer call and one check per case,
-        # each against the case's distinct coefficient triples (s, x, -a x).
+    @pytest.mark.parametrize("n, p", [(3, 5), (2, 7), (4, 3)])
+    def test_a_group_shares_one_generator_and_checks_each_direction_once(self, monkeypatch, n, p):
+        # All p^3 triples in one batch: one row writer call per generator, and one check for each
+        # line {lambda c : lambda != 0} through a coefficient triple c = (s, x, -a x) of the group.
+        # The oracle groups triples by their Kronecker-kernel generator and spans each line
+        # by brute force, with no inverse.
         written, checked = [], []
         rows, basis = tcc.centralizer._comb_rows, tcc.centralizer._basis
 
@@ -382,15 +404,37 @@ class TestBatch:
             checked.append(checks)
             return basis(n, prime, gen, residual, checks)
 
+        triples = list(product(range(p), repeat=3))
+        lines, coefs = {}, set()
+        for x, y, a in triples:
+            gen = kronecker_code(comb_spec(n, x, y, p, a)).generator
+            c = ((1 - a) * y % p, x, -a * x % p)
+            lines.setdefault((gen.shape, gen.tobytes()), set()).add(
+                frozenset(tuple(lam * v % p for v in c) for lam in range(1, p))
+            )
+            coefs.add((gen.shape, gen.tobytes(), c))
         monkeypatch.setattr(tcc.centralizer, "_comb_rows", counted_rows)
         monkeypatch.setattr(tcc.centralizer, "_basis", counted_basis)
-        triples = list(product(range(5), repeat=3))
-        codes = comb_codes(3, GF5, triples)
-        assert len(written) == len(set(written)) == len(checked) == len({id(code) for code in codes})
-        coefs = {(_comb_case(3, x, y, a, 5), ((1 - a) * y % 5, x, -a * x % 5)) for x, y, a in triples}
-        assert sum(checked) == len(coefs) < 125
+        codes = batch_codes(n, p, triples)
+        assert len(written) == len(set(written)) == len(checked) == len({id(code) for code in codes}) == len(lines)
+        assert sum(checked) == sum(len(group) for group in lines.values())
+        if p > 2:
+            assert sum(checked) < len(coefs)
         for (x, y, a), code in zip(triples, codes):
-            assert code == kronecker_code(comb_spec(3, x, y, 5, a))
+            assert code == kronecker_code(comb_spec(n, x, y, p, a))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_sums_rows_are_shared_by_every_twist_outside_0_and_1_unless_p_divides_n(self, p):
+        # s = 0 and x != 0 at y = 0: the rows read a only when a = 1 or p | n, through 1/a.
+        for n in range(2, 7):
+            a = np.arange(2, p)
+            gens = [kronecker_code(comb_spec(n, 1, 0, p, twist)).generator.tobytes() for twist in a.tolist()]
+            codes, group = comb_codes(n, Prime(p), np.ones_like(a), np.zeros_like(a), a)
+            assert [codes[g].generator.tobytes() for g in group] == gens
+            if n % p:
+                assert len(set(gens)) == len(codes) == 1
+            else:
+                assert len(set(gens)) == len(codes) == len(a)
 
     @pytest.mark.parametrize("cells", [16, 64, 1 << 15])
     def test_group_products_stay_within_the_chunk_bound(self, monkeypatch, cells):
@@ -422,7 +466,7 @@ class TestBatch:
         monkeypatch.setattr(tcc.centralizer, "_product_residual", recorded(spec_residual))
         monkeypatch.setattr(tcc.centralizer, "matmul_mod", multiplied)
         triples = list(product(range(5), repeat=3))
-        codes = comb_codes(4, GF5, triples)
+        codes = batch_codes(4, 5, triples)
         assert residuals and max(residuals) <= cells and products == []
         residuals.clear()
         # C(diag(1, 1, 2, 3), 1)'s six rows, checked by products in row chunks.
@@ -438,7 +482,7 @@ CASE_NAMES = {"full", "sums", "J", "zero", "g u^T", "u h^T", "u h^T, sum h = 0",
 
 
 def case_triples(n, p):
-    """One residue triple (x, y, a) per closed-form case reachable at order n over GF(p), keyed by _comb_case.
+    """One residue triple (x, y, a) per closed-form case reachable at order n over GF(p), keyed by case_key.
 
     A case is fixed by which of s = (1 - a) y, alpha = s - a x n, beta = s + x n
     and x n + y vanish, so y runs over the values that zero one of them.
@@ -451,7 +495,7 @@ def case_triples(n, p):
             inv = pow(1 - a, -1, p)
             ys |= {a * x * n * inv % p, -x * n * inv % p}
         for y in sorted(ys):
-            found.setdefault(_comb_case(n, x, y, a, p), (x, y, a))
+            found.setdefault(case_key(n, x, y, a, p), (x, y, a))
     return found
 
 
@@ -461,12 +505,12 @@ def case_specs(n, p):
 
 
 def case_groups(n, p):
-    """Every residue triple of order n over GF(p) by its _comb_case, or case_triples's one each for p > 7."""
+    """Every residue triple of order n over GF(p) by its case_key, or case_triples's one each for p > 7."""
     if p > 7:
         return {case: [triple] for case, triple in case_triples(n, p).items()}
     groups = {}
     for x, y, a in product(range(p), repeat=3):
-        groups.setdefault(_comb_case(n, x, y, a, p), []).append((x, y, a))
+        groups.setdefault(case_key(n, x, y, a, p), []).append((x, y, a))
     return groups
 
 
@@ -475,7 +519,7 @@ def sums_verdicts(spec, gen):
     n, p, a = spec.n, spec.prime.p, spec.twist
     x, y = _comb_form(spec.matrix)
     coefs = np.array([[(1 - a) * y % p, x, -a * x % p]], dtype=np.int64)
-    return ~_comb_residual(coefs, gen.reshape(-1, n, n), p)[0].any(axis=(1, 2))
+    return ~_comb_residual(coefs, gen.reshape(-1, n, n), p)[0].reshape(len(gen), -1).any(axis=1)
 
 
 def row_pool(rng, n, p, cases, few):
@@ -561,13 +605,57 @@ class TestSumsResidual:
     def test_comb_checks_take_no_product(self, monkeypatch):
         batches = [(n, p, list(product(range(p), repeat=3))) for n, p in [(2, 3), (3, 7), (5, 5)]]
         batches.append((32, BIG, list(case_triples(32, BIG).values())))
-        codes = [comb_codes(n, Prime(p), triples) for n, p, triples in batches]
+        codes = [batch_codes(n, p, triples) for n, p, triples in batches]
 
         def refuse(*args):
             raise AssertionError("a comb check takes no product")
 
         monkeypatch.setattr(tcc.centralizer, "matmul_mod", refuse)
-        assert [comb_codes(n, Prime(p), triples) for n, p, triples in batches] == codes
+        assert [batch_codes(n, p, triples) for n, p, triples in batches] == codes
+
+    @pytest.mark.parametrize("p", [2, 3, 7, BIG])
+    def test_s_zero_residual_is_decided_by_its_first_row_and_column(self, p):
+        # s = 0: the 2n - 1 returned entries vanish exactly where the whole residual
+        # x (u r^T - a c u^T) does, from the two products, on members and non-members alike.
+        rng = np.random.default_rng(p % 1013)
+        verdicts = set()
+        for n in (2, 3, 5, 8):
+            twists = list(range(p)) if p < BIG else [0, 1, 2, p - 1, 12345]
+            xs = [1, p - 1] + ([2] if p > 2 else [])
+            specs = [comb_spec(n, x, 0, p, a) for x in xs for a in twists]
+            specs += [comb_spec(n, x, 1, p, 1) for x in xs]
+            pool = row_pool(rng, n, p, [case_key(n, 1, 0, a, p) for a in twists], None)
+            # Rows with zero row and column sums but for one entry, then one random per line.
+            edits = _sum_kernel(n, 0, p)[:3].copy()
+            edits[:, 0] = (edits[:, 0] + 1) % p
+            pool = np.concatenate([pool, edits, rng.integers(0, p, size=(20, n * n))])
+            for spec in specs:
+                x, y = _comb_form(spec.matrix)
+                coefs = np.array([[0, x, -spec.twist * x % p]], dtype=np.int64)
+                residual = _comb_residual(coefs, pool.reshape(-1, n, n), p)
+                assert residual.shape == (1, len(pool), 2 * n - 1)
+                expected = product_verdicts(spec, pool)
+                assert np.array_equal(~residual[0].any(axis=1), expected), (n, x, spec.twist)
+                verdicts |= set(expected.tolist())
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("p", [2, 3, 7, BIG])
+    def test_every_nonzero_multiple_of_a_coefficient_row_gives_its_verdict(self, p):
+        # The residual is linear in (s, x, -a x), so lambda c vanishes exactly where c does.
+        rng = np.random.default_rng(p % 1019)
+        verdicts = set()
+        for n in (2, 3, 4):
+            triples = list(case_triples(n, p).values())
+            pool = row_pool(rng, n, p, case_triples(n, p), None).reshape(-1, n, n)
+            lams = range(1, p) if p < BIG else [1, 2, p - 1, int(rng.integers(3, p - 1))]
+            for x, y, a in triples:
+                c = np.array([(1 - a) * y % p, x, -a * x % p], dtype=np.int64)
+                multiples = np.array([c * lam % p for lam in lams])
+                residual = _comb_residual(multiples, pool, p).reshape(len(multiples), len(pool), -1)
+                passed = ~residual.any(axis=2)
+                assert (passed == passed[0]).all(), (n, x, y, a)
+                verdicts |= set(passed[0].tolist())
+        assert verdicts == {True, False}
 
 
 class TestBruteForce:
@@ -776,7 +864,7 @@ class TestCombCentralizer:
         tally = Counter()
         for n, x, y, a, p in tuples:
             tally[case(n, x, y, a, p), n > 32] += 1
-            gen = _comb_rows(n, p, *_comb_case(n, x, y, a, p))
+            gen = _comb_rows(n, p, *case_key(n, x, y, a, p))
             assert np.array_equal(gen, eliminated_comb_kernel(n, x, y, a, p)), (n, x, y, a, p)
         cases = {"span(J)", "zero", "alpha = 0", "beta = 0, a = 0", "beta = 0, a != 0", "alpha = beta = 0"}
         assert {c for c, _ in tally} == cases

@@ -13,7 +13,7 @@ import tcc.comb
 import tcc.linalg
 from tcc import CombParams, Matrix, Prime, TwistSpec, analyze
 from tcc.channel import COUNT_DIGIT_LIMIT
-from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, build_parser, main
+from tcc.cli import EXIT_FAILURE, EXIT_GUARD, EXIT_OK, EXIT_USAGE, _hypotheses_met, build_parser, main
 from helpers import (
     DefectiveMatrixError,
     child_env,
@@ -146,17 +146,19 @@ class TestBuildCommand:
         ],
     )
     def test_order_64_comb_builds_check_every_row(self, capsys, monkeypatch, flags, out):
-        cells = []
+        # Both have s = 0, so each row's residual is read from its first row and column: 127 entries.
+        shapes = []
         residual = tcc.centralizer._comb_residual
 
         def recorded(*args):
             result = residual(*args)
-            cells.append(result.size)
+            shapes.append(result.shape)
             return result
 
         monkeypatch.setattr(tcc.centralizer, "_comb_residual", recorded)
         assert run_cli(capsys, "build", "--n", "64", *flags.split(), "--json") == (EXIT_OK, out, "")
-        assert sum(cells) == json.loads(out)["dimension"] * 4096
+        assert {shape[::2] for shape in shapes} == {(1, 127)}
+        assert sum(shape[1] for shape in shapes) == json.loads(out)["dimension"]
 
     def test_matrix_file_input(self, capsys, tmp_path):
         path = tmp_path / "a.mat"
@@ -517,6 +519,20 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "2012 tuples, 162 met the hypotheses, 0 mismatches" in out
 
+    def test_array_hypotheses_match_the_scalar_form_on_the_full_grid(self):
+        # verify reads each slice's hypotheses as one array; simulate reads one tuple as ints.
+        tuples = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            x, y, a = np.indices((p, p, p)).reshape(3, -1)
+            for n in range(2, 7):
+                scalar = [_hypotheses_met(p, n, *t) for t in zip(x.tolist(), y.tolist(), a.tolist())]
+                assert _hypotheses_met(p, n, x, y, a).tolist() == scalar, (p, n)
+                assert {type(met) for met in scalar} == {bool}
+                tuples += len(scalar)
+        assert tuples == 20155
+        # simulate's flags are unreduced ints: -1 * 3 + 3 = 0 and a = 7 = 2 over GF(5).
+        assert _hypotheses_met(5, 3, -1, 3, 7) is True and _hypotheses_met(5, 3, -1, 3, 6) is False
+
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--p-max", "3", "--n-max", "2", "--json")
         assert code == EXIT_OK
@@ -539,8 +555,9 @@ class TestVerifyCommand:
         # The largest sweep verify accepts: p <= 13 and n <= 6, 20,155 tuples.
         # Every comb generator is written in closed form, so nothing eliminates, and
         # each (p, n) slice hands its p^3 triples (x, y, a) to comb_codes: no matrix
-        # is built and none is read back.  Each slice is one batch: 371 closed-form
-        # groups, 30 of them zero codes.  Every hypothesis tuple of a slice shares
+        # is built and none is read back.  Each slice is one batch: 253 closed-form
+        # groups, 30 of them zero codes, since every a outside {0, 1} shares the
+        # "sums" rows when p does not divide n.  Every hypothesis tuple of a slice shares
         # span(J), so analyze runs once per slice that has any: p > 2, and p not
         # dividing n, else p | x n + y forces p | y.
         eliminations = []
@@ -559,9 +576,9 @@ class TestVerifyCommand:
         def refuse(*args):
             raise AssertionError("verify builds no matrix and reads none back")
 
-        def batched(n, prime, triples):
-            batches.append(len(triples))
-            return batch(n, prime, triples)
+        def batched(n, prime, x, y, a):
+            batches.append(len(x))
+            return batch(n, prime, x, y, a)
 
         def checked(n, prime, gen, residual, checks):
             groups.append(len(gen))
@@ -582,7 +599,7 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert eliminations == []
         assert sum(batches) == 20155 and len(batches) == 5 * 6
-        assert (len(groups), sum(rows > 0 for rows in groups)) == (371, 341)
+        assert (len(groups), sum(rows > 0 for rows in groups)) == (253, 223)
         assert len(analyses) == 5 * 5 - len([(3, 3), (3, 6), (5, 5)]) == 22
         assert hashlib.sha256(out.encode()).hexdigest() == "fa09d78430516328b066f630a5f4ae17a13525054173e3daa4ff39d43fafaa15"
 
@@ -855,6 +872,13 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "summary" in proc.stdout
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # Only monte_carlo and the Hessenberg reduction draw, so no command pays for
+        # numpy.random (and its secrets, hashlib and hmac imports) before one does.
+        probe = "import sys, tcc.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 # Exact stdout, stderr and exit code of build and analyze through each solve path: the
