@@ -4,7 +4,10 @@ Exit codes: 0 success/verified, 1 usage error, 2 verification or
 simulation failure, 3 guard exceeded.  Each command returns its exit code
 and one result dict; with --json main prints that dict as the single
 machine-readable object, otherwise the command prints its human rendering
-of the same fields.
+of the same fields.  verify's rows are the exception: it writes each row
+as text from parts that many rows share (a head per (p, n) slice, a
+fragment per (x, y, a) triple, a tail per code group, written in --json
+by json.dumps), and main splices the rendered rows in as the last key.
 """
 
 import argparse
@@ -230,51 +233,59 @@ def cmd_verify(args) -> tuple[int, dict]:
     if not 2 <= args.n_max <= VERIFY_MAX_ORDER:
         raise ValueError(f"--n-max must lie in [2, {VERIFY_MAX_ORDER}], got {args.n_max}")
 
-    rows = []
+    # Each row is text from shared parts: a head per slice, a fragment per triple, a tail per group.
+    if args.json:
+        sep, head_of, triple_of = ", ", '{{"p": {}, "n": {}, '.format, '"x": {}, "y": {}, "a": {}, '.format
+    else:
+        sep, head_of, triple_of = "\n", "{:>3} {:>2}".format, " {:>3} {:>3} {:>3}  ".format
+    slices, tuples, hypothesis_tuples, mismatches = [], 0, 0, []
     for p in (q for q in range(2, args.p_max + 1) if is_prime(q)):
         prime = Prime(p)
         # Every (x, y, a) of the slice, in product order; x, y and a are columns.
         x, y, a = np.indices((p, p, p)).reshape(3, -1)
-        columns = [col.tolist() for col in (x, y, a)]
+        triples = list(map(triple_of, x.tolist(), y.tolist(), a.tolist()))
         for n in range(2, args.n_max + 1):
             # One batch per (p, n): tuples that share a closed form share one code and one theorem check.
             codes, group = comb_codes(n, prime, x, y, a)
             hyp = _hypotheses_met(p, n, x, y, a)
             checks = {g: _theorem_check(n, codes[g]) for g in set(group[hyp].tolist())}
-            dims = np.array([code.dim for code in codes])[group]
-            for xi, yi, ai, met, dim, g in zip(*columns, hyp.tolist(), dims.tolist(), group.tolist()):
-                row = {"p": p, "n": n, "x": xi, "y": yi, "a": ai, "hypotheses_met": met, "dim": dim}
-                if met:
-                    row.update(checks[g])
-                rows.append(row)
+            # A row's tail is keyed 2 g + hypotheses_met; only groups with hypothesis rows have a check.
+            tails = {2 * g: _row_tail(args.json, False, code.dim, {}) for g, code in enumerate(codes)}
+            tails.update({2 * g + 1: _row_tail(args.json, True, codes[g].dim, c) for g, c in checks.items()})
+            head = head_of(p, n)
+            row_tails = map(tails.__getitem__, (2 * group + hyp).tolist())
+            slices.append(head + (sep + head).join(map(str.__add__, triples, row_tails)))
+            tuples += group.size
+            hypothesis_tuples += int(hyp.sum())
+            failed = [g for g, c in checks.items() if not c["matches_theorem"]]
+            for i in np.flatnonzero(hyp & np.isin(group, failed)).tolist():
+                mismatches.append(f"MISMATCH: p={p} n={n} x={x[i]} y={y[i]} a={a[i]} dim={codes[group[i]].dim}")
 
-    mismatches = [row for row in rows if row["hypotheses_met"] and not row["matches_theorem"]]
     out = {
         "p_max": args.p_max,
         "n_max": args.n_max,
-        "tuples": len(rows),
-        "hypothesis_tuples": sum(1 for row in rows if row["hypotheses_met"]),
+        "tuples": tuples,
+        "hypothesis_tuples": hypothesis_tuples,
         "ok": not mismatches,
-        "rows": rows,
     }
-    if not args.json:
-        print(f"{'p':>3} {'n':>2} {'x':>3} {'y':>3} {'a':>3}  {'hyp':<3} {'dim':>4} {'d':>4}  {'mds':<3} {'ok':<3}")
-        for row in rows:
-            d = str(row.get("min_distance", "-"))
-            mds = "-" if "mds" not in row else ("yes" if row["mds"] else "no")
-            okc = "-" if "matches_theorem" not in row else ("yes" if row["matches_theorem"] else "NO")
-            hyp = "yes" if row["hypotheses_met"] else "no"
-            print(
-                f"{row['p']:>3} {row['n']:>2} {row['x']:>3} {row['y']:>3} {row['a']:>3}  "
-                f"{hyp:<3} {row['dim']:>4} {d:>4}  {mds:<3} {okc:<3}"
-            )
-        print(
-            f"summary: {out['tuples']} tuples, {out['hypothesis_tuples']} met the hypotheses, "
-            f"{len(mismatches)} mismatches"
-        )
-        for row in mismatches:
-            print("MISMATCH: p={p} n={n} x={x} y={y} a={a} dim={dim}".format_map(row))
+    if args.json:
+        out["rows"] = "[" + sep.join(slices) + "]"
+    else:
+        summary = f"summary: {tuples} tuples, {hypothesis_tuples} met the hypotheses, {len(mismatches)} mismatches"
+        columns = f"{'p':>3} {'n':>2} {'x':>3} {'y':>3} {'a':>3}  {'hyp':<3} {'dim':>4} {'d':>4}  {'mds':<3} {'ok':<3}"
+        print("\n".join([columns, *slices, summary, *mismatches]))
     return (EXIT_OK if out["ok"] else EXIT_FAILURE), out
+
+
+def _row_tail(as_json: bool, met: bool, dim: int, check: dict) -> str:
+    """The end of a sweep row, shared by its group: the JSON keys from hypotheses_met on, whose
+    opening brace is dropped, or the human columns from hyp on."""
+    if as_json:
+        return json.dumps({"hypotheses_met": met, "dim": dim, **check})[1:]
+    d = check.get("min_distance", "-")
+    mds = "-" if "mds" not in check else ("yes" if check["mds"] else "no")
+    okc = "-" if "matches_theorem" not in check else ("yes" if check["matches_theorem"] else "NO")
+    return f"{'yes' if met else 'no':<3} {dim:>4} {d!s:>4}  {mds:<3} {okc:<3}"
 
 
 def _theorem_check(n: int, code: LinearCode) -> dict:
@@ -374,7 +385,10 @@ def main(argv=None) -> int:
         print(f"tcc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
-        print(json.dumps(out, check_circular=False))
+        # verify hands its rows already rendered, spliced in as the document's last key.
+        rows = out.pop("rows") if args.command == "verify" else None
+        text = json.dumps(out, check_circular=False)
+        print(text if rows is None else f'{text[:-1]}, "rows": {rows}}}')
     return status
 
 

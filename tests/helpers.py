@@ -44,7 +44,10 @@ per (message, pattern) or per trial, kept as oracles for the batched
 sweeps in tcc.channel, and enumerated_exhaustive_stats decodes every
 weight-t pattern of a k = 1 code by the vote, kept as the oracle for the
 counted k = 1 sweep; the exhaustive_*_check functions are the
-acceptance gate's correction and detection sweeps.  child_env lets a
+acceptance gate's correction and detection sweeps.  verify_document
+builds the verify --json document as one dict per row and verify_table
+prints its human table row by row, kept as the oracles for the rows that
+tcc.cli.cmd_verify renders from shared fragments.  child_env lets a
 subprocess import the same tcc as the tests, installed or not.
 """
 
@@ -57,6 +60,7 @@ from pathlib import Path
 import numpy as np
 
 import tcc
+import tcc.cli
 from tcc import (
     ChannelStats,
     CombParams,
@@ -734,3 +738,54 @@ def exhaustive_detection_check(code: LinearCode, t: int) -> bool:
                 if is_codeword(code, corrupted):
                     return False
     return True
+
+
+def verify_document(p_max: int, n_max: int) -> dict:
+    """The `verify --json` document built as one dict per row, kept as the oracle for its rendered rows.
+
+    Each row's keys and values come from the same solve and theorem check
+    that tcc.cli.cmd_verify runs, looked up at call time so that a patched
+    check reaches both; only the rendering differs.
+    """
+    rows = []
+    for p in (q for q in range(2, p_max + 1) if trial_division_is_prime(q)):
+        x, y, a = np.indices((p, p, p)).reshape(3, -1)
+        for n in range(2, n_max + 1):
+            codes, group = tcc.cli.comb_codes(n, Prime(p), x, y, a)
+            hyp = tcc.cli._hypotheses_met(p, n, x, y, a)
+            checks = {g: tcc.cli._theorem_check(n, codes[g]) for g in set(group[hyp].tolist())}
+            for xi, yi, ai, met, g in zip(x.tolist(), y.tolist(), a.tolist(), hyp.tolist(), group.tolist()):
+                row = {"p": p, "n": n, "x": xi, "y": yi, "a": ai, "hypotheses_met": met, "dim": codes[g].dim}
+                if met:
+                    row.update(checks[g])
+                rows.append(row)
+    mismatches = [row for row in rows if row["hypotheses_met"] and not row["matches_theorem"]]
+    return {
+        "p_max": p_max,
+        "n_max": n_max,
+        "tuples": len(rows),
+        "hypothesis_tuples": sum(1 for row in rows if row["hypotheses_met"]),
+        "ok": not mismatches,
+        "rows": rows,
+    }
+
+
+def verify_table(doc: dict) -> str:
+    """The human `verify` output of a verify_document, printed row by row, kept as the oracle for its table."""
+    lines = [f"{'p':>3} {'n':>2} {'x':>3} {'y':>3} {'a':>3}  {'hyp':<3} {'dim':>4} {'d':>4}  {'mds':<3} {'ok':<3}"]
+    for row in doc["rows"]:
+        d = str(row.get("min_distance", "-"))
+        mds = "-" if "mds" not in row else ("yes" if row["mds"] else "no")
+        okc = "-" if "matches_theorem" not in row else ("yes" if row["matches_theorem"] else "NO")
+        hyp = "yes" if row["hypotheses_met"] else "no"
+        lines.append(
+            f"{row['p']:>3} {row['n']:>2} {row['x']:>3} {row['y']:>3} {row['a']:>3}  "
+            f"{hyp:<3} {row['dim']:>4} {d:>4}  {mds:<3} {okc:<3}"
+        )
+    mismatches = [row for row in doc["rows"] if row["hypotheses_met"] and not row["matches_theorem"]]
+    lines.append(
+        f"summary: {doc['tuples']} tuples, {doc['hypothesis_tuples']} met the hypotheses, "
+        f"{len(mismatches)} mismatches"
+    )
+    lines += ["MISMATCH: p={p} n={n} x={x} y={y} a={a} dim={dim}".format_map(row) for row in mismatches]
+    return "\n".join(lines) + "\n"

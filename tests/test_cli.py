@@ -22,6 +22,8 @@ from helpers import (
     kronecker_code,
     recurrence_calls,
     similar_to_diagonal,
+    verify_document,
+    verify_table,
 )
 
 
@@ -602,6 +604,74 @@ class TestVerifyCommand:
         assert (len(groups), sum(rows > 0 for rows in groups)) == (253, 223)
         assert len(analyses) == 5 * 5 - len([(3, 3), (3, 6), (5, 5)]) == 22
         assert hashlib.sha256(out.encode()).hexdigest() == "fa09d78430516328b066f630a5f4ae17a13525054173e3daa4ff39d43fafaa15"
+
+    def test_full_human_sweep_pinned(self, capsys):
+        # The human table of the largest sweep, 20,155 rows, byte for byte.
+        code, out, _ = run_cli(capsys, "verify", "--p-max", "13", "--n-max", "6")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == "e10dd2ef55f8e8a2748d80ad76b2cece6368c23bc8eeefee7f4780c15a548b94"
+
+    @pytest.mark.parametrize("n_max", range(2, 7))
+    @pytest.mark.parametrize("p_max", [2, 3, 5, 7])
+    def test_rendered_rows_match_the_row_dicts(self, capsys, p_max, n_max):
+        # Rows are rendered from fragments shared by many rows; one dict per row is the oracle.
+        doc = verify_document(p_max, n_max)
+        code, out, _ = run_cli(capsys, "verify", "--p-max", str(p_max), "--n-max", str(n_max), "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == doc
+        assert out == json.dumps(doc) + "\n"
+        code, out, _ = run_cli(capsys, "verify", "--p-max", str(p_max), "--n-max", str(n_max))
+        assert code == EXIT_OK
+        assert out == verify_table(doc)
+
+    def test_theorem_mismatch_fails_the_sweep(self, capsys, monkeypatch):
+        # A failed theorem check of one slice's group marks every hypothesis row of that slice.
+        original = tcc.cli._theorem_check
+
+        def failed(n, code):
+            check = original(n, code)
+            return {**check, "matches_theorem": False} if (code.prime.p, n) == (5, 3) else check
+
+        monkeypatch.setattr(tcc.cli, "_theorem_check", failed)
+        hits = [
+            (x, y, a)
+            for x in range(5)
+            for y in range(5)
+            for a in range(5)
+            if (3 * x + y) % 5 == 0 and x != 0 and y != 0 and a > 1
+        ]
+        assert len(hits) == 12
+        code, out, _ = run_cli(capsys, "verify", "--p-max", "13", "--n-max", "6", "--json")
+        assert code == EXIT_FAILURE
+        doc = json.loads(out)
+        assert (doc["ok"], doc["tuples"], doc["hypothesis_tuples"]) == (False, 20155, 1314)
+        failing = [(r["x"], r["y"], r["a"]) for r in doc["rows"] if r["hypotheses_met"] and not r["matches_theorem"]]
+        assert failing == hits
+        assert all((r["p"], r["n"]) == (5, 3) for r in doc["rows"] if r.get("matches_theorem") is False)
+        assert doc == verify_document(13, 6)
+        code, out, _ = run_cli(capsys, "verify", "--p-max", "13", "--n-max", "6")
+        assert code == EXIT_FAILURE
+        assert "summary: 20155 tuples, 1314 met the hypotheses, 12 mismatches\n" in out
+        mismatches = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+        assert mismatches == [f"MISMATCH: p=5 n=3 x={x} y={y} a={a} dim=1" for x, y, a in hits]
+        assert out.endswith("\n".join(mismatches) + "\n")
+
+    def test_a_failed_group_names_only_its_hypothesis_rows(self, capsys, monkeypatch):
+        # The sweep's theorem groups hold only hypothesis rows; drop a = 2 from the hypotheses so one does not.
+        original_check, original_met = tcc.cli._theorem_check, tcc.cli._hypotheses_met
+        monkeypatch.setattr(tcc.cli, "_theorem_check", lambda n, code: {**original_check(n, code), "matches_theorem": False})
+        monkeypatch.setattr(tcc.cli, "_hypotheses_met", lambda p, n, x, y, a: original_met(p, n, x, y, a) & (a % p != 2))
+        doc = verify_document(5, 3)
+        code, out, _ = run_cli(capsys, "verify", "--p-max", "5", "--n-max", "3", "--json")
+        assert code == EXIT_FAILURE
+        assert json.loads(out) == doc
+        code, out, _ = run_cli(capsys, "verify", "--p-max", "5", "--n-max", "3")
+        assert code == EXIT_FAILURE
+        assert out == verify_table(doc)
+        named = [line for line in out.splitlines() if line.startswith("MISMATCH")]
+        assert len(named) == doc["hypothesis_tuples"]
+        assert sum(line.startswith("MISMATCH: p=5 n=3 ") for line in named) == 8
+        assert not any(" a=2 " in line for line in named)
 
     def test_repeated_sweep_repeats_its_checks(self, capsys, monkeypatch):
         # Nothing outlives a solve: a second sweep in one process writes and checks every group again.
