@@ -342,23 +342,27 @@ def _recurrence_generator(
     n, prime, a = spec.n, spec.prime, spec.twist
     p, width = prime.p, n * blocks
     eye = np.eye(n, dtype=np.int64)
-    xs = np.zeros((n, n, width), dtype=np.int64)
+    # xs[c, r, j] is unknown c's coefficient in row r of x_j.  j runs fastest,
+    # so the twisted sum over i <= j reads the live unknowns' first j + 1
+    # columns in place, with no copy, and each x_j^T is one strided slice.
+    xs = np.zeros((width, n, n), dtype=np.int64)
     eqs = np.zeros((width, width), dtype=np.int64)
-    xs[0, :, :n] = eye
+    xs[:n, :, 0] = eye
     block = 0
     for j in range(n):
         # Only the first (block + 1) n unknowns are in play up to column j.
         live = (block + 1) * n
-        twisted = matmul_mod(h[: j + 1, j], xs[: j + 1, :, :live].reshape(j + 1, -1), p).reshape(n, live)
-        rhs = (matmul_mod(h, xs[j, :, :live], p) - a * twisted) % p
+        # (H x_j - a sum_(i <= j) h_ij x_i)^T, one row per live unknown.
+        twisted = matmul_mod(xs[:live, :, : j + 1], h[: j + 1, j], p)
+        rhs = (matmul_mod(xs[:live, :, j], h.T, p) - a * twisted) % p
         fixed = a * int(h[j + 1, j]) % p if j < n - 1 else 0
         if fixed:
-            xs[j + 1, :, :live] = rhs * pow(fixed, -1, p) % p
+            xs[:live, :, j + 1] = rhs * pow(fixed, -1, p) % p
             continue
-        eqs[block * n : live, :live] = rhs
+        eqs[block * n : live, :live] = rhs.T
         block += 1
         if j < n - 1:
-            xs[j + 1, :, live : live + n] = eye
+            xs[live : live + n, :, j + 1] = eye
     kernel = kernel_basis(Matrix(eqs, prime))
     if not len(kernel):
         return np.zeros((0, n * n), dtype=np.int64)
@@ -367,13 +371,16 @@ def _recurrence_generator(
     free = width - 1 - np.argmax(kernel[:, ::-1] != 0, axis=1)
     bound = np.ones(width, dtype=bool)
     bound[free] = False
-    xs = xs.reshape(n * n, width)
-    xv = (xs[:, free] + matmul_mod(xs[:, bound], kernel[:, bound].T, p)) % p
-    # Column j of member X_v is x_j v, so (x_j v)^T stacked over j is X_v^T, and
-    # B^T = S^T X^T S^-T is vec(B) when read row-major.  The batched product
-    # is several times faster on a contiguous copy than on the strided xv.T.
-    xt = np.ascontiguousarray(xv.T).reshape(-1, n, n)
-    return matmul_mod(matmul_mod(s.T, xt, p), s_inv.T, p).reshape(-1, n * n)
+    xs = xs.reshape(width, n * n)
+    # Row v is X_v read row-major, X_v[r, j] = (x_j v)_r.  With every unknown
+    # free (k = n b) that is xs itself, and the product would add zeros.
+    xv = xs[free]
+    if bound.any():
+        xv = (xv + matmul_mod(kernel[:, bound], xs[bound], p)) % p
+    # B = S^-1 X S, and vec(B) read row-major is B^T = (X S)^T S^-T: two
+    # 2-D products over every member's rows, with one transposing copy between.
+    xvs = matmul_mod(xv.reshape(-1, n), s, p).reshape(-1, n, n)
+    return matmul_mod(xvs.transpose(0, 2, 1).reshape(-1, n), s_inv.T, p).reshape(-1, n * n)
 
 
 def _sum_kernel(n: int, a: int, p: int) -> np.ndarray:
@@ -442,9 +449,15 @@ def _comb_residual(coefs: np.ndarray, members: np.ndarray, p: int) -> np.ndarray
 
 
 def _product_residual(spec: TwistSpec, members: np.ndarray) -> np.ndarray:
-    """(A B - a B A)^T mod p for each B^T in ``members``: B^T A^T - a A^T B^T, from two matmul_mod products."""
-    at, p = spec.matrix.array.T, spec.prime.p
-    return (matmul_mod(members, at, p) - spec.twist * matmul_mod(at, members, p)) % p
+    """(A B - a B A)^T mod p for each B^T in ``members``: B^T A^T - a A^T B^T, from two matmul_mod products.
+
+    Each is one 2-D product over the stacked rows: B^T A^T from the B^T
+    stacked, and A^T B^T = (B A)^T from the B stacked.
+    """
+    a, p, n = spec.matrix.array, spec.prime.p, spec.n
+    left = matmul_mod(members.reshape(-1, n), a.T, p).reshape(members.shape)
+    right = matmul_mod(members.transpose(0, 2, 1).reshape(-1, n), a, p).reshape(members.shape)
+    return (left - spec.twist * right.transpose(0, 2, 1)) % p
 
 
 def is_member(b: Matrix, spec: TwistSpec) -> bool:

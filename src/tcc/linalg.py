@@ -7,6 +7,12 @@ Kronecker products and the Hessenberg reduction, the primitives of
 spectra, solves and codes.  Whatever
 makes an array reduces it; a Matrix, like a code's generator, checks it
 once (_held_residues) and holds it read-only, with no copy.
+
+Every result is exact.  numpy runs int64 products without BLAS, so a
+large 2-D product whose dot products stay below 2^52 runs as a float64
+BLAS product instead, as in FFLAS-FFPACK, and is reduced in float64 to
+the same int64 residues (matmul_mod proves both steps exact).  Each BLAS call
+is kept small enough for OpenBLAS to run it on the calling thread.
 """
 
 import math
@@ -24,6 +30,16 @@ MAX_PRIME = 2**31 - 1
 _HESSENBERG_SEED = 0
 # A matrix file integer: int() alone would also read "1_0" and non-ASCII digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# A matrix file row's fields, joined by single spaces.
+_INTEGERS = re.compile(r"[+-]?[0-9]+(?: [+-]?[0-9]+)*")
+# A 2-D product takes float64 BLAS from this many multiply-adds (m k n) and
+# this inner dimension up.  Below either, the conversions, the reduction and
+# the call cost about what BLAS saves, so the product stays in int64.
+_FLOAT_MIN_WORK = 1 << 14
+_FLOAT_MIN_INNER = 8
+# Most multiply-adds in one BLAS call: OpenBLAS runs a dgemm of m k n <= 2^18
+# on the calling thread, where a larger one wakes threads that keep spinning.
+_BLAS_MAX_WORK = 1 << 18
 
 
 class FieldMismatchError(ValueError):
@@ -111,17 +127,86 @@ class Prime:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (possibly batched) matrix product mod p of reduced residues, in int64.
+    """Exact (possibly batched) matrix product mod p of reduced residues, as int64.
 
-    One plain product when its dot products cannot overflow.  Otherwise b
-    splits into 16-bit limbs, b = hi * 2^16 + lo: for p < 2^31 and an inner
-    dimension up to MAX_DIM = 2^12, each limb's dot products stay below
+    A 2-D (m, k) by (k, n) product with k (p-1)^2 < 2^52 runs in float64
+    BLAS (_float_matmul_mod) when it is large enough to gain: m and n at
+    least 2, _FLOAT_MIN_INNER <= k <= _BLAS_MAX_WORK // 9, and m k n at
+    least _FLOAT_MIN_WORK.  It is exact: every product of two residues is
+    at most (p-1)^2 and every partial sum is a sum of such nonnegative
+    products, so all are integers below 2^52, exact in float64 in any
+    order of summation.  Each entry x of the product is then reduced in
+    float64 as x - p floor(fl(x/p)), which is x mod p for every integer
+    0 <= x < 2^52.  Write x = q p + r with 0 <= r < p; then x/p lies in
+    [q, q + 1 - 1/p], and q and q + 1 are doubles.  Rounding to nearest is
+    monotone, so fl(x/p) >= q, and it reaches q + 1 only if x/p is within
+    half a spacing of q + 1.  The doubles just below q + 1 are at most
+    (q + 1) 2^-52 apart, so that needs 1/p <= (q + 1) 2^-53, that is
+    (q + 1) p >= 2^53; but (q + 1) p <= x + p < 2^52 + 2^31.  So the floor
+    is q, q p <= x is exact, and so is x - q p.
+
+    Every other product stays in int64: one plain product when its dot
+    products cannot overflow.  Otherwise b splits into 16-bit limbs,
+    b = hi * 2^16 + lo: for p < 2^31 and an inner dimension up to
+    MAX_DIM = 2^12, each limb's dot products stay below
     2^12 * 2^31 * 2^16 = 2^59, so the recombined sum fits int64 too.
     """
     inner = a.shape[-1]
+    if (
+        a.ndim == b.ndim == 2
+        and inner * (p - 1) ** 2 < 2**52
+        and min(a.shape[0], b.shape[1]) >= 2
+        and _FLOAT_MIN_INNER <= inner <= _BLAS_MAX_WORK // 9
+        and a.shape[0] * inner * b.shape[1] >= _FLOAT_MIN_WORK
+    ):
+        return _float_matmul_mod(a, b, p)
     if inner * (p - 1) ** 2 < 2**63:
         return (a @ b) % p
     return ((a @ (b >> 16)) % p * 65536 + a @ (b & 65535)) % p
+
+
+def _spans(size: int, most: int) -> list[tuple[int, int]]:
+    """[0, size) cut into the fewest near-equal spans of at most ``most``; each has at least 2 when size >= 2 and most >= 3."""
+    count = -(-size // most)
+    return [(i * size // count, (i + 1) * size // count) for i in range(count)]
+
+
+def _float_matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for 2-D residue arrays whose float64 product is exact, as matmul_mod admits them.
+
+    The product runs in blocks of near-equal rows and columns, one
+    _blas_product call each.  A block is at most _BLAS_MAX_WORK // (3 k)
+    columns wide, at least 3 since k <= _BLAS_MAX_WORK // 9, and as many
+    rows tall as keep rows * k * columns <= _BLAS_MAX_WORK, so OpenBLAS
+    runs it on the calling thread; it has at least 2 rows and 2 columns,
+    so it is never a gemv, whose threads start at other sizes.  Each block
+    is reduced (see matmul_mod) into the one int64 result, so no float
+    temporary is larger than a block.
+    """
+    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
+    out = np.empty((rows, cols), dtype=np.int64)
+    fb = b.astype(np.float64)
+    col_spans = _spans(cols, _BLAS_MAX_WORK // (3 * inner))
+    width = -(-cols // len(col_spans))
+    row_spans = _spans(rows, _BLAS_MAX_WORK // (inner * width))
+    height = -(-rows // len(row_spans))
+    prod, quot = np.empty((height, width)), np.empty((height, width))
+    for lo, hi in row_spans:
+        fa = a[lo:hi].astype(np.float64)
+        for left, right in col_spans:
+            x, q = prod[: hi - lo, : right - left], quot[: hi - lo, : right - left]
+            _blas_product(fa, fb[:, left:right], x)
+            np.divide(x, p, out=q)
+            np.floor(q, out=q)
+            q *= p
+            x -= q
+            out[lo:hi, left:right] = x
+    return out
+
+
+def _blas_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = a @ b in float64: the one place tcc calls BLAS."""
+    np.matmul(a, b, out=out)
 
 
 def _held_residues(arr: np.ndarray, p: int, name: str) -> np.ndarray:
@@ -343,6 +428,18 @@ def _integer(tok: str) -> int:
     return int(tok)
 
 
+def _row_entries(parts: list[str], p: int) -> list[int] | None:
+    """A data row's entries from one match and one conversion, or None unless each is an integer in [0, p)."""
+    if not _INTEGERS.fullmatch(" ".join(parts)):
+        return None
+    try:
+        vals = list(map(int, parts))
+    except ValueError:
+        # Past int()'s digit limit.
+        return None
+    return vals if min(vals) >= 0 and max(vals) < p else None
+
+
 def parse_matrix_text(text: str) -> Matrix:
     """Parse the plain matrix interchange format.
 
@@ -389,6 +486,11 @@ def parse_matrix_text(text: str) -> Matrix:
             raise MatrixFormatError(
                 f"line {i}: expected {cols} entries, got {len(parts)}", line=i
             )
+        vals = _row_entries(parts, p)
+        if vals is not None:
+            data[i - 2] = vals
+            continue
+        # Only a bad row is walked token by token, to name its first bad field.
         for j, tok in enumerate(parts, start=1):
             try:
                 val = _integer(tok)

@@ -3,7 +3,9 @@
 The check_* functions run the randomized property suites; they live here
 so both the per-module tests and the acceptance gate can invoke them.
 identity, zeros, all_ones and unit_e11 build the named matrices I, 0, J
-and E11, matmul multiplies two matrices by matmul_mod, code_from_rows
+and E11, matmul multiplies two matrices by matmul_mod, object_matmul
+multiplies two arrays in Python ints, kept as the oracle for matmul_mod's
+float64 and int64 paths, code_from_rows
 reduces any spanning rows to a code's RREF generator, and is_codeword
 tests membership through that generator.  A word is an int64 row of
 residues and a generator a (k, N) stack of them, as everywhere in tcc.
@@ -27,6 +29,7 @@ that centralizer._comb_residual reads from row and column sums.
 structured_matrices and similar_to_diagonal draw the
 recurrence's test inputs, diagonal_dim gives C(A, a)'s dimension for a
 diagonalizable A, and recurrence_calls records (or forces) that route.
+blas_shapes records the operand shapes of every float64 BLAS product.
 generator_read_twice reads a code's generator twice and records the
 eliminations each read runs, for the codes the recurrence leaves unreduced.
 trial_division_is_prime is the trial-division test, kept as the oracle for
@@ -123,6 +126,11 @@ def zeros(rows, cols, prime) -> Matrix:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """The product a b over a's field, by matmul_mod on the arrays."""
     return Matrix(matmul_mod(a.array, b.array, a.prime.p), a.prime)
+
+
+def object_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p in Python ints (object dtype), as int64: no float and no overflow."""
+    return np.asarray(np.asarray(a).astype(object) @ np.asarray(b).astype(object) % p, dtype=np.int64)
 
 
 def all_ones(n, prime) -> Matrix:
@@ -289,6 +297,19 @@ def recurrence_calls(monkeypatch, force: bool = False) -> list:
     if force:
         monkeypatch.setattr(tcc.centralizer, "_CROSSOVER", 0)
     return solved
+
+
+def blas_shapes(monkeypatch) -> list:
+    """The (a.shape, b.shape) of every float64 BLAS product tcc.linalg runs, recorded as it runs."""
+    shapes = []
+    original = tcc.linalg._blas_product
+
+    def recorded(a, b, out):
+        shapes.append((a.shape, b.shape))
+        return original(a, b, out)
+
+    monkeypatch.setattr(tcc.linalg, "_blas_product", recorded)
+    return shapes
 
 
 def generator_read_twice(monkeypatch, code: LinearCode) -> tuple[np.ndarray, list]:

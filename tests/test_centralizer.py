@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -39,6 +40,7 @@ from helpers import (
     all_ones,
     basis_matrices,
     batch_codes,
+    blas_shapes,
     brute_force_centralizer,
     code_from_rows,
     comb_basis,
@@ -51,6 +53,7 @@ from helpers import (
     identity,
     kronecker_code,
     matmul,
+    object_matmul,
     product_verdicts,
     rand_matrix,
     recurrence_calls,
@@ -475,6 +478,23 @@ class TestBatch:
         assert sum(residuals) == 6 * 16
         monkeypatch.undo()
         assert codes == [centralizer_code(comb_spec(4, x, y, 5, a)) for x, y, a in triples]
+
+
+class TestProductResidual:
+    """_product_residual's two 2-D products over the stacked rows, against Python-int products member by member."""
+
+    @pytest.mark.parametrize("n, p", [(1, 7), (3, 5), (24, 7), (24, 997), (12, 2**31 - 1)])
+    def test_matches_python_ints(self, monkeypatch, n, p):
+        calls = blas_shapes(monkeypatch)
+        rng = np.random.default_rng([n, p])
+        spec = TwistSpec(rand_matrix(rng, n, n, Prime(p)), int(rng.integers(p)))
+        at = spec.matrix.array.T
+        stack = rng.integers(0, p, size=(40, n, n))
+        # Contiguous, reversed and transposed stacks, as generators and is_member hand them over.
+        for members in (stack, stack[::-1, ::-1], stack.transpose(0, 2, 1)):
+            want = [(object_matmul(m, at, p) - spec.twist * object_matmul(at, m, p)) % p for m in members]
+            assert np.array_equal(tcc.centralizer._product_residual(spec, members), want)
+        assert bool(calls) == (n == 24)
 
 
 BIG = 2**31 - 1
@@ -1028,6 +1048,42 @@ class TestRecurrence:
         for spec, code, oracle in zip(specs, codes, oracles):
             assert code.generator is code.basis, spec
             assert code.dim and np.array_equal(code.generator, oracle), spec
+
+    @pytest.mark.parametrize(
+        "n, p, a, diag, digest",
+        [
+            (24, 7, 1, [1, 1, 1, 2, 2, 3] * 4, "7983d9dd3c8dc3d4a7fa1cb21a4317395161f3600035a2c9e9eb243b0e09dd03"),
+            (32, 997, 2, [pow(2, i % 8, 997) for i in range(32)], "5a295209537b68f960f169b794536ab7baef560c5fa11e7962ff6886895c4ca0"),
+            (12, 2**31 - 1, 3, [5, 5, 15, 15, 45, 45, 1, 1, 1, 2, 2, 9], "17f7054ed6856d86b9327da487b9f8460fea2a001a19c92c6de6a91c6441cc64"),
+        ],
+    )
+    def test_unreduced_rows_pinned(self, monkeypatch, n, p, a, diag, digest):
+        # The rows the recurrence hands over, before any RREF, as the int64 products gave them;
+        # p = 2^31 - 1 runs every product in int64, its twisted sums through the limb split.
+        calls = blas_shapes(monkeypatch)
+        solved = recurrence_calls(monkeypatch)
+        spec = TwistSpec(similar_to_diagonal(np.random.default_rng(n), diag, Prime(p)), a)
+        code = centralizer_code(spec)
+        assert solved == [spec] and code.dim == diagonal_dim(diag, a, p)
+        assert hashlib.sha256(code.basis.tobytes()).hexdigest() == digest
+        assert bool(calls) == (p < 2**31 - 1)
+
+    def test_order_64_blas_products_stay_on_one_thread(self, monkeypatch):
+        # Eight eigenvalues of multiplicity 8 over GF(997): b = 8 and k = 512, the largest
+        # recurrence the guard admits.  OpenBLAS runs a dgemm of m k n <= 2^18 on the calling
+        # thread, so every BLAS product of the solve and its check must stay within that.
+        calls = blas_shapes(monkeypatch)
+        solved = recurrence_calls(monkeypatch)
+        diag = np.repeat([3, 5, 11, 17, 29, 41, 53, 71], 8)
+        spec = TwistSpec(similar_to_diagonal(np.random.default_rng(64), diag, Prime(997)), 1)
+        code = centralizer_code(spec)
+        assert solved == [spec] and hessenberg_blocks(spec) == 8
+        assert code.dim == diagonal_dim(diag, 1, 997) == 512
+        assert tcc.linalg._BLAS_MAX_WORK == 1 << 18
+        assert len(calls) > 64
+        for (rows, inner), (inner_b, cols) in calls:
+            assert inner == inner_b and rows >= 2 and cols >= 2
+            assert rows * inner * cols <= 1 << 18
 
     def test_order_64_beyond_the_guard_refused_before_elimination(self, monkeypatch):
         def refuse(a, p):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,9 +29,11 @@ from tcc.linalg import (
 from helpers import (
     GF3,
     GF5,
+    blas_shapes,
     identity,
     literal_rref_array,
     matmul,
+    object_matmul,
     rand_matrix,
     trial_division_is_prime,
     unvec,
@@ -185,6 +189,114 @@ class TestHessenberg:
         # random start can miss, so b may exceed it there: diag(0, 0, 1, 1, 1, 2) gives b = 4 at p = 3.
         h = _hessenberg(np.diag(diag).astype(np.int64), p)[0]
         assert len(diag) - np.count_nonzero(np.diagonal(h, -1)) == blocks
+
+
+def _bound_primes(inner):
+    """The largest prime p with inner (p - 1)^2 < 2^52, and the prime after it."""
+    top = math.isqrt((2**52 - 1) // inner) + 1
+    below, above = top, top + 1
+    while not is_prime(below):
+        below -= 1
+    while not is_prime(above):
+        above += 1
+    return below, above
+
+
+class TestFloatProducts:
+    """matmul_mod's float64 BLAS path against Python-int products, and the int64 paths it leaves alone."""
+
+    PRIMES = [2, 3, 7, 997, 8191, 2**31 - 1]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize(
+        "rows, inner, cols, floats",
+        [
+            # Inner dimension 0, as a k = 1 code's message blocks have.
+            (2, 0, 9, False),
+            (40, 0, 16, False),
+            (2, 8, 1024, True),
+            (64, 8, 32, True),
+            (576, 52, 92, True),
+            (130, 24, 24, True),
+            (17, 1000, 5, True),
+            # Below the size crossover, or the inner one.
+            (3, 64, 64, False),
+            (625, 4, 9, False),
+            # Wider than one block: cut into column blocks too.
+            (2, 64, 2048, True),
+            # One row or one column would be a gemv; past k = 2^18 // 9 a block cannot hold 3 columns.
+            (1, 64, 512, False),
+            (512, 64, 1, False),
+            (2, 29128, 2, False),
+        ],
+    )
+    def test_matches_python_ints(self, monkeypatch, p, rows, inner, cols, floats):
+        calls = blas_shapes(monkeypatch)
+        rng = np.random.default_rng([p, rows, inner, cols])
+        a = rng.integers(0, p, size=(rows, inner))
+        b = rng.integers(0, p, size=(inner, cols))
+        out = matmul_mod(a, b, p)
+        assert out.dtype == np.int64 and out.shape == (rows, cols)
+        assert np.array_equal(out, object_matmul(a, b, p))
+        # p = 2^31 - 1 is never exact in float64: (p - 1)^2 alone exceeds 2^52.
+        assert bool(calls) == (floats and p < 2**31 - 1)
+
+    @pytest.mark.parametrize("inner, rows, cols", [(8, 64, 32), (64, 16, 16), (1024, 4, 4), (4096, 2, 3)])
+    def test_both_sides_of_the_exactness_bound(self, monkeypatch, inner, rows, cols):
+        calls = blas_shapes(monkeypatch)
+        below, above = _bound_primes(inner)
+        assert inner * (below - 1) ** 2 < 2**52 <= inner * (above - 1) ** 2
+        for p in (below, above):
+            calls.clear()
+            # All entries p - 1: every dot product is inner (p - 1)^2, its largest value.
+            full = matmul_mod(np.full((rows, inner), p - 1), np.full((inner, cols), p - 1), p)
+            assert np.array_equal(full, np.full((rows, cols), inner % p))
+            rng = np.random.default_rng([p, inner])
+            a = rng.integers(p - 8, p, size=(rows, inner))
+            b = rng.integers(0, p, size=(inner, cols))
+            assert np.array_equal(matmul_mod(a, b, p), object_matmul(a, b, p))
+            assert len(calls) == (2 if p == below else 0), p
+
+    @pytest.mark.parametrize(
+        "inner, shapes",
+        [
+            # 2^18 // (64 * 64) = 64 rows a block.
+            (64, [(rows, 64) for rows in (4, 63, 64, 65, 127, 128, 129, 191)]),
+            # At most 2^18 // 192 = 1365 columns a block, and then 2^18 // (64 * width) rows.
+            (64, [(2, 1365), (2, 1366), (3, 2731), (5, 4096), (9, 4096), (130, 1400)]),
+            # k = 2^18 // 9, the widest admitted: blocks of 2 or 3 rows and columns.
+            (29127, [(2, 2), (3, 3), (4, 4), (5, 7), (7, 5)]),
+        ],
+    )
+    def test_blocks_straddle_their_boundaries(self, monkeypatch, inner, shapes):
+        calls = blas_shapes(monkeypatch)
+        for rows, cols in shapes:
+            calls.clear()
+            rng = np.random.default_rng([rows, cols])
+            a = rng.integers(0, 997, size=(rows, inner))
+            b = rng.integers(0, 997, size=(inner, cols))
+            assert np.array_equal(matmul_mod(a, b, 997), object_matmul(a, b, 997)), (rows, cols)
+            blocks = [(shape_a[0], shape_b[1]) for shape_a, shape_b in calls]
+            assert sum(h * w for h, w in blocks) == rows * cols, (rows, cols)
+            for h, w in blocks:
+                assert h >= 2 and w >= 2 and h * inner * w <= tcc.linalg._BLAS_MAX_WORK, (rows, cols)
+
+    @pytest.mark.parametrize("p", [7, 997, 2**31 - 1])
+    def test_stacked_and_vector_operands_stay_on_int64(self, monkeypatch, p):
+        calls = blas_shapes(monkeypatch)
+        rng = np.random.default_rng(p)
+        stack = rng.integers(0, p, size=(6, 24, 24))
+        mat = rng.integers(0, p, size=(24, 24))
+        vec_ = rng.integers(0, p, size=24)
+        for got, want in [
+            (matmul_mod(stack, mat, p), [object_matmul(m, mat, p) for m in stack]),
+            (matmul_mod(mat, stack, p), [object_matmul(mat, m, p) for m in stack]),
+            (matmul_mod(stack, vec_, p), [object_matmul(m, vec_, p) for m in stack]),
+            (matmul_mod(vec_, mat, p), object_matmul(vec_, mat, p)),
+            (matmul_mod(mat, vec_, p), object_matmul(mat, vec_, p)),
+        ]:
+            assert got.dtype == np.int64 and np.array_equal(got, np.asarray(want))
+        assert calls == []
 
 
 class TestRref:
@@ -434,3 +546,38 @@ class TestMatrixTextFormat:
     def test_crlf_lines_parse(self):
         m = parse_matrix_text("5 2 3\r\n0 1 2\r\n3 4 0\r\n")
         assert (m.prime.p, m.array.tolist()) == (5, [[0, 1, 2], [3, 4, 0]])
+
+    def test_good_rows_are_read_whole_and_never_walked(self, monkeypatch):
+        walked = []
+        original = tcc.linalg._integer
+
+        def recorded(tok):
+            walked.append(tok)
+            return original(tok)
+
+        monkeypatch.setattr(tcc.linalg, "_integer", recorded)
+        rng = np.random.default_rng(24)
+        data = rng.integers(0, 997, size=(24, 24))
+        # Signs, zero padding and any whitespace between fields, as the format allows.
+        fields = [[f"{'+' if v % 3 == 0 else ''}{v:0{1 + v % 4}d}" for v in row] for row in data.tolist()]
+        text = "997 24 24\n" + "".join(" \t".join(row) + " \n" for row in fields)
+        assert np.array_equal(parse_matrix_text(text).array, data)
+        assert walked == ["997", "24", "24"]
+
+    @pytest.mark.parametrize(
+        "row, column, error",
+        [
+            ("1 7 x", 2, "entry 7 outside [0, 7)"),
+            ("1 x 7", 2, "'x' is not an integer"),
+            ("-1 1_0 1", 1, "entry -1 outside [0, 7)"),
+            ("1 -2 1", 2, "entry -2 outside [0, 7)"),
+            ("1 1 " + "9" * 5000, 3, "'" + "9" * 5000 + "' is not an integer"),
+            ("1 1 " + "9" * 40, 3, "entry " + "9" * 40 + " outside [0, 7)"),
+        ],
+    )
+    def test_a_bad_row_names_its_first_bad_field(self, row, column, error):
+        # A field past int()'s 4300-digit limit is not an integer; one past int64 is out of range.
+        with pytest.raises(MatrixFormatError) as info:
+            parse_matrix_text(f"7 2 3\n0 1 2\n{row}\n")
+        assert str(info.value) == f"line 3, column {column}: {error}"
+        assert (info.value.line, info.value.column) == (3, column)
