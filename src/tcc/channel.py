@@ -7,19 +7,20 @@ channel would not.  Both sweeps classify errors over the zero codeword:
 for a linear code, c + e decodes uniquely exactly when e does, and back
 to c exactly when e's unique nearest codeword is 0.
 
-Errors have one format, (positions, offsets), both (rows, t): each row's
-sorted positions and the nonzero symbols added there.  Monte Carlo draws
-them (_draw), the exhaustive sweep enumerates them (_pattern_blocks), and
-both hand each block to the classifier that _classifier(code) picks.
+Errors of a code with k != 1 have one format, (positions, offsets), both
+(rows, t): each row's sorted positions and the nonzero symbols added
+there.  Monte Carlo draws them (_draw), the exhaustive sweep enumerates
+them (_pattern_blocks), and both hand each block to the classifier that
+_classifier(code) picks.
 
-A k = 1 code decodes by code._vote's plurality vote, which depends only
-on how many errors fall on the generator's support and how often each
-value e_i / g_i repeats there.  So its exhaustive sweep is counted, not
-enumerated: exact sums of counts of words with bounded letter
-multiplicities, in Python ints, polynomial in t and free of p
-(MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 1).
-Its Monte Carlo trials are classified from their t drawn positions and
-offsets alone (_vote_stats), with no N-wide error block.
+A k = 1 code never builds an error pattern.  It decodes by code._vote's
+plurality vote, which depends only on how many errors fall on the
+generator's support and on the values e_i / g_i there.  So its exhaustive
+sweep is counted, not enumerated: exact sums of counts of words with
+bounded letter multiplicities, in Python ints, polynomial in t and free
+of p (MacWilliams and Sloane, The Theory of Error-Correcting Codes,
+ch. 1).  Its Monte Carlo samples that statistic, a hypergeometric hit
+count and t votes (monte_carlo), and classifies it (_vote_stats).
 
 For any code the outcome depends only on e's weight and its coset
 e + C: whether the coset holds one word of least weight, and whether e
@@ -38,7 +39,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .code import ENUMERATION_LIMIT, LinearCode, _inverses, _message_block, _nearest
+from .code import ENUMERATION_LIMIT, LinearCode, _message_block, _nearest
 from .linalg import GuardExceededError, count_text
 
 EXHAUSTIVE_LIMIT = 1 << 24
@@ -49,7 +50,8 @@ COUNT_STEP_LIMIT = 341_797
 COUNT_DIGIT_LIMIT = 4300
 # Exhaustive-sweep error patterns reach the classifier in blocks of B = _BATCH_CELLS // N, B * N cells as words.
 _BATCH_CELLS = 1 << 14
-# Cells of one (rows, N) chunk of Monte Carlo keys, each chunk classified whole; fixed, so a seed's trials follow N alone.
+# Cells of one Monte Carlo chunk, each classified whole: (rows, N) keys, or (rows, t) votes for a k = 1 code.
+# Fixed, so a seed's trials follow N alone, or t alone for a k = 1 code.
 _DRAW_CELLS = 1 << 14
 # Error patterns the coset table's build may enumerate before the sweep gives it up for code._scan.
 _TABLE_PATTERNS = EXHAUSTIVE_LIMIT
@@ -83,7 +85,7 @@ def _draw(rng: "np.random.Generator", rows: int, length: int, t: int, p: int) ->
     A row's positions are the indices of its t smallest uniform keys, a
     uniform t-subset, sorted; its t offsets in 1..p-1, uniform over the
     other symbols, go to them in that order.  At t = 0 nothing is drawn.
-    inject_errors and monte_carlo both draw here.
+    inject_errors and monte_carlo on a code of k != 1 draw here.
     """
     if not t:  # argpartition has no kth = -1
         empty = np.zeros((rows, 0), dtype=np.int64)
@@ -119,20 +121,19 @@ def _tally(code: LinearCode, positions: np.ndarray, offsets: np.ndarray) -> Chan
     return _outcomes(ties == 1, first == 0)
 
 
-def _vote_stats(inverses: np.ndarray, support: int, p: int, positions: np.ndarray, offsets: np.ndarray) -> ChannelStats:
-    """Classify a k = 1 code's drawn errors, (rows, t) positions and offsets, by code._vote's rule.
+def _vote_stats(support: int, votes: np.ndarray) -> ChannelStats:
+    """Classify a k = 1 code's (rows, t) votes, sampled by monte_carlo, by code._vote's rule.
 
-    An error e_i off supp g votes for no codeword; on it, for e_i / g_i,
-    never 0.  So 0 keeps z = w - #(positions on supp g) votes.  With M the
-    largest multiplicity of a nonzero vote, the error is a success when
-    z > M, miscorrected when M > z and one value reaches M, and ambiguous
-    otherwise.  Both factors of a vote are below 2^31, so each product
-    stays below 2^62.
+    A 0 slot is an error off supp g, which votes for no codeword; the rest
+    vote for e_i / g_i, never 0.  So 0 keeps z = w - #(nonzero votes)
+    votes.  With M the largest multiplicity of a nonzero vote, the error is
+    a success when z > M, miscorrected when M > z and one value reaches M,
+    and ambiguous otherwise.
     """
-    rows, t = positions.shape
+    rows, t = votes.shape
     if not t:  # no errors: 0 keeps all w >= 1 votes
         return ChannelStats(rows, rows, 0, 0)
-    votes = np.sort(inverses[positions] * offsets % p, axis=1).ravel()
+    votes = np.sort(votes, axis=1).ravel()
     # Runs of equal votes, each within one row; a row's 0 votes come first, as one run.
     begins = np.empty(len(votes), dtype=bool)
     np.not_equal(votes[1:], votes[:-1], out=begins[1:])
@@ -298,17 +299,14 @@ def _coset_table(code: LinearCode):
 
 
 def _classifier(code: LinearCode):
-    """The one classifier of a run's (positions, offsets) error blocks over the zero codeword.
+    """The one classifier of a run's (positions, offsets) error blocks over the zero codeword, for k != 1.
 
-    A k = 1 code's is _vote_stats, from one table of g_i^-1.  With a coset
-    table, an error is unique when its coset has one word of least weight,
-    and right when t is that weight: _tally's rule (_outcomes) with no
-    minimiser index.  Any other code's is _tally.
+    With a coset table, an error is unique when its coset has one word of
+    least weight, and right when t is that weight: _tally's rule
+    (_outcomes) with no minimiser index.  Any other code's is _tally.  A
+    k = 1 code has no error blocks: it is counted or sampled.
     """
     p = code.prime.p
-    if code.dim == 1:
-        inverses = _inverses(code)
-        return partial(_vote_stats, inverses, int(np.count_nonzero(inverses)), p)
     table = _coset_table(code)
     if table is None:
         return partial(_tally, code)
@@ -369,12 +367,22 @@ def exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
 def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
     """Seeded random weight-t error trials, classified in chunks over the zero codeword.
 
-    Trials are drawn by _draw in chunks of _DRAW_CELLS // N rows, and each
-    chunk's (positions, offsets) goes whole to _classifier's one classifier
-    for the run.  No message is drawn, as only the error is classified.
-    Reproducible for a fixed seed within one build of this package, not
-    across releases: earlier ones drew each trial's message, positions and
-    offsets in turn, so their seeded counts differ.  The trial count shares
+    No message is drawn, as only the error is classified.  A k = 1 code's
+    trials come in chunks of _DRAW_CELLS // max(t, 1) rows, each classified
+    whole by _vote_stats, and each trial draws only the statistic code._vote
+    reads: its hit count h, hypergeometric, then t votes in 1..p-1, of
+    which slots h and on are set to 0.  That is the law of a weight-t error
+    e on a uniform t-subset P with uniform nonzero symbols: h = |P & supp g|
+    is hypergeometric, and given h, the h votes e_i g_i^-1 on supp g are
+    independent and uniform on 1..p-1, since multiplying by a fixed nonzero
+    residue permutes the nonzero residues.  The vote's outcome depends on
+    nothing else of e.  Any other code's trials are drawn by _draw in
+    chunks of _DRAW_CELLS // N rows, and each chunk's (positions, offsets)
+    goes whole to _classifier's one classifier for the run.  Reproducible
+    for a fixed seed within one build of this package, not across
+    releases: earlier ones drew each trial's message, positions and
+    offsets in turn, and drew a k = 1 code's positions and offsets too, so
+    their seeded counts beyond capacity differ.  The trial count shares
     the exhaustive sweep's decode budget.
     """
     if trials < 1:
@@ -385,8 +393,17 @@ def monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> Channel
         )
     if not 0 <= t <= code.length:
         raise ValueError(f"weight {t} must lie in [0, {code.length}]")
-    rng, p, length = np.random.default_rng(seed), code.prime.p, code.length
-    classify, stats, draw = _classifier(code), ChannelStats(0, 0, 0, 0), max(1, _DRAW_CELLS // length)
+    rng, p, length, stats = np.random.default_rng(seed), code.prime.p, code.length, ChannelStats(0, 0, 0, 0)
+    if code.dim == 1:
+        support, draw = int(np.count_nonzero(code.generator[0])), max(1, _DRAW_CELLS // max(t, 1))
+        for done in range(0, trials, draw):
+            rows = min(draw, trials - done)
+            hits = rng.hypergeometric(support, length - support, t, size=rows)
+            votes = rng.integers(1, p, size=(rows, t))
+            votes[np.arange(t) >= hits[:, None]] = 0
+            stats += _vote_stats(support, votes)
+        return stats
+    classify, draw = _classifier(code), max(1, _DRAW_CELLS // length)
     for done in range(0, trials, draw):
         stats += classify(*_draw(rng, min(draw, trials - done), length, t, p))
     return stats

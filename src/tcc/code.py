@@ -15,12 +15,12 @@ plurality vote over the support of its generator at any prime; larger
 dimensions score every codeword behind a hard guard on p^k, since a word
 decoded alone needs its first nearest codeword.  The channel sweeps need
 only each error's coset, so channel.py classifies a high-rate code's
-errors by syndrome instead, and a k = 1 code's by counting or from its
-drawn error symbols: _vote serves decode_nearest.  Minimum distance needs only one codeword
-per projective point, since scaling by a nonzero constant keeps the
-weight.  That is deliberate: the codes this toolkit produces have tiny
-dimension, where exhaustive search is exact and cheap, so no pruning
-machinery is warranted.
+errors by syndrome instead, and a k = 1 code's by counting or by
+sampling its vote statistic: _vote serves decode_nearest.  Minimum
+distance needs only one codeword per projective point, since scaling by
+a nonzero constant keeps the weight.  That is deliberate: the codes this
+toolkit produces have tiny dimension, where exhaustive search is exact
+and cheap, so no pruning machinery is warranted.
 """
 
 from dataclasses import dataclass
@@ -199,14 +199,6 @@ def encode(code: LinearCode, msg: np.ndarray) -> np.ndarray:
     return _encode_rows(code, msg[None, :])[0]
 
 
-def _inverses(code: LinearCode) -> np.ndarray:
-    """A k = 1 code's g_i^-1 mod p at each position i of its generator g, and 0 off supp g."""
-    p = code.prime.p
-    # One inverse per distinct generator value, spread back over the positions.
-    values, where = np.unique(code.generator[0], return_inverse=True)
-    return np.array([pow(int(v), -1, p) if v else 0 for v in values], dtype=np.int64)[where]
-
-
 def _vote(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nearest codewords of a k = 1 code by plurality vote.
 
@@ -219,7 +211,9 @@ def _vote(code: LinearCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     g = code.generator[0]
     support = np.flatnonzero(g)
     outside = np.flatnonzero(g == 0)
-    inverses = _inverses(code)[support]
+    # One inverse per distinct generator value, spread back over the support.
+    values, where = np.unique(g[support], return_inverse=True)
+    inverses = np.array([pow(int(v), -1, p) for v in values], dtype=np.int64)[where]
     # Both factors are below 2^31, so each product stays below 2^62.
     votes = np.sort(words[:, support] * inverses % p, axis=1)
     place = np.arange(len(support))

@@ -44,7 +44,9 @@ per field element, kept as the oracle for eigen_scan.  conjugation_transfer is t
 transfer of a centralizer code, kept as an oracle for the
 diagonalization claims.  The literal_* channel runs decode one word
 per (message, pattern) or per trial, kept as oracles for the batched
-sweeps in tcc.channel, and enumerated_exhaustive_stats decodes every
+sweeps in tcc.channel; sampled_vote_errors places the hit counts and
+votes that Monte Carlo samples for a k = 1 code as dense errors, for
+those oracles.  enumerated_exhaustive_stats decodes every
 weight-t pattern of a k = 1 code by the vote, kept as the oracle for the
 counted k = 1 sweep; the exhaustive_*_check functions are the
 acceptance gate's correction and detection sweeps.  verify_document
@@ -700,21 +702,58 @@ def enumerated_exhaustive_stats(code: LinearCode, t: int) -> ChannelStats:
     return ChannelStats(*(count * p**code.dim for count in astuple(stats)))
 
 
+def sampled_vote_errors(code: LinearCode, t: int, trials: int, seed: int = 0):
+    """monte_carlo's trials of a k = 1 code as dense (rows, N) error blocks, one per chunk.
+
+    Per chunk of _DRAW_CELLS // max(t, 1) trials, each trial's hit count h
+    and its t votes are drawn as monte_carlo draws them: one hypergeometric
+    block, then one block of votes in 1..p-1.  A generator seeded
+    [seed, 2] then places the error: h positions on supp g, where the
+    first h votes go as vote * g_i, and t - h positions off it, each given
+    a uniform nonzero symbol.
+    """
+    p, length, g = code.prime.p, code.length, code.generator[0]
+    on, off = np.flatnonzero(g), np.flatnonzero(g == 0)
+    rng, places = np.random.default_rng(seed), np.random.default_rng([seed, 2])
+    # Read at call time, so a test that patches the chunk size patches the oracle too.
+    draw = max(1, tcc.channel._DRAW_CELLS // max(t, 1))
+    for done in range(0, trials, draw):
+        rows = min(draw, trials - done)
+        hits, votes = rng.hypergeometric(len(on), len(off), t, size=rows), rng.integers(1, p, size=(rows, t))
+        errors = np.zeros((rows, length), dtype=np.int64)
+        for error, h, vote in zip(errors, hits, votes):
+            where = places.choice(on, h, replace=False)
+            error[where] = vote[:h] * g[where] % p
+            error[places.choice(off, t - h, replace=False)] = places.integers(1, p, size=t - h)
+        yield errors
+
+
 def literal_monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) -> ChannelStats:
     """monte_carlo, one decode_nearest call per trial on a random codeword plus its error.
 
-    The errors follow monte_carlo's draw: per chunk of _DRAW_CELLS // N
-    trials, one (rows, N) block of uniform keys, then one (rows, t) block of
-    offsets.  A trial's positions are its t smallest keys' indices, sorted
-    here by argsort, and take its offsets in index order.  Messages come
-    from an independent generator, so decoding over a random codeword is
-    checked against monte_carlo's decoding over 0.
+    A k = 1 code's errors are sampled_vote_errors'.  Any other code's follow
+    monte_carlo's draw: per chunk of _DRAW_CELLS // N trials, one (rows, N)
+    block of uniform keys, then one (rows, t) block of offsets.  A trial's
+    positions are its t smallest keys' indices, sorted here by argsort, and
+    take its offsets in index order.  Messages come from an independent
+    generator, so decoding over a random codeword is checked against
+    monte_carlo's decoding over 0.
     """
     p, length = code.prime.p, code.length
     rng, messages = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+    counts = {"success": 0, "ambiguous": 0, "miscorrected": 0}
+
+    def classify(error):
+        message = messages.integers(0, p, size=code.dim)
+        counts[_classify(code, (encode(code, message) + error) % p, message)] += 1
+
+    if code.dim == 1:
+        for errors in sampled_vote_errors(code, t, trials, seed):
+            for error in errors:
+                classify(error)
+        return _stats(counts)
     # Read at call time, so a test that patches the chunk size patches the oracle too.
     draw = max(1, tcc.channel._DRAW_CELLS // length)
-    counts = {"success": 0, "ambiguous": 0, "miscorrected": 0}
     for done in range(0, trials, draw):
         rows = min(draw, trials - done)
         # At t = 0 monte_carlo draws nothing; any keys leave the error 0.
@@ -722,8 +761,7 @@ def literal_monte_carlo(code: LinearCode, t: int, trials: int, seed: int = 0) ->
         for row in range(rows):
             error = np.zeros(length, dtype=np.int64)
             error[np.sort(np.argsort(keys[row], kind="stable")[:t])] = offsets[row]
-            message = messages.integers(0, p, size=code.dim)
-            counts[_classify(code, (encode(code, message) + error) % p, message)] += 1
+            classify(error)
     return _stats(counts)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     hamming_distance,
     literal_exhaustive_stats,
     literal_monte_carlo,
+    sampled_vote_errors,
 )
 
 BIG_PRIME = 2**31 - 1
@@ -62,15 +64,29 @@ def four_two():
 
 @pytest.fixture
 def drawn_votes(monkeypatch):
-    """Every (positions, offsets) chunk that monte_carlo hands to _vote_stats, recorded as it is classified."""
+    """Every (rows, t) chunk of votes that monte_carlo hands to _vote_stats, recorded as it is classified."""
     chunks = []
     vote_stats = tcc.channel._vote_stats
 
-    def recording(inverses, support, p, positions, offsets):
-        chunks.append((positions.copy(), offsets.copy()))
-        return vote_stats(inverses, support, p, positions, offsets)
+    def recording(support, votes):
+        chunks.append(votes.copy())
+        return vote_stats(support, votes)
 
     monkeypatch.setattr(tcc.channel, "_vote_stats", recording)
+    return chunks
+
+
+@pytest.fixture
+def drawn_errors(monkeypatch):
+    """Every (positions, offsets) chunk that monte_carlo hands to _tally, recorded as it is classified."""
+    chunks = []
+    tally = tcc.channel._tally
+
+    def recording(code, positions, offsets):
+        chunks.append((positions.copy(), offsets.copy()))
+        return tally(code, positions, offsets)
+
+    monkeypatch.setattr(tcc.channel, "_tally", recording)
     return chunks
 
 
@@ -116,16 +132,16 @@ class TestInjectErrors:
             inject_errors(np.array([0, 0]), 3, -1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("t", [0, 3, 9])
-    def test_draws_the_monte_carlo_error(self, nine_one_nine, drawn_votes, seed, t):
-        # One channel: over 0, inject_errors is the error a one-trial monte_carlo run classifies.
-        monte_carlo(nine_one_nine, t, 1, seed)
-        assert [(positions.shape, offsets.shape) for positions, offsets in drawn_votes] == [((1, t), (1, t))]
-        positions, offsets = drawn_votes[0]
-        error = np.zeros(9, dtype=np.int64)
+    @pytest.mark.parametrize("t", [0, 3, 4])
+    def test_draws_the_monte_carlo_error(self, four_two, drawn_errors, seed, t):
+        # One channel: over 0, inject_errors is the error a one-trial monte_carlo run on a k = 2 code classifies.
+        monte_carlo(four_two, t, 1, seed)
+        assert [(positions.shape, offsets.shape) for positions, offsets in drawn_errors] == [((1, t), (1, t))]
+        positions, offsets = drawn_errors[0]
+        error = np.zeros(4, dtype=np.int64)
         error[positions[0]] = offsets[0]
-        zeros = np.zeros(9, dtype=np.int64)
-        assert np.array_equal(inject_errors(zeros, 5, t, np.random.default_rng(seed)), error)
+        zeros = np.zeros(4, dtype=np.int64)
+        assert np.array_equal(inject_errors(zeros, 3, t, np.random.default_rng(seed)), error)
 
 
 class TestExhaustiveCorrection:
@@ -226,7 +242,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("t", [2, 5])
     def test_draw_chunk_matches_the_literal_oracle(self, nine_one_nine, four_two, monkeypatch, t):
         # A seed's trials follow _DRAW_CELLS by design; at every chunk size the counts are the oracle's.
-        # 2,000 trials on the [9,1,9] code span two default chunks of 1,820 rows.
+        # The [9,1,9] code's chunks are sized by t: 2,000 trials fill one default chunk and 154 or 400 of 27 cells.
         for code, trials in ((nine_one_nine, 2000), (four_two, 300)):
             for cells in (1 << 14, 3 * code.length):
                 monkeypatch.setattr(tcc.channel, "_DRAW_CELLS", cells)
@@ -234,11 +250,11 @@ class TestMonteCarlo:
                 assert monte_carlo(code, min(t, code.length), trials, seed=11) == want
             monkeypatch.undo()
 
-    def test_draws_every_position_set_and_offset(self, drawn_votes):
-        repetition = LinearCode(Prime(5), 4, np.ones((1, 4), dtype=np.int64))
-        assert monte_carlo(repetition, 2, 300, seed=3).trials == 300
-        positions = np.concatenate([positions for positions, _ in drawn_votes])
-        offsets = np.concatenate([offsets for _, offsets in drawn_votes])
+    def test_draws_every_position_set_and_offset(self, four_two, drawn_errors):
+        # A k >= 2 code's trials are drawn as (positions, offsets).
+        assert monte_carlo(four_two, 2, 300, seed=3).trials == 300
+        positions = np.concatenate([positions for positions, _ in drawn_errors])
+        offsets = np.concatenate([offsets for _, offsets in drawn_errors])
         assert positions.shape == offsets.shape == (300, 2)
         errors = np.zeros((300, 4), dtype=np.int64)
         for error, where, values in zip(errors, positions, offsets):
@@ -246,7 +262,28 @@ class TestMonteCarlo:
         assert (np.count_nonzero(errors, axis=1) == 2).all()
         assert {tuple(np.flatnonzero(row)) for row in errors} == set(itertools.combinations(range(4), 2))
         for column in errors.T:
-            assert set(column[column != 0]) == {1, 2, 3, 4}
+            assert set(column[column != 0]) == {1, 2}
+
+    def test_samples_every_hit_count_and_vote(self, drawn_votes):
+        # A k = 1 code's trials are sampled as votes: 4 errors on 6 places, 3 of them on supp g,
+        # hit supp g 1 to 3 times, and each hit votes for one of 1..4.
+        code = LinearCode(Prime(5), 6, np.array([[1, 1, 1, 0, 0, 0]], dtype=np.int64))
+        assert monte_carlo(code, 4, 300, seed=3).trials == 300
+        votes = np.concatenate(drawn_votes)
+        assert votes.shape == (300, 4)
+        hits = np.count_nonzero(votes, axis=1)
+        assert set(hits.tolist()) == {1, 2, 3}
+        assert np.array_equal(votes != 0, np.arange(4) < hits[:, None])  # a row's votes come first, then its 0 slots
+        assert set(votes[votes != 0].tolist()) == {1, 2, 3, 4}
+
+    def test_dimension_one_draws_no_error(self, nine_one_nine, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a k = 1 code samples its votes, with no error pattern and no classifier pick")
+
+        monkeypatch.setattr(tcc.channel, "_draw", refuse)
+        monkeypatch.setattr(tcc.channel, "_classifier", refuse)
+        for t in (0, 4, 5, 9):
+            assert monte_carlo(nine_one_nine, t, 100, seed=t).trials == 100
 
 
 class TestPatternBlocks:
@@ -272,7 +309,8 @@ class TestPatternBlocks:
 
 
 class TestOneClassifier:
-    """Every Monte Carlo run and every enumerated sweep classifies all its blocks through one _classifier call."""
+    """Every Monte Carlo run and every enumerated sweep of a k != 1 code classifies all its blocks through
+    one _classifier call; a k = 1 code's runs make none, as they are counted or sampled."""
 
     @pytest.fixture
     def picked(self, monkeypatch):
@@ -298,20 +336,20 @@ class TestOneClassifier:
         # Small chunks and blocks, so each run hands its classifier many of them.
         monkeypatch.setattr(tcc.channel, "_DRAW_CELLS", 27)
         monkeypatch.setattr(tcc.channel, "_BATCH_CELLS", 40)
+        assert monte_carlo(nine_one_nine, 2, 50, seed=1).trials == 50  # sampled
+        assert exhaustive_stats(nine_one_nine, 2).successes > 0  # counted
+        assert picked == []
         nine_five_three = comb_code(3, 1, 1, 5, 1)
-        for code, kind in ((nine_one_nine, "vote"), (nine_five_three, "table"), (four_two, "tally")):
+        for code, kind in ((nine_five_three, "table"), (four_two, "tally")):
             picked.clear()
             assert monte_carlo(code, 2, 50, seed=1).trials == 50
             assert len(picked) == 1 and len(picked[0][1]) > 1
             assert sum(rows for rows, _ in picked[0][1]) == 50 and {t for _, t in picked[0][1]} == {2}
             classify = picked[0][0]
             func = getattr(classify, "func", None)
-            assert {"vote": tcc.channel._vote_stats, "table": None, "tally": tcc.channel._tally}[kind] is func
+            assert {"table": None, "tally": tcc.channel._tally}[kind] is func
             picked.clear()
             stats = exhaustive_stats(code, 2)
-            if kind == "vote":  # counted: no pattern is classified
-                assert picked == []
-                continue
             patterns = math.comb(code.length, 2) * (code.prime.p - 1) ** 2
             assert stats.trials == patterns * code.prime.p**code.dim
             assert len(picked) == 1 and len(picked[0][1]) > 1
@@ -378,16 +416,10 @@ class TestBatchedAgainstLiteral:
 
 
 def dense_monte_carlo(code, t, trials, seed, decode):
-    """monte_carlo's draws as dense (rows, N) error blocks, each decoded whole by decode (code._scan or code._vote)."""
-    p, length = code.prime.p, code.length
-    rng = np.random.default_rng(seed)
-    draw = max(1, tcc.channel._DRAW_CELLS // length)
+    """A k = 1 code's monte_carlo trials as dense (rows, N) error blocks (sampled_vote_errors),
+    each decoded whole by decode (code._scan or code._vote)."""
     stats = ChannelStats(0, 0, 0, 0)
-    for done in range(0, trials, draw):
-        positions, offsets = tcc.channel._draw(rng, min(draw, trials - done), length, t, p)
-        errors = np.zeros((len(positions), length), dtype=np.int64)
-        for error, where, values in zip(errors, positions, offsets):
-            error[where] = values
+    for errors in sampled_vote_errors(code, t, trials, seed):
         _, first, ties = decode(code, errors)
         rows, unique = len(errors), ties == 1
         successes, ambiguous = int(np.count_nonzero(unique & (first == 0))), rows - int(np.count_nonzero(unique))
@@ -396,7 +428,7 @@ def dense_monte_carlo(code, t, trials, seed, decode):
 
 
 class TestDrawnVote:
-    """k = 1 Monte Carlo classifies each trial from its t drawn symbols; the dense decoders check it."""
+    """k = 1 Monte Carlo classifies each trial from its sampled votes; the dense decoders check it."""
 
     @staticmethod
     def row_with_zeros(p, length, support, seed):
@@ -409,7 +441,7 @@ class TestDrawnVote:
 
     @pytest.mark.parametrize("p", [2, 3, 7, 997, BIG_PRIME])
     def test_oracle_grid(self, p):
-        # 24 positions, 17 on supp g: 700 trials span two default chunks of 682 rows.
+        # 24 positions, 17 on supp g: at t = 24, 700 trials span two default chunks, of 682 and 18 rows.
         code = self.row_with_zeros(p, 24, 17, p % 1000)
         for t in (0, 1, 17, 18, 24):
             stats = monte_carlo(code, t, 700, seed=t)
@@ -420,7 +452,7 @@ class TestDrawnVote:
 
     @pytest.mark.parametrize("t", [0, 1, 5, 6, 8])
     def test_small_chunks(self, monkeypatch, t):
-        # 3 rows a chunk: 50 trials take 17 of them.
+        # 24 cells: 50 trials take chunks of 24 rows at t <= 1 and of 3 rows at t = 8.
         monkeypatch.setattr(tcc.channel, "_DRAW_CELLS", 24)
         code = self.row_with_zeros(7, 8, 5, 8)
         stats = monte_carlo(code, t, 50, seed=2)
@@ -439,6 +471,39 @@ class TestDrawnVote:
             assert stats == dense_monte_carlo(code, t, 200, case, tcc.code._vote), (p, length, t)
             seen += stats
         assert min(seen.successes, seen.ambiguous, seen.miscorrected) > 0
+
+
+class TestSampledLaw:
+    """k = 1 Monte Carlo samples each trial's hit count and votes; their law is the literal channel's."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_model_is_the_literal_law(self, p):
+        # The sampler's model: j hits with probability C(w, j) C(N - w, t - j) / C(N, t), then each of the
+        # (p - 1)^j vote words alike, each classified by _vote_stats; against every decode, as Fractions.
+        for length in range(1, 7):
+            for support in range(1, length + 1):
+                code = TestDrawnVote.row_with_zeros(p, length, support, 10 * length + support)
+                for t in range(length + 1):
+                    model = [Fraction(0)] * 3
+                    for j in range(max(0, t - (length - support)), min(support, t) + 1):
+                        words = [word + (0,) * (t - j) for word in itertools.product(range(1, p), repeat=j)]
+                        votes = np.array(words, dtype=np.int64).reshape(len(words), t)
+                        stats = tcc.channel._vote_stats(support, votes)
+                        chance = Fraction(math.comb(support, j) * math.comb(length - support, t - j), math.comb(length, t))
+                        for i, count in enumerate((stats.successes, stats.ambiguous, stats.miscorrected)):
+                            model[i] += chance * Fraction(count, len(votes))
+                    want = literal_exhaustive_stats(code, t)
+                    assert model == [
+                        Fraction(count, want.trials) for count in (want.successes, want.ambiguous, want.miscorrected)
+                    ], (length, support, t)
+
+    def test_sixteen_one_sixteen_within_four_sigma(self):
+        code = comb_code(4, 1, 1, 5, 2)
+        exact, trials = exhaustive_stats(code, 9), 200_000
+        stats = monte_carlo(code, 9, trials, seed=0)
+        for got, total in ((stats.ambiguous, exact.ambiguous), (stats.miscorrected, exact.miscorrected)):
+            share = total / exact.trials
+            assert abs(got - trials * share) <= 4 * math.sqrt(trials * share * (1 - share)), (got, trials * share)
 
 
 def _oracle_weights(code):
@@ -774,7 +839,7 @@ class TestCosetTable:
         assert tcc.channel._coset_table(nine_one_nine) is None
         exhaustive_stats(nine_one_nine, 2)  # counted: no vote
         monte_carlo(nine_one_nine, 5, 100, 0)
-        assert sum(len(positions) for positions, _ in drawn_votes) == 100
+        assert sum(len(votes) for votes in drawn_votes) == 100
         assert scanned == []
 
     def test_build_over_its_limit_falls_back_to_scan(self, scanned, monkeypatch):
@@ -933,17 +998,17 @@ PINNED = [
     (
         '--n 4 --p 5 --x 1 --y 1 --a 2 --t 9 --trials 10000 --seed 0 --json',
         2,
-        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 10000, "successes": 9957, "ambiguous": 42, "miscorrected": 1, "within_capacity": false, "verdict": "FAIL"}\n',
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 10000, "successes": 9960, "ambiguous": 39, "miscorrected": 1, "within_capacity": false, "verdict": "FAIL"}\n',
     ),
     (
         '--n 4 --p 5 --x 1 --y 1 --a 2 --t 9 --trials 10000 --seed 12345 --json',
         2,
-        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 12345, "trials": 10000, "successes": 9945, "ambiguous": 51, "miscorrected": 4, "within_capacity": false, "verdict": "FAIL"}\n',
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 12345, "trials": 10000, "successes": 9943, "ambiguous": 52, "miscorrected": 5, "within_capacity": false, "verdict": "FAIL"}\n',
     ),
     (
         '--n 4 --p 5 --x 1 --y 1 --a 2 --t 9 --trials 10000 --seed 2147483647 --json',
         2,
-        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 2147483647, "trials": 10000, "successes": 9950, "ambiguous": 46, "miscorrected": 4, "within_capacity": false, "verdict": "FAIL"}\n',
+        '{"p": 5, "n": 4, "x": 1, "y": 1, "a": 2, "t": 9, "length": 16, "dimension": 1, "min_distance": 16, "capacity": 7, "hypotheses_met": true, "mode": "monte-carlo", "seed": 2147483647, "trials": 10000, "successes": 9946, "ambiguous": 44, "miscorrected": 10, "within_capacity": false, "verdict": "FAIL"}\n',
     ),
     (
         '--n 3 --p 5 --x 1 --y 1 --a 1 --t 1 --trials 5000 --seed 0 --json',

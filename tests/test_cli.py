@@ -1026,8 +1026,8 @@ PINNED_COMMANDS = [
     ('simulate --n 2 --p 3 --x 1 --y 1 --a 2 --t 1 --exhaustive --json', 0, '{"p": 3, "n": 2, "x": 1, "y": 1, "a": 2, "t": 1, "length": 4, "dimension": 1, "min_distance": 4, "capacity": 1, "hypotheses_met": true, "mode": "exhaustive", "trials": 24, "successes": 24, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n', ''),
     ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 2 --trials 50 --seed 3', 0, 'code [9, 1, 9] over GF(5), correction capacity 4\nmode: monte-carlo (seed 3)\ntrials 50: 50 success, 0 ambiguous, 0 miscorrected\nPASS: 0 failures at t=2 (within capacity 4)\n', ''),
     ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 2 --trials 50 --seed 3 --json', 0, '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 2, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "monte-carlo", "seed": 3, "trials": 50, "successes": 50, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n', ''),
-    ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 5 --trials 20', 2, 'code [9, 1, 9] over GF(5), correction capacity 4\nmode: monte-carlo (seed 0)\ntrials 20: 17 success, 3 ambiguous, 0 miscorrected\nFAIL: t=5 exceeds correction capacity 4 (3 failures)\n', ''),
-    ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 5 --trials 20 --json', 2, '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 5, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 20, "successes": 17, "ambiguous": 3, "miscorrected": 0, "within_capacity": false, "verdict": "FAIL"}\n', ''),
+    ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 5 --trials 20', 2, 'code [9, 1, 9] over GF(5), correction capacity 4\nmode: monte-carlo (seed 0)\ntrials 20: 15 success, 5 ambiguous, 0 miscorrected\nFAIL: t=5 exceeds correction capacity 4 (5 failures)\n', ''),
+    ('simulate --n 3 --p 5 --x 3 --y 1 --a 2 --t 5 --trials 20 --json', 2, '{"p": 5, "n": 3, "x": 3, "y": 1, "a": 2, "t": 5, "length": 9, "dimension": 1, "min_distance": 9, "capacity": 4, "hypotheses_met": true, "mode": "monte-carlo", "seed": 0, "trials": 20, "successes": 15, "ambiguous": 5, "miscorrected": 0, "within_capacity": false, "verdict": "FAIL"}\n', ''),
     ('simulate --n 3 --p 5 --x 1 --y 1 --a 1 --json --t 1 --trials 5000 --seed 1443403078', 0, '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 1, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 1443403078, "trials": 5000, "successes": 5000, "ambiguous": 0, "miscorrected": 0, "within_capacity": true, "verdict": "PASS"}\n', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\n'),
     ('simulate --n 3 --p 5 --x 1 --y 1 --a 1 --json --t 2 --trials 5000 --seed 1414445336', 2, '{"p": 5, "n": 3, "x": 1, "y": 1, "a": 1, "t": 2, "length": 9, "dimension": 5, "min_distance": 3, "capacity": 1, "hypotheses_met": false, "mode": "monte-carlo", "seed": 1414445336, "trials": 5000, "successes": 1822, "ambiguous": 2547, "miscorrected": 631, "within_capacity": false, "verdict": "FAIL"}\n', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\n'),
     ('simulate --n 2 --p 5 --x 1 --y 1 --a 0 --t 1', 1, '', 'tcc: note: these parameters miss the MDS construction hypotheses (need p | x*n + y, x != 0, y != 0, a outside {0, 1}); no guarantee applies\ntcc: zero code: C(A, a) contains only the zero matrix, nothing to simulate\n'),
